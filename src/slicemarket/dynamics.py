@@ -208,67 +208,32 @@ def eval_dual(scn: NormalizedScenario, prices: np.ndarray) -> float:
     Satisfies ``eval_dual(p(b)) <= Phi(b)`` for budget-feasible bids with
     equality at the equilibrium bid profile.
     """
-    from .solvers import best_response
-
     index = scn.index
     _require_at_least_one(index)
-    prices = np.asarray(prices, dtype=float)
-    if np.any(index.demand @ prices <= 0):
-        raise ValueError("dual undefined: some class sees only zero-priced resources")
-    total = 0.0
-    pd = prices[None, :] * index.demand
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        b = best_response(scn, prices, s)[rows]
-        mask = b > BID_FLOOR
-        ratio = np.divide(b, pd[rows], out=np.ones_like(b), where=mask)
-        value = float(np.where(mask, b * np.log(ratio), 0.0).sum())
-        alpha = float(index.alphas[s])
-        if math.isinf(alpha):
-            value -= float((b.sum(axis=1) * np.log(index.weights[rows])).sum())
-        elif alpha > 1.0:
-            bk = b.sum(axis=1)
-            value += float((bk * np.log(bk / index.weights[rows])).sum() / (alpha - 1.0))
-        total += value
-    return total
-
-
-def _update_bids(index: MarketIndex, prices: np.ndarray) -> np.ndarray:
-    """One simultaneous bid update for every provider (alpha in [1, inf]).
-
-    Per-class spending follows the group weights ``w**(1/a) * PD**((1-a)/(-a))``
-    (``w * PD`` at alpha = inf) and is split within the class proportionally
-    to ``p_g * d_g``; each provider's new bids are renormalized to spend the
-    budget exactly.
-    """
-    pd_rows = prices[None, :] * index.demand
-    pd = pd_rows.sum(axis=1)
+    kernel = index.kernel
+    pd_slots, pd = kernel.row_prices(np.asarray(prices, dtype=float))
     if np.any(pd <= 0):
-        bad = [index.triples[i] for i in np.flatnonzero(pd <= 0)]
-        raise ValueError(f"all-zero price row for triples {bad}")
-    alpha = index.alphas[index.sp_of]
-    finite = np.isfinite(alpha)
-    log_w = np.log(index.weights)
-    log_omega = np.empty(index.n_triples)
-    a_f = alpha[finite]
-    log_omega[finite] = log_w[finite] / a_f + ((1.0 - a_f) / (-a_f)) * np.log(pd[finite])
-    log_omega[~finite] = log_w[~finite] + np.log(pd[~finite])
-    # per-provider softmax so small alpha (sharp concentration) stays finite
-    peak = np.full(index.n_sps, -np.inf)
-    np.maximum.at(peak, index.sp_of, log_omega)
-    omega = np.exp(log_omega - peak[index.sp_of])
-    denom = index.sp_sum(omega)
-    b_ck = index.budgets[index.sp_of] * omega / denom[index.sp_of]
-    bids = (b_ck / pd)[:, None] * pd_rows
-    spend = index.sp_sum(bids.sum(axis=1))
-    bids *= (index.budgets / spend)[index.sp_of, None]
-    return bids
+        raise ValueError("dual undefined: some class sees only zero-priced resources")
+    b = kernel.spend(pd_slots, pd)
+    mask = b > BID_FLOOR
+    ratio = np.divide(b, pd_slots, out=np.ones_like(b), where=mask)
+    total = float(np.where(mask, b * np.log(ratio), 0.0).sum())
+    b_ck = b.sum(axis=1)
+    _, between, inf = _regime_masks(index)
+    total -= float((b_ck[inf] * np.log(index.weights[inf])).sum())
+    if between.any():
+        bk = b_ck[between]
+        alpha = index.alphas[index.sp_of[between]]
+        total += float((bk * np.log(bk / index.weights[between]) / (alpha - 1.0)).sum())
+    return total
 
 
 def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarray:
     """Mirror-descent bid update of provider ``s`` given posted prices.
 
-    Returns a full-shape bid array, zero outside the provider's rows; the
+    The update is every provider's closed-form best response
+    (:class:`~slicemarket.model.DemandKernel`); this returns provider
+    ``s``'s rows of it as a full-shape bid array, zero elsewhere.  The
     provider's rows sum to its budget exactly.
     """
     index = scn.index
@@ -277,11 +242,9 @@ def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarra
         raise UnsupportedRegimeError(
             f"bid update defined for alpha in [1, inf]; SP {index.sp_names[s]!r} has {alpha}"
         )
-    full = _update_bids(index, np.asarray(prices, dtype=float))
-    out = np.zeros_like(full)
-    rows = index.sp_rows(s)
-    out[rows] = full[rows]
-    return out
+    kernel = index.kernel
+    slots, _ = kernel.bids(np.asarray(prices, dtype=float))
+    return kernel.dense(slots, index.sp_rows(s))
 
 
 def uniform_bids(index: MarketIndex) -> np.ndarray:
@@ -322,16 +285,19 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
     price_rows = [b.sum(axis=0)]
     trace_iters = [0]
 
+    kernel = index.kernel
     prices = price_rows[0]
     converged = False
     it = 0
     for it in range(1, config.max_iterations + 1):
-        b = _update_bids(index, prices)
-        new_prices = b.sum(axis=0)
+        slots, _ = kernel.bids(prices)
+        new_prices = kernel.per_good(slots)
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
         change = float((np.abs(new_prices - prices) / scale).max())
         prices = new_prices
+        # the last iteration is always traced, so b ends as the final bids
         if it % config.trace_stride == 0 or change < config.tol or it == config.max_iterations:
+            b = kernel.dense(slots)
             phis.append(eval_potential(scn, b).phi_total)
             price_rows.append(prices)
             trace_iters.append(it)

@@ -218,8 +218,6 @@ def verify_equilibrium(
     aggregate utility (the monotone transform keeps the ranking of the raw
     alpha-fair objective and is scale-comparable across alpha).
     """
-    from .solvers import best_response  # deferred to break the module cycle
-
     index = scn.index
     prices = np.asarray(prices, dtype=float)
     spend = index.sp_sum((prices[None, :] * allocation.x).sum(axis=1))
@@ -228,23 +226,22 @@ def verify_equilibrium(
     usage = allocation.x.sum(axis=0)
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())
 
-    br_gap = 0.0
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        alpha = float(index.alphas[s])
-        pd = index.demand[rows] @ prices
-        if np.any(pd <= 0):
-            br_gap = math.inf
-            break
-        if alpha == 0.0:
-            # degenerate-linear case has no finite closed form; skip the
-            # best-response check (tp dynamics never run at alpha=0)
-            continue
-        b_s = best_response(scn, prices, s)
-        u_br = np.zeros(index.n_triples)
-        u_br[rows] = b_s[rows].sum(axis=1) / pd
-        gap = sp_utility_homog(index, u_br, s) - sp_utility_homog(index, allocation.rates, s)
-        br_gap = max(br_gap, gap)
+    if np.any(prices < 0):
+        raise ValueError("negative price")
+    kernel = index.kernel
+    pd_slots, pd = kernel.row_prices(prices)
+    if np.any(pd <= 0):
+        br_gap = math.inf
+    else:
+        u_br = kernel.spend(pd_slots, pd).sum(axis=1) / pd
+        br_gap = 0.0
+        for s in range(index.n_sps):
+            if index.alphas[s] == 0.0:
+                # degenerate-linear case has no finite closed form; skip the
+                # best-response check (tp dynamics never run at alpha=0)
+                continue
+            gap = sp_utility_homog(index, u_br, s) - sp_utility_homog(index, allocation.rates, s)
+            br_gap = max(br_gap, gap)
     return EquilibriumReport(
         budget_gap=budget_gap,
         clearing_gap=clearing_gap,

@@ -6,6 +6,12 @@ providers (SPs) that serve class/cell pairs under an alpha-fairness
 criterion.  Solvers operate on a normalized view in which every resource
 capacity is rescaled to 1 and demands become fractions of the whole
 resource per unit service rate; all file I/O stays in physical units.
+
+:class:`MarketIndex` exposes that view as dense ``[n_triples, n_goods]``
+arrays, the layout every public function takes and returns.  The providers'
+closed-form demand, which the equilibrium solvers evaluate on every
+iteration, runs in :class:`DemandKernel` on an internal compact layout with
+one slot per consumed good.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -217,10 +224,12 @@ class MarketIndex:
     """Compiled array view of a scenario over its supported (sp, cell, class)
     triples and (cell, resource) goods.
 
-    Bid tensors, allocations and demand matrices are dense ``[n_triples,
-    n_goods]`` arrays, zero outside each triple's consumed goods.  Capacities
-    are normalized to 1; ``capacity[g]`` keeps the physical scale for
-    denormalization.
+    The public view is dense: bid tensors, allocations and demand matrices
+    are ``[n_triples, n_goods]`` arrays, zero outside each triple's consumed
+    goods.  Capacities are normalized to 1; ``capacity[g]`` keeps the
+    physical scale for denormalization.  Triples are grouped by provider
+    (``sp_of`` is sorted).  :attr:`kernel` holds the closed-form provider
+    demand on an internal compact layout, built on first use.
     """
 
     goods: tuple[tuple[str, str], ...]
@@ -257,6 +266,104 @@ class MarketIndex:
     def demanded_goods(self) -> np.ndarray:
         """Boolean mask of goods consumed by at least one triple."""
         return self.consumed.any(axis=0)
+
+    @cached_property
+    def kernel(self) -> "DemandKernel":
+        """The providers' closed-form demand, built once per index."""
+        return DemandKernel(self)
+
+
+class DemandKernel:
+    """Every provider's closed-form demand at posted prices, on a compact
+    slot layout.
+
+    Slot ``(i, r)`` is the ``r``-th good consumed by triple ``i``: ``goods``
+    holds its good index and ``demand`` its normalized demand.  Rows have as
+    many slots as the widest triple consumes; shorter rows are padded with
+    zero demand on goods the triple does not consume, so padded slots carry
+    zero spending.  Per-provider reductions run over the contiguous row
+    segments of ``sp_of``.
+
+    With ``PD_i = sum_r p_g d_ir``, a provider with budget ``B`` and fairness
+    ``a`` spends ``B * omega_i / sum omega`` on triple ``i``, where ``omega =
+    w^(1/a) PD^((a-1)/a)`` (``w * PD`` at ``a = inf``), split over the
+    triple's goods in proportion to ``p_g d_ig``; the induced rate is uniform
+    across the goods of a class.  The softmax runs in log space so sharp
+    concentration at small ``a`` stays finite.  ``a = 0`` has no closed form:
+    its rows get the ``a = inf`` coefficients as a finite placeholder, and
+    every caller rejects or skips alpha-0 providers.
+
+    Every sum adds the same terms in the same order as numpy does on the
+    dense layout (see :func:`_dense_sum_order`), so for triples consuming up
+    to three goods the results equal the dense evaluation's bit for bit.
+    That matters: the tatonnement at the alpha = 0 surrogate is chaotic
+    enough for last-bit differences to change its iteration count, its
+    prices and even its convergence flag.
+    """
+
+    def __init__(self, index: MarketIndex):
+        counts = index.consumed.sum(axis=1)
+        # consumed goods first, in increasing good order, then padding
+        goods = np.argsort(~index.consumed, axis=1, kind="stable")[:, : int(counts.max())]
+        self.goods = _dense_sum_order(goods, counts, index.n_goods)
+        self.demand = np.take_along_axis(index.demand, self.goods, axis=1)
+        self.n_goods, self.n_triples = index.n_goods, index.n_triples
+        self.row_ids = np.arange(index.n_triples)[:, None]
+        self.triples = index.triples
+
+        alpha = index.alphas[index.sp_of].astype(float)
+        regular = np.isfinite(alpha) & (alpha > 0)
+        log_w = np.log(index.weights)
+        self.log_w_a = np.divide(log_w, alpha, out=log_w.copy(), where=regular)
+        self.expo = np.divide(alpha - 1.0, alpha, out=np.ones_like(alpha), where=regular)
+        sps, self.starts = np.unique(index.sp_of, return_index=True)
+        self.seg = np.searchsorted(sps, index.sp_of)
+        self.budgets = index.budgets[sps]
+        self.row_budgets = index.budgets[index.sp_of]
+
+    def row_prices(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot ``p_g d_ig`` and per-row price ``PD_i`` of one unit rate."""
+        pd_slots = prices[self.goods] * self.demand
+        return pd_slots, pd_slots.sum(axis=1)
+
+    def bids(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot spending of every provider's best response to
+        ``prices``, each provider's slots summing to its budget exactly, and
+        the per-row ``PD``.  Raises ``ValueError`` when some triple sees only
+        zero prices (its demand is unbounded)."""
+        pd_slots, pd = self.row_prices(prices)
+        if not np.all(pd > 0):
+            bad = [self.triples[i] for i in np.flatnonzero(~(pd > 0))]
+            raise ValueError(f"all-zero price row for triples {bad}")
+        return self.spend(pd_slots, pd), pd
+
+    def spend(self, pd_slots: np.ndarray, pd: np.ndarray) -> np.ndarray:
+        """:meth:`bids` from the output of :meth:`row_prices`, unchecked.
+        Each provider's rows are computed apart from the others', so a
+        triple with ``PD <= 0`` spoils its own provider's rows only."""
+        log_omega = self.log_w_a + self.expo * np.log(pd)
+        omega = np.exp(log_omega - np.maximum.reduceat(log_omega, self.starts)[self.seg])
+        b_ck = self.row_budgets * omega / self._sp_sum(omega)[self.seg]
+        bids = (b_ck / pd)[:, None] * pd_slots
+        bids *= (self.budgets / self._sp_sum(bids.sum(axis=1)))[self.seg, None]
+        return bids
+
+    def _sp_sum(self, per_row: np.ndarray) -> np.ndarray:
+        # bincount adds in row order, as MarketIndex.sp_sum does;
+        # np.add.reduceat sums pairwise and would change the last bits
+        return np.bincount(self.seg, weights=per_row, minlength=self.budgets.size)
+
+    def per_good(self, slot_values: np.ndarray) -> np.ndarray:
+        """Total of per-slot values on each good (prices from bids, usage
+        from per-slot consumption)."""
+        return np.bincount(self.goods.ravel(), weights=slot_values.ravel(), minlength=self.n_goods)
+
+    def dense(self, slot_values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Per-slot values of ``rows`` scattered to the public ``[n_triples,
+        n_goods]`` layout, zero elsewhere."""
+        out = np.zeros((self.n_triples, self.n_goods))
+        out[self.row_ids[rows], self.goods[rows]] = slot_values[rows]
+        return out
 
 
 @dataclass(frozen=True)
@@ -333,6 +440,32 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
         names = [goods[g] for g in np.flatnonzero(idle)]
         warnings.warn(f"resources demanded by no SP are ignored: {names}", stacklevel=2)
     return NormalizedScenario(spec=spec, index=index)
+
+
+def _dense_sum_order(goods: np.ndarray, counts: np.ndarray, n_goods: int) -> np.ndarray:
+    """Order the slots of three-good rows so that summing a row left to right
+    associates the terms as numpy's pairwise sum over the dense row does.
+
+    A sum of two terms is exact in either order, so only rows with three
+    consumed goods need this; which pair the dense sum adds first is found
+    by probing it.  Rows with four or more goods keep increasing good order.
+    """
+    three = np.flatnonzero(counts == 3)
+    if three.size == 0:
+        return goods
+    keys, inverse = np.unique(goods[three, :3], axis=0, return_inverse=True)
+    at = np.arange(len(keys))
+    lone = np.zeros(len(keys), dtype=np.intp)
+    for k in range(3):
+        probe = np.zeros((len(keys), n_goods))
+        probe[at[:, None], keys] = 2.0 ** -53
+        probe[at, keys[:, k]] = 1.0
+        # (1 + h) + h rounds back to 1; 1 + (h + h) does not
+        lone[probe.sum(axis=1) != 1.0] = k
+    order = (lone[:, None] + np.array([1, 2, 0])) % 3
+    out = goods.copy()
+    out[three, :3] = np.take_along_axis(keys, order, axis=1)[inverse.reshape(-1)]
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

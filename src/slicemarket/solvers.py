@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
+from .dynamics import DynamicsConfig, run_dynamics
 from .market import (
     Allocation,
     SolveReport,
@@ -85,8 +86,10 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
         Z = sum_ck w^(1/a) * PD_ck^((1-a)/(-a)),   PD_ck = sum_r p_cr d_ckr.
 
     At alpha = inf the provider equalizes per-user rates, spending
-    ``b = t * w * p d`` with ``t = B / sum w PD``.  Returns a full-shape
-    array, zero outside the provider's rows, summing to the budget exactly.
+    ``b = t * w * p d`` with ``t = B / sum w PD``.  These are provider
+    ``s``'s rows of the joint update evaluated by
+    :class:`~slicemarket.model.DemandKernel`.  Returns a full-shape array,
+    zero outside the provider's rows, summing to the budget exactly.
     """
     index = scn.index
     alpha = float(index.alphas[s])
@@ -98,36 +101,17 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
     prices = np.asarray(prices, dtype=float)
     if np.any(prices < 0):
         raise ValueError("negative price")
+    kernel = index.kernel
+    pd_slots, pd = kernel.row_prices(prices)
     rows = index.sp_rows(s)
-    pd_rows = prices[None, :] * index.demand[rows]
-    pd = pd_rows.sum(axis=1)
-    if np.any(pd <= 0):
+    if np.any(pd[rows] <= 0):
         # a class whose every consumed resource is free has unbounded demand
         raise ValueError("best response needs a positive price on some consumed resource per class")
-    w = index.weights[rows]
-    budget = index.budgets[s]
-    if math.isinf(alpha):
-        t = budget / float(np.dot(w, pd))
-        b_rows = t * w[:, None] * pd_rows
-    else:
-        # b ~ pd_rows * exp((log w - log PD)/a); normalize the coefficient in
-        # log space so sharp concentration at small alpha stays finite
-        log_coef = (np.log(w) - np.log(pd)) / alpha
-        coef = np.exp(log_coef - log_coef.max())
-        z = float(np.dot(coef, pd))
-        b_rows = budget * coef[:, None] * pd_rows / z
-    b_rows *= budget / b_rows.sum()
-    out = np.zeros((index.n_triples, index.n_goods))
-    out[rows] = b_rows
-    return out
-
-
-def _joint_best_response(scn: NormalizedScenario, prices: np.ndarray) -> np.ndarray:
-    """All providers' closed-form demands in one vectorized pass (the update
-    kernel evaluates the same formulas and is valid for any alpha > 0)."""
-    from .dynamics import _update_bids
-
-    return _update_bids(scn.index, prices)
+    with np.errstate(all="ignore"):
+        # other providers' classes may see only zero prices; their rows are
+        # computed apart from these and dropped
+        slots = kernel.spend(pd_slots, pd)
+    return kernel.dense(slots, rows)
 
 
 def _rate_allocation(index: MarketIndex, rates: np.ndarray) -> Allocation:
@@ -164,10 +148,11 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
     auto: bid dynamics when every alpha >= 1 (convergence guaranteed),
     damped tatonnement otherwise.  alpha=0 providers are routed through a
     smoothed alpha=1e-3 surrogate and flagged in the report.  Deterministic:
-    identical scenario and config give an identical report.
+    identical scenario and config give an identical report.  The dynamics
+    route traces the potential and prices at the end points only (the
+    initial bids and the last iteration); call
+    :func:`~slicemarket.dynamics.run_dynamics` directly for a full trace.
     """
-    from .dynamics import DynamicsConfig, run_dynamics
-
     config = config or SolverConfig()
     method = config.method
     all_geq1 = bool(np.all(scn.index.alphas >= 1.0))
@@ -179,6 +164,7 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         dcfg = DynamicsConfig(
             max_iterations=config.max_iterations,
             tol=max(config.tol * 1e-2, 1e-12),
+            trace_stride=config.max_iterations,
         )
         return run_dynamics(scn, dcfg)
     if method == "tatonnement":
@@ -193,6 +179,7 @@ def _tatonnement_loop(work, p0, kappa0, tol, max_iterations, price_rows):
     hyper-elastic demands (tiny alpha) oscillate under any fixed schedule.
     """
     index = work.index
+    kernel = index.kernel
     demanded = index.demanded_goods()
     p = p0
     kappa = kappa0
@@ -202,8 +189,8 @@ def _tatonnement_loop(work, p0, kappa0, tol, max_iterations, price_rows):
     resid = math.inf
     it = 0
     for it in range(1, max_iterations + 1):
-        b = _joint_best_response(work, p)
-        demand = np.divide(b.sum(axis=0), p, out=np.zeros_like(p), where=demanded)
+        b, _ = kernel.bids(p)
+        demand = np.divide(kernel.per_good(b), p, out=np.zeros_like(p), where=demanded)
         resid = float(np.abs((demand - 1.0) * p)[demanded].max())
         if resid <= tol:
             break
@@ -270,7 +257,7 @@ def _solve_tatonnement(scn: NormalizedScenario, config: SolverConfig) -> SolveRe
         price_trace=np.array(price_rows),
         surrogate_alphas=flags,
     )
-    report.bids = b
+    report.bids = work.index.kernel.dense(b)
     return report
 
 
@@ -282,25 +269,16 @@ def _solve_eg_dual(scn: NormalizedScenario, config: SolverConfig) -> SolveReport
         scn, lambda a: ALPHA_ZERO_SURROGATE if a == 0.0 else a
     )
     index = work.index
+    kernel = index.kernel
     lam = np.where(index.demanded_goods(), 1.0, 0.0)
     iters = min(config.max_iterations, 20000)
     acc_u = np.zeros(index.n_triples)
     acc_w = 0.0
     lam_acc = np.zeros_like(lam)
     for t in range(1, iters + 1):
-        lam_f = np.maximum(lam, 1e-12)
-        u = np.zeros(index.n_triples)
-        for s in range(index.n_sps):
-            rows = index.sp_rows(s)
-            big_l = index.demand[rows] @ lam_f
-            alpha = float(index.alphas[s])
-            w = index.weights[rows]
-            if math.isinf(alpha):
-                v = index.users[rows].astype(float)
-            else:
-                v = np.exp((np.log(w) - np.log(big_l)) / alpha)
-            u[rows] = index.budgets[s] * v / float(np.dot(big_l, v))
-        usage = (u[:, None] * index.demand).sum(axis=0)
+        b, big_l = kernel.bids(np.maximum(lam, 1e-12))
+        u = b.sum(axis=1) / big_l
+        usage = kernel.per_good(u[:, None] * kernel.demand)
         kappa = config.kappa0 * t ** (-config.decay)
         lam = np.maximum(lam + kappa * (usage - 1.0), 0.0)
         if t > iters // 2:

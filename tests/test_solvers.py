@@ -161,6 +161,17 @@ class TestSolveEG:
         assert rep.method == "dual-subgradient"
         assert rep.residuals["br_gap"] < 1e-2
 
+    def test_dual_subgradient_alpha_zero_is_finite(self):
+        # the alpha=0 surrogate (1e-3) overflowed a plain exp((log w - log L)/a)
+        from slicemarket import LoadModel, instantiate, benchmark_preset
+
+        spec = instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(0.0)
+        rep = solve_eg(normalize_scenario(spec), SolverConfig(method="dual-subgradient"))
+        assert np.all(np.isfinite(rep.prices))
+        assert np.all(np.isfinite(rep.allocation.rates))
+        assert np.all(np.isfinite(rep.utilities))
+        assert rep.allocation.x.sum(axis=0).max() <= 1.0 + 1e-6
+
     def test_price_mass_equals_budget_mass(self):
         rng = np.random.default_rng(79)
         spec = random_scenario(rng, alphas=[1.0, 1.5, 2.0])
