@@ -61,9 +61,10 @@ class ClassDef:
 class SupportEntry:
     """One (cell, class) pair served by a provider.
 
-    ``weight`` defaults to ``users ** alpha`` for finite alpha and to
-    ``users`` when alpha is infinite (where ``users ** alpha`` diverges and
-    the max-min form weighs classes by their population).
+    ``weight`` defaults to ``users ** alpha`` for finite alpha.  At infinite
+    alpha the class weight is always ``users``: ``users ** alpha`` diverges,
+    and the max-min form ``min u/n`` weighs classes by their population
+    only, so an explicit weight has no role there.
     """
 
     cell: str
@@ -205,12 +206,13 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 
 
 def effective_weight(users: int, alpha: float, weight: float | None) -> float:
-    """Class weight: explicit if given, else ``users**alpha`` (``users`` at
-    alpha=inf)."""
-    if weight is not None:
-        return float(weight)
+    """Class weight: ``users`` at alpha=inf (explicit weights included, as
+    the max-min utility has no weights), else explicit if given, else
+    ``users**alpha``."""
     if math.isinf(alpha):
         return float(users)
+    if weight is not None:
+        return float(weight)
     w = float(users) ** alpha
     if not math.isfinite(w):
         raise ScenarioError(
@@ -271,6 +273,12 @@ class MarketIndex:
     def kernel(self) -> "DemandKernel":
         """The providers' closed-form demand, built once per index."""
         return DemandKernel(self)
+
+    @cached_property
+    def blocks(self) -> "CellBlocks":
+        """The (provider, cell) blocks of the providers' own alpha-fair
+        problems, built once per index."""
+        return CellBlocks(self)
 
 
 class DemandKernel:
@@ -364,6 +372,48 @@ class DemandKernel:
         out = np.zeros((self.n_triples, self.n_goods))
         out[self.row_ids[rows], self.goods[rows]] = slot_values[rows]
         return out
+
+
+class CellBlocks:
+    """Every finite-alpha provider's classes grouped by cell, padded to a
+    ``[n_blocks, K, m]`` layout.
+
+    A provider that maximizes its own alpha-fair utility inside a box of
+    per-good capacities faces one independent problem per cell: its classes
+    there (``rows``, at most ``K``) share only that cell's goods (``goods``,
+    at most ``m``).  ``demand[b, k, j]`` is the normalized demand of class
+    ``k`` of block ``b`` on its good ``j``.  Padded classes
+    (``class_mask`` False) and padded goods (``good_mask`` False) carry zero
+    demand; padding indices point at row or good 0.  Max-min providers have
+    no blocks: their common per-user level couples all their cells.
+    """
+
+    def __init__(self, index: MarketIndex):
+        members: dict[tuple[int, str], list[int]] = {}
+        for i, s in enumerate(index.sp_of):
+            if math.isfinite(index.alphas[s]):
+                members.setdefault((int(s), index.triples[i][1]), []).append(i)
+        groups = list(members.values())
+        used = [np.flatnonzero(index.consumed[g].any(axis=0)) for g in groups]
+        n_k = max((len(g) for g in groups), default=1)
+        n_m = max((len(g) for g in used), default=1)
+        self.sp = np.array([s for s, _ in members], dtype=np.intp)
+        self.rows = np.zeros((len(groups), n_k), dtype=np.intp)
+        self.class_mask = np.zeros((len(groups), n_k), dtype=bool)
+        self.goods = np.zeros((len(groups), n_m), dtype=np.intp)
+        self.good_mask = np.zeros((len(groups), n_m), dtype=bool)
+        for b, (rows, goods) in enumerate(zip(groups, used)):
+            self.rows[b, : len(rows)] = rows
+            self.class_mask[b, : len(rows)] = True
+            self.goods[b, : len(goods)] = goods
+            self.good_mask[b, : len(goods)] = True
+        self.demand = np.where(
+            self.class_mask[:, :, None] & self.good_mask[:, None, :],
+            index.demand[self.rows[:, :, None], self.goods[:, None, :]],
+            0.0,
+        )
+        self.weights = np.where(self.class_mask, index.weights[self.rows], 0.0)
+        self.alphas = index.alphas[self.sp].astype(float)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
+from scipy.special import logsumexp
 
 from .dynamics import DynamicsConfig, run_dynamics
 from .market import (
@@ -306,7 +307,7 @@ def _solve_eg_dual(scn: NormalizedScenario, config: SolverConfig) -> SolveReport
 
 
 # ---------------------------------------------------------------------------
-# Concave welfare engine (social optimum, static-share inner problems)
+# Concave welfare engine (social optimum)
 # ---------------------------------------------------------------------------
 
 def _homog_value_and_grad(u, w, alpha):
@@ -372,13 +373,11 @@ def _concave_welfare_solve(
     rows_all = np.concatenate([rows for rows, _, _ in groups])
     u_cap = _rate_caps(index, caps)
 
-    # proportional fair-share point: every group optimizes inside its
-    # budget-weight slice of the caps; feasible and strictly positive
-    u_fair = np.zeros(index.n_triples)
-    total_bw = sum(bw for _, _, bw in groups)
-    for rows, alpha, bw in groups:
-        share = bw / total_bw
-        u_fair[rows] = _single_sp_allocate(index, rows, alpha, share * caps)[rows]
+    # proportional fair-share point: every group (one per provider, in
+    # provider order) optimizes inside its budget-weight slice of the caps;
+    # feasible and strictly positive
+    shares = np.array([bw for _, _, bw in groups]) / sum(bw for _, _, bw in groups)
+    u_fair, _, _ = _single_sp_allocate(index, shares[:, None] * caps[None, :])
     scale = max(_welfare(index, groups, u_fair), 1e-300)
     sgroups = [(rows, alpha, bw / scale) for rows, alpha, bw in groups]
 
@@ -506,90 +505,203 @@ def _polish(index, groups, caps, u_cap, u0):
 # Single-provider alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
-def _single_sp_allocate(index: MarketIndex, rows: np.ndarray, alpha: float, caps: np.ndarray) -> np.ndarray:
-    """Optimal rates of one provider under per-good caps.
+#: Relative duality gap up to which a static-share solve reports convergence.
+SS_GAP_TOL = 1e-9
 
-    Max-min has the waterfill closed form (a common per-user level set by the
-    tightest good).  Finite alpha decomposes per cell: maximizing the
-    degree-one aggregate is a monotone transform of the separable sum
-    ``sum w u^(1-alpha)`` (``sum w log u`` at alpha=1), and the caps couple
-    classes only within a cell.  Per-cell problems are solved exactly
-    (closed form, LP at alpha=0, or a tiny SLSQP).
+#: Relative gap at which the barrier method stops on a (provider, cell) block.
+_BLOCK_GAP_TOL = 1e-11
+
+#: Newton-step cap of the barrier method: 50-70 steps are used at alpha
+#: 0-5, about 100 at alpha 10-20 and up to about 260 at alpha 100.
+_BARRIER_MAX_STEPS = 400
+
+
+def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every provider's optimal rates when it alone holds ``caps[s]`` of each
+    good (``caps`` is ``[n_sps, n_goods]``).
+
+    Max-min providers have the waterfill closed form (a common per-user level
+    set by the tightest good).  For finite alpha, maximizing the degree-one
+    aggregate is a monotone transform of the separable sum
+    ``sum w u^(1-alpha) / (1-alpha)`` (``sum w log u`` at alpha=1), and the
+    caps couple classes only within a cell, so every (provider, cell) block
+    of :attr:`~slicemarket.model.MarketIndex.blocks` is an independent
+    concave problem.  Each block is scaled to O(1) (rates in units of an
+    equal split of its box, capacities and objective weights to one) and all
+    blocks of all providers are solved together by :func:`_barrier_solve`;
+    each block is then scaled up onto its capacity frontier, which can only
+    raise every utility.
+
+    Returns ``(rates, gaps, iterations)``.  ``gaps[s]`` is a certified bound
+    on the relative shortfall of provider ``s``'s degree-one utility: its
+    optimum is at most ``1 + gaps[s]`` times the returned one (0 for max-min
+    providers).  ``iterations`` counts Newton steps.
     """
-    u = np.zeros(index.n_triples)
-    u_cap = _rate_caps(index, caps)
-    if math.isinf(alpha):
+    rates = np.zeros(index.n_triples)
+    gaps = np.zeros(index.n_sps)
+    for s in np.flatnonzero(np.isinf(index.alphas)):
+        rows = index.sp_rows(s)
         n_vec = index.users[rows].astype(float)
         usage = (n_vec[:, None] * index.demand[rows]).sum(axis=0)
         active = usage > 0
-        level = float((caps[active] / usage[active]).min())
-        u[rows] = level * n_vec
-        return u
+        rates[rows] = float((caps[s, active] / usage[active]).min()) * n_vec
+    blocks = index.blocks
+    if blocks.sp.size == 0:
+        return rates, gaps, 0
 
-    by_cell: dict[str, list[int]] = {}
-    for i in rows:
-        by_cell.setdefault(index.triples[i][1], []).append(int(i))
-    for cell_rows in by_cell.values():
-        cr = np.array(cell_rows)
-        if cr.size == 1:
-            u[cr[0]] = u_cap[cr[0]]
-            continue
-        goods = np.flatnonzero(index.consumed[cr].any(axis=0))
-        dmat = index.demand[np.ix_(cr, goods)]
-        cap_g = caps[goods]
-        w = index.weights[cr]
-        if alpha == 0.0:
-            res = optimize.linprog(
-                -w,
-                A_ub=dmat.T,
-                b_ub=cap_g,
-                bounds=[(0.0, float(u_cap[i])) for i in cr],
-                method="highs",
+    cap = np.where(blocks.good_mask, caps[blocks.sp[:, None], blocks.goods], 1.0)
+    with np.errstate(divide="ignore"):
+        box = np.where(blocks.demand > 0, cap[:, None, :] / blocks.demand, np.inf).min(axis=2)
+        ref = np.where(blocks.class_mask, box / blocks.class_mask.sum(axis=1)[:, None], 1.0)
+        log_c = np.log(blocks.weights) + (1.0 - blocks.alphas)[:, None] * np.log(ref)
+    log_norm = logsumexp(log_c, axis=1)
+    c = np.exp(log_c - log_norm[:, None])
+    a_mat = blocks.demand * (ref[:, :, None] / cap[:, None, :])
+    z, lam, iterations = _barrier_solve(a_mat, c, blocks.alphas, blocks.class_mask)
+    z /= np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
+    gap, total = _block_gap(a_mat, c, blocks.alphas, blocks.class_mask, z, lam)
+    rates[blocks.rows[blocks.class_mask]] = (ref * z)[blocks.class_mask]
+
+    # per-provider sums in the original units, where block b's objective is
+    # exp(log_norm[b]) times its scaled one
+    top = np.full(index.n_sps, -np.inf)
+    np.maximum.at(top, blocks.sp, log_norm)
+    weight = np.exp(log_norm - top[blocks.sp])
+    num = np.bincount(blocks.sp, weights=weight * gap, minlength=index.n_sps)
+    den = np.bincount(blocks.sp, weights=weight * total, minlength=index.n_sps)
+    x = np.divide(num, den, out=np.zeros(index.n_sps), where=den > 0)
+    # the sum S = sum w u^q (q = 1 - alpha) is within a factor 1 + q x of
+    # its optimum, and the degree-one utility is S^(1/q)
+    finite = np.isfinite(index.alphas)
+    q, x = 1.0 - index.alphas[finite], x[finite]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(q == 0.0, np.expm1(x), np.expm1(np.log1p(q * x) / q))
+    gaps[finite] = np.where(q * x > -1.0, rel, np.inf)
+    return rates, gaps, iterations
+
+
+def _barrier_solve(a_mat, c, alpha, class_mask):
+    """Maximize ``sum_k c_k h(z_k)`` subject to ``a_mat[b]^T z <= 1`` and
+    ``z >= 0`` in every block ``b`` at once, where ``h(z) = z^(1-a) / (1-a)``
+    (``log z`` at ``a = 1``) with the block's ``a = alpha[b]``.
+
+    Primal log-barrier method (Boyd & Vandenberghe, *Convex Optimization*,
+    section 11.3): minimize ``-t * objective - sum log slack - sum log z``
+    by damped Newton steps.  A step starts at ``1 / (1 + decrement)`` while
+    the squared decrement exceeds 1/16 (a full step below), is cut to 99% of
+    the distance to the boundary, and is halved until the barrier function
+    falls by a quarter of the predicted amount; at large alpha the objective
+    is too steep for the damping alone.  ``t`` starts where objective and
+    barrier weigh alike and grows tenfold whenever a block is centered,
+    until the barrier's gap bound ``n_constraints / t`` is a tenth of the
+    block's tolerance.  The Newton systems of all blocks form one
+    ``[n_blocks, K, K]`` solve.  The slacks are carried along the steps
+    instead of being recomputed as ``1 - a z``, which keeps their relative
+    precision as they approach 0 and with it the accuracy of the capacity
+    duals ``1 / (t * slack)``.  A block stops once :func:`_block_gap`
+    certifies it.
+
+    Padded classes are pinned (identity Newton rows); padded goods carry no
+    demand and no dual.  Returns ``(z, duals, iterations)``.
+    """
+    nb, nk, nm = a_mat.shape
+    alpha_k = alpha[:, None]
+    q = 1.0 - alpha_k
+    eye = np.eye(nk)
+    kmask = class_mask.astype(float)
+    pinned = eye * (1.0 - kmask)[:, :, None]
+    jmask = (a_mat > 0).any(axis=1)
+    n_con = jmask.sum(axis=1) + class_mask.sum(axis=1)
+    z = np.where(class_mask, 0.9, 1.0)
+    s = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
+    # start where the objective weighs about as much as the barrier:
+    # t * sum c z^(1-a) = 1 at z = 0.9
+    t = 0.9 ** (alpha - 1.0)
+    done = np.zeros(nb, dtype=bool)
+    for it in range(1, _BARRIER_MAX_STEPS + 1):
+        inv_s = 1.0 / s
+        zpow = np.exp(-alpha_k * np.log(z))
+        tc = t[:, None] * c
+        grad = np.einsum("bkj,bj->bk", a_mat, inv_s) - tc * zpow - kmask / z
+        curv = tc * alpha_k * zpow / z + kmask / z**2
+        hess = (a_mat * inv_s[:, None, :] ** 2) @ a_mat.transpose(0, 2, 1)
+        hess += pinned + curv[:, :, None] * eye
+        dz = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        dec = -(grad * dz).sum(axis=1)
+        ds = -np.einsum("bkj,bk->bj", a_mat, dz)
+        with np.errstate(divide="ignore"):
+            room = np.minimum(
+                np.where(dz < 0, -z / dz, np.inf).min(axis=1),
+                np.where(ds < 0, -s / ds, np.inf).min(axis=1),
             )
-            if res.status == 0:
-                u[cr] = np.maximum(res.x, 0.0)
-            continue
-        u[cr] = _cell_fair_rates(dmat, cap_g, w, alpha, u_cap[cr])
-    return _repair_rates(index, u, caps)
+        step = np.where(dec > 1.0 / 16.0, 1.0 / (1.0 + np.sqrt(np.maximum(dec, 0.0))), 1.0)
+        step = np.where(done, 0.0, np.minimum(step, 0.99 * room))
+        rz, rs = dz / z, ds / s
+        zq = tc * z * zpow
+        for _ in range(60):
+            # change of the barrier function along the step, summed from
+            # per-term differences so that no large values cancel
+            lz = np.log1p(step[:, None] * rz)
+            change = -(zq * _power_change(q, lz)).sum(axis=1) - (kmask * lz).sum(axis=1)
+            change -= np.log1p(step[:, None] * rs).sum(axis=1)
+            short = ~(change <= -0.25 * step * dec) & (dec > 1e-6) & (step > 0.0)
+            if not short.any():
+                break
+            step = np.where(short, 0.5 * step, step)
+        z = z + step[:, None] * dz
+        s = s + step[:, None] * ds
+        lam = jmask / (t[:, None] * s)
+        total = (c * np.exp(q * np.log(z))).sum(axis=1)
+        final = n_con <= 0.1 * _BLOCK_GAP_TOL * t * total
+        if final.any():
+            gap, total = _block_gap(a_mat, c, alpha, class_mask, z, lam)
+            done |= final & (gap <= _BLOCK_GAP_TOL * total)
+            if done.all():
+                break
+        t = np.where(~done & ~final & (dec <= 0.5), 10.0 * t, t)
+    return z, lam, it
 
 
-def _cell_fair_rates(dmat, cap_g, w, alpha, u_cap):
-    """Maximize the alpha-fair sum for a handful of classes in one cell."""
-    floor = 1e-12
-    # start from the equal-split box point, strictly interior
-    x0 = np.clip(0.9 * np.min(cap_g[None, :] / dmat, axis=1) / dmat.shape[0], floor, u_cap)
+def _block_gap(a_mat, c, alpha, class_mask, z, lam):
+    """Certified duality gap of every block of :func:`_barrier_solve` at
+    ``z``, from capacity duals ``lam >= 0``.
 
-    if alpha == 1.0:
-        def objective(z):
-            zt = np.maximum(z, floor)
-            return -float(np.dot(w, np.log(zt))), -w / zt
-    else:
-        sign = 1.0 if alpha > 1.0 else -1.0
-        # alpha>1: sum w u^(1-a) decreases in u, so minimize it; alpha<1: maximize
-        def objective(z):
-            zt = np.maximum(z, floor)
-            val = sign * float(np.dot(w, zt ** (1.0 - alpha)))
-            grad = sign * w * (1.0 - alpha) * zt ** (-alpha)
-            return val, grad
+    By weak duality the block optimum is at most ``sum_j lam_j + sum_k
+    max_{v >= 0} [c_k h(v) - L_k v]`` with ``L = a_mat lam``; the inner
+    maximum is at ``v = (c / L)^(1/a)``.  The gap to the objective at ``z``
+    is summed from nonnegative terms, ``lam_j slack_j`` and ``[c h(v) - L v]
+    - [c h(z) - L z]``, so no large values cancel.  At ``a = 0`` the inner
+    maximum is 0 once ``L >= c``, so ``lam`` is scaled up to that first.
+    Returns ``(gap, total)`` with ``total = sum_k c_k z_k^(1-a)``; ``gap /
+    total`` is the block's relative gap on that sum.
+    """
+    q = (1.0 - alpha)[:, None]
+    slack = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
+    cc = np.where(class_mask, c, 1.0)
+    big_l = np.where(class_mask, np.einsum("bkj,bj->bk", a_mat, lam), 1.0)
+    linear = alpha == 0.0
+    lift = np.where(linear, np.maximum((cc / big_l).max(axis=1), 1.0), 1.0)
+    lam = lam * lift[:, None]
+    big_l = big_l * lift[:, None]
+    log_v = (np.log(cc) - np.log(big_l)) / np.where(linear, 1.0, alpha)[:, None]
+    log_r = np.log(z) - log_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = np.where(
+            linear[:, None],
+            (big_l - cc) * z,
+            cc * np.exp(q * log_v) * (np.expm1(log_r) - _power_change(q, log_r)),
+        )
+    gap = np.where(class_mask, term, 0.0).sum(axis=1) + (lam * slack).sum(axis=1)
+    total = np.where(class_mask, c * np.exp(q * np.log(z)), 0.0).sum(axis=1)
+    return gap, total
 
-    cons = {"type": "ineq", "fun": lambda z: cap_g - dmat.T @ z, "jac": lambda z: -dmat.T}
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*outside bounds.*")
-            res = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                bounds=[(floor, float(c)) for c in u_cap],
-                constraints=[cons],
-                method="SLSQP",
-                options={"maxiter": 200, "ftol": 1e-14},
-            )
-        if np.all(np.isfinite(res.x)):
-            return np.maximum(res.x, 0.0)
-    except (ValueError, FloatingPointError):
-        pass
-    return x0
+
+def _power_change(q, x):
+    """``(e^(q x) - 1) / q``, and ``x`` where ``q = 0``: the change of
+    ``v^q / q`` (of ``log v`` at ``q = 0``) from ``v`` to ``v e^x``, in
+    units of ``v^q``, without cancellation for small ``x``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(q == 0.0, x, np.expm1(q * x) / np.where(q == 0.0, 1.0, q))
 
 
 def solve_social_optimal(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
@@ -629,43 +741,40 @@ def static_share(scn: NormalizedScenario, config: SolverConfig | None = None) ->
     share of every resource and splits that box across its classes by its own
     alpha-fair optimum.
 
-    Single-class providers and max-min providers have exact closed forms
-    (box Leontief rate and the common per-user rate level); other providers
-    reuse the concave welfare engine on their private box.
+    Max-min providers take the waterfill closed form (the common per-user
+    rate level); the (provider, cell) problems of all other providers are
+    solved together by one batched barrier method (see
+    :func:`_single_sp_allocate`).  ``residuals["duality_gap"]`` is the
+    largest certified relative gap of any provider's degree-one utility to
+    its optimum, and ``converged`` means it is at most ``SS_GAP_TOL``;
+    ``iterations`` counts Newton steps.
     """
-    config = config or SolverConfig()
     index = scn.index
-    rates = np.zeros(index.n_triples)
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        caps = np.full(index.n_goods, index.budgets[s])
-        u = _single_sp_allocate(index, rows, float(index.alphas[s]), caps)
-        rates[rows] = u[rows]
+    caps = np.repeat(index.budgets[:, None], index.n_goods, axis=1)
+    rates, gaps, iterations = _single_sp_allocate(index, caps)
     allocation = _rate_allocation(index, rates)
     usage = allocation.x.sum(axis=0)
+    gap = float(gaps.max())
     return make_report(
         scn,
-        method="closed-form",
+        method="barrier",
         prices=np.zeros(index.n_goods),
         allocation=allocation,
-        iterations=0,
-        converged=True,
-        residuals={"capacity_gap": float(np.maximum(usage - 1.0, 0.0).max())},
+        iterations=iterations,
+        converged=gap <= SS_GAP_TOL,
+        residuals={
+            "capacity_gap": float(np.maximum(usage - 1.0, 0.0).max()),
+            "duality_gap": gap,
+        },
     )
 
 
 def max_utilities(scn: NormalizedScenario, config: SolverConfig | None = None) -> np.ndarray:
     """Each provider's best achievable utility when it holds every resource
     alone (the scale constants of the price-of-anarchy bound)."""
-    config = config or SolverConfig()
     index = scn.index
-    out = np.zeros(index.n_sps)
-    caps = np.ones(index.n_goods)
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        rates = _single_sp_allocate(index, rows, float(index.alphas[s]), caps)
-        out[s] = sp_utility_homog(index, rates, s)
-    return out
+    rates, _, _ = _single_sp_allocate(index, np.ones((index.n_sps, index.n_goods)))
+    return np.array([sp_utility_homog(index, rates, s) for s in range(index.n_sps)])
 
 
 def nash_welfare(util: np.ndarray, budgets: np.ndarray) -> float:

@@ -164,15 +164,16 @@ class TestBidUpdate:
         b = bid_update(scn, np.array([0.5, 0.5]), 0)
         assert np.allclose(b, [[0.5, 0.5]])
 
-    def test_alpha_inf_weight_shares(self):
-        # two classes on separate unit resources, unit p*d, weights (1, 3)
+    def test_alpha_inf_user_shares(self):
+        # two classes on separate unit resources, unit p*d, users (1, 3); the
+        # max-min utility min u/n has no weights, so explicit ones are ignored
         cells = (CellDef("c0", (ResourceDef("r0", 1.0), ResourceDef("r1", 1.0))),)
         classes = (ClassDef("k0", {"r0": 1.0}), ClassDef("k1", {"r1": 1.0}))
         sp = ProviderDef(
             "sp0",
             1.0,
             math.inf,
-            (SupportEntry("c0", "k0", 1, weight=1.0), SupportEntry("c0", "k1", 1, weight=3.0)),
+            (SupportEntry("c0", "k0", 1, weight=3.0), SupportEntry("c0", "k1", 3, weight=1.0)),
         )
         scn = normalize_scenario(ScenarioSpec(cells, classes, (sp,)))
         b = bid_update(scn, np.array([1.0, 1.0]), 0)

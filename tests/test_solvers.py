@@ -113,6 +113,20 @@ def _group_utility(index, s, u_rows):
 
 
 class TestSolveEG:
+    def test_alpha_inf_ignores_explicit_weights(self):
+        # one unit resource, two unit-demand classes of one user each: the
+        # max-min optimum splits equally whatever the weights say
+        cells = (CellDef("c0", (ResourceDef("r0", 1.0),)),)
+        classes = (ClassDef("k0", {"r0": 1.0}), ClassDef("k1", {"r0": 1.0}))
+        sp = ProviderDef(
+            "sp0", 1.0, math.inf,
+            (SupportEntry("c0", "k0", 1, weight=1.0), SupportEntry("c0", "k1", 1, weight=3.0)),
+        )
+        rep = solve_eg(normalize_scenario(ScenarioSpec(cells, classes, (sp,))))
+        assert np.allclose(rep.allocation.rates, [0.5, 0.5], rtol=1e-9)
+        assert rep.utilities[0] == pytest.approx(0.5, rel=1e-9)
+        assert rep.converged
+
     def test_single_sp_takes_everything(self):
         scn = make_scn([[0.5, 0.25]], [1.0], [1.0])
         rep = solve_eg(scn)
