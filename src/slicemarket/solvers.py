@@ -6,18 +6,18 @@ for providers all at alpha >= 1 it delegates to the provably convergent bid
 dynamics; otherwise it runs a damped multiplicative tatonnement on the
 closed-form demands (or, on request, a dual subgradient method on the
 capacity multipliers).  ``solve_social_optimal`` and ``static_share`` are the
-efficiency and isolation baselines, and ``poa_bound`` / ``nash_welfare``
-provide the fairness/efficiency diagnostics.
+efficiency and isolation baselines, both solved by primal log-barrier
+methods that certify their results by weak duality, and ``poa_bound`` /
+``nash_welfare`` provide the fairness/efficiency diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize  # unused here; bench/tracing.py wraps solvers.optimize
 from scipy.special import logsumexp
 
 from .dynamics import DynamicsConfig, run_dynamics
@@ -307,213 +307,20 @@ def _solve_eg_dual(scn: NormalizedScenario, config: SolverConfig) -> SolveReport
 
 
 # ---------------------------------------------------------------------------
-# Concave welfare engine (social optimum)
-# ---------------------------------------------------------------------------
-
-def _homog_value_and_grad(u, w, alpha):
-    """Degree-one aggregate and its gradient at strictly positive rates."""
-    if alpha == 1.0:
-        wn = w / w.sum()
-        val = math.exp(float(np.dot(wn, np.log(u))))
-        return val, val * wn / u
-    if alpha == 0.0:
-        return float(np.dot(w, u)), w.astype(float)
-    logs = np.log(w) + (1.0 - alpha) * np.log(u)
-    m = logs.max()
-    ssum = np.exp(logs - m).sum()
-    log_val = (m + math.log(ssum)) / (1.0 - alpha)
-    val = math.exp(log_val)
-    grad = np.exp(alpha * log_val + np.log(w) - alpha * np.log(u))
-    return val, grad
-
-
-def _welfare(index: MarketIndex, groups, u) -> float:
-    total = 0.0
-    for rows, alpha, bw in groups:
-        ug = np.maximum(u[rows], 0.0)
-        if math.isinf(alpha):
-            total += bw * float((ug / index.users[rows]).min())
-            continue
-        if alpha >= 1.0 and np.any(ug == 0):
-            continue
-        val, _ = _homog_value_and_grad(np.maximum(ug, 1e-300), index.weights[rows], alpha)
-        total += bw * val
-    return total
-
-
-def _rate_caps(index: MarketIndex, caps: np.ndarray) -> np.ndarray:
-    """Per-triple rate upper bound from taking every consumed good whole."""
-    with np.errstate(divide="ignore"):
-        box = np.where(index.consumed, caps[None, :] / index.demand, np.inf)
-    return box.min(axis=1)
-
-
-def _concave_welfare_solve(
-    index: MarketIndex,
-    groups: list[tuple[np.ndarray, float, float]],
-    caps: np.ndarray,
-    kappa0: float,
-    decay: float,
-    n_iter: int,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Maximize ``sum_g bw * U_g(u)`` under per-good capacities.
-
-    Dual subgradient on the capacity multipliers with closed-form inner
-    directions (``v ~ (w / Lambda)^(1/alpha)`` for finite alpha, the
-    per-user-equalized direction ``v = n`` for max-min groups; bang-bang
-    scale along the ray), tail-averaged primal recovery, feasibility repair,
-    then deterministic SLSQP polishes from the recovered point and from a
-    proportional fair-share start; the best feasible candidate wins.
-    Max-min groups enter the polish through their rate level ``t``
-    (``u = t n``), which is lossless at the optimum.  Everything runs on the
-    objective rescaled to O(1), since utility scales vary over orders of
-    magnitude with the fairness parameter and the class weights.
-    Returns ``(rates, multipliers, polished_ok)``.
-    """
-    rows_all = np.concatenate([rows for rows, _, _ in groups])
-    u_cap = _rate_caps(index, caps)
-
-    # proportional fair-share point: every group (one per provider, in
-    # provider order) optimizes inside its budget-weight slice of the caps;
-    # feasible and strictly positive
-    shares = np.array([bw for _, _, bw in groups]) / sum(bw for _, _, bw in groups)
-    u_fair, _, _ = _single_sp_allocate(index, shares[:, None] * caps[None, :])
-    scale = max(_welfare(index, groups, u_fair), 1e-300)
-    sgroups = [(rows, alpha, bw / scale) for rows, alpha, bw in groups]
-
-    lam = np.where(index.consumed[rows_all].any(axis=0), 1.0 / index.n_goods, 0.0)
-    acc_u = np.zeros(index.n_triples)
-    acc_w = 0.0
-    lam_acc = np.zeros_like(lam)
-    for t in range(1, n_iter + 1):
-        lam_f = np.maximum(lam, 1e-15)
-        u = np.zeros(index.n_triples)
-        for rows, alpha, bw in sgroups:
-            big_l = index.demand[rows] @ lam_f
-            w = index.weights[rows]
-            if alpha == 0.0:
-                take = bw * w > big_l
-                u[rows[take]] = u_cap[rows[take]]
-                continue
-            if math.isinf(alpha):
-                v = index.users[rows].astype(float)
-                val = 1.0
-            else:
-                v = np.exp((np.log(w) - np.log(big_l)) / alpha)
-                val, _ = _homog_value_and_grad(v, w, alpha)
-            if bw * val > float(np.dot(big_l, v)):
-                t_edge = float((u_cap[rows] / v).min())
-                u[rows] = t_edge * v
-        usage = (u[:, None] * index.demand).sum(axis=0)
-        kappa = kappa0 * t ** (-decay)
-        lam = np.maximum(lam + kappa * (usage - caps), 0.0)
-        if t > n_iter // 2:
-            acc_u += kappa * u
-            acc_w += kappa
-            lam_acc += kappa * lam
-    u_avg = _repair_rates(index, acc_u / acc_w, caps)
-    lam_bar = scale * lam_acc / acc_w
-
-    candidates = [u_avg, u_fair]
-    any_polished = False
-    for start in (u_avg, u_fair):
-        u_p, ok = _polish(index, sgroups, caps, u_cap, start)
-        candidates.append(u_p)
-        any_polished = any_polished or ok
-    best = max(candidates, key=lambda u: _welfare(index, sgroups, u))
-    return best, lam_bar, any_polished
-
-
-def _polish(index, groups, caps, u_cap, u0):
-    """SLSQP refinement of the recovered primal point.
-
-    Finite-alpha groups contribute one variable per triple; max-min groups
-    contribute their common per-user level only.
-    """
-    floor = 1e-12
-    var_of = []  # (kind, rows, alpha, bw, slice)
-    amat_cols = []
-    bounds = []
-    x0 = []
-    for rows, alpha, bw in groups:
-        if math.isinf(alpha):
-            n_vec = index.users[rows].astype(float)
-            start = len(bounds)
-            var_of.append(("level", rows, n_vec, bw, start))
-            amat_cols.append((n_vec[:, None] * index.demand[rows]).sum(axis=0))
-            cap_t = float((u_cap[rows] / n_vec).min())
-            bounds.append((0.0, cap_t))
-            x0.append(max(float((u0[rows] / n_vec).min()), floor))
-        else:
-            start = len(bounds)
-            var_of.append(("free", rows, alpha, bw, slice(start, start + rows.size)))
-            for i in rows:
-                amat_cols.append(index.demand[i])
-                bounds.append((0.0, float(u_cap[i])))
-                x0.append(max(float(u0[i]), floor))
-    amat = np.array(amat_cols)  # [V, G]
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    x0 = np.clip(np.array(x0), lo, hi)
-
-    def objective(z):
-        val = 0.0
-        grad = np.zeros(z.size)
-        for kind, rows, aux, bw, loc in var_of:
-            if kind == "level":
-                val += bw * z[loc]
-                grad[loc] += bw
-            else:
-                ug = np.maximum(z[loc], floor)
-                v, g = _homog_value_and_grad(ug, index.weights[rows], aux)
-                val += bw * v
-                grad[loc] = bw * g
-        return -val, -grad
-
-    cons = {
-        "type": "ineq",
-        "fun": lambda z: caps - amat.T @ z,
-        "jac": lambda z: -amat.T,
-    }
-    try:
-        with warnings.catch_warnings():
-            # SLSQP steps outside the box during line search and clips back
-            warnings.filterwarnings("ignore", message=".*outside bounds.*")
-            res = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                bounds=bounds,
-                constraints=[cons],
-                method="SLSQP",
-                options={"maxiter": 300, "ftol": 1e-12},
-            )
-    except (ValueError, FloatingPointError):
-        return u0, False
-    if not np.all(np.isfinite(res.x)):
-        return u0, False
-    u = np.zeros(index.n_triples)
-    for kind, rows, aux, bw, loc in var_of:
-        if kind == "level":
-            u[rows] = max(res.x[loc], 0.0) * aux
-        else:
-            u[rows] = np.maximum(res.x[loc], 0.0)
-    return _repair_rates(index, u, caps), bool(res.success)
-
-
-# ---------------------------------------------------------------------------
 # Single-provider alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
 #: Relative duality gap up to which a static-share solve reports convergence.
 SS_GAP_TOL = 1e-9
 
-#: Relative gap at which the barrier method stops on a (provider, cell) block.
-_BLOCK_GAP_TOL = 1e-11
+#: Relative gap at which a barrier solve stops: a (provider, cell) block of
+#: a static share, or a social optimum.
+_BARRIER_STOP_GAP = 1e-11
 
-#: Newton-step cap of the barrier method: 50-70 steps are used at alpha
-#: 0-5, about 100 at alpha 10-20 and up to about 260 at alpha 100.
-_BARRIER_MAX_STEPS = 400
+#: Newton-step cap of a barrier solve.  A static share takes 50-70 steps at
+#: alpha 0-5, about 100 at alpha 10-20 and up to about 260 at alpha 100; a
+#: social optimum about 140-190 steps at 7 cells, 280 at 28 and 550 at 112.
+_BARRIER_MAX_STEPS = 1000
 
 
 def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -574,9 +381,7 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     # its optimum, and the degree-one utility is S^(1/q)
     finite = np.isfinite(index.alphas)
     q, x = 1.0 - index.alphas[finite], x[finite]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(q == 0.0, np.expm1(x), np.expm1(np.log1p(q * x) / q))
-    gaps[finite] = np.where(q * x > -1.0, rel, np.inf)
+    gaps[finite] = np.where(q * x > -1.0, _utility_change(q, x), np.inf)
     return rates, gaps, iterations
 
 
@@ -587,11 +392,7 @@ def _barrier_solve(a_mat, c, alpha, class_mask):
 
     Primal log-barrier method (Boyd & Vandenberghe, *Convex Optimization*,
     section 11.3): minimize ``-t * objective - sum log slack - sum log z``
-    by damped Newton steps.  A step starts at ``1 / (1 + decrement)`` while
-    the squared decrement exceeds 1/16 (a full step below), is cut to 99% of
-    the distance to the boundary, and is halved until the barrier function
-    falls by a quarter of the predicted amount; at large alpha the objective
-    is too steep for the damping alone.  ``t`` starts where objective and
+    by damped Newton steps (:func:`_damped_step`).  ``t`` starts where objective and
     barrier weigh alike and grows tenfold whenever a block is centered,
     until the barrier's gap bound ``n_constraints / t`` is a tenth of the
     block's tolerance.  The Newton systems of all blocks form one
@@ -634,28 +435,23 @@ def _barrier_solve(a_mat, c, alpha, class_mask):
                 np.where(dz < 0, -z / dz, np.inf).min(axis=1),
                 np.where(ds < 0, -s / ds, np.inf).min(axis=1),
             )
-        step = np.where(dec > 1.0 / 16.0, 1.0 / (1.0 + np.sqrt(np.maximum(dec, 0.0))), 1.0)
-        step = np.where(done, 0.0, np.minimum(step, 0.99 * room))
         rz, rs = dz / z, ds / s
         zq = tc * z * zpow
-        for _ in range(60):
-            # change of the barrier function along the step, summed from
-            # per-term differences so that no large values cancel
+
+        def change(step):
             lz = np.log1p(step[:, None] * rz)
-            change = -(zq * _power_change(q, lz)).sum(axis=1) - (kmask * lz).sum(axis=1)
-            change -= np.log1p(step[:, None] * rs).sum(axis=1)
-            short = ~(change <= -0.25 * step * dec) & (dec > 1e-6) & (step > 0.0)
-            if not short.any():
-                break
-            step = np.where(short, 0.5 * step, step)
+            total = -(zq * _power_change(q, lz)).sum(axis=1) - (kmask * lz).sum(axis=1)
+            return total - np.log1p(step[:, None] * rs).sum(axis=1)
+
+        step = _damped_step(dec, room, done, change)
         z = z + step[:, None] * dz
         s = s + step[:, None] * ds
         lam = jmask / (t[:, None] * s)
         total = (c * np.exp(q * np.log(z))).sum(axis=1)
-        final = n_con <= 0.1 * _BLOCK_GAP_TOL * t * total
+        final = n_con <= 0.1 * _BARRIER_STOP_GAP * t * total
         if final.any():
             gap, total = _block_gap(a_mat, c, alpha, class_mask, z, lam)
-            done |= final & (gap <= _BLOCK_GAP_TOL * total)
+            done |= final & (gap <= _BARRIER_STOP_GAP * total)
             if done.all():
                 break
         t = np.where(~done & ~final & (dec <= 0.5), 10.0 * t, t)
@@ -704,35 +500,296 @@ def _power_change(q, x):
         return np.where(q == 0.0, x, np.expm1(q * x) / np.where(q == 0.0, 1.0, q))
 
 
+def _utility_change(q, x):
+    """Relative change of a degree-one utility ``S^(1/q)`` (``exp S`` at
+    ``q = 0``) whose sum ``S / q`` changes by ``x`` in units of ``S``:
+    ``(1 + q x)^(1/q) - 1``, and ``e^x - 1`` at ``q = 0``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q == 0.0, np.expm1(x), np.expm1(np.log1p(q * x) / q))
+
+
+def _damped_step(dec, room, done, change):
+    """Step length of a damped Newton step of a barrier method, for one
+    problem or a batch.
+
+    The step starts at ``1 / (1 + sqrt(dec))`` while the squared decrement
+    ``dec`` exceeds 1/16 (a full step below), is cut to 99% of the distance
+    ``room`` to the boundary, and is halved until ``change(step)``, the
+    change of the barrier function, is at most a quarter of the predicted
+    ``-step * dec``; at large alpha the objective is too steep for the
+    damping alone.  ``change`` must sum per-term differences so that no
+    large values cancel.  Problems in ``done`` take no step.
+    """
+    step = np.where(dec > 1.0 / 16.0, 1.0 / (1.0 + np.sqrt(np.maximum(dec, 0.0))), 1.0)
+    step = np.where(done, 0.0, np.minimum(step, 0.99 * room))
+    for _ in range(60):
+        short = ~(change(step) <= -0.25 * step * dec) & (dec > 1e-6) & (step > 0.0)
+        if not short.any():
+            break
+        step = np.where(short, 0.5 * step, step)
+    return step
+
+
+# ---------------------------------------------------------------------------
+# Social optimum
+# ---------------------------------------------------------------------------
+
+#: Relative duality gap up to which a social-optimum solve reports
+#: convergence.
+SO_GAP_TOL = 1e-9
+
+
+class _WelfareLayout:
+    """The variables of the social-optimum program and its degree-one
+    utilities, in provider order.
+
+    A finite-alpha provider contributes one rate per triple; a max-min
+    provider contributes its common per-user level ``tau`` (``u = tau n``),
+    which enters like a linear provider with one unit-weight variable, since
+    its utility is ``tau`` itself.  ``amat[v]`` is the usage of one unit of
+    variable ``v`` on every consumed good, and variables are scaled to an
+    equal split of each good (``ref``) so the Newton systems stay O(1).
+    """
+
+    def __init__(self, index: MarketIndex):
+        cols, log_w, seg, alpha, owner, mult = [], [], [], [], [], []
+        for s in range(index.n_sps):
+            rows = index.sp_rows(s)
+            if math.isinf(index.alphas[s]):
+                n_vec = index.users[rows].astype(float)
+                owner.append(np.full(rows.size, len(seg)))
+                mult.append(n_vec)
+                cols.append((n_vec @ index.demand[rows])[None, :])
+                log_w.append([0.0])
+                seg.append(s)
+                alpha.append(0.0)
+            else:
+                owner.append(len(seg) + np.arange(rows.size))
+                mult.append(np.ones(rows.size))
+                cols.append(index.demand[rows])
+                log_w.append(np.log(index.weights[rows]))
+                seg.extend([s] * rows.size)
+                alpha.extend([float(index.alphas[s])] * rows.size)
+        amat = np.concatenate(cols)
+        used = amat > 0
+        count = used.sum(axis=0)
+        self.goods = count > 0
+        with np.errstate(divide="ignore"):
+            self.ref = np.where(used, 1.0 / (amat * count), np.inf).min(axis=1)
+        self.amat = amat[:, self.goods] * self.ref[:, None]
+        self.log_ref = np.log(self.ref)
+        self.log_w = np.concatenate(log_w)
+        self.seg = np.array(seg, dtype=np.intp)
+        self.starts = np.flatnonzero(np.r_[True, self.seg[1:] != self.seg[:-1]])
+        alpha = np.array(alpha)
+        self.q = 1.0 - alpha
+        self.q_sp = self.q[self.starts]
+        self.log_b = np.log(index.budgets)
+        self.same_sp = self.seg[:, None] == self.seg[None, :]
+        self.owner = np.concatenate(owner)
+        self.mult = np.concatenate(mult)
+        self.n_con = self.amat.shape[0] + self.amat.shape[1]
+        # unit expenditure: a CES in the prices L for 0 < a != 1, else
+        # built from log L - log w
+        self.alpha_sp = alpha[self.starts]
+        self.ces_sp = (self.alpha_sp > 0) & (self.alpha_sp != 1.0)
+        ces = self.ces_sp[self.seg]
+        self.expo = np.where(ces, (alpha - 1.0) / np.where(ces, alpha, 1.0), 1.0)
+        self.log_w_a = np.where(ces, self.log_w / np.where(ces, alpha, 1.0), -self.log_w)
+        top = np.maximum.reduceat(self.log_w, self.starts)
+        self.log_wsum = top + np.log(self._seg_sum(np.exp(self.log_w - top[self.seg])))
+        self.w_hat = np.exp(self.log_w - self.log_wsum[self.seg])
+
+    def _seg_sum(self, values):
+        return np.bincount(self.seg, weights=values, minlength=self.starts.size)
+
+    def utilities(self, y):
+        """Log of every provider's degree-one utility at scaled variables
+        ``y``, and the shares ``pi_v = w u^q / sum w u^q`` (``w / sum w``
+        at alpha 1) of its terms."""
+        log_u = self.log_ref + np.log(y)
+        h = self.log_w + self.q * log_u
+        top = np.maximum.reduceat(h, self.starts)
+        e = np.exp(h - top[self.seg])
+        tot = self._seg_sum(e)
+        pi = e / tot[self.seg]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_u_sp = np.where(
+                self.q_sp == 0.0,
+                self._seg_sum(pi * log_u),
+                (top + np.log(tot)) / self.q_sp,
+            )
+        return log_u_sp, pi
+
+    def log_welfare(self, log_u_sp):
+        """Log of ``sum_s B_s U_s`` from the providers' log utilities."""
+        terms = self.log_b + log_u_sp
+        top = terms.max()
+        return float(top + math.log(np.exp(terms - top).sum()))
+
+    def rel_change(self, pi, log_ratio):
+        """Relative change of every provider's utility when each variable
+        is multiplied by ``exp(log_ratio)``, summed from per-term
+        differences."""
+        x = self._seg_sum(pi * _power_change(self.q, log_ratio))
+        return _utility_change(self.q_sp, x)
+
+    def log_bound(self, lam):
+        """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(L_s)``
+        on the welfare of every feasible allocation, for capacity prices
+        ``lam > 0`` on the consumed goods.
+
+        ``L = D_s lam`` is the price of one unit of each variable and
+        ``e_s`` the unit expenditure of provider ``s``: ``(sum w^(1/a)
+        L^((a-1)/a))^(a / (a-1))``, ``prod (L / w_hat)^w_hat`` at ``a = 1``
+        and ``min L / w`` at ``a = 0`` (which covers max-min levels).  Any
+        allocation costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its
+        welfare ``sum_s B_s U_s`` is at most the bound.
+        """
+        log_l = np.log(self.amat @ lam) - self.log_ref
+        h = self.log_w_a + self.expo * log_l
+        top = np.maximum.reduceat(h, self.starts)
+        lse = top + np.log(self._seg_sum(np.exp(h - top[self.seg])))
+        log_e = np.where(
+            self.ces_sp,
+            lse / self.expo[self.starts],
+            np.where(
+                self.alpha_sp == 1.0,
+                self._seg_sum(self.w_hat * h) + self.log_wsum,
+                np.minimum.reduceat(h, self.starts),
+            ),
+        )
+        return math.log(float(lam.sum())) + float((self.log_b - log_e).max())
+
+    def rates(self, y):
+        """Per-triple rates of scaled variables ``y``."""
+        return self.ref[self.owner] * y[self.owner] * self.mult
+
+
+def _newton_direction(hess, rhs):
+    """Solution of ``hess x = rhs`` for a positive definite Newton matrix.
+
+    On a face of optima (identical providers, say) the barrier's curvature
+    across the binding constraints outgrows the curvature along the face by
+    more than the floating-point range, so the matrix is singular in
+    floating point and LU breaks down or returns an ascent direction.  Then
+    the direction comes from the eigen-decomposition of the diagonally
+    scaled matrix, with the directions whose curvature is lost in rounding
+    left out.
+    """
+    try:
+        x = np.linalg.solve(hess, rhs)
+        if rhs @ x > 0.0:
+            return x
+    except np.linalg.LinAlgError:
+        pass
+    d = 1.0 / np.sqrt(np.diag(hess))
+    curv, vec = np.linalg.eigh(hess * d[:, None] * d)
+    keep = curv > curv.max() * rhs.size * np.finfo(float).eps
+    vec = vec[:, keep]
+    return d * (vec @ ((vec.T @ (d * rhs)) / curv[keep]))
+
+
+def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Maximize the welfare ``W = sum_s B_s U_s(u)`` under unit capacities.
+
+    Primal log-barrier method (Boyd & Vandenberghe, *Convex Optimization*,
+    section 11.3) on the variables of :class:`_WelfareLayout`: minimize
+    ``-t W - sum log slack - sum log y`` by damped Newton steps
+    (:func:`_damped_step`), each one dense ``V x V`` solve
+    (:func:`_newton_direction`).  Provider ``s`` adds ``-t B_s U_s a (g
+    g^T - diag(pi / y^2))`` with ``g = pi / y`` to the Hessian, zero at
+    alpha 0 and for max-min levels.  ``t W`` reaches
+    1e13 and more, so the change of the barrier function along a step is
+    summed from per-term differences.  ``t`` starts where welfare and
+    barrier weigh alike and grows tenfold at each centering until ``n_con /
+    (t W)`` is a tenth of the stop gap.  The slacks are carried along the
+    steps, which keeps the capacity duals ``lam = 1 / (t slack)`` precise;
+    the solve stops once they certify the point to within
+    ``_BARRIER_STOP_GAP`` (:meth:`_WelfareLayout.log_bound`).  The last
+    point is scaled up onto the capacity frontier.
+
+    Returns ``(rates, prices, gap, iterations)``: ``prices`` are the duals,
+    and the optimum is at most ``1 + gap`` times the welfare at ``rates``.
+    """
+    lay = _WelfareLayout(index)
+    amat = lay.amat
+    n_var = amat.shape[0]
+    var = np.arange(n_var)
+    y = np.full(n_var, 0.9)
+    s = 1.0 - amat.T @ y
+    log_u, pi = lay.utilities(y)
+    t = math.exp(-lay.log_welfare(log_u))
+    lam = 1.0 / (t * s)
+    for it in range(1, _BARRIER_MAX_STEPS + 1):
+        coef = np.exp(math.log(t) + lay.log_b + log_u)  # t B_s U_s
+        curv = (coef * lay.alpha_sp)[lay.seg]
+        g = pi / y
+        grad = amat @ (1.0 / s) - coef[lay.seg] * g - 1.0 / y
+        e_mat = -(curv * g)[:, None] * g * lay.same_sp
+        e_mat[var, var] += (1.0 + curv * pi) / y**2
+        dy = _newton_direction(e_mat + (amat / s**2) @ amat.T, -grad)
+        ds = -(amat.T @ dy)
+        dec = -float(grad @ dy)
+        with np.errstate(divide="ignore"):
+            room = min(np.where(dy < 0, -y / dy, np.inf).min(), np.where(ds < 0, -s / ds, np.inf).min())
+        ry, rs = dy / y, ds / s
+
+        def change(step):
+            ly = np.log1p(step * ry)
+            return -(coef * lay.rel_change(pi, ly)).sum() - ly.sum() - np.log1p(step * rs).sum()
+
+        step = float(_damped_step(dec, room, False, change))
+        y = y + step * dy
+        s = s + step * ds
+        log_u, pi = lay.utilities(y)
+        lam = 1.0 / (t * s)
+        log_w = lay.log_welfare(log_u)
+        # certify the point scaled onto the capacity frontier, as returned
+        if math.expm1(lay.log_bound(lam) - log_w + math.log((amat.T @ y).max())) <= _BARRIER_STOP_GAP:
+            break
+        final = lay.n_con <= 0.1 * _BARRIER_STOP_GAP * t * math.exp(log_w)
+        if not final and dec <= 0.5:
+            t *= 10.0
+    y = y / (amat.T @ y).max()
+    gap = math.expm1(lay.log_bound(lam) - lay.log_welfare(lay.utilities(y)[0]))
+    prices = np.zeros(index.n_goods)
+    prices[lay.goods] = lam
+    return lay.rates(y), prices, gap, it
+
+
 def solve_social_optimal(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
     """Budget-weighted utilitarian optimum ``max sum_s B_s U_s`` under the
     capacity constraints, with the degree-one aggregate utilities so values
     are comparable across alpha and against the market schemes.
 
     Max-min providers enter exactly through their common per-user rate level
-    (``u = t n``, lossless at the optimum).  Reported prices are the averaged
-    capacity multipliers from the dual subgradient phase.
+    (``u = t n``, lossless at the optimum).  One primal barrier solve (see
+    :func:`_concave_welfare_solve`) certifies itself through the
+    Eisenberg-Gale price-space bound: for capacity prices ``lam >= 0``, no
+    feasible allocation has welfare above ``(lam . 1) max_s B_s / e_s``,
+    where ``e_s`` is provider ``s``'s unit expenditure at the prices
+    ``D_s lam`` of its classes.  ``prices`` are the certifying capacity
+    duals, ``residuals["duality_gap"]`` is that bound over the returned
+    welfare minus 1, ``converged`` means it is at most ``SO_GAP_TOL``, and
+    ``iterations`` counts Newton steps.  ``config`` is accepted for a
+    uniform scheme signature and not used.
     """
-    config = config or SolverConfig()
     index = scn.index
-    groups = [
-        (index.sp_rows(s), float(index.alphas[s]), float(index.budgets[s]))
-        for s in range(index.n_sps)
-    ]
-    n_iter = min(config.max_iterations, 2000)
-    rates, lam_bar, ok = _concave_welfare_solve(
-        index, groups, np.ones(index.n_goods), config.kappa0, config.decay, n_iter
-    )
+    rates, prices, gap, iterations = _concave_welfare_solve(index)
     allocation = _rate_allocation(index, rates)
     usage = allocation.x.sum(axis=0)
     return make_report(
         scn,
-        method="dual-subgradient",
-        prices=lam_bar,
+        method="barrier",
+        prices=prices,
         allocation=allocation,
-        iterations=n_iter,
-        converged=ok,
-        residuals={"capacity_gap": float(np.maximum(usage - 1.0, 0.0).max())},
+        iterations=iterations,
+        converged=gap <= SO_GAP_TOL,
+        residuals={
+            "capacity_gap": float(np.maximum(usage - 1.0, 0.0).max()),
+            "duality_gap": gap,
+        },
     )
 
 
