@@ -318,6 +318,7 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
             "budget_gap": check.budget_gap,
             "clearing_gap": check.clearing_gap,
             "br_gap": check.br_gap,
+            "br_gap_rel": check.br_gap_rel,
         },
         potential_trace=np.array(phis),
         price_trace=np.array(price_rows),

@@ -192,11 +192,17 @@ def settle_bids(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Gap diagnostics for a candidate (price, allocation) pair."""
+    """Gap diagnostics for a candidate (price, allocation) pair.
+
+    ``br_gap_rel`` is each provider's best-response gap over its
+    best-response utility, maximized over providers; it is reported next to
+    the absolute gaps and takes no part in :attr:`is_equilibrium`.
+    """
 
     budget_gap: float
     clearing_gap: float
     br_gap: float
+    br_gap_rel: float
     tol: float
 
     @property
@@ -217,6 +223,9 @@ def verify_equilibrium(
     br_gap: ``max_s [U_s(best response at p) - U_s(x_s)]`` on the degree-one
     aggregate utility (the monotone transform keeps the ranking of the raw
     alpha-fair objective and is scale-comparable across alpha).
+    br_gap_rel: ``max_s`` of the same gap over ``U_s(best response at p)``;
+    the degree-one utility is homogeneous in rates, but the class weights
+    set its scale.
     """
     index = scn.index
     prices = np.asarray(prices, dtype=float)
@@ -229,24 +238,27 @@ def verify_equilibrium(
     if np.any(prices < 0):
         raise ValueError("negative price")
     kernel = index.kernel
-    pd_slots, pd = kernel.row_prices(prices)
-    if np.any(pd <= 0):
-        br_gap = math.inf
-    else:
-        u_br = kernel.spend(pd_slots, pd).sum(axis=1) / pd
-        br_gap = 0.0
-        for s in range(index.n_sps):
-            if index.alphas[s] == 0.0:
-                # degenerate-linear case has no finite closed form; skip the
-                # best-response check (tp dynamics never run at alpha=0)
-                continue
-            gap = sp_utility_homog(index, u_br, s) - sp_utility_homog(index, allocation.rates, s)
-            br_gap = max(br_gap, gap)
+    u_br = kernel.rates(kernel.row_prices(prices)[1])
+    br_gap = br_gap_rel = 0.0
+    for s in range(index.n_sps):
+        if index.alphas[s] == 0.0:
+            # degenerate-linear case has no finite closed form; skip the
+            # best-response check (tp dynamics never run at alpha=0)
+            continue
+        best = sp_utility_homog(index, u_br, s)
+        if not math.isfinite(best):
+            # demand is unbounded at these prices
+            br_gap = br_gap_rel = math.inf
+            continue
+        gap = best - sp_utility_homog(index, allocation.rates, s)
+        br_gap = max(br_gap, gap)
+        br_gap_rel = max(br_gap_rel, gap / best)
     return EquilibriumReport(
         budget_gap=budget_gap,
         clearing_gap=clearing_gap,
         br_gap=max(br_gap, 0.0),
         tol=tol,
+        br_gap_rel=br_gap_rel,
     )
 
 

@@ -304,9 +304,8 @@ class DemandKernel:
     Every sum adds the same terms in the same order as numpy does on the
     dense layout (see :func:`_dense_sum_order`), so for triples consuming up
     to three goods the results equal the dense evaluation's bit for bit.
-    That matters: the tatonnement at the alpha = 0 surrogate is chaotic
-    enough for last-bit differences to change its iteration count, its
-    prices and even its convergence flag.
+    That keeps the bid dynamics, which stop on a relative price change of
+    1e-9 or less, on the iteration counts and prices of the dense code.
     """
 
     def __init__(self, index: MarketIndex):
@@ -324,6 +323,9 @@ class DemandKernel:
         log_w = np.log(index.weights)
         self.log_w_a = np.divide(log_w, alpha, out=log_w.copy(), where=regular)
         self.expo = np.divide(alpha - 1.0, alpha, out=np.ones_like(alpha), where=regular)
+        # rows served at a common per-user level (a = inf, and the a = 0
+        # placeholders)
+        self.level = ~regular
         sps, self.starts = np.unique(index.sp_of, return_index=True)
         self.seg = np.searchsorted(sps, index.sp_of)
         self.budgets = index.budgets[sps]
@@ -355,6 +357,24 @@ class DemandKernel:
         bids = (b_ck / pd)[:, None] * pd_slots
         bids *= (self.budgets / self._sp_sum(bids.sum(axis=1)))[self.seg, None]
         return bids
+
+    def rates(self, pd: np.ndarray) -> np.ndarray:
+        """Per-row rate of every provider's best response to the per-row
+        prices ``pd`` of :meth:`row_prices`: ``B omega / (PD sum omega)``,
+        which is ``B w / sum w PD`` at ``a = inf`` and stays finite on a row
+        with ``PD = 0`` there.  A provider with unbounded demand (a row with
+        ``PD = 0`` at finite ``a``, or all rows at ``a = inf``) gets inf on
+        all its rows."""
+        priced = pd > 0
+        log_pd = np.log(np.where(priced, pd, 1.0))
+        log_omega = np.where(priced, self.log_w_a + self.expo * log_pd, -np.inf)
+        top = np.maximum.reduceat(log_omega, self.starts)
+        free = np.isneginf(top) | (self._sp_sum(~priced & ~self.level) > 0)
+        top = np.where(free, 0.0, top)
+        with np.errstate(divide="ignore", over="ignore"):
+            lse = top + np.log(self._sp_sum(np.exp(log_omega - top[self.seg])))
+            rate = self.row_budgets * np.exp(self.log_w_a + (self.expo - 1.0) * log_pd - lse[self.seg])
+        return np.where(free[self.seg], np.inf, rate)
 
     def _sp_sum(self, per_row: np.ndarray) -> np.ndarray:
         # bincount adds in row order, as MarketIndex.sp_sum does;

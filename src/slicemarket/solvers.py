@@ -3,12 +3,12 @@
 ``solve_eg`` computes the market equilibrium (the optimum of the
 budget-weighted log-utility program whose capacity duals are the prices):
 for providers all at alpha >= 1 it delegates to the provably convergent bid
-dynamics; otherwise it runs a damped multiplicative tatonnement on the
-closed-form demands (or, on request, a dual subgradient method on the
-capacity multipliers).  ``solve_social_optimal`` and ``static_share`` are the
-efficiency and isolation baselines, both solved by primal log-barrier
-methods that certify their results by weak duality, and ``poa_bound`` /
-``nash_welfare`` provide the fairness/efficiency diagnostics.
+dynamics; otherwise it runs projected Newton steps on the program's price
+dual, whose gradient is the excess supply of the closed-form demands.
+``solve_social_optimal`` and ``static_share`` are the efficiency and
+isolation baselines, both solved by primal log-barrier methods that certify
+their results by weak duality, and ``poa_bound`` / ``nash_welfare`` provide
+the fairness/efficiency diagnostics.
 """
 
 from __future__ import annotations
@@ -37,18 +37,16 @@ ALPHA_ZERO_SURROGATE = 1e-3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "auto"  # auto | dynamics | tatonnement | dual-subgradient
-    kappa0: float = 0.1
-    decay: float = 0.5
+    method: str = "auto"  # auto | dynamics | tatonnement
     max_iterations: int = 50000
     tol: float = 1e-7
 
     def __post_init__(self):
-        if self.kappa0 <= 0:
-            raise ValueError("kappa0 must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.method not in ("auto", "dynamics", "tatonnement", "dual-subgradient"):
+        if self.method not in ("auto", "dynamics", "tatonnement"):
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -146,13 +144,18 @@ def _with_surrogates(scn: NormalizedScenario, mapping) -> tuple[NormalizedScenar
 def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
     """Market-equilibrium allocation and prices.
 
-    auto: bid dynamics when every alpha >= 1 (convergence guaranteed),
-    damped tatonnement otherwise.  alpha=0 providers are routed through a
-    smoothed alpha=1e-3 surrogate and flagged in the report.  Deterministic:
-    identical scenario and config give an identical report.  The dynamics
-    route traces the potential and prices at the end points only (the
-    initial bids and the last iteration); call
+    auto: bid dynamics when every alpha >= 1 (convergence guaranteed), a
+    projected Newton price adjustment otherwise (method ``"tatonnement"``,
+    see :func:`_price_newton`).  alpha=0 providers are routed through a
+    smoothed alpha=1e-3 surrogate and flagged in the report.
+    Deterministic: identical scenario and config give an identical report.
+    The dynamics route traces the potential and prices at the end points
+    only (the initial bids and the last iteration); call
     :func:`~slicemarket.dynamics.run_dynamics` directly for a full trace.
+    ``converged`` rests on the absolute gaps of
+    :func:`~slicemarket.market.verify_equilibrium`;
+    ``residuals["br_gap_rel"]`` reports the best-response gap relative to
+    the best-response utility next to them.
     """
     config = config or SolverConfig()
     method = config.method
@@ -168,77 +171,272 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
             trace_stride=config.max_iterations,
         )
         return run_dynamics(scn, dcfg)
-    if method == "tatonnement":
-        return _solve_tatonnement(scn, config)
-    return _solve_eg_dual(scn, config)
+    return _solve_tatonnement(scn, config)
 
 
-def _tatonnement_loop(work, p0, kappa0, tol, max_iterations, price_rows):
-    """Damped multiplicative updates ``p <- p * exp(k (demand - 1))``.
+class _UnitCost:
+    """Log unit expenditure ``log e_s(L)`` of every provider: the least cost
+    of one unit of its degree-one utility when one unit of each of its
+    variables costs ``L``.
 
-    The step is halved after a sustained worsening of the clearing residual;
-    hyper-elastic demands (tiny alpha) oscillate under any fixed schedule.
+    Variables are grouped by provider in contiguous segments (``seg``) and
+    ``alpha`` is the fairness of each variable's provider.  ``e_s`` is
+    ``(sum w^(1/a) L^((a-1)/a))^(a/(a-1))`` for a CES utility, ``prod
+    (L / w_hat)^w_hat`` with ``w_hat = w / sum w`` at ``a = 1``, ``sum w L``
+    at ``a = inf`` (max-min utility ``min u / w``) and ``min L / w`` at
+    ``a = 0``.
+    """
+
+    def __init__(self, log_w: np.ndarray, alpha: np.ndarray, seg: np.ndarray):
+        self.seg = seg
+        self.starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        alpha_sp = alpha[self.starts]
+        self.ces_sp = (alpha_sp > 0) & (alpha_sp != 1.0)
+        self.cobb_sp = alpha_sp == 1.0
+        ces = self.ces_sp[seg]
+        finite = ces & np.isfinite(alpha)
+        # h = log_w_a + expo * log L: the log-sum-exp argument of a CES,
+        # else log L - log w
+        self.expo = np.where(finite, (alpha - 1.0) / np.where(finite, alpha, 1.0), 1.0)
+        self.log_w_a = np.where(
+            finite, log_w / np.where(finite, alpha, 1.0), np.where(ces, log_w, -log_w)
+        )
+        self.expo_sp = self.expo[self.starts]
+        top = np.maximum.reduceat(log_w, self.starts)
+        self.log_wsum = top + np.log(self.seg_sum(np.exp(log_w - top[seg])))
+        self.w_hat = np.exp(log_w - self.log_wsum[seg])
+
+    def seg_sum(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.seg, weights=values, minlength=self.starts.size)
+
+    def __call__(self, log_l: np.ndarray) -> np.ndarray:
+        h = self.log_w_a + self.expo * log_l
+        top = np.maximum.reduceat(h, self.starts)
+        lse = top + np.log(self.seg_sum(np.exp(h - top[self.seg])))
+        return np.where(
+            self.ces_sp,
+            lse / self.expo_sp,
+            np.where(
+                self.cobb_sp,
+                self.seg_sum(self.w_hat * h) + self.log_wsum,
+                np.minimum.reduceat(h, self.starts),
+            ),
+        )
+
+
+class _PriceCells:
+    """The goods of a market grouped by cell, padded to an ``[n_cells, m]``
+    layout, with the slots of :class:`~slicemarket.model.DemandKernel`
+    mapped onto it.
+
+    Every triple consumes only goods of its own cell, so ``D^T diag(c) D``
+    is block-diagonal by cell for any per-triple ``c``.  ``pair[i, r, r']``
+    is the flat ``[n_cells, m, m]`` position of slot pair ``(r, r')`` of
+    triple ``i`` and ``slot[i, r]`` the flat ``[n_cells, m, n_seg]``
+    position of slot ``r`` in the column of the triple's provider; padded
+    slots carry zero demand, so where they point does not matter.
+    ``good[c, j]`` is the good at position ``j`` of cell ``c`` (``mask``
+    False on padding, which points at good 0).
+    """
+
+    def __init__(self, index: MarketIndex):
+        ids: dict[str, int] = {}
+        cell = np.array([ids.setdefault(c, len(ids)) for c, _ in index.goods])
+        pos = np.zeros(index.n_goods, dtype=np.intp)
+        for c in range(len(ids)):
+            at = np.flatnonzero(cell == c)
+            pos[at] = np.arange(at.size)
+        self.n_cells, self.m = len(ids), int(pos.max()) + 1
+        self.good = np.zeros((self.n_cells, self.m), dtype=np.intp)
+        self.mask = np.zeros((self.n_cells, self.m), dtype=bool)
+        self.good[cell, pos] = np.arange(index.n_goods)
+        self.mask[cell, pos] = True
+        kernel = index.kernel
+        self.n_seg = kernel.budgets.size
+        # slot 0 of every row is a consumed good, so in the triple's cell
+        at = cell[kernel.goods[:, :1]] * self.m + pos[kernel.goods]
+        self.pair = at[:, :, None] * self.m + pos[kernel.goods][:, None, :]
+        self.slot = at * self.n_seg + kernel.seg[:, None]
+
+
+#: Armijo fraction of the predicted decrease of the price dual.
+_ARMIJO = 1e-4
+
+#: Largest price that can count as zero for a good in excess supply.
+_ACTIVE_PRICE = 1e-9
+
+
+def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, price_rows):
+    """Minimize the Eisenberg-Gale price dual ``f(p) = sum_g p_g - sum_s B_s
+    log e_s(D_s p)`` over nonnegative prices of the demanded goods, from
+    ``p``, by a projected Newton method (Bertsekas, *Projected Newton
+    methods for optimization problems with simple constraints*, SIAM J.
+    Control Optim. 1982).  ``e_s`` is the unit expenditure (:class:`_UnitCost`)
+    and the gradient ``1 - usage(p)`` is the excess supply, so the minimizer
+    is the equilibrium price vector.
+
+    The Hessian is ``sum_s [(1/a) D^T diag(u/L) D + ((a-1)/(a B)) v v^T]``
+    with ``v = D_s^T u_s`` (the first term vanishes at ``a = inf``, where the
+    second coefficient is ``1/B``).  The first term is block-diagonal by cell
+    (:class:`_PriceCells`) and the second is one rank-one term per provider,
+    so a step is one batched per-cell solve plus a Woodbury correction with
+    an ``n_sp x n_sp`` capacitance matrix.  Goods priced at most ``eps =
+    min(residual, _ACTIVE_PRICE)`` with positive gradient are pinned and
+    driven to 0 along the projection arc; a Levenberg term equal to the
+    residual on the diagonal keeps rank-deficient cells (one class on three
+    goods, say) from stalling the step.  Where the structured direction is
+    not a descent direction, the dense Newton system is solved instead
+    (:func:`_newton_direction`).
+
+    The Armijo search evaluates ``f`` itself.  Once the predicted decrease
+    is below the rounding of ``f``, the full step is taken; the solve stops
+    when such a step fails to halve the projected gradient (which is then
+    at rounding level), when no step decreases ``f``, or after
+    ``max_steps`` steps.  Appends every iterate to ``price_rows`` and
+    returns ``(p, steps)``, ``p`` the iterate of smallest projected
+    gradient.
     """
     index = work.index
     kernel = index.kernel
+    cost = _UnitCost(np.log(index.weights), index.alphas[index.sp_of].astype(float), kernel.seg)
+    budgets = kernel.budgets
+    # the rank-one coefficient (a - 1) / (a B), 1 / B at a = inf
+    coupling = kernel.expo[kernel.starts] / budgets
+    curv_row = 1.0 - kernel.expo  # 1 / a, 0 at a = inf
     demanded = index.demanded_goods()
-    p = p0
-    kappa = kappa0
-    best = math.inf
-    worse = 0
-    b = None
-    resid = math.inf
-    it = 0
-    for it in range(1, max_iterations + 1):
-        b, _ = kernel.bids(p)
-        demand = np.divide(kernel.per_good(b), p, out=np.zeros_like(p), where=demanded)
-        resid = float(np.abs((demand - 1.0) * p)[demanded].max())
-        if resid <= tol:
+    n_goods, n_seg, m = index.n_goods, cells.n_seg, cells.m
+    dm = kernel.demand
+    diag = np.arange(m)
+    pair_demand = dm[:, :, None] * dm[:, None, :]
+
+    def evaluate(p):
+        """``f(p)``, the scale of its rounding, the rates demanded at ``p``
+        and their prices ``L``; ``f`` is inf where some demand is unbounded."""
+        pd = kernel.row_prices(p)[1]
+        u = kernel.rates(pd)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = budgets * cost(np.log(pd))
+        total = float(p.sum())
+        value = total - float(terms.sum())
+        if not np.all(np.isfinite(u)):
+            value = math.inf
+        return value, total + float(np.abs(terms).sum()), u, pd
+
+    def structured(k_blocks, v_blocks, grad, free, mu):
+        fb = free[cells.good] & cells.mask
+        k = k_blocks * (fb[:, :, None] & fb[:, None, :])
+        k[:, diag, diag] += np.where(fb, mu, 1.0)
+        v = v_blocks * fb[:, :, None]
+        rhs = np.concatenate([np.where(fb, grad[cells.good], 0.0)[:, :, None], v], axis=2)
+        try:
+            x = np.linalg.solve(k, rhs)
+            w = np.einsum("cjs,cjt->st", v, x)
+            y = np.linalg.solve(np.eye(n_seg) + coupling[:, None] * w[:, 1:], coupling * w[:, 0])
+        except np.linalg.LinAlgError:
+            return None
+        d = np.zeros(n_goods)
+        d[cells.good[fb]] = (x[:, :, 0] - x[:, :, 1:] @ y)[fb]
+        return d
+
+    def dense(k_blocks, v_blocks, grad, free, mu):
+        h = np.zeros((n_goods, n_goods))
+        np.add.at(h, (cells.good[:, :, None], cells.good[:, None, :]), k_blocks)
+        vd = np.zeros((n_goods, n_seg))
+        np.add.at(vd, cells.good, v_blocks)
+        h += (vd * coupling) @ vd.T
+        h = h[np.ix_(free, free)]
+        h[np.diag_indices_from(h)] += mu
+        d = np.zeros(n_goods)
+        d[free] = _newton_direction(h, grad[free])
+        return d
+
+    def search(p, d, grad, value, scale):
+        """The accepted point along the projection arc of ``d``, or None."""
+        pred = float(grad @ d)
+        if not pred > 0.0:
+            return None
+        noise = 8.0 * np.finfo(float).eps * scale
+        step = 1.0
+        while True:
+            trial = np.maximum(p - step * d, 0.0)
+            new = evaluate(trial)
+            if math.isfinite(new[0]) and (
+                pred <= noise or new[0] <= value - _ARMIJO * step * pred
+            ):
+                return trial, new, pred <= noise
+            step *= 0.5
+            if step * pred <= noise:
+                return None
+
+    value, scale, u, pd = evaluate(p)
+    best_resid, best_p = math.inf, p
+    prev_resid = math.inf
+    quiet = False
+    steps = 0
+    while True:
+        grad = np.where(demanded, 1.0 - kernel.per_good(u[:, None] * dm), 0.0)
+        resid = float(np.abs(p - np.maximum(p - grad, 0.0)).max())
+        if resid < best_resid:
+            best_resid, best_p = resid, p
+        if resid == 0.0 or steps >= max_steps or (quiet and resid > 0.5 * prev_resid):
             break
-        if resid < best:
-            best = resid
-            worse = 0
-        else:
-            worse += 1
-            if worse >= 25:
-                kappa = max(kappa / 2.0, 1e-5)
-                worse = 0
-                best = resid
-        step = np.clip(kappa * (demand - 1.0), -2.0, 2.0)
-        p = np.where(demanded, p * np.exp(step), 0.0)
+        prev_resid = resid
+        pinned = demanded & (p <= min(resid, _ACTIVE_PRICE)) & (grad > 0.0)
+        free = demanded & ~pinned
+        # a max-min row may be free (L = 0); its first term is 0 anyway
+        coef = np.divide(curv_row * u, pd, out=np.zeros_like(u), where=curv_row > 0)
+        k_blocks = np.bincount(
+            cells.pair.ravel(), weights=(coef[:, None, None] * pair_demand).ravel(), minlength=cells.n_cells * m * m
+        ).reshape(cells.n_cells, m, m)
+        v_blocks = np.bincount(
+            cells.slot.ravel(), weights=(u[:, None] * dm).ravel(), minlength=cells.n_cells * m * n_seg
+        ).reshape(cells.n_cells, m, n_seg)
+        found = None
+        for direction in (structured, dense):
+            d = direction(k_blocks, v_blocks, grad, free, resid)
+            if d is None or not np.all(np.isfinite(d)):
+                continue
+            d[pinned] = p[pinned]
+            found = search(p, d, grad, value, scale)
+            if found is not None:
+                break
+        if found is None:
+            break
+        p, (value, scale, u, pd), quiet = found
+        steps += 1
         price_rows.append(p)
-    return p, b, it, resid
+    return best_p, steps
 
 
 def _solve_tatonnement(scn: NormalizedScenario, config: SolverConfig) -> SolveReport:
-    """Damped tatonnement on the closed-form demands.
+    """Market equilibrium by projected Newton steps on the price dual
+    (:func:`_price_newton`), for markets with some alpha < 1.
 
     alpha=0 providers run through the smoothed surrogate, reached by a
     continuation over decreasing surrogate values so the near-linear final
-    stage starts from almost-equilibrium prices.
+    stage starts from almost-equilibrium prices.  ``max_iterations`` caps the
+    Newton steps of each stage; ``iterations`` counts them all.
     """
     has_zero = bool(np.any(scn.index.alphas == 0.0))
     stages = [0.1, 0.01, ALPHA_ZERO_SURROGATE] if has_zero else [None]
     demanded = scn.index.demanded_goods()
+    cells = _PriceCells(scn.index)
     p = np.where(demanded, 1.0 / demanded.sum(), 0.0)
     price_rows = [p]
     total_it = 0
     flags: dict[str, float] = {}
     work = scn
-    b = None
-    resid = math.inf
     for stage in stages:
         work, flags = _with_surrogates(
             scn, lambda a, st=stage: (st if st is not None else a) if a == 0.0 else a
         )
-        p, b, it, resid = _tatonnement_loop(
-            work, p, config.kappa0, config.tol, config.max_iterations, price_rows
-        )
+        p, it = _price_newton(work, cells, p, config.max_iterations, price_rows)
         total_it += it
 
-    pd = work.index.demand @ p
-    rates = b.sum(axis=1) / pd
-    rates = _repair_rates(work.index, rates, np.ones(work.index.n_goods))
+    kernel = work.index.kernel
+    pd_slots, pd = kernel.row_prices(p)
+    demand = kernel.rates(pd)
+    rates = _repair_rates(work.index, demand, np.ones(work.index.n_goods))
     allocation = _rate_allocation(work.index, rates)
     # the equilibrium flag is judged against the surrogate market (an exact
     # alpha=0 equilibrium does not exist); gaps at the default 1e-6
@@ -249,61 +447,18 @@ def _solve_tatonnement(scn: NormalizedScenario, config: SolverConfig) -> SolveRe
         prices=p,
         allocation=allocation,
         iterations=total_it,
-        converged=resid <= config.tol and check.is_equilibrium,
-        residuals={
-            "budget_gap": check.budget_gap,
-            "clearing_gap": check.clearing_gap,
-            "br_gap": check.br_gap,
-        },
-        price_trace=np.array(price_rows),
-        surrogate_alphas=flags,
-    )
-    report.bids = work.index.kernel.dense(b)
-    return report
-
-
-def _solve_eg_dual(scn: NormalizedScenario, config: SolverConfig) -> SolveReport:
-    """Projected subgradient on the capacity multipliers of the equilibrium
-    program; the inner provider problems have closed forms because the
-    log-utility objective bounds the spending at ``B_s``."""
-    work, flags = _with_surrogates(
-        scn, lambda a: ALPHA_ZERO_SURROGATE if a == 0.0 else a
-    )
-    index = work.index
-    kernel = index.kernel
-    lam = np.where(index.demanded_goods(), 1.0, 0.0)
-    iters = min(config.max_iterations, 20000)
-    acc_u = np.zeros(index.n_triples)
-    acc_w = 0.0
-    lam_acc = np.zeros_like(lam)
-    for t in range(1, iters + 1):
-        b, big_l = kernel.bids(np.maximum(lam, 1e-12))
-        u = b.sum(axis=1) / big_l
-        usage = kernel.per_good(u[:, None] * kernel.demand)
-        kappa = config.kappa0 * t ** (-config.decay)
-        lam = np.maximum(lam + kappa * (usage - 1.0), 0.0)
-        if t > iters // 2:
-            acc_u += kappa * u
-            acc_w += kappa
-            lam_acc += kappa * lam
-    rates = _repair_rates(index, acc_u / acc_w, np.ones(index.n_goods))
-    lam_bar = lam_acc / acc_w
-    allocation = _rate_allocation(index, rates)
-    check = verify_equilibrium(work, allocation, lam_bar, tol=config.tol)
-    return make_report(
-        scn,
-        method="dual-subgradient",
-        prices=lam_bar,
-        allocation=allocation,
-        iterations=iters,
         converged=check.is_equilibrium,
         residuals={
             "budget_gap": check.budget_gap,
             "clearing_gap": check.clearing_gap,
             "br_gap": check.br_gap,
+            "br_gap_rel": check.br_gap_rel,
         },
+        price_trace=np.array(price_rows),
         surrogate_alphas=flags,
     )
+    report.bids = kernel.dense(demand[:, None] * pd_slots)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +744,8 @@ class _WelfareLayout:
         self.owner = np.concatenate(owner)
         self.mult = np.concatenate(mult)
         self.n_con = self.amat.shape[0] + self.amat.shape[1]
-        # unit expenditure: a CES in the prices L for 0 < a != 1, else
-        # built from log L - log w
         self.alpha_sp = alpha[self.starts]
-        self.ces_sp = (self.alpha_sp > 0) & (self.alpha_sp != 1.0)
-        ces = self.ces_sp[self.seg]
-        self.expo = np.where(ces, (alpha - 1.0) / np.where(ces, alpha, 1.0), 1.0)
-        self.log_w_a = np.where(ces, self.log_w / np.where(ces, alpha, 1.0), -self.log_w)
-        top = np.maximum.reduceat(self.log_w, self.starts)
-        self.log_wsum = top + np.log(self._seg_sum(np.exp(self.log_w - top[self.seg])))
-        self.w_hat = np.exp(self.log_w - self.log_wsum[self.seg])
+        self.cost = _UnitCost(self.log_w, alpha, self.seg)
 
     def _seg_sum(self, values):
         return np.bincount(self.seg, weights=values, minlength=self.starts.size)
@@ -646,19 +793,7 @@ class _WelfareLayout:
         allocation costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its
         welfare ``sum_s B_s U_s`` is at most the bound.
         """
-        log_l = np.log(self.amat @ lam) - self.log_ref
-        h = self.log_w_a + self.expo * log_l
-        top = np.maximum.reduceat(h, self.starts)
-        lse = top + np.log(self._seg_sum(np.exp(h - top[self.seg])))
-        log_e = np.where(
-            self.ces_sp,
-            lse / self.expo[self.starts],
-            np.where(
-                self.alpha_sp == 1.0,
-                self._seg_sum(self.w_hat * h) + self.log_wsum,
-                np.minimum.reduceat(h, self.starts),
-            ),
-        )
+        log_e = self.cost(np.log(self.amat @ lam) - self.log_ref)
         return math.log(float(lam.sum())) + float((self.log_b - log_e).max())
 
     def rates(self, y):

@@ -169,22 +169,19 @@ class TestSolveEG:
         assert a.allocation.x.tobytes() == b.allocation.x.tobytes()
         assert a.utilities.tobytes() == b.utilities.tobytes()
 
-    def test_dual_subgradient_method_runs(self):
-        scn = make_scn([[1.0, 0.3], [0.4, 1.0]], [0.5, 2.0], [0.5, 0.5])
-        rep = solve_eg(scn, SolverConfig(method="dual-subgradient"))
-        assert rep.method == "dual-subgradient"
-        assert rep.residuals["br_gap"] < 1e-2
+    def test_max_iterations_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=0)
 
-    def test_dual_subgradient_alpha_zero_is_finite(self):
-        # the alpha=0 surrogate (1e-3) overflowed a plain exp((log w - log L)/a)
+    def test_one_newton_step_is_not_converged(self):
         from slicemarket import LoadModel, instantiate, benchmark_preset
 
-        spec = instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(0.0)
-        rep = solve_eg(normalize_scenario(spec), SolverConfig(method="dual-subgradient"))
-        assert np.all(np.isfinite(rep.prices))
-        assert np.all(np.isfinite(rep.allocation.rates))
+        spec = instantiate(benchmark_preset(), LoadModel(seed=0), 0).with_alphas(0.5)
+        rep = solve_eg(normalize_scenario(spec), SolverConfig(max_iterations=1))
+        assert rep.method == "tatonnement"
+        assert rep.iterations == 1
+        assert not rep.converged
         assert np.all(np.isfinite(rep.utilities))
-        assert rep.allocation.x.sum(axis=0).max() <= 1.0 + 1e-6
 
     def test_price_mass_equals_budget_mass(self):
         rng = np.random.default_rng(79)
