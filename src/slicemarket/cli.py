@@ -17,8 +17,11 @@ from dataclasses import replace
 
 from .dynamics import DynamicsConfig, run_dynamics
 from .experiments import (
+    PRICE_TRACE_COLUMNS,
     ExperimentConfig,
     SCHEME_SOLVERS,
+    _price_trace_rows,
+    _write_csv,
     compare_schemes,
     load_config,
     run_experiment,
@@ -109,12 +112,7 @@ def cmd_dynamics(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "price_trace.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("iteration", "cell", "resource", "price"))
-            for k, it in enumerate(rep.trace_iterations):
-                for g, (cell, res) in enumerate(scn.index.goods):
-                    writer.writerow((int(it), cell, res, f"{rep.price_trace[k, g]:.17g}"))
+        _write_csv(path, PRICE_TRACE_COLUMNS, _price_trace_rows(scn, rep))
         print(f"wrote {path}")
     return 0
 

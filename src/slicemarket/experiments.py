@@ -24,7 +24,6 @@ from .model import NormalizedScenario, ScenarioSpec, load_scenario, normalize_sc
 from .scenarios import LoadModel, budget_sweep, instantiate, benchmark_preset
 from .solvers import (
     SchemeComparison,
-    SolverConfig,
     WelfareReport,
     max_utilities,
     nash_welfare,
@@ -49,6 +48,8 @@ CSV_COLUMNS = (
     "converged",
     "iterations",
 )
+
+PRICE_TRACE_COLUMNS = ("iteration", "cell", "resource", "price")
 
 SCHEME_SOLVERS = {
     "me": solve_eg,
@@ -288,18 +289,20 @@ def _convergence_study(template: ScenarioSpec, load: LoadModel):
     spec = instantiate(template, load, 0).with_alphas(1.0)
     scn = normalize_scenario(spec)
     rep = run_dynamics(scn, DynamicsConfig(max_iterations=500, tol=0.0))
-    rows = []
-    for k, it in enumerate(rep.trace_iterations):
-        for g, (cell, resource) in enumerate(scn.index.goods):
-            rows.append((int(it), cell, resource, float(rep.price_trace[k, g])))
-    return rows
+    return _price_trace_rows(scn, rep)
 
 
-def compare_schemes(
-    spec: ScenarioSpec | NormalizedScenario,
-    alphas,
-    config: SolverConfig | None = None,
-) -> WelfareReport:
+def _price_trace_rows(scn: NormalizedScenario, rep) -> list[tuple]:
+    """One ``PRICE_TRACE_COLUMNS`` row per traced iteration and good of a
+    dynamics run."""
+    return [
+        (int(it), cell, resource, float(rep.price_trace[k, g]))
+        for k, it in enumerate(rep.trace_iterations)
+        for g, (cell, resource) in enumerate(scn.index.goods)
+    ]
+
+
+def compare_schemes(spec: ScenarioSpec | NormalizedScenario, alphas) -> WelfareReport:
     """Run ME, SO and SS on one instance across the fairness sweep, with the
     price-of-anarchy bound and the per-provider market-vs-static deltas."""
     base = spec.spec if isinstance(spec, NormalizedScenario) else spec
@@ -307,9 +310,9 @@ def compare_schemes(
     for alpha in alphas:
         scn = normalize_scenario(base.with_alphas(float(alpha)))
         index = scn.index
-        me = solve_eg(scn, config)
-        so = solve_social_optimal(scn, config)
-        ss = static_share(scn, config)
+        me = solve_eg(scn)
+        so = solve_social_optimal(scn)
+        ss = static_share(scn)
         welfare = {
             "me": float(np.dot(index.budgets, me.utilities)),
             "so": float(np.dot(index.budgets, so.utilities)),
@@ -319,11 +322,11 @@ def compare_schemes(
             name: (nash_welfare(rep.utilities, index.budgets) if np.all(rep.utilities > 0) else 0.0)
             for name, rep in (("me", me), ("so", so), ("ss", ss))
         }
-        hat = max_utilities(scn, config)
+        hat = max_utilities(scn)
         poa = None
         bound = math.nan
         if welfare["so"] > 0:
-            poa, bound = poa_bound(scn, hat, config, so_report=so, me_report=me)
+            poa, bound = poa_bound(scn, hat, so_report=so, me_report=me)
         comparisons.append(
             SchemeComparison(
                 alpha=float(alpha),
@@ -472,7 +475,7 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
     # price convergence trace
     if result.convergence_rows:
         path = os.path.join(outdir, "convergence.csv")
-        _write_csv(path, ("iteration", "cell", "resource", "price"), result.convergence_rows)
+        _write_csv(path, PRICE_TRACE_COLUMNS, result.convergence_rows)
         paths.append(path)
         cells = sorted({row[1] for row in result.convergence_rows})
         focus = cells[min(1, len(cells) - 1)]

@@ -54,42 +54,6 @@ def service_rates(index: MarketIndex, x: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(rates), rates, 0.0)
 
 
-def _check_rates(u: np.ndarray, alpha: float) -> None:
-    if np.any(np.asarray(u) < 0):
-        raise ValueError("negative service rate")
-    if math.isnan(alpha) or alpha < 0:
-        raise ValueError("alpha must be >= 0")
-
-
-def sp_utility(index: MarketIndex, rates: np.ndarray, s: int) -> float:
-    """Raw alpha-fair utility of SP ``s`` at the given per-triple rates.
-
-    alpha=0: sum w*u.  alpha=1: prod u**w.  alpha=inf: min u/n.
-    Otherwise sum w*u**(1-alpha)/(1-alpha).  A zero rate with positive
-    weight yields 0 (alpha=1) or -inf (alpha>1); both compare below any
-    positive-rate utility.
-    """
-    alpha = float(index.alphas[s])
-    rows = index.sp_rows(s)
-    u = np.asarray(rates, dtype=float)[rows]
-    w = index.weights[rows]
-    _check_rates(u, alpha)
-    if alpha == 0.0:
-        return float(np.dot(w, u))
-    if math.isinf(alpha):
-        return float(np.min(u / index.users[rows]))
-    if alpha == 1.0:
-        if np.any(u == 0):
-            return 0.0
-        with np.errstate(over="ignore"):
-            # the raw product form explodes for large weights; inf is honest
-            return float(np.exp(np.dot(w, np.log(u))))
-    if np.any(u == 0):
-        return -math.inf
-    with np.errstate(over="ignore"):
-        return float(np.dot(w, u ** (1.0 - alpha)) / (1.0 - alpha))
-
-
 def sp_utility_homog(index: MarketIndex, rates: np.ndarray, s: int) -> float:
     """Degree-one aggregate utility ``(sum w u^(1-a))^(1/(1-a))``.
 
@@ -102,7 +66,10 @@ def sp_utility_homog(index: MarketIndex, rates: np.ndarray, s: int) -> float:
     rows = index.sp_rows(s)
     u = np.asarray(rates, dtype=float)[rows]
     w = index.weights[rows]
-    _check_rates(u, alpha)
+    if np.any(u < 0):
+        raise ValueError("negative service rate")
+    if math.isnan(alpha) or alpha < 0:
+        raise ValueError("alpha must be >= 0")
     if math.isinf(alpha):
         return float(np.min(u / index.users[rows]))
     if alpha == 0.0:
@@ -120,9 +87,9 @@ def sp_utility_homog(index: MarketIndex, rates: np.ndarray, s: int) -> float:
     return float(np.exp(logsumexp(log_terms) / (1.0 - alpha)))
 
 
-def utilities(scn: NormalizedScenario, rates: np.ndarray, homogeneous: bool = True) -> np.ndarray:
-    fn = sp_utility_homog if homogeneous else sp_utility
-    return np.array([fn(scn.index, rates, s) for s in range(scn.index.n_sps)])
+def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
+    """Every provider's degree-one utility (:func:`sp_utility_homog`)."""
+    return np.array([sp_utility_homog(scn.index, rates, s) for s in range(scn.index.n_sps)])
 
 
 @dataclass(frozen=True)
@@ -272,7 +239,6 @@ class SolveReport:
     prices: np.ndarray
     allocation: Allocation
     utilities: np.ndarray
-    utilities_raw: np.ndarray
     spending: np.ndarray
     iterations: int
     converged: bool
@@ -306,8 +272,7 @@ def make_report(
         method=method,
         prices=prices,
         allocation=allocation,
-        utilities=utilities(scn, allocation.rates, homogeneous=True),
-        utilities_raw=utilities(scn, allocation.rates, homogeneous=False),
+        utilities=utilities(scn, allocation.rates),
         spending=spend,
         iterations=iterations,
         converged=converged,

@@ -300,19 +300,12 @@ class DemandKernel:
     concentration at small ``a`` stays finite.  ``a = 0`` has no closed form:
     its rows get the ``a = inf`` coefficients as a finite placeholder, and
     every caller rejects or skips alpha-0 providers.
-
-    Every sum adds the same terms in the same order as numpy does on the
-    dense layout (see :func:`_dense_sum_order`), so for triples consuming up
-    to three goods the results equal the dense evaluation's bit for bit.
-    That keeps the bid dynamics, which stop on a relative price change of
-    1e-9 or less, on the iteration counts and prices of the dense code.
     """
 
     def __init__(self, index: MarketIndex):
-        counts = index.consumed.sum(axis=1)
+        width = int(index.consumed.sum(axis=1).max())
         # consumed goods first, in increasing good order, then padding
-        goods = np.argsort(~index.consumed, axis=1, kind="stable")[:, : int(counts.max())]
-        self.goods = _dense_sum_order(goods, counts, index.n_goods)
+        self.goods = np.argsort(~index.consumed, axis=1, kind="stable")[:, :width]
         self.demand = np.take_along_axis(index.demand, self.goods, axis=1)
         self.n_goods, self.n_triples = index.n_goods, index.n_triples
         self.row_ids = np.arange(index.n_triples)[:, None]
@@ -510,32 +503,6 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
         names = [goods[g] for g in np.flatnonzero(idle)]
         warnings.warn(f"resources demanded by no SP are ignored: {names}", stacklevel=2)
     return NormalizedScenario(spec=spec, index=index)
-
-
-def _dense_sum_order(goods: np.ndarray, counts: np.ndarray, n_goods: int) -> np.ndarray:
-    """Order the slots of three-good rows so that summing a row left to right
-    associates the terms as numpy's pairwise sum over the dense row does.
-
-    A sum of two terms is exact in either order, so only rows with three
-    consumed goods need this; which pair the dense sum adds first is found
-    by probing it.  Rows with four or more goods keep increasing good order.
-    """
-    three = np.flatnonzero(counts == 3)
-    if three.size == 0:
-        return goods
-    keys, inverse = np.unique(goods[three, :3], axis=0, return_inverse=True)
-    at = np.arange(len(keys))
-    lone = np.zeros(len(keys), dtype=np.intp)
-    for k in range(3):
-        probe = np.zeros((len(keys), n_goods))
-        probe[at[:, None], keys] = 2.0 ** -53
-        probe[at, keys[:, k]] = 1.0
-        # (1 + h) + h rounds back to 1; 1 + (h + h) does not
-        lone[probe.sum(axis=1) != 1.0] = k
-    order = (lone[:, None] + np.array([1, 2, 0])) % 3
-    out = goods.copy()
-    out[three, :3] = np.take_along_axis(keys, order, axis=1)[inverse.reshape(-1)]
-    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Centralized equilibrium computation and baseline allocation schemes.
 
 ``solve_eg`` computes the market equilibrium (the optimum of the
-budget-weighted log-utility program whose capacity duals are the prices):
-for providers all at alpha >= 1 it delegates to the provably convergent bid
-dynamics; otherwise it runs projected Newton steps on the program's price
-dual, whose gradient is the excess supply of the closed-form demands.
+budget-weighted log-utility program whose capacity duals are the prices) at
+every alpha by projected Newton steps on the program's price dual, whose
+gradient is the excess supply of the closed-form demands.  The decentralized
+bid dynamics (:mod:`~slicemarket.dynamics`), the paper's learning
+algorithm, reach the same equilibrium without a central solver.
 ``solve_social_optimal`` and ``static_share`` are the efficiency and
 isolation baselines, both solved by primal log-barrier methods that certify
 their results by weak duality, and ``poa_bound`` / ``nash_welfare`` provide
@@ -20,7 +21,6 @@ import numpy as np
 from scipy import optimize  # unused here; bench/tracing.py wraps solvers.optimize
 from scipy.special import logsumexp
 
-from .dynamics import DynamicsConfig, run_dynamics
 from .market import (
     Allocation,
     SolveReport,
@@ -37,17 +37,14 @@ ALPHA_ZERO_SURROGATE = 1e-3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "auto"  # auto | dynamics | tatonnement
+    """Settings of :func:`solve_eg`: ``max_iterations`` caps the Newton
+    steps of each continuation stage."""
+
     max_iterations: int = 50000
-    tol: float = 1e-7
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.method not in ("auto", "dynamics", "tatonnement"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -139,39 +136,6 @@ def _with_surrogates(scn: NormalizedScenario, mapping) -> tuple[NormalizedScenar
     if not flags:
         return scn, {}
     return normalize_scenario(replace(scn.spec, sps=tuple(sps))), flags
-
-
-def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
-    """Market-equilibrium allocation and prices.
-
-    auto: bid dynamics when every alpha >= 1 (convergence guaranteed), a
-    projected Newton price adjustment otherwise (method ``"tatonnement"``,
-    see :func:`_price_newton`).  alpha=0 providers are routed through a
-    smoothed alpha=1e-3 surrogate and flagged in the report.
-    Deterministic: identical scenario and config give an identical report.
-    The dynamics route traces the potential and prices at the end points
-    only (the initial bids and the last iteration); call
-    :func:`~slicemarket.dynamics.run_dynamics` directly for a full trace.
-    ``converged`` rests on the absolute gaps of
-    :func:`~slicemarket.market.verify_equilibrium`;
-    ``residuals["br_gap_rel"]`` reports the best-response gap relative to
-    the best-response utility next to them.
-    """
-    config = config or SolverConfig()
-    method = config.method
-    all_geq1 = bool(np.all(scn.index.alphas >= 1.0))
-    if method == "auto":
-        method = "dynamics" if all_geq1 else "tatonnement"
-    if method == "dynamics":
-        if not all_geq1:
-            raise ValueError("dynamics method requires every alpha >= 1")
-        dcfg = DynamicsConfig(
-            max_iterations=config.max_iterations,
-            tol=max(config.tol * 1e-2, 1e-12),
-            trace_stride=config.max_iterations,
-        )
-        return run_dynamics(scn, dcfg)
-    return _solve_tatonnement(scn, config)
 
 
 class _UnitCost:
@@ -408,15 +372,24 @@ def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, pr
     return best_p, steps
 
 
-def _solve_tatonnement(scn: NormalizedScenario, config: SolverConfig) -> SolveReport:
-    """Market equilibrium by projected Newton steps on the price dual
-    (:func:`_price_newton`), for markets with some alpha < 1.
+def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
+    """Market-equilibrium allocation and prices, by projected Newton steps
+    on the Eisenberg-Gale price dual (:func:`_price_newton`) at every alpha.
 
-    alpha=0 providers run through the smoothed surrogate, reached by a
-    continuation over decreasing surrogate values so the near-linear final
-    stage starts from almost-equilibrium prices.  ``max_iterations`` caps the
-    Newton steps of each stage; ``iterations`` counts them all.
+    alpha=0 providers are routed through a smoothed alpha=1e-3 surrogate,
+    reached by a continuation over decreasing surrogate values so the
+    near-linear final stage starts from almost-equilibrium prices, and
+    flagged in ``surrogate_alphas``.  ``config.max_iterations`` caps the
+    Newton steps of each stage; ``iterations`` counts them all, and the price
+    trace holds every iterate.  The report's method is ``"tatonnement"``.
+    Deterministic: identical scenario and config give an identical report.
+    ``converged`` rests on the absolute gaps of
+    :func:`~slicemarket.market.verify_equilibrium` at its default tolerance;
+    ``residuals["br_gap_rel"]`` reports the best-response gap relative to
+    the best-response utility next to them.  The decentralized route to the
+    same equilibrium is :func:`~slicemarket.dynamics.run_dynamics`.
     """
+    config = config or SolverConfig()
     has_zero = bool(np.any(scn.index.alphas == 0.0))
     stages = [0.1, 0.01, ALPHA_ZERO_SURROGATE] if has_zero else [None]
     demanded = scn.index.demanded_goods()
@@ -439,8 +412,8 @@ def _solve_tatonnement(scn: NormalizedScenario, config: SolverConfig) -> SolveRe
     rates = _repair_rates(work.index, demand, np.ones(work.index.n_goods))
     allocation = _rate_allocation(work.index, rates)
     # the equilibrium flag is judged against the surrogate market (an exact
-    # alpha=0 equilibrium does not exist); gaps at the default 1e-6
-    check = verify_equilibrium(work, allocation, p, tol=max(config.tol, 1e-6))
+    # alpha=0 equilibrium does not exist)
+    check = verify_equilibrium(work, allocation, p)
     report = make_report(
         scn,
         method="tatonnement",
@@ -893,7 +866,7 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
     return lay.rates(y), prices, gap, it
 
 
-def solve_social_optimal(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
+def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     """Budget-weighted utilitarian optimum ``max sum_s B_s U_s`` under the
     capacity constraints, with the degree-one aggregate utilities so values
     are comparable across alpha and against the market schemes.
@@ -907,8 +880,7 @@ def solve_social_optimal(scn: NormalizedScenario, config: SolverConfig | None = 
     ``D_s lam`` of its classes.  ``prices`` are the certifying capacity
     duals, ``residuals["duality_gap"]`` is that bound over the returned
     welfare minus 1, ``converged`` means it is at most ``SO_GAP_TOL``, and
-    ``iterations`` counts Newton steps.  ``config`` is accepted for a
-    uniform scheme signature and not used.
+    ``iterations`` counts Newton steps.
     """
     index = scn.index
     rates, prices, gap, iterations = _concave_welfare_solve(index)
@@ -928,7 +900,7 @@ def solve_social_optimal(scn: NormalizedScenario, config: SolverConfig | None = 
     )
 
 
-def static_share(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
+def static_share(scn: NormalizedScenario) -> SolveReport:
     """Static proportional sharing: every provider is capped at its budget
     share of every resource and splits that box across its classes by its own
     alpha-fair optimum.
@@ -961,7 +933,7 @@ def static_share(scn: NormalizedScenario, config: SolverConfig | None = None) ->
     )
 
 
-def max_utilities(scn: NormalizedScenario, config: SolverConfig | None = None) -> np.ndarray:
+def max_utilities(scn: NormalizedScenario) -> np.ndarray:
     """Each provider's best achievable utility when it holds every resource
     alone (the scale constants of the price-of-anarchy bound)."""
     index = scn.index
@@ -981,7 +953,6 @@ def nash_welfare(util: np.ndarray, budgets: np.ndarray) -> float:
 def poa_bound(
     scn: NormalizedScenario,
     max_utils: np.ndarray | None = None,
-    config: SolverConfig | None = None,
     so_report: SolveReport | None = None,
     me_report: SolveReport | None = None,
 ) -> tuple[float, float]:
@@ -993,16 +964,15 @@ def poa_bound(
     - 1/S + min/sum`` (which reduces to ``1 - (2 sqrt(S) - 1)/S`` when they
     are all equal).
     """
-    config = config or SolverConfig()
     if max_utils is None:
-        max_utils = max_utilities(scn, config)
+        max_utils = max_utilities(scn)
     max_utils = np.asarray(max_utils, dtype=float)
     if np.any(max_utils <= 0):
         raise ValueError("standalone utilities must be positive")
     if so_report is None:
-        so_report = solve_social_optimal(scn, config)
+        so_report = solve_social_optimal(scn)
     if me_report is None:
-        me_report = solve_eg(scn, config)
+        me_report = solve_eg(scn)
     budgets = scn.index.budgets
     u_so = float(np.dot(budgets, so_report.utilities))
     u_me = float(np.dot(budgets, me_report.utilities))

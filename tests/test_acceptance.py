@@ -80,17 +80,17 @@ def test_c01_equilibrium_certificate():
 
 def test_c02_convergence_rate_bound():
     """Potential gap after T steps within the KL budget over T, for
-    T in {10, 100, 1000}, against a 1e5-iteration reference."""
+    T in {10, 100, 1000}, against the certified equilibrium of solve_eg."""
     rng = np.random.default_rng(7)
     worst_slack = -math.inf
+    uncertified = 0
     for _ in range(20):
         spec = random_scenario(
             rng, n_sps=2, n_cells=2, alphas=[1.0, 1.5, 2.0, 5.0, math.inf]
         )
         scn = normalize_scenario(spec)
-        ref = run_dynamics(
-            scn, DynamicsConfig(max_iterations=100000, tol=0.0, trace_stride=10000)
-        )
+        ref = solve_eg(scn)
+        uncertified += not ref.converged
         phi_star = eval_potential(scn, ref.bids).phi_total
         budget = convergence_certificate(scn, ref.bids, uniform_bids(scn.index))
         run = run_dynamics(scn, DynamicsConfig(max_iterations=1000, tol=0.0))
@@ -98,8 +98,9 @@ def test_c02_convergence_rate_bound():
             slack = (run.potential_trace[t] - phi_star) - budget / t
             worst_slack = max(worst_slack, slack)
     _report(
-        worst_slack <= 1e-8,
-        f"criterion 2: O(1/T) certificate on 20 instances (worst slack {worst_slack:.2e})",
+        worst_slack <= 1e-8 and uncertified == 0,
+        f"criterion 2: O(1/T) certificate on 20 instances (worst slack {worst_slack:.2e}, "
+        f"{uncertified} references uncertified)",
     )
 
 

@@ -8,18 +8,13 @@ import pytest
 from slicemarket import (
     CellDef,
     ClassDef,
-    DynamicsConfig,
     ProviderDef,
     ResourceDef,
     ScenarioSpec,
-    SolverConfig,
     SupportEntry,
     best_response,
     bid_update,
     normalize_scenario,
-    random_scenario,
-    run_dynamics,
-    solve_eg,
 )
 
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, math.inf)
@@ -121,18 +116,3 @@ def test_best_response_ignores_other_providers_free_classes():
         best_response(scn, p, 1)
     with pytest.raises(ValueError):
         bid_update(scn, p, 0)
-
-
-def test_solve_eg_traces_end_points_only():
-    rng = np.random.default_rng(131)
-    scn = normalize_scenario(random_scenario(rng, alphas=[1.0, 2.0, math.inf], n_sps=3))
-    config = SolverConfig()
-    rep = solve_eg(scn, config)
-    full = run_dynamics(
-        scn, DynamicsConfig(max_iterations=config.max_iterations, tol=max(config.tol * 1e-2, 1e-12))
-    )
-    assert rep.method == "dynamics"
-    assert rep.iterations == full.iterations
-    assert np.array_equal(rep.prices, full.prices)
-    assert len(full.potential_trace) == full.iterations + 1
-    assert len(rep.potential_trace) <= 2

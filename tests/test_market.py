@@ -15,7 +15,6 @@ from slicemarket import (
     normalize_scenario,
     service_rate,
     solve_eg,
-    sp_utility,
     sp_utility_homog,
     static_share,
     tp_allocate,
@@ -99,29 +98,21 @@ def rates_scn(alpha, users=(1, 1), weights=(1.0, 1.0)):
 class TestUtilities:
     def test_linear(self):
         scn = rates_scn(0.0)
-        assert sp_utility(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(10.0)
-
-    def test_cobb_douglas(self):
-        scn = rates_scn(1.0)
-        assert sp_utility(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(16.0)
-
-    def test_alpha_two(self):
-        scn = rates_scn(2.0)
-        assert sp_utility(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(-0.625)
+        assert sp_utility_homog(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(10.0)
 
     def test_max_min(self):
         scn = rates_scn(math.inf, users=(2, 4), weights=(None, None))
-        assert sp_utility(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(1.0)
+        assert sp_utility_homog(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(1.0)
 
     def test_zero_rate_markers(self):
+        # a class left at rate 0 zeroes the utility at alpha >= 1
         u = np.array([0.0, 8.0])
-        assert sp_utility(rates_scn(1.0).index, u, 0) == 0.0
-        assert sp_utility(rates_scn(2.0).index, u, 0) == -math.inf
-        assert sp_utility(rates_scn(2.0).index, u, 0) < -1e300
+        assert sp_utility_homog(rates_scn(1.0).index, u, 0) == 0.0
+        assert sp_utility_homog(rates_scn(2.0).index, u, 0) == 0.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            sp_utility(rates_scn(1.0).index, np.array([-1.0, 1.0]), 0)
+            sp_utility_homog(rates_scn(1.0).index, np.array([-1.0, 1.0]), 0)
 
     def test_homog_alpha_two(self):
         scn = rates_scn(2.0)
@@ -256,15 +247,6 @@ def test_bid_tensor_budget_check():
         BidTensor(np.array([[0.2, 0.3], [0.3, 0.3]])).check(scn.index)
     with pytest.raises(ValueError, match="negative"):
         BidTensor(np.array([[-0.1, 0.5], [0.3, 0.3]])).check(scn.index)
-
-
-def test_raw_and_aggregate_utilities_disagree_in_scale_only():
-    scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [2.0, 2.0], [0.5, 0.5])
-    rep = solve_eg(scn)
-    # alpha=2: raw objective is negative, aggregate is its positive transform
-    assert np.all(rep.utilities_raw < 0)
-    assert np.all(rep.utilities > 0)
-    assert np.allclose(rep.utilities, -1.0 / rep.utilities_raw, rtol=1e-12)
 
 
 def test_settle_bids_matches_tp_at_interior_fixed_point():

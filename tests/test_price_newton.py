@@ -1,6 +1,7 @@
-"""The market equilibrium of markets with some alpha < 1 (the projected
-Newton route): certification on the preset, the Eisenberg-Gale optimum of
-random mixed-alpha markets as found by SLSQP, and degenerate cells."""
+"""The market equilibrium by projected Newton steps on the price dual:
+certification on the preset, agreement with the bid dynamics at alpha >= 1,
+the Eisenberg-Gale optimum of random mixed-alpha markets as found by SLSQP,
+and degenerate cells."""
 
 import math
 import warnings
@@ -14,6 +15,7 @@ from scipy.special import logsumexp
 from slicemarket import (
     CellDef,
     ClassDef,
+    DynamicsConfig,
     LoadModel,
     ProviderDef,
     ResourceDef,
@@ -23,6 +25,7 @@ from slicemarket import (
     instantiate,
     normalize_scenario,
     random_scenario,
+    run_dynamics,
     solve_eg,
 )
 from slicemarket.market import utilities
@@ -32,7 +35,7 @@ from tests.test_social_optimal import variables
 MIXED_ALPHAS = [0.0, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, math.inf]
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 5.0, math.inf])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_preset_certifies(seed, alpha):
     spec = instantiate(benchmark_preset(), LoadModel(seed=seed), 0).with_alphas(alpha)
@@ -41,6 +44,16 @@ def test_preset_certifies(seed, alpha):
     assert rep.converged
     assert rep.iterations <= 60
     assert rep.residuals["br_gap_rel"] <= 1e-12
+
+
+def test_agrees_with_bid_dynamics_at_alpha_geq_one():
+    rng = np.random.default_rng(223)
+    for _ in range(30):
+        scn = normalize_scenario(random_scenario(rng, alphas=[1.0, 1.5, 2.0, 5.0, math.inf]))
+        rep = solve_eg(scn)
+        dyn = run_dynamics(scn, DynamicsConfig(max_iterations=100000, tol=1e-13))
+        assert rep.converged and dyn.converged
+        np.testing.assert_allclose(rep.prices, dyn.prices, rtol=0, atol=1e-10)
 
 
 def surrogate(spec):

@@ -148,11 +148,6 @@ class TestSolveEG:
         assert rep.allocation.x[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert rep.allocation.x[1, 1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_dynamics_method_requires_alpha_geq_one(self):
-        scn = make_scn([[1.0, 1.0], [1.0, 1.0]], [0.5, 1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            solve_eg(scn, SolverConfig(method="dynamics"))
-
     def test_alpha_zero_surrogate_flagged(self):
         scn = make_scn([[1.0, 0.3], [0.4, 1.0]], [0.0, 1.0], [0.5, 0.5])
         rep = solve_eg(scn)
