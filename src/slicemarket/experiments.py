@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +149,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _format_column(values: tuple) -> list[str]:
+    """The cells of one CSV column as :func:`_fmt` writes them, with one
+    formatter for the whole column where its values share a type."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return ["%.17g" % x for x in values]
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
 def _scheme_rows(instance: int, alpha: float, spec: ScenarioSpec, schemes) -> list[tuple]:
     """Long-format rows for one (instance, alpha): one row per
     (scheme, sp, cell, class)."""
@@ -204,9 +216,10 @@ class ExperimentResult:
     sensitivity_rows: list[tuple]
     convergence_rows: list[tuple]
 
+    @cached_property
     def aggregates(self) -> list[tuple]:
         """Mean/variance of rate and utility across instances, per
-        (alpha, scheme, sp, class)."""
+        (alpha, scheme, sp, class), computed once."""
         groups: dict[tuple, list[tuple[float, float]]] = {}
         for row in self.rows:
             key = (row[1], row[2], row[3], row[5])
@@ -353,11 +366,11 @@ def compare_schemes(spec: ScenarioSpec | NormalizedScenario, alphas) -> WelfareR
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: str, header, rows) -> None:
+    columns = [_format_column(col) for col in zip(*rows)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*columns))
 
 
 def emit_csv(result: ExperimentResult, outdir: str) -> list[str]:
@@ -381,7 +394,7 @@ def emit_csv(result: ExperimentResult, outdir: str) -> list[str]:
             "var_utility",
             "instances",
         ),
-        result.aggregates(),
+        result.aggregates,
     )
     paths.append(path)
     return paths
@@ -391,7 +404,7 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
     """Per-study CSV plus a self-contained SVG chart for each study."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
-    agg = result.aggregates()
+    agg = result.aggregates
 
     # fairness-parameter effect on per-user rates
     path = os.path.join(outdir, "alpha_effect.csv")
