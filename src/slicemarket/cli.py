@@ -8,7 +8,6 @@ trading-post run), ``experiment`` (batch study per config), ``compare``
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -162,24 +161,25 @@ def cmd_compare(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "compare.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("alpha", "scheme", "sp", "utility", "welfare", "nash_welfare", "poa", "poa_bound"))
-            for comp in report.comparisons:
-                for scheme in ("so", "me", "ss"):
-                    for s, name in enumerate(report.sp_names):
-                        writer.writerow(
-                            (
-                                f"{comp.alpha:.17g}",
-                                scheme,
-                                name,
-                                f"{comp.utilities[scheme][s]:.17g}",
-                                f"{comp.welfare[scheme]:.17g}",
-                                f"{comp.nash[scheme]:.17g}",
-                                "" if comp.poa_value is None else f"{comp.poa_value:.17g}",
-                                f"{comp.poa_bound:.17g}",
-                            )
-                        )
+        _write_csv(
+            path,
+            ("alpha", "scheme", "sp", "utility", "welfare", "nash_welfare", "poa", "poa_bound"),
+            [
+                (
+                    comp.alpha,
+                    scheme,
+                    name,
+                    comp.utilities[scheme][s],
+                    comp.welfare[scheme],
+                    comp.nash[scheme],
+                    comp.poa_value,
+                    comp.poa_bound,
+                )
+                for comp in report.comparisons
+                for scheme in ("so", "me", "ss")
+                for s, name in enumerate(report.sp_names)
+            ],
+        )
         print(f"wrote {path}")
     return 0
 
