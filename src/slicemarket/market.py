@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import MarketIndex, NormalizedScenario
 
@@ -84,7 +83,15 @@ def sp_utility_homog(index: MarketIndex, rates: np.ndarray, s: int) -> float:
     if not pos.any():
         return 0.0
     log_terms = np.log(w[pos]) + (1.0 - alpha) * np.log(u[pos])
-    return float(np.exp(logsumexp(log_terms) / (1.0 - alpha)))
+    return float(np.exp(_logsumexp(log_terms) / (1.0 - alpha)))
+
+
+def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``, shifted by the largest term so
+    that no term overflows."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:

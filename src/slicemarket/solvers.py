@@ -7,9 +7,9 @@ gradient is the excess supply of the closed-form demands.  The decentralized
 bid dynamics (:mod:`~slicemarket.dynamics`), the paper's learning
 algorithm, reach the same equilibrium without a central solver.
 ``solve_social_optimal`` and ``static_share`` are the efficiency and
-isolation baselines, both solved by primal log-barrier methods that certify
-their results by weak duality, and ``poa_bound`` / ``nash_welfare`` provide
-the fairness/efficiency diagnostics.
+isolation baselines, both solved by one primal-dual interior-point engine
+(:func:`_interior_point`) and certified by weak duality, and ``poa_bound`` /
+``nash_welfare`` provide the fairness/efficiency diagnostics.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize  # unused here; bench/tracing.py wraps solvers.optimize
-from scipy.special import logsumexp
 
 from .market import (
     Allocation,
+    _logsumexp,
     SolveReport,
     make_report,
     sp_utility_homog,
@@ -311,7 +311,7 @@ def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, pr
         h = h[np.ix_(free, free)]
         h[np.diag_indices_from(h)] += mu
         d = np.zeros(n_goods)
-        d[free] = _newton_direction(h, grad[free])
+        d[free] = _newton_direction(h[None], grad[free][None])[0]
         return d
 
     def search(p, d, grad, value, scale):
@@ -435,20 +435,264 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
 
 
 # ---------------------------------------------------------------------------
+# Welfare maximization under capacities: the interior-point engine shared by
+# the static share and the social optimum
+# ---------------------------------------------------------------------------
+
+#: Relative gap at which an interior-point solve stops: a (provider, cell)
+#: block of a static share, or a social optimum.
+_BARRIER_STOP_GAP = 1e-11
+
+#: Newton-step cap of an interior-point solve.  On the 7-cell preset a
+#: static share takes 8-16 steps at alpha 0-20 and up to 24 at alpha 100; a
+#: social optimum takes 10-26 steps at alpha 0, 0.5, 1 and inf, 35-45 at
+#: alpha 2-20 and 55-80 at alpha 100.  The counts barely grow with size: 13
+#: to 84 steps at 28 and 112 cells.
+_BARRIER_MAX_STEPS = 1000
+
+#: Armijo fraction of the predicted decrease of the barrier function.
+_IP_ARMIJO = 1e-4
+
+#: Bound on how far the duals may stray from their central values ``nu /
+#: slack`` (``kappa_Sigma`` of Wachter & Biegler).
+_IP_DUAL_SPREAD = 1e10
+
+
+class _Welfare:
+    """Budget-weighted welfare ``W = sum_s B_s U_s(y)`` of a batch of
+    problems that share one layout of variables.
+
+    Variable ``v`` belongs to provider ``seg[v]`` (providers are contiguous
+    segments) and stands for the rate ``u = exp(log_ref) y``.  ``U_s`` is the
+    degree-one utility ``(sum w u^q)^(1/q)`` of its provider's rates,
+    ``prod u^(w / sum w)`` at ``q = 0``.  Arrays are ``[batch, n]`` per
+    variable and ``[batch, n_sp]`` per provider; a variable of weight 0
+    (``log_w = -inf``) is padding and takes no share of its utility.
+    """
+
+    def __init__(self, log_w, q, seg, log_b, log_ref):
+        self.log_w, self.q, self.seg, self.log_b, self.log_ref = log_w, q, seg, log_b, log_ref
+        self.starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        self.q_sp = q[:, self.starts]
+        self.alpha_sp = 1.0 - self.q_sp
+        self.same_sp = seg[:, None] == seg[None, :]
+
+    def seg_sum(self, values):
+        return np.add.reduceat(values, self.starts, axis=-1)
+
+    def utilities(self, y):
+        """Log of every provider's utility at ``y`` and the shares ``pi_v =
+        w u^q / sum w u^q`` (``w / sum w`` at ``q = 0``) of its terms."""
+        log_u = self.log_ref + np.log(y)
+        h = self.log_w + self.q * log_u
+        top = np.maximum.reduceat(h, self.starts, axis=-1)
+        e = np.exp(h - top[:, self.seg])
+        tot = self.seg_sum(e)
+        pi = e / tot[:, self.seg]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_u_sp = np.where(
+                self.q_sp == 0.0,
+                self.seg_sum(pi * log_u),
+                (top + np.log(tot)) / self.q_sp,
+            )
+        return log_u_sp, pi
+
+    def log_welfare(self, log_u_sp):
+        """Log of the welfare of every problem from its providers' log
+        utilities."""
+        return _logsumexp(self.log_b + log_u_sp, axis=-1)
+
+    def rel_change(self, pi, log_ratio):
+        """Relative change of every provider's utility when each variable is
+        multiplied by ``exp(log_ratio)``, summed from per-term differences."""
+        x = self.seg_sum(pi * _power_change(self.q, log_ratio))
+        return _utility_change(self.q_sp, x)
+
+
+def _interior_point(welfare: _Welfare, amat, var_mask, certified):
+    """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
+    for every problem ``b`` of a batch at once.
+
+    Primal-dual interior-point method in the monotone mode of IPOPT
+    (Wachter & Biegler, *On the implementation of an interior-point filter
+    line-search algorithm for large-scale nonlinear programming*, Math.
+    Prog. 2006; Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997).
+    The objective is ``f = -W / W_0``, ``W_0`` the welfare at the start
+    ``y = 0.9``, with slacks ``s = 1 - amat^T y`` carried along the steps
+    (which keeps their relative precision near 0), capacity duals ``lam``
+    and bound duals ``mu``.  A step is the Newton step of the barrier
+    problem ``phi_nu = f - nu sum log s - nu sum log y``: one dense ``[batch,
+    n, n]`` system ``(hess f + amat diag(lam / s) amat^T + diag(mu / y)) dy
+    = -grad phi_nu`` (:func:`_newton_direction`), where provider ``s`` adds
+    ``(B_s U_s / W_0) a (diag(pi / y^2) - g g^T)`` with ``g = pi / y`` to
+    ``hess f``.
+
+    - ``nu`` starts at 0.1 and falls tenfold, as often as it takes, while
+      the KKT error of the barrier problem is at most ``10 nu``.  That error
+      is the largest of the complementarity residuals ``|lam s - nu|`` and
+      ``|mu y - nu|`` and of the stationarity residual per relative change
+      of each variable, ``y |grad f + amat lam - mu|``.
+    - The primal and the dual steps are cut separately to the fraction
+      ``max(0.99, 1 - nu)`` of the distance to the boundary.  The primal step
+      is cut further so that no variable of a provider with alpha > 1 falls
+      below half its value: there the objective is too steep for the Newton
+      model, and a variable that overshoots creeps back only slowly.
+    - The primal step is halved until ``phi_nu`` falls by the Armijo
+      fraction of its predicted decrease; the change of ``phi_nu`` is summed
+      from per-term differences (:meth:`_Welfare.rel_change`) so that no
+      large values cancel.
+    - After a primal step below 0.1 the duals are reset to their central
+      values ``nu / s`` and ``nu / y``; they are always kept within a factor
+      ``_IP_DUAL_SPREAD`` of them.
+
+    ``var_mask`` marks real variables (padding is pinned at 1), and goods
+    that no variable uses carry no constraint.  After every step
+    ``certified(y, lam, log_u)`` says which problems are solved, given the
+    capacity duals in units of the welfare and the providers' log utilities;
+    a solved problem takes no further step.  Returns ``(y, lam,
+    iterations)``.
+    """
+    nb, n, m = amat.shape
+    amat_t = amat.transpose(0, 2, 1)
+    free = var_mask.astype(float)
+    cons = (amat > 0).any(axis=1).astype(float)
+    steep = var_mask & (welfare.alpha_sp[:, welfare.seg] > 1.0)
+    diag = np.arange(n)
+    eps = np.finfo(float).eps
+    y = np.where(var_mask, 0.9, 1.0)
+    s = 1.0 - (amat_t @ y[:, :, None])[:, :, 0]
+    log_u, pi = welfare.utilities(y)
+    scale = np.exp(welfare.log_welfare(log_u))[:, None]  # W_0
+    nu = np.full((nb, 1), 0.1)
+    lam = cons * nu / s
+    mu = free * nu / y
+    done = np.zeros((nb, 1), dtype=bool)
+    for it in range(1, _BARRIER_MAX_STEPS + 1):
+        coef = np.exp(welfare.log_b + log_u) / scale  # B_s U_s / W_0
+        c_var = coef[:, welfare.seg]
+        grad = -c_var * pi / y
+        stat = (y * np.abs(grad + (amat @ lam[:, :, None])[:, :, 0] - mu)).max(axis=1, keepdims=True)
+        lam_s, mu_y = lam * s, mu * y
+        while True:
+            err = np.maximum.reduce([
+                stat,
+                np.abs(lam_s - cons * nu).max(axis=1, keepdims=True),
+                np.abs(mu_y - free * nu).max(axis=1, keepdims=True),
+            ])
+            small = ~done & (err <= 10.0 * nu)
+            if not small.any():
+                break
+            nu = np.where(small, 0.1 * nu, nu)
+        curv = (coef * welfare.alpha_sp)[:, welfare.seg]
+        cg = curv * pi / y
+        hess = (amat * (lam / s)[:, None, :]) @ amat_t
+        hess -= cg[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
+        hess[:, diag, diag] += (cg + mu) / y + (1.0 - free)
+        rhs = free * (nu / y - grad) - (amat @ (cons * nu / s)[:, :, None])[:, :, 0]
+        dy = _newton_direction(hess, rhs)
+        ds = -(amat_t @ dy[:, :, None])[:, :, 0]
+        ry, rs = dy / y, ds / s
+        dlam = cons * nu / s - lam - lam * rs
+        dmu = free * nu / y - mu - mu * ry
+        tau = np.maximum(0.99, 1.0 - nu)
+        with np.errstate(divide="ignore"):
+            step = np.minimum(
+                np.minimum(
+                    np.where(ry < 0, -np.where(steep, 0.5, tau) / ry, np.inf).min(axis=1, keepdims=True),
+                    np.where(rs < 0, -tau / rs, np.inf).min(axis=1, keepdims=True),
+                ),
+                1.0,
+            )
+            dual_step = np.minimum(
+                np.minimum(
+                    np.where(dlam < 0, -tau * lam / dlam, np.inf).min(axis=1, keepdims=True),
+                    np.where(dmu < 0, -tau * mu / dmu, np.inf).min(axis=1, keepdims=True),
+                ),
+                1.0,
+            )
+        step[done] = 0.0
+        dual_step[done] = 0.0
+        pred = (rhs * dy).sum(axis=1, keepdims=True)
+        # below this the change of phi_nu is lost in the rounding of its terms
+        noise = 8.0 * eps * (np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
+                             + nu * (np.abs(ry).sum(axis=1, keepdims=True) + np.abs(rs).sum(axis=1, keepdims=True)))
+        trust = pred <= noise
+        while True:
+            ly = np.log1p(step * ry)
+            change = (
+                -(coef * welfare.rel_change(pi, ly)).sum(axis=1, keepdims=True)
+                - nu * (ly.sum(axis=1, keepdims=True) + np.log1p(step * rs).sum(axis=1, keepdims=True))
+            )
+            short = (step > 0.0) & ~trust & ~(change <= -_IP_ARMIJO * step * pred)
+            if not short.any():
+                break
+            step = np.where(short, 0.5 * step, step)
+        y = y + step * dy
+        s = s + step * ds
+        lam = lam + dual_step * dlam
+        mu = mu + dual_step * dmu
+        reset = ~done & (step < 0.1)
+        if reset.any():
+            lam = np.where(reset, cons * nu / s, lam)
+            mu = np.where(reset, free * nu / y, mu)
+        lam = np.minimum(np.maximum(lam, cons * nu / (_IP_DUAL_SPREAD * s)), cons * _IP_DUAL_SPREAD * nu / s)
+        mu = np.minimum(np.maximum(mu, free * nu / (_IP_DUAL_SPREAD * y)), free * _IP_DUAL_SPREAD * nu / y)
+        log_u, pi = welfare.utilities(y)
+        done |= certified(y, lam * scale, log_u)[:, None]
+        if done.all():
+            break
+    return y, lam * scale, it
+
+
+def _newton_direction(hess, rhs):
+    """Solutions of ``hess[b] x = rhs[b]`` for a batch of positive definite
+    Newton matrices.
+
+    On a face of optima (identical providers, say) the barrier's curvature
+    across the binding constraints outgrows the curvature along the face by
+    more than the floating-point range, so the matrix is singular in
+    floating point and LU breaks down or returns an ascent direction.  Then
+    the direction comes from the eigen-decomposition of the diagonally
+    scaled matrix, with the directions whose curvature is lost in rounding
+    left out.
+    """
+    try:
+        x = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+    bad = ~((rhs * x).sum(axis=-1) > 0.0)
+    if bad.any():
+        h, r = hess[bad], rhs[bad]
+        d = 1.0 / np.sqrt(np.diagonal(h, axis1=1, axis2=2))
+        curv, vec = np.linalg.eigh(h * d[:, :, None] * d[:, None, :])
+        keep = curv > curv.max(axis=1, keepdims=True) * r.shape[1] * np.finfo(float).eps
+        coord = np.einsum("bij,bi->bj", vec, d * r)
+        x[bad] = d * np.einsum("bij,bj->bi", vec, np.where(keep, coord / np.where(keep, curv, 1.0), 0.0))
+    return x
+
+
+def _power_change(q, x):
+    """``(e^(q x) - 1) / q``, and ``x`` where ``q = 0``: the change of
+    ``v^q / q`` (of ``log v`` at ``q = 0``) from ``v`` to ``v e^x``, in
+    units of ``v^q``, without cancellation for small ``x``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(q == 0.0, x, np.expm1(q * x) / np.where(q == 0.0, 1.0, q))
+
+
+def _utility_change(q, x):
+    """Relative change of a degree-one utility ``S^(1/q)`` (``exp S`` at
+    ``q = 0``) whose sum ``S / q`` changes by ``x`` in units of ``S``:
+    ``(1 + q x)^(1/q) - 1``, and ``e^x - 1`` at ``q = 0``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(q == 0.0, np.expm1(x), np.expm1(np.log1p(q * x) / q))
+
+
+# ---------------------------------------------------------------------------
 # Single-provider alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
 #: Relative duality gap up to which a static-share solve reports convergence.
 SS_GAP_TOL = 1e-9
-
-#: Relative gap at which a barrier solve stops: a (provider, cell) block of
-#: a static share, or a social optimum.
-_BARRIER_STOP_GAP = 1e-11
-
-#: Newton-step cap of a barrier solve.  A static share takes 50-70 steps at
-#: alpha 0-5, about 100 at alpha 10-20 and up to about 260 at alpha 100; a
-#: social optimum about 140-190 steps at 7 cells, 280 at 28 and 550 at 112.
-_BARRIER_MAX_STEPS = 1000
 
 
 def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -456,15 +700,18 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     good (``caps`` is ``[n_sps, n_goods]``).
 
     Max-min providers have the waterfill closed form (a common per-user level
-    set by the tightest good).  For finite alpha, maximizing the degree-one
-    aggregate is a monotone transform of the separable sum
-    ``sum w u^(1-alpha) / (1-alpha)`` (``sum w log u`` at alpha=1), and the
-    caps couple classes only within a cell, so every (provider, cell) block
-    of :attr:`~slicemarket.model.MarketIndex.blocks` is an independent
-    concave problem.  Each block is scaled to O(1) (rates in units of an
-    equal split of its box, capacities and objective weights to one) and all
-    blocks of all providers are solved together by :func:`_barrier_solve`;
-    each block is then scaled up onto its capacity frontier, which can only
+    set by the tightest good).  For finite alpha the caps couple classes only
+    within a cell, so every (provider, cell) block of
+    :attr:`~slicemarket.model.MarketIndex.blocks` is an independent problem:
+    maximize the block's degree-one utility ``(sum c z^(1-alpha))^(1/(1-alpha))``
+    under its capacities.  Each block is scaled to O(1) (rates ``z`` in units
+    of an equal split of its box, capacities to one and the weights ``c`` to
+    sum to one), and all blocks of all providers are solved together by
+    :func:`_interior_point` as single-provider welfare problems.  A block
+    stops once :func:`_block_gap` certifies it on the separable sum ``sum c
+    z^(1-alpha) / (1-alpha)``, which has the same optimum; its capacity
+    duals are the solve's scaled by ``U^(-alpha)``, ``U`` the block utility.
+    Each block is then scaled up onto its capacity frontier, which can only
     raise every utility.
 
     Returns ``(rates, gaps, iterations)``.  ``gaps[s]`` is a certified bound
@@ -484,18 +731,41 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     if blocks.sp.size == 0:
         return rates, gaps, 0
 
+    mask, alpha = blocks.class_mask, blocks.alphas
     cap = np.where(blocks.good_mask, caps[blocks.sp[:, None], blocks.goods], 1.0)
     with np.errstate(divide="ignore"):
         box = np.where(blocks.demand > 0, cap[:, None, :] / blocks.demand, np.inf).min(axis=2)
-        ref = np.where(blocks.class_mask, box / blocks.class_mask.sum(axis=1)[:, None], 1.0)
-        log_c = np.log(blocks.weights) + (1.0 - blocks.alphas)[:, None] * np.log(ref)
-    log_norm = logsumexp(log_c, axis=1)
-    c = np.exp(log_c - log_norm[:, None])
+        ref = np.where(mask, box / mask.sum(axis=1)[:, None], 1.0)
+        log_c = np.log(blocks.weights) + (1.0 - alpha)[:, None] * np.log(ref)
+    log_norm = _logsumexp(log_c, axis=1)
+    log_c = log_c - log_norm[:, None]
+    c = np.exp(log_c)
     a_mat = blocks.demand * (ref[:, :, None] / cap[:, None, :])
-    z, lam, iterations = _barrier_solve(a_mat, c, blocks.alphas, blocks.class_mask)
+    welfare = _Welfare(
+        log_c,
+        np.broadcast_to((1.0 - alpha)[:, None], c.shape),
+        np.zeros(c.shape[1], dtype=np.intp),
+        np.zeros((c.shape[0], 1)),
+        np.zeros(c.shape),
+    )
+
+    def certified(z, lam, log_u):
+        # the gap holds lam . slack, which is lam_U . slack / U in units of
+        # the sum U^(1-alpha)
+        slack = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
+        out = (lam * slack).sum(axis=1) <= _BARRIER_STOP_GAP * np.exp(log_u[:, 0])
+        if out.any():
+            gap, total = _block_gap(
+                a_mat[out], c[out], alpha[out], mask[out], z[out], lam[out] * np.exp(-alpha[out, None] * log_u[out])
+            )
+            out[out] = gap <= _BARRIER_STOP_GAP * total
+        return out
+
+    z, lam, iterations = _interior_point(welfare, a_mat, mask, certified)
+    lam = lam * np.exp(-alpha[:, None] * welfare.utilities(z)[0])
     z /= np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
-    gap, total = _block_gap(a_mat, c, blocks.alphas, blocks.class_mask, z, lam)
-    rates[blocks.rows[blocks.class_mask]] = (ref * z)[blocks.class_mask]
+    gap, total = _block_gap(a_mat, c, alpha, mask, z, lam)
+    rates[blocks.rows[mask]] = (ref * z)[mask]
 
     # per-provider sums in the original units, where block b's objective is
     # exp(log_norm[b]) times its scaled one
@@ -513,82 +783,11 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     return rates, gaps, iterations
 
 
-def _barrier_solve(a_mat, c, alpha, class_mask):
-    """Maximize ``sum_k c_k h(z_k)`` subject to ``a_mat[b]^T z <= 1`` and
-    ``z >= 0`` in every block ``b`` at once, where ``h(z) = z^(1-a) / (1-a)``
-    (``log z`` at ``a = 1``) with the block's ``a = alpha[b]``.
-
-    Primal log-barrier method (Boyd & Vandenberghe, *Convex Optimization*,
-    section 11.3): minimize ``-t * objective - sum log slack - sum log z``
-    by damped Newton steps (:func:`_damped_step`).  ``t`` starts where objective and
-    barrier weigh alike and grows tenfold whenever a block is centered,
-    until the barrier's gap bound ``n_constraints / t`` is a tenth of the
-    block's tolerance.  The Newton systems of all blocks form one
-    ``[n_blocks, K, K]`` solve.  The slacks are carried along the steps
-    instead of being recomputed as ``1 - a z``, which keeps their relative
-    precision as they approach 0 and with it the accuracy of the capacity
-    duals ``1 / (t * slack)``.  A block stops once :func:`_block_gap`
-    certifies it.
-
-    Padded classes are pinned (identity Newton rows); padded goods carry no
-    demand and no dual.  Returns ``(z, duals, iterations)``.
-    """
-    nb, nk, nm = a_mat.shape
-    alpha_k = alpha[:, None]
-    q = 1.0 - alpha_k
-    eye = np.eye(nk)
-    kmask = class_mask.astype(float)
-    pinned = eye * (1.0 - kmask)[:, :, None]
-    jmask = (a_mat > 0).any(axis=1)
-    n_con = jmask.sum(axis=1) + class_mask.sum(axis=1)
-    z = np.where(class_mask, 0.9, 1.0)
-    s = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
-    # start where the objective weighs about as much as the barrier:
-    # t * sum c z^(1-a) = 1 at z = 0.9
-    t = 0.9 ** (alpha - 1.0)
-    done = np.zeros(nb, dtype=bool)
-    for it in range(1, _BARRIER_MAX_STEPS + 1):
-        inv_s = 1.0 / s
-        zpow = np.exp(-alpha_k * np.log(z))
-        tc = t[:, None] * c
-        grad = np.einsum("bkj,bj->bk", a_mat, inv_s) - tc * zpow - kmask / z
-        curv = tc * alpha_k * zpow / z + kmask / z**2
-        hess = (a_mat * inv_s[:, None, :] ** 2) @ a_mat.transpose(0, 2, 1)
-        hess += pinned + curv[:, :, None] * eye
-        dz = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        dec = -(grad * dz).sum(axis=1)
-        ds = -np.einsum("bkj,bk->bj", a_mat, dz)
-        with np.errstate(divide="ignore"):
-            room = np.minimum(
-                np.where(dz < 0, -z / dz, np.inf).min(axis=1),
-                np.where(ds < 0, -s / ds, np.inf).min(axis=1),
-            )
-        rz, rs = dz / z, ds / s
-        zq = tc * z * zpow
-
-        def change(step):
-            lz = np.log1p(step[:, None] * rz)
-            total = -(zq * _power_change(q, lz)).sum(axis=1) - (kmask * lz).sum(axis=1)
-            return total - np.log1p(step[:, None] * rs).sum(axis=1)
-
-        step = _damped_step(dec, room, done, change)
-        z = z + step[:, None] * dz
-        s = s + step[:, None] * ds
-        lam = jmask / (t[:, None] * s)
-        total = (c * np.exp(q * np.log(z))).sum(axis=1)
-        final = n_con <= 0.1 * _BARRIER_STOP_GAP * t * total
-        if final.any():
-            gap, total = _block_gap(a_mat, c, alpha, class_mask, z, lam)
-            done |= final & (gap <= _BARRIER_STOP_GAP * total)
-            if done.all():
-                break
-        t = np.where(~done & ~final & (dec <= 0.5), 10.0 * t, t)
-    return z, lam, it
-
-
 def _block_gap(a_mat, c, alpha, class_mask, z, lam):
-    """Certified duality gap of every block of :func:`_barrier_solve` at
-    ``z``, from capacity duals ``lam >= 0``.
+    """Certified duality gap of every static-share block of
+    :func:`_single_sp_allocate` at ``z``, from capacity duals ``lam >= 0``,
+    on the separable sum ``sum_k c_k h(z_k)`` with ``h(z) = z^(1-a) / (1-a)``
+    (``log z`` at ``a = 1``).
 
     By weak duality the block optimum is at most ``sum_j lam_j + sum_k
     max_{v >= 0} [c_k h(v) - L_k v]`` with ``L = a_mat lam``; the inner
@@ -620,44 +819,6 @@ def _block_gap(a_mat, c, alpha, class_mask, z, lam):
     return gap, total
 
 
-def _power_change(q, x):
-    """``(e^(q x) - 1) / q``, and ``x`` where ``q = 0``: the change of
-    ``v^q / q`` (of ``log v`` at ``q = 0``) from ``v`` to ``v e^x``, in
-    units of ``v^q``, without cancellation for small ``x``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(q == 0.0, x, np.expm1(q * x) / np.where(q == 0.0, 1.0, q))
-
-
-def _utility_change(q, x):
-    """Relative change of a degree-one utility ``S^(1/q)`` (``exp S`` at
-    ``q = 0``) whose sum ``S / q`` changes by ``x`` in units of ``S``:
-    ``(1 + q x)^(1/q) - 1``, and ``e^x - 1`` at ``q = 0``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q == 0.0, np.expm1(x), np.expm1(np.log1p(q * x) / q))
-
-
-def _damped_step(dec, room, done, change):
-    """Step length of a damped Newton step of a barrier method, for one
-    problem or a batch.
-
-    The step starts at ``1 / (1 + sqrt(dec))`` while the squared decrement
-    ``dec`` exceeds 1/16 (a full step below), is cut to 99% of the distance
-    ``room`` to the boundary, and is halved until ``change(step)``, the
-    change of the barrier function, is at most a quarter of the predicted
-    ``-step * dec``; at large alpha the objective is too steep for the
-    damping alone.  ``change`` must sum per-term differences so that no
-    large values cancel.  Problems in ``done`` take no step.
-    """
-    step = np.where(dec > 1.0 / 16.0, 1.0 / (1.0 + np.sqrt(np.maximum(dec, 0.0))), 1.0)
-    step = np.where(done, 0.0, np.minimum(step, 0.99 * room))
-    for _ in range(60):
-        short = ~(change(step) <= -0.25 * step * dec) & (dec > 1e-6) & (step > 0.0)
-        if not short.any():
-            break
-        step = np.where(short, 0.5 * step, step)
-    return step
-
-
 # ---------------------------------------------------------------------------
 # Social optimum
 # ---------------------------------------------------------------------------
@@ -668,8 +829,8 @@ SO_GAP_TOL = 1e-9
 
 
 class _WelfareLayout:
-    """The variables of the social-optimum program and its degree-one
-    utilities, in provider order.
+    """The variables of the social-optimum program and its welfare, in
+    provider order.
 
     A finite-alpha provider contributes one rate per triple; a max-min
     provider contributes its common per-user level ``tau`` (``u = tau n``),
@@ -677,6 +838,7 @@ class _WelfareLayout:
     its utility is ``tau`` itself.  ``amat[v]`` is the usage of one unit of
     variable ``v`` on every consumed good, and variables are scaled to an
     equal split of each good (``ref``) so the Newton systems stay O(1).
+    ``welfare`` is the program's objective as a batch of one.
     """
 
     def __init__(self, index: MarketIndex):
@@ -706,53 +868,20 @@ class _WelfareLayout:
             self.ref = np.where(used, 1.0 / (amat * count), np.inf).min(axis=1)
         self.amat = amat[:, self.goods] * self.ref[:, None]
         self.log_ref = np.log(self.ref)
-        self.log_w = np.concatenate(log_w)
-        self.seg = np.array(seg, dtype=np.intp)
-        self.starts = np.flatnonzero(np.r_[True, self.seg[1:] != self.seg[:-1]])
-        alpha = np.array(alpha)
-        self.q = 1.0 - alpha
-        self.q_sp = self.q[self.starts]
         self.log_b = np.log(index.budgets)
-        self.same_sp = self.seg[:, None] == self.seg[None, :]
         self.owner = np.concatenate(owner)
         self.mult = np.concatenate(mult)
-        self.n_con = self.amat.shape[0] + self.amat.shape[1]
-        self.alpha_sp = alpha[self.starts]
-        self.cost = _UnitCost(self.log_w, alpha, self.seg)
+        log_w = np.concatenate(log_w)
+        seg = np.array(seg, dtype=np.intp)
+        alpha = np.array(alpha)
+        self.cost = _UnitCost(log_w, alpha, seg)
+        self.welfare = _Welfare(
+            log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None]
+        )
 
-    def _seg_sum(self, values):
-        return np.bincount(self.seg, weights=values, minlength=self.starts.size)
-
-    def utilities(self, y):
-        """Log of every provider's degree-one utility at scaled variables
-        ``y``, and the shares ``pi_v = w u^q / sum w u^q`` (``w / sum w``
-        at alpha 1) of its terms."""
-        log_u = self.log_ref + np.log(y)
-        h = self.log_w + self.q * log_u
-        top = np.maximum.reduceat(h, self.starts)
-        e = np.exp(h - top[self.seg])
-        tot = self._seg_sum(e)
-        pi = e / tot[self.seg]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_u_sp = np.where(
-                self.q_sp == 0.0,
-                self._seg_sum(pi * log_u),
-                (top + np.log(tot)) / self.q_sp,
-            )
-        return log_u_sp, pi
-
-    def log_welfare(self, log_u_sp):
-        """Log of ``sum_s B_s U_s`` from the providers' log utilities."""
-        terms = self.log_b + log_u_sp
-        top = terms.max()
-        return float(top + math.log(np.exp(terms - top).sum()))
-
-    def rel_change(self, pi, log_ratio):
-        """Relative change of every provider's utility when each variable
-        is multiplied by ``exp(log_ratio)``, summed from per-term
-        differences."""
-        x = self._seg_sum(pi * _power_change(self.q, log_ratio))
-        return _utility_change(self.q_sp, x)
+    def log_welfare(self, y):
+        """Log of ``sum_s B_s U_s`` at scaled variables ``y``."""
+        return float(self.welfare.log_welfare(self.welfare.utilities(y[None])[0])[0])
 
     def log_bound(self, lam):
         """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(L_s)``
@@ -774,93 +903,35 @@ class _WelfareLayout:
         return self.ref[self.owner] * y[self.owner] * self.mult
 
 
-def _newton_direction(hess, rhs):
-    """Solution of ``hess x = rhs`` for a positive definite Newton matrix.
-
-    On a face of optima (identical providers, say) the barrier's curvature
-    across the binding constraints outgrows the curvature along the face by
-    more than the floating-point range, so the matrix is singular in
-    floating point and LU breaks down or returns an ascent direction.  Then
-    the direction comes from the eigen-decomposition of the diagonally
-    scaled matrix, with the directions whose curvature is lost in rounding
-    left out.
-    """
-    try:
-        x = np.linalg.solve(hess, rhs)
-        if rhs @ x > 0.0:
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    d = 1.0 / np.sqrt(np.diag(hess))
-    curv, vec = np.linalg.eigh(hess * d[:, None] * d)
-    keep = curv > curv.max() * rhs.size * np.finfo(float).eps
-    vec = vec[:, keep]
-    return d * (vec @ ((vec.T @ (d * rhs)) / curv[keep]))
-
-
 def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Maximize the welfare ``W = sum_s B_s U_s(u)`` under unit capacities.
 
-    Primal log-barrier method (Boyd & Vandenberghe, *Convex Optimization*,
-    section 11.3) on the variables of :class:`_WelfareLayout`: minimize
-    ``-t W - sum log slack - sum log y`` by damped Newton steps
-    (:func:`_damped_step`), each one dense ``V x V`` solve
-    (:func:`_newton_direction`).  Provider ``s`` adds ``-t B_s U_s a (g
-    g^T - diag(pi / y^2))`` with ``g = pi / y`` to the Hessian, zero at
-    alpha 0 and for max-min levels.  ``t W`` reaches
-    1e13 and more, so the change of the barrier function along a step is
-    summed from per-term differences.  ``t`` starts where welfare and
-    barrier weigh alike and grows tenfold at each centering until ``n_con /
-    (t W)`` is a tenth of the stop gap.  The slacks are carried along the
-    steps, which keeps the capacity duals ``lam = 1 / (t slack)`` precise;
-    the solve stops once they certify the point to within
-    ``_BARRIER_STOP_GAP`` (:meth:`_WelfareLayout.log_bound`).  The last
-    point is scaled up onto the capacity frontier.
+    One solve of the interior-point engine (:func:`_interior_point`, a batch
+    of one) on the variables of :class:`_WelfareLayout`, whose Newton system
+    is one dense ``V x V`` solve per step.  The solve stops once its
+    capacity duals certify the point scaled onto the capacity frontier to
+    within ``_BARRIER_STOP_GAP`` (:meth:`_WelfareLayout.log_bound`), and
+    that scaled point is returned.
 
     Returns ``(rates, prices, gap, iterations)``: ``prices`` are the duals,
     and the optimum is at most ``1 + gap`` times the welfare at ``rates``.
     """
     lay = _WelfareLayout(index)
     amat = lay.amat
-    n_var = amat.shape[0]
-    var = np.arange(n_var)
-    y = np.full(n_var, 0.9)
-    s = 1.0 - amat.T @ y
-    log_u, pi = lay.utilities(y)
-    t = math.exp(-lay.log_welfare(log_u))
-    lam = 1.0 / (t * s)
-    for it in range(1, _BARRIER_MAX_STEPS + 1):
-        coef = np.exp(math.log(t) + lay.log_b + log_u)  # t B_s U_s
-        curv = (coef * lay.alpha_sp)[lay.seg]
-        g = pi / y
-        grad = amat @ (1.0 / s) - coef[lay.seg] * g - 1.0 / y
-        e_mat = -(curv * g)[:, None] * g * lay.same_sp
-        e_mat[var, var] += (1.0 + curv * pi) / y**2
-        dy = _newton_direction(e_mat + (amat / s**2) @ amat.T, -grad)
-        ds = -(amat.T @ dy)
-        dec = -float(grad @ dy)
-        with np.errstate(divide="ignore"):
-            room = min(np.where(dy < 0, -y / dy, np.inf).min(), np.where(ds < 0, -s / ds, np.inf).min())
-        ry, rs = dy / y, ds / s
 
-        def change(step):
-            ly = np.log1p(step * ry)
-            return -(coef * lay.rel_change(pi, ly)).sum() - ly.sum() - np.log1p(step * rs).sum()
+    def certified(y, lam, log_u):
+        lam, usage = lam[0], amat.T @ y[0]
+        top = usage.max()
+        # the bound is at least 1 / (1 - lam.s / lam.1) times the welfare at
+        # y (weak duality), so the scaled point cannot certify before this
+        if top > (1.0 + _BARRIER_STOP_GAP) * (1.0 - lam @ (1.0 - usage) / lam.sum()):
+            return np.array([False])
+        log_w = lay.welfare.log_welfare(log_u)[0]
+        return np.array([math.expm1(lay.log_bound(lam) - log_w + math.log(top)) <= _BARRIER_STOP_GAP])
 
-        step = float(_damped_step(dec, room, False, change))
-        y = y + step * dy
-        s = s + step * ds
-        log_u, pi = lay.utilities(y)
-        lam = 1.0 / (t * s)
-        log_w = lay.log_welfare(log_u)
-        # certify the point scaled onto the capacity frontier, as returned
-        if math.expm1(lay.log_bound(lam) - log_w + math.log((amat.T @ y).max())) <= _BARRIER_STOP_GAP:
-            break
-        final = lay.n_con <= 0.1 * _BARRIER_STOP_GAP * t * math.exp(log_w)
-        if not final and dec <= 0.5:
-            t *= 10.0
-    y = y / (amat.T @ y).max()
-    gap = math.expm1(lay.log_bound(lam) - lay.log_welfare(lay.utilities(y)[0]))
+    y, lam, it = _interior_point(lay.welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
+    y, lam = y[0] / (amat.T @ y[0]).max(), lam[0]
+    gap = math.expm1(lay.log_bound(lam) - lay.log_welfare(y))
     prices = np.zeros(index.n_goods)
     prices[lay.goods] = lam
     return lay.rates(y), prices, gap, it
@@ -872,8 +943,8 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     are comparable across alpha and against the market schemes.
 
     Max-min providers enter exactly through their common per-user rate level
-    (``u = t n``, lossless at the optimum).  One primal barrier solve (see
-    :func:`_concave_welfare_solve`) certifies itself through the
+    (``u = t n``, lossless at the optimum).  One primal-dual interior-point
+    solve (see :func:`_concave_welfare_solve`) certifies itself through the
     Eisenberg-Gale price-space bound: for capacity prices ``lam >= 0``, no
     feasible allocation has welfare above ``(lam . 1) max_s B_s / e_s``,
     where ``e_s`` is provider ``s``'s unit expenditure at the prices
@@ -907,7 +978,7 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
 
     Max-min providers take the waterfill closed form (the common per-user
     rate level); the (provider, cell) problems of all other providers are
-    solved together by one batched barrier method (see
+    solved together by one batched primal-dual interior-point solve (see
     :func:`_single_sp_allocate`).  ``residuals["duality_gap"]`` is the
     largest certified relative gap of any provider's degree-one utility to
     its optimum, and ``converged`` means it is at most ``SS_GAP_TOL``;
