@@ -552,7 +552,7 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     a solved problem takes no further step.  Returns ``(y, lam,
     iterations)``.
     """
-    nb, n, m = amat.shape
+    nb, n, _ = amat.shape
     amat_t = amat.transpose(0, 2, 1)
     free = var_mask.astype(float)
     cons = (amat > 0).any(axis=1).astype(float)
@@ -750,8 +750,8 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     )
 
     def certified(z, lam, log_u):
-        # the gap holds lam . slack, which is lam_U . slack / U in units of
-        # the sum U^(1-alpha)
+        # _block_gap counts lam . slack U^(-alpha) against the sum
+        # U^(1-alpha), so no block certifies while lam . slack > gap U
         slack = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
         out = (lam * slack).sum(axis=1) <= _BARRIER_STOP_GAP * np.exp(log_u[:, 0])
         if out.any():
@@ -879,10 +879,6 @@ class _WelfareLayout:
             log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None]
         )
 
-    def log_welfare(self, y):
-        """Log of ``sum_s B_s U_s`` at scaled variables ``y``."""
-        return float(self.welfare.log_welfare(self.welfare.utilities(y[None])[0])[0])
-
     def log_bound(self, lam):
         """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(L_s)``
         on the welfare of every feasible allocation, for capacity prices
@@ -931,7 +927,8 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
 
     y, lam, it = _interior_point(lay.welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
     y, lam = y[0] / (amat.T @ y[0]).max(), lam[0]
-    gap = math.expm1(lay.log_bound(lam) - lay.log_welfare(y))
+    log_w = lay.welfare.log_welfare(lay.welfare.utilities(y[None])[0])[0]
+    gap = math.expm1(lay.log_bound(lam) - log_w)
     prices = np.zeros(index.n_goods)
     prices[lay.goods] = lam
     return lay.rates(y), prices, gap, it
