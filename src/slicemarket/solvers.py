@@ -558,7 +558,6 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     cons = (amat > 0).any(axis=1).astype(float)
     steep = var_mask & (welfare.alpha_sp[:, welfare.seg] > 1.0)
     diag = np.arange(n)
-    eps = np.finfo(float).eps
     y = np.where(var_mask, 0.9, 1.0)
     s = 1.0 - (amat_t @ y[:, :, None])[:, :, 0]
     log_u, pi = welfare.utilities(y)
@@ -614,10 +613,12 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
         dual_step[done] = 0.0
         pred = (rhs * dy).sum(axis=1, keepdims=True)
         # below this the change of phi_nu is lost in the rounding of its terms
-        noise = 8.0 * eps * (np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
-                             + nu * (np.abs(ry).sum(axis=1, keepdims=True) + np.abs(rs).sum(axis=1, keepdims=True)))
+        noise = 8.0 * np.finfo(float).eps * (
+            np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
+            + nu * (np.abs(ry).sum(axis=1, keepdims=True) + np.abs(rs).sum(axis=1, keepdims=True))
+        )
         trust = pred <= noise
-        while True:
+        for _ in range(60):
             ly = np.log1p(step * ry)
             change = (
                 -(coef * welfare.rel_change(pi, ly)).sum(axis=1, keepdims=True)
