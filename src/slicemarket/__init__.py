@@ -14,8 +14,6 @@ from .dynamics import (
     convergence_certificate,
     eval_dual,
     eval_potential,
-    kl_a,
-    kl_b,
     potential_gradient,
     random_feasible_bids,
     run_dynamics,
@@ -96,8 +94,6 @@ __all__ = [
     "eval_potential",
     "generate_instances",
     "instantiate",
-    "kl_a",
-    "kl_b",
     "load_scenario",
     "max_utilities",
     "nash_welfare",

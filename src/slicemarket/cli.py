@@ -16,11 +16,10 @@ from dataclasses import replace
 
 from .dynamics import DynamicsConfig, run_dynamics
 from .experiments import (
-    PRICE_TRACE_COLUMNS,
     ExperimentConfig,
     SCHEME_SOLVERS,
-    _price_trace_rows,
     _write_csv,
+    _write_price_trace,
     compare_schemes,
     load_config,
     run_experiment,
@@ -111,7 +110,7 @@ def cmd_dynamics(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "price_trace.csv")
-        _write_csv(path, PRICE_TRACE_COLUMNS, _price_trace_rows(scn, rep))
+        _write_price_trace(path, rep.trace_iterations.tolist(), scn.index.goods, rep.price_trace)
         print(f"wrote {path}")
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import BID_FLOOR, make_report, settle_bids, verify_equilibrium
-from .model import MarketIndex, NormalizedScenario
+from .model import DemandKernel, MarketIndex, NormalizedScenario
 
 #: Relative price changes are measured against at least this price level, so
 #: goods whose equilibrium price is zero (geometric collapse) still converge.
@@ -67,17 +67,8 @@ class PotentialBreakdown:
         return self.phi_eq1 + self.phi_between + self.phi_inf
 
 
-def kl_a(x: np.ndarray, y: np.ndarray) -> float:
-    """Unnormalized KL divergence ``sum x*log(x/y)`` over per-good bids."""
-    return _kl(x, y)
-
-
-def kl_b(x: np.ndarray, y: np.ndarray) -> float:
-    """Unnormalized KL divergence over per-(cell, class) aggregated spend."""
-    return _kl(x, y)
-
-
 def _kl(x: np.ndarray, y: np.ndarray) -> float:
+    """Unnormalized KL divergence ``sum x*log(x/y)``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -170,16 +161,18 @@ def potential_gradient(scn: NormalizedScenario, bids: np.ndarray) -> np.ndarray:
 
 
 def divergence_dg(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) -> float:
-    """Bregman reference divergence ``sum KL_a - sum_{1<a<inf} KL_b/(1-a)``."""
+    """Bregman reference divergence ``sum KL(b, b') - sum_{1<a<inf}
+    KL(b_ck, b'_ck)/(1-a)``: the first over per-good bids, the second over
+    per-(cell, class) aggregated spend."""
     index = scn.index
     eq1, between, inf = _regime_masks(index)
     total = 0.0
     for s in range(index.n_sps):
         rows = index.sp_rows(s)
-        total += kl_a(b[rows][index.consumed[rows]], b_prev[rows][index.consumed[rows]])
+        total += _kl(b[rows][index.consumed[rows]], b_prev[rows][index.consumed[rows]])
         alpha = float(index.alphas[s])
         if 1.0 < alpha < math.inf:
-            total -= kl_b(b[rows].sum(axis=1), b_prev[rows].sum(axis=1)) / (1.0 - alpha)
+            total -= _kl(b[rows].sum(axis=1), b_prev[rows].sum(axis=1)) / (1.0 - alpha)
     return total
 
 
@@ -263,6 +256,30 @@ def convergence_certificate(
     return divergence_dg(scn, b_star, b0)
 
 
+def _bid_round(kernel: DemandKernel, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One simultaneous round: every provider's bid update against
+    ``prices`` (per-slot spending) and the prices those bids induce."""
+    slots, _ = kernel.bids(prices)
+    return slots, kernel.per_good(slots)
+
+
+def price_path(scn: NormalizedScenario, rounds: int) -> np.ndarray:
+    """Prices of ``rounds`` rounds of the bid dynamics from uniform bids, as
+    a ``[rounds + 1, n_goods]`` array whose row 0 is the starting prices.
+
+    The same rounds as :func:`run_dynamics` with ``tol=0``, whose
+    ``price_trace`` this equals, without its potential, settlement and
+    equilibrium check."""
+    index = scn.index
+    _require_at_least_one(index)
+    kernel = index.kernel
+    path = np.empty((rounds + 1, index.n_goods))
+    prices = path[0] = uniform_bids(index).sum(axis=0)
+    for it in range(1, rounds + 1):
+        prices = path[it] = _bid_round(kernel, prices)[1]
+    return path
+
+
 def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
     """Iterate simultaneous bid updates from uniform (or given) initial bids
     until the maximum relative price change drops below tolerance.
@@ -290,8 +307,7 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
     converged = False
     it = 0
     for it in range(1, config.max_iterations + 1):
-        slots, _ = kernel.bids(prices)
-        new_prices = kernel.per_good(slots)
+        slots, new_prices = _bid_round(kernel, prices)
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
         change = float((np.abs(new_prices - prices) / scale).max())
         prices = new_prices

@@ -10,6 +10,7 @@ files are byte-identical at any parallelism degree.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import charts
-from .dynamics import DynamicsConfig, run_dynamics
+from .dynamics import price_path
 from .model import NormalizedScenario, ScenarioSpec, load_scenario, normalize_scenario
 from .scenarios import LoadModel, budget_sweep, instantiate, benchmark_preset
 from .solvers import (
@@ -51,6 +52,9 @@ CSV_COLUMNS = (
 )
 
 PRICE_TRACE_COLUMNS = ("iteration", "cell", "resource", "price")
+
+#: Rounds of the bid dynamics in the convergence study.
+CONVERGENCE_ROUNDS = 500
 
 SCHEME_SOLVERS = {
     "me": solve_eg,
@@ -214,7 +218,9 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list[tuple]
     sensitivity_rows: list[tuple]
-    convergence_rows: list[tuple]
+    #: ``(goods, prices)`` of the convergence study: the ``(cell, resource)``
+    #: of each good and the ``[rounds + 1, n_goods]`` price path
+    convergence: tuple[tuple, np.ndarray] | None = None
 
     @cached_property
     def aggregates(self) -> list[tuple]:
@@ -262,13 +268,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.budget_sweep_sp is not None:
         sensitivity_rows = _sensitivity_study(config, template, load)
 
-    convergence_rows = _convergence_study(template, load)
-
     result = ExperimentResult(
         config=config,
         rows=rows,
         sensitivity_rows=sensitivity_rows,
-        convergence_rows=convergence_rows,
+        convergence=_convergence_study(template, load),
     )
     emit_csv(result, config.out)
     emit_plotdata(result, config.out)
@@ -297,22 +301,11 @@ def _sensitivity_study(config: ExperimentConfig, template: ScenarioSpec, load: L
     return rows
 
 
-def _convergence_study(template: ScenarioSpec, load: LoadModel):
-    """Price trace of one proportional-fairness dynamics run."""
+def _convergence_study(template: ScenarioSpec, load: LoadModel) -> tuple[tuple, np.ndarray]:
+    """Goods and price path of one proportional-fairness dynamics run."""
     spec = instantiate(template, load, 0).with_alphas(1.0)
     scn = normalize_scenario(spec)
-    rep = run_dynamics(scn, DynamicsConfig(max_iterations=500, tol=0.0))
-    return _price_trace_rows(scn, rep)
-
-
-def _price_trace_rows(scn: NormalizedScenario, rep) -> list[tuple]:
-    """One ``PRICE_TRACE_COLUMNS`` row per traced iteration and good of a
-    dynamics run."""
-    return [
-        (int(it), cell, resource, float(rep.price_trace[k, g]))
-        for k, it in enumerate(rep.trace_iterations)
-        for g, (cell, resource) in enumerate(scn.index.goods)
-    ]
+    return scn.index.goods, price_path(scn, CONVERGENCE_ROUNDS)
 
 
 def compare_schemes(spec: ScenarioSpec | NormalizedScenario, alphas) -> WelfareReport:
@@ -371,6 +364,24 @@ def _write_csv(path: str, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*columns))
+
+
+def _write_price_trace(path: str, iterations, goods, prices: np.ndarray) -> None:
+    """``PRICE_TRACE_COLUMNS`` rows, one per (iteration, good) of a price
+    trace, as :func:`_write_csv` writes them: each good's ``cell,resource``
+    is quoted once by ``csv.writer``."""
+    prefixes = []
+    for good in goods:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(good)
+        prefixes.append(buf.getvalue()[:-1])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(PRICE_TRACE_COLUMNS)
+        fh.writelines(
+            f"{it},{prefix},{'%.17g' % p}\n"
+            for it, row in zip(iterations, prices.tolist())
+            for prefix, p in zip(prefixes, row)
+        )
 
 
 def emit_csv(result: ExperimentResult, outdir: str) -> list[str]:
@@ -486,21 +497,25 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
         paths.append(path)
 
     # price convergence trace
-    if result.convergence_rows:
+    if result.convergence is not None:
+        goods, prices = result.convergence
+        iterations = range(len(prices))
         path = os.path.join(outdir, "convergence.csv")
-        _write_csv(path, PRICE_TRACE_COLUMNS, result.convergence_rows)
+        _write_price_trace(path, iterations, goods, prices)
         paths.append(path)
-        cells = sorted({row[1] for row in result.convergence_rows})
+        cells = sorted({cell for cell, _ in goods})
         focus = cells[min(1, len(cells) - 1)]
-        series = {}
-        for it, cell, resource, price in result.convergence_rows:
-            if cell != focus:
-                continue
-            series.setdefault(resource, ([], []))
-            series[resource][0].append(float(it))
-            series[resource][1].append(price)
+        xs = [float(it) for it in iterations]
+        series = sorted(
+            (
+                (resource, xs, prices[:, g].tolist())
+                for g, (cell, resource) in enumerate(goods)
+                if cell == focus
+            ),
+            key=lambda s: s[0],
+        )
         svg = charts.line_chart(
-            [(k, xs, ys) for k, (xs, ys) in sorted(series.items())],
+            series,
             f"Price convergence at {focus} (proportional fairness)",
             "iteration",
             "price",

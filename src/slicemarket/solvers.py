@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize  # unused here; bench/tracing.py wraps solvers.optimize
 
 from .market import (
     Allocation,
@@ -29,6 +28,18 @@ from .market import (
     verify_equilibrium,
 )
 from .model import MarketIndex, NormalizedScenario, normalize_scenario
+
+
+def __getattr__(name: str):
+    # ``solvers.optimize`` stays resolvable for bench/tracing.py, which wraps
+    # it; imported on first access so that ``import slicemarket`` loads no
+    # scipy (PEP 562).
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Fairness parameter standing in for alpha=0 (degenerate linear demands)
 #: inside market-equilibrium solves.

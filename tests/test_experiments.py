@@ -7,11 +7,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slicemarket import LoadModel, instantiate, benchmark_preset
+from slicemarket import (
+    CellDef,
+    ClassDef,
+    DynamicsConfig,
+    LoadModel,
+    ProviderDef,
+    ResourceDef,
+    ScenarioSpec,
+    SupportEntry,
+    benchmark_preset,
+    instantiate,
+    normalize_scenario,
+    run_dynamics,
+)
 from slicemarket.experiments import (
+    CONVERGENCE_ROUNDS,
     CSV_COLUMNS,
+    PRICE_TRACE_COLUMNS,
     ExperimentConfig,
     ExperimentResult,
+    _convergence_study,
+    _write_csv,
+    _write_price_trace,
     compare_schemes,
     config_from_dict,
     emit_csv,
@@ -117,12 +135,50 @@ class TestRunExperiment:
 
 def test_emit_csv_empty_result_is_header_only(tmp_path):
     cfg = ExperimentConfig(out=str(tmp_path))
-    result = ExperimentResult(config=cfg, rows=[], sensitivity_rows=[], convergence_rows=[])
+    result = ExperimentResult(config=cfg, rows=[], sensitivity_rows=[])
     emit_csv(result, str(tmp_path))
     rows = read_csv(tmp_path / "results.csv")
     assert rows == [list(CSV_COLUMNS)]
     emit_plotdata(result, str(tmp_path))
     assert (tmp_path / "alpha_effect.csv").exists()
+
+
+class TestPriceTrace:
+    def test_study_is_the_dynamics_price_trace(self):
+        load = LoadModel(seed=11)
+        goods, path = _convergence_study(benchmark_preset(), load)
+        scn = normalize_scenario(instantiate(benchmark_preset(), load, 0).with_alphas(1.0))
+        rep = run_dynamics(scn, DynamicsConfig(max_iterations=CONVERGENCE_ROUNDS, tol=0.0))
+        assert goods == scn.index.goods
+        assert path.shape == (CONVERGENCE_ROUNDS + 1, scn.index.n_goods)
+        assert np.array_equal(path, rep.price_trace)
+
+    def test_writer_quotes_names_like_csv_writer(self, tmp_path):
+        # names are not validated: a comma, a double quote and a newline
+        # each make csv.writer quote the field
+        cells = (
+            CellDef('c,"0"', (ResourceDef("r0", 1.0), ResourceDef('r"1', 2.0))),
+            CellDef("c\n1", (ResourceDef("r0", 1.5), ResourceDef("r,2", 1.0))),
+        )
+        classes = (ClassDef("k0", {"r0": 0.6, 'r"1': 0.2}), ClassDef("k1", {"r0": 0.3, "r,2": 0.8}))
+        sps = (
+            ProviderDef("sp0", 0.6, 2.0, (SupportEntry('c,"0"', "k0", 3), SupportEntry("c\n1", "k1", 2))),
+            ProviderDef("sp1", 0.4, 1.0, (SupportEntry('c,"0"', "k0", 1), SupportEntry("c\n1", "k1", 4))),
+        )
+        scn = normalize_scenario(ScenarioSpec(cells, classes, sps))
+        rep = run_dynamics(scn, DynamicsConfig(max_iterations=40, trace_stride=3))
+        rows = [
+            (int(it), cell, resource, float(rep.price_trace[k, g]))
+            for k, it in enumerate(rep.trace_iterations)
+            for g, (cell, resource) in enumerate(scn.index.goods)
+        ]
+        _write_csv(str(tmp_path / "rows.csv"), PRICE_TRACE_COLUMNS, rows)
+        _write_price_trace(
+            str(tmp_path / "array.csv"), rep.trace_iterations.tolist(), scn.index.goods, rep.price_trace
+        )
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert b'"c,""0"""' in expected and b'"r""1"' in expected and b'"c\n1"' in expected
+        assert (tmp_path / "array.csv").read_bytes() == expected
 
 
 class TestConfig:

@@ -332,3 +332,25 @@ def test_fixed_point_passes_verification():
     rep = solve_eg(scn)
     check = verify_equilibrium(scn, rep.allocation, rep.prices, tol=1e-6)
     assert check.is_equilibrium
+
+
+class TestScipyImport:
+    def test_import_loads_no_scipy(self):
+        import os
+        import subprocess
+        import sys
+
+        import slicemarket
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(slicemarket.__file__)))
+        code = "import sys, slicemarket; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_optimize_resolves_lazily(self):
+        import scipy.optimize
+
+        import slicemarket.solvers
+
+        assert slicemarket.solvers.optimize is scipy.optimize
