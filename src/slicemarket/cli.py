@@ -134,11 +134,16 @@ def cmd_experiment(args) -> int:
         overrides["full_paper_scale"] = True
     cfg = replace(cfg, **overrides)
     result = run_experiment(cfg)
-    n_fail = sum(1 for row in result.rows if not row[11])
+    # every row of a run carries its flag: one (instance, alpha, scheme) each
+    failed = list(dict.fromkeys(row[:3] for row in result.rows if not row[11]))
+    n_runs = cfg.instance_count * len(cfg.alphas) * len(cfg.schemes)
     print(
         f"solved {cfg.instance_count} instances x {len(cfg.alphas)} alphas x "
-        f"{len(cfg.schemes)} schemes -> {len(result.rows)} rows ({n_fail} non-converged)"
+        f"{len(cfg.schemes)} schemes -> {len(result.rows)} rows "
+        f"({len(failed)} of {n_runs} runs non-converged)"
     )
+    for instance, alpha, scheme in failed:
+        print(f"  non-converged: instance {instance} alpha {alpha:g} scheme {scheme}")
     print(f"results under {cfg.out}/")
     return 0
 

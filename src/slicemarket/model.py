@@ -89,18 +89,6 @@ class ScenarioSpec:
     classes: tuple[ClassDef, ...]
     sps: tuple[ProviderDef, ...]
 
-    def class_by_name(self, name: str) -> ClassDef:
-        for k in self.classes:
-            if k.name == name:
-                return k
-        raise KeyError(name)
-
-    def cell_by_id(self, cell_id: str) -> CellDef:
-        for c in self.cells:
-            if c.id == cell_id:
-                return c
-        raise KeyError(cell_id)
-
     def with_alphas(self, alpha: float) -> "ScenarioSpec":
         """Copy with every SP's fairness parameter set to ``alpha``.
 
@@ -137,12 +125,11 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         raise ScenarioError("scenario has no cells")
     if not spec.sps:
         raise ScenarioError("scenario has no service providers")
-    seen_cells: set[str] = set()
+    resources_at: dict[str, set[str]] = {}
     for cell in spec.cells:
-        if cell.id in seen_cells:
+        if cell.id in resources_at:
             raise ScenarioError(f"duplicate cell id {cell.id!r}")
-        seen_cells.add(cell.id)
-        names = set()
+        names = resources_at[cell.id] = set()
         for res in cell.resources:
             if res.name in names:
                 raise ScenarioError(f"duplicate resource {res.name!r} at cell {cell.id!r}")
@@ -151,11 +138,11 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 raise ScenarioError(
                     f"capacity of {res.name!r} at cell {cell.id!r} must be positive"
                 )
-    class_names = set()
+    class_by_name: dict[str, ClassDef] = {}
     for k in spec.classes:
-        if k.name in class_names:
+        if k.name in class_by_name:
             raise ScenarioError(f"duplicate class {k.name!r}")
-        class_names.add(k.name)
+        class_by_name[k.name] = k
         if not k.demand:
             raise ScenarioError(f"class {k.name!r} consumes no resources")
         for r, d in k.demand.items():
@@ -180,9 +167,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                     f"SP {sp.name!r} lists ({e.cell!r}, {e.klass!r}) twice"
                 )
             seen.add((e.cell, e.klass))
-            if e.klass not in class_names:
+            if e.klass not in class_by_name:
                 raise ScenarioError(f"SP {sp.name!r} supports unknown class {e.klass!r}")
-            if e.cell not in seen_cells:
+            if e.cell not in resources_at:
                 raise ScenarioError(f"SP {sp.name!r} supports unknown cell {e.cell!r}")
             if e.users < 0 or e.users != int(e.users):
                 raise ScenarioError(
@@ -193,10 +180,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 raise ScenarioError(
                     f"weight for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be positive"
                 )
-            cell = spec.cell_by_id(e.cell)
-            have = {r.name for r in cell.resources}
-            demand = spec.class_by_name(e.klass).demand
-            missing = set(demand) - have
+            missing = set(class_by_name[e.klass].demand) - resources_at[e.cell]
             if missing:
                 raise ScenarioError(
                     f"class {e.klass!r} needs {sorted(missing)} absent at cell {e.cell!r}"
@@ -466,12 +450,13 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
     weights: list[float] = []
     rows: list[np.ndarray] = []
     G = len(goods)
+    demands = {k.name: k.demand for k in spec.classes}
     for s, sp in enumerate(spec.sps):
         for e in sp.support:
             if e.users == 0:
                 continue
             row = np.zeros(G)
-            demand = spec.class_by_name(e.klass).demand
+            demand = demands[e.klass]
             for rname, d in demand.items():
                 g = good_pos[(e.cell, rname)]
                 row[g] = d / cap[g]

@@ -8,14 +8,17 @@ bid dynamics (:mod:`~slicemarket.dynamics`), the paper's learning
 algorithm, reach the same equilibrium without a central solver.
 ``solve_social_optimal`` and ``static_share`` are the efficiency and
 isolation baselines, both solved by one primal-dual interior-point engine
-(:func:`_interior_point`) and certified by weak duality, and ``poa_bound`` /
-``nash_welfare`` provide the fairness/efficiency diagnostics.
+(:func:`_interior_point`) and certified by weak duality; the social optimum
+runs the engine as an active set that drops the providers priced out of the
+optimum.  ``poa_bound`` / ``nash_welfare`` provide the fairness/efficiency
+diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -456,9 +459,10 @@ _BARRIER_STOP_GAP = 1e-11
 
 #: Newton-step cap of an interior-point solve.  On the 7-cell preset a
 #: static share takes 8-16 steps at alpha 0-20 and up to 24 at alpha 100; a
-#: social optimum takes 10-26 steps at alpha 0, 0.5, 1 and inf, 35-45 at
-#: alpha 2-20 and 55-80 at alpha 100.  The counts barely grow with size: 13
-#: to 84 steps at 28 and 112 cells.
+#: social optimum, with its priced-out providers dropped, takes 10-13 steps
+#: at alpha 0, 0.5, 1 and inf, 13-18 at alpha 1.5-5, 15-32 at alpha 10-20
+#: and 37-74 at alpha 100.  The counts barely grow with size: 10 to 72
+#: steps at 28 and 112 cells.
 _BARRIER_MAX_STEPS = 1000
 
 #: Armijo fraction of the predicted decrease of the barrier function.
@@ -520,7 +524,20 @@ class _Welfare:
         return _utility_change(self.q_sp, x)
 
 
-def _interior_point(welfare: _Welfare, amat, var_mask, certified):
+class _Iterate(NamedTuple):
+    """State of an interior-point solve of :func:`_interior_point`, per
+    problem of its batch: variables ``y``, and capacity duals ``lam``, bound
+    duals ``mu`` and barrier parameter ``nu`` in units of ``scale`` (the
+    welfare ``W_0`` that the objective is divided by)."""
+
+    y: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
+    scale: np.ndarray
+
+
+def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
     for every problem ``b`` of a batch at once.
 
@@ -560,8 +577,14 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     that no variable uses carry no constraint.  After every step
     ``certified(y, lam, log_u)`` says which problems are solved, given the
     capacity duals in units of the welfare and the providers' log utilities;
-    a solved problem takes no further step.  Returns ``(y, lam,
-    iterations)``.
+    a solved problem takes no further step.
+
+    Returns ``(end, iterations)``, ``end`` the final :class:`_Iterate`.  A
+    solve given such a state as ``start`` goes on from it: with the same
+    ``nu`` and ``W_0``, and with its duals moved to within
+    ``_IP_DUAL_SPREAD`` of their central values.  The start may come from a
+    problem with more variables (the social optimum drops providers), whose
+    rows of ``y`` and ``mu`` the caller leaves out.
     """
     nb, n, _ = amat.shape
     amat_t = amat.transpose(0, 2, 1)
@@ -569,13 +592,22 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     cons = (amat > 0).any(axis=1).astype(float)
     steep = var_mask & (welfare.alpha_sp[:, welfare.seg] > 1.0)
     diag = np.arange(n)
-    y = np.where(var_mask, 0.9, 1.0)
+
+    def spread(lam, mu):
+        """The duals moved to within a factor ``_IP_DUAL_SPREAD`` of their
+        central values."""
+        return (
+            np.minimum(np.maximum(lam, cons * nu / (_IP_DUAL_SPREAD * s)), cons * _IP_DUAL_SPREAD * nu / s),
+            np.minimum(np.maximum(mu, free * nu / (_IP_DUAL_SPREAD * y)), free * _IP_DUAL_SPREAD * nu / y),
+        )
+
+    y, lam, mu, nu, scale = start or (np.where(var_mask, 0.9, 1.0), None, None, np.full((nb, 1), 0.1), None)
     s = 1.0 - (amat_t @ y[:, :, None])[:, :, 0]
     log_u, pi = welfare.utilities(y)
-    scale = np.exp(welfare.log_welfare(log_u))[:, None]  # W_0
-    nu = np.full((nb, 1), 0.1)
-    lam = cons * nu / s
-    mu = free * nu / y
+    if start is None:
+        scale = np.exp(welfare.log_welfare(log_u))[:, None]  # W_0
+        lam, mu = cons * nu / s, free * nu / y
+    lam, mu = spread(lam, mu)
     done = np.zeros((nb, 1), dtype=bool)
     for it in range(1, _BARRIER_MAX_STEPS + 1):
         coef = np.exp(welfare.log_b + log_u) / scale  # B_s U_s / W_0
@@ -605,7 +637,7 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
         dlam = cons * nu / s - lam - lam * rs
         dmu = free * nu / y - mu - mu * ry
         tau = np.maximum(0.99, 1.0 - nu)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = np.minimum(
                 np.minimum(
                     np.where(ry < 0, -np.where(steep, 0.5, tau) / ry, np.inf).min(axis=1, keepdims=True),
@@ -647,13 +679,12 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
         if reset.any():
             lam = np.where(reset, cons * nu / s, lam)
             mu = np.where(reset, free * nu / y, mu)
-        lam = np.minimum(np.maximum(lam, cons * nu / (_IP_DUAL_SPREAD * s)), cons * _IP_DUAL_SPREAD * nu / s)
-        mu = np.minimum(np.maximum(mu, free * nu / (_IP_DUAL_SPREAD * y)), free * _IP_DUAL_SPREAD * nu / y)
+        lam, mu = spread(lam, mu)
         log_u, pi = welfare.utilities(y)
         done |= certified(y, lam * scale, log_u)[:, None]
         if done.all():
             break
-    return y, lam * scale, it
+    return _Iterate(y, lam, mu, nu, scale), it
 
 
 def _newton_direction(hess, rhs):
@@ -773,8 +804,9 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
             out[out] = gap <= _BARRIER_STOP_GAP * total
         return out
 
-    z, lam, iterations = _interior_point(welfare, a_mat, mask, certified)
-    lam = lam * np.exp(-alpha[:, None] * welfare.utilities(z)[0])
+    end, iterations = _interior_point(welfare, a_mat, mask, certified)
+    z = end.y
+    lam = end.lam * end.scale * np.exp(-alpha[:, None] * welfare.utilities(z)[0])
     z /= np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
     gap, total = _block_gap(a_mat, c, alpha, mask, z, lam)
     rates[blocks.rows[mask]] = (ref * z)[mask]
@@ -891,59 +923,129 @@ class _WelfareLayout:
             log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None]
         )
 
+    def log_ratios(self, lam):
+        """``log B_s - log e_s(L_s)`` of every provider, for capacity prices
+        ``lam > 0`` on the consumed goods: ``L = D_s lam`` is the price of
+        one unit of each variable and ``e_s`` the unit expenditure of
+        provider ``s``, ``(sum w^(1/a) L^((a-1)/a))^(a / (a-1))``, ``prod
+        (L / w_hat)^w_hat`` at ``a = 1`` and ``min L / w`` at ``a = 0`` (which
+        covers max-min levels).  A variable that costs nothing makes ``e_s =
+        0`` (the log-sum-exp of a CES reads nan there) and the ratio inf."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_e = self.cost(np.log(self.amat @ lam) - self.log_ref)
+        return self.log_b - np.where(np.isnan(log_e), -np.inf, log_e)
+
     def log_bound(self, lam):
         """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(L_s)``
-        on the welfare of every feasible allocation, for capacity prices
-        ``lam > 0`` on the consumed goods.
-
-        ``L = D_s lam`` is the price of one unit of each variable and
-        ``e_s`` the unit expenditure of provider ``s``: ``(sum w^(1/a)
-        L^((a-1)/a))^(a / (a-1))``, ``prod (L / w_hat)^w_hat`` at ``a = 1``
-        and ``min L / w`` at ``a = 0`` (which covers max-min levels).  Any
-        allocation costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its
-        welfare ``sum_s B_s U_s`` is at most the bound.
+        on the welfare of every feasible allocation (:meth:`log_ratios`).
+        Any allocation costs ``sum_s e_s U_s <= lam . 1`` at these prices,
+        so its welfare ``sum_s B_s U_s`` is at most the bound.
         """
-        log_e = self.cost(np.log(self.amat @ lam) - self.log_ref)
-        return math.log(float(lam.sum())) + float((self.log_b - log_e).max())
+        return math.log(float(lam.sum())) + float(self.log_ratios(lam).max())
+
+    def restrict(self, active):
+        """The welfare, usage rows and variable mask of the program on the
+        providers marked ``active`` alone, in the same scaled variables."""
+        keep = active[self.welfare.seg]
+        w = self.welfare
+        seg = np.cumsum(active)[w.seg[keep]] - 1
+        sub = _Welfare(w.log_w[:, keep], w.q[:, keep], seg, w.log_b[:, active], w.log_ref[:, keep])
+        return sub, self.amat[keep], keep
 
     def rates(self, y):
         """Per-triple rates of scaled variables ``y``."""
         return self.ref[self.owner] * y[self.owner] * self.mult
 
 
+#: A provider leaves a social-optimum solve when its share of the welfare is
+#: below ``_DROP_SHARE``, its price-space log-ratio
+#: (:meth:`_WelfareLayout.log_ratios`) is more than ``_DROP_RATIO`` below the
+#: best one of the providers still in the solve, and that distance is at
+#: least ``_DROP_HOLD`` times the one of the step before.  A provider that
+#: the optimum gives a small share closes the distance by about half per
+#: step.
+_DROP_SHARE = 1e-2
+_DROP_RATIO = 1e-3
+_DROP_HOLD = 0.9
+
+
 def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Maximize the welfare ``W = sum_s B_s U_s(u)`` under unit capacities.
 
-    One solve of the interior-point engine (:func:`_interior_point`, a batch
-    of one) on the variables of :class:`_WelfareLayout`, whose Newton system
-    is one dense ``V x V`` solve per step.  The solve stops once its
-    capacity duals certify the point scaled onto the capacity frontier to
-    within ``_BARRIER_STOP_GAP`` (:meth:`_WelfareLayout.log_bound`), and
-    that scaled point is returned.
+    The interior-point engine (:func:`_interior_point`, a batch of one) on
+    the variables of :class:`_WelfareLayout`, whose Newton system is one
+    dense ``V x V`` solve per step, run as an active set over providers.
+    At the optimum only the providers whose price-space ratio ``B_s / e_s``
+    attains its maximum get anything, and at alpha > 1 the engine lets the
+    rates of any other provider fall by at most half per step.  So a
+    provider whose share is small and whose ratio stays clearly below the
+    best (``_DROP_SHARE``, ``_DROP_RATIO``, ``_DROP_HOLD``) is dropped: it
+    gets rate 0, and the solve goes on from the current iterate without its
+    variables.
+
+    The solve stops once its capacity duals certify the point scaled onto
+    the capacity frontier to within ``_BARRIER_STOP_GAP`` on the whole
+    market (:meth:`_WelfareLayout.log_bound`, whose maximum runs over the
+    dropped providers too).  If the point certifies without the dropped
+    providers but one of them has a ratio above the best of the rest, that
+    provider is put back for good and the solve starts again.
 
     Returns ``(rates, prices, gap, iterations)``: ``prices`` are the duals,
-    and the optimum is at most ``1 + gap`` times the welfare at ``rates``.
+    the optimum is at most ``1 + gap`` times the welfare at ``rates``, and
+    ``iterations`` counts the Newton steps of every start.
     """
     lay = _WelfareLayout(index)
-    amat = lay.amat
+    active = np.ones(index.n_sps, dtype=bool)
+    pinned = np.zeros(index.n_sps, dtype=bool)
+    below_before = np.full(index.n_sps, np.inf)
+    start, iterations = None, 0
+    while True:
+        welfare, amat, keep = lay.restrict(active)
+        drop = np.zeros(index.n_sps, dtype=bool)
+        add = np.zeros(index.n_sps, dtype=bool)
 
-    def certified(y, lam, log_u):
-        lam, usage = lam[0], amat.T @ y[0]
-        top = usage.max()
-        # the bound is at least 1 / (1 - lam.s / lam.1) times the welfare at
-        # y (weak duality), so the scaled point cannot certify before this
-        if top > (1.0 + _BARRIER_STOP_GAP) * (1.0 - lam @ (1.0 - usage) / lam.sum()):
-            return np.array([False])
-        log_w = lay.welfare.log_welfare(log_u)[0]
-        return np.array([math.expm1(lay.log_bound(lam) - log_w + math.log(top)) <= _BARRIER_STOP_GAP])
+        def certified(y, lam, log_u):
+            lam, log_u, usage = lam[0], log_u[0], amat.T @ y[0]
+            log_w = welfare.log_welfare(log_u[None])[0]
+            ratios = lay.log_ratios(lam)
+            best = ratios[active].max()
+            below = np.where(active, best - ratios, np.inf)
+            small = np.zeros(index.n_sps, dtype=bool)
+            small[active] = np.exp(welfare.log_b[0] + log_u - log_w) < _DROP_SHARE
+            drop[:] = small & ~pinned & (below > _DROP_RATIO) & (below >= _DROP_HOLD * below_before)
+            below_before[:] = below
+            if drop.any():
+                return np.array([True])
+            top = usage.max()
+            # the bound is at least 1 / (1 - lam.s / lam.1) times the welfare at
+            # y (weak duality), so the scaled point cannot certify before this
+            if top > (1.0 + _BARRIER_STOP_GAP) * (1.0 - lam @ (1.0 - usage) / lam.sum()):
+                return np.array([False])
+            if math.expm1(math.log(float(lam.sum())) + best - log_w + math.log(top)) > _BARRIER_STOP_GAP:
+                return np.array([False])
+            add[:] = ~active & (ratios > best)
+            return np.array([True])
 
-    y, lam, it = _interior_point(lay.welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
-    y, lam = y[0] / (amat.T @ y[0]).max(), lam[0]
-    log_w = lay.welfare.log_welfare(lay.welfare.utilities(y[None])[0])[0]
+        end, it = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified, start)
+        iterations += it
+        if drop.any():
+            stay = ~drop[lay.welfare.seg[keep]]
+            active &= ~drop
+            start = _Iterate(end.y[:, stay], end.lam, end.mu[:, stay], end.nu, end.scale)
+        elif add.any():
+            active |= add
+            pinned |= add
+            start = None
+        else:
+            break
+    y = np.zeros(keep.size)
+    y[keep] = end.y[0] / (amat.T @ end.y[0]).max()
+    lam = end.lam[0] * end.scale[0]
+    log_w = welfare.log_welfare(welfare.utilities(y[keep][None])[0])[0]
     gap = math.expm1(lay.log_bound(lam) - log_w)
     prices = np.zeros(index.n_goods)
     prices[lay.goods] = lam
-    return lay.rates(y), prices, gap, it
+    return lay.rates(y), prices, gap, iterations
 
 
 def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
@@ -952,15 +1054,17 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     are comparable across alpha and against the market schemes.
 
     Max-min providers enter exactly through their common per-user rate level
-    (``u = t n``, lossless at the optimum).  One primal-dual interior-point
-    solve (see :func:`_concave_welfare_solve`) certifies itself through the
-    Eisenberg-Gale price-space bound: for capacity prices ``lam >= 0``, no
-    feasible allocation has welfare above ``(lam . 1) max_s B_s / e_s``,
-    where ``e_s`` is provider ``s``'s unit expenditure at the prices
-    ``D_s lam`` of its classes.  ``prices`` are the certifying capacity
-    duals, ``residuals["duality_gap"]`` is that bound over the returned
-    welfare minus 1, ``converged`` means it is at most ``SO_GAP_TOL``, and
-    ``iterations`` counts Newton steps.
+    (``u = t n``, lossless at the optimum).  A provider priced out of the
+    optimum gets rate and utility exactly 0.  The primal-dual interior-point
+    solve, an active set over providers (see :func:`_concave_welfare_solve`),
+    certifies itself through the Eisenberg-Gale price-space bound: for
+    capacity prices ``lam >= 0``, no feasible allocation has welfare above
+    ``(lam . 1) max_s B_s / e_s``, where ``e_s`` is provider ``s``'s unit
+    expenditure at the prices ``D_s lam`` of its classes.  ``prices`` are
+    the certifying capacity duals, ``residuals["duality_gap"]`` is that
+    bound over the returned welfare minus 1, ``converged`` means it is at
+    most ``SO_GAP_TOL``, and ``iterations`` counts the Newton steps of every
+    start.
     """
     index = scn.index
     rates, prices, gap, iterations = _concave_welfare_solve(index)

@@ -1,10 +1,11 @@
 """Command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from slicemarket import benchmark_preset, save_scenario, instantiate, LoadModel
+from slicemarket import benchmark_preset, experiments, save_scenario, instantiate, LoadModel
 from slicemarket.cli import main
 
 
@@ -62,6 +63,23 @@ def test_experiment_flag_overrides(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "res2" / "summary.csv").exists()
+
+
+def test_experiment_summary_counts_runs_not_rows(tmp_path, capsys, monkeypatch):
+    """One failed (instance, alpha, scheme) run is one non-converged run,
+    however many (provider, cell, class) rows it writes, and it is named."""
+    solve = experiments.SCHEME_SOLVERS["ss"]
+
+    def fails_at_two(scn):
+        rep = solve(scn)
+        return replace(rep, converged=False) if scn.index.alphas[0] == 2.0 else rep
+
+    monkeypatch.setitem(experiments.SCHEME_SOLVERS, "ss", fails_at_two)
+    rc = main(["experiment", "--instances", "1", "--alpha", "1,2", "--scheme", "ss", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(1 of 2 runs non-converged)")
+    assert "  non-converged: instance 0 alpha 2 scheme ss" in lines
 
 
 def test_compare_smoke(tmp_path, capsys):

@@ -33,6 +33,19 @@ def test_social_optimum_steps(alpha):
         assert rep.iterations <= 80
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+def test_priced_out_provider_costs_no_halving_steps(alpha):
+    """The optimum gives one preset provider nothing here.  With its rates
+    halved once per step the solve took 36-39 Newton steps; dropped from the
+    solve once its share is small and its price-space ratio stays below
+    the best, it takes 13-18."""
+    for seed in range(3):
+        rep = solve_social_optimal(preset(seed, alpha))
+        assert rep.converged
+        assert rep.iterations <= 25
+        assert np.count_nonzero(rep.utilities == 0.0) >= 1
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_static_share_steps(alpha):
     """The former primal barrier took 49-64 Newton steps here at alpha <= 5

@@ -19,6 +19,7 @@ from slicemarket import (
     solve_social_optimal,
     static_share,
 )
+from slicemarket import solvers
 from slicemarket.solvers import _WelfareLayout
 from tests.test_market import make_scn
 
@@ -204,3 +205,48 @@ def test_budget_perturbation_moves_welfare_by_its_size(alpha):
         w0 = welfare(base, solve_social_optimal(base))
         w1 = welfare(moved, solve_social_optimal(moved))
         assert abs(w1 / w0 - 1.0) <= 1e-9
+
+
+def preset(seed, alpha):
+    return normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=seed), 0).with_alphas(alpha))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+def test_priced_out_provider_gets_exactly_zero(alpha, monkeypatch):
+    """A provider whose price-space ratio stays below the best is dropped
+    from the solve: its rates are exactly 0, and the welfare is the one of
+    a solve that keeps every provider to the end."""
+    markets = [preset(seed, alpha) for seed in range(7001, 7005)]
+    dropped = [solve_social_optimal(scn) for scn in markets]
+    monkeypatch.setattr(solvers, "_DROP_SHARE", 0.0)
+    for scn, rep in zip(markets, dropped):
+        full = solve_social_optimal(scn)
+        out = np.flatnonzero(rep.utilities == 0.0)
+        assert out.size >= 1
+        assert np.all(rep.allocation.rates[np.isin(scn.index.sp_of, out)] == 0.0)
+        assert np.all(full.utilities[out] < 1e-6 * full.utilities.max())
+        assert rep.converged and full.converged
+        assert welfare(scn, rep) == pytest.approx(welfare(scn, full), rel=1e-10)
+        assert rep.iterations < full.iterations
+
+
+def test_wrongly_dropped_provider_is_put_back(monkeypatch):
+    """With the drop thresholds loosened, providers that the optimum gives
+    a share leave the solve too.  The certificate runs over every provider,
+    so each such one is put back and the solve still certifies the
+    welfare of the default solve."""
+    rng = np.random.default_rng(41)
+    markets = [preset(7005, 0.5), preset(7008, 0.5)]
+    for _ in range(10):
+        spec = random_scenario(rng, n_sps=int(rng.integers(2, 5)), classes_per_sp=int(rng.integers(1, 4)), alphas=MIXED_ALPHAS)
+        markets.append(normalize_scenario(spec))
+    reference = [solve_social_optimal(scn) for scn in markets]
+    assert reference[0].utilities.min() > 0.0 and reference[1].utilities.min() > 0.0
+    monkeypatch.setattr(solvers, "_DROP_SHARE", 1.0)
+    monkeypatch.setattr(solvers, "_DROP_RATIO", 0.0)
+    monkeypatch.setattr(solvers, "_DROP_HOLD", 1e-9)
+    for scn, ref in zip(markets, reference):
+        rep = solve_social_optimal(scn)
+        assert rep.converged
+        assert welfare(scn, rep) == pytest.approx(welfare(scn, ref), rel=1e-9)
+        assert np.all((rep.utilities > 0.0) == (ref.utilities > 0.0))
