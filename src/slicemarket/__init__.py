@@ -21,11 +21,9 @@ from .dynamics import (
 )
 from .market import (
     Allocation,
-    BidTensor,
     EquilibriumReport,
     SolveReport,
     service_rate,
-    sp_utility_homog,
     tp_allocate,
     utilities,
     verify_equilibrium,
@@ -54,7 +52,6 @@ from .scenarios import (
 )
 from .solvers import (
     SolverConfig,
-    WelfareReport,
     best_response,
     max_utilities,
     nash_welfare,
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "BidTensor",
     "CellDef",
     "ClassDef",
     "DynamicsConfig",
@@ -84,7 +80,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SupportEntry",
-    "WelfareReport",
     "best_response",
     "bid_update",
     "bregman_gap",
@@ -108,7 +103,6 @@ __all__ = [
     "service_rate",
     "solve_eg",
     "solve_social_optimal",
-    "sp_utility_homog",
     "static_share",
     "tp_allocate",
     "uniform_bids",

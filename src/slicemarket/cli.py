@@ -20,12 +20,13 @@ from .experiments import (
     SCHEME_SOLVERS,
     _write_csv,
     _write_price_trace,
-    compare_schemes,
     load_config,
     run_experiment,
+    score_schemes,
 )
 from .model import load_scenario, normalize_scenario, save_scenario
 from .scenarios import LoadModel, generate_instances, instantiate, benchmark_preset
+from .solvers import poa_bound
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -151,38 +152,32 @@ def cmd_experiment(args) -> int:
 def cmd_compare(args) -> int:
     spec = _load_spec(args, args.seed)
     alphas = args.alpha or (1.0, 2.0, 3.0)
-    report = compare_schemes(spec, alphas)
+    rows = []
     print("scheme comparison (per-provider degree-one utilities)")
-    for comp in report.comparisons:
-        print(f"alpha = {comp.alpha:g}")
-        for scheme in ("so", "me", "ss"):
-            utils = " ".join(
-                f"{name}={u:.5g}" for name, u in zip(report.sp_names, comp.utilities[scheme])
+    for alpha in alphas:
+        scn = normalize_scenario(spec.with_alphas(float(alpha)))
+        reports = {name: SCHEME_SOLVERS[name](scn) for name in ("so", "me", "ss")}
+        welfare, nash, poa = score_schemes(scn.index.budgets, reports)
+        bound = math.nan
+        if poa is not None:
+            bound = poa_bound(scn, so_report=reports["so"], me_report=reports["me"])[1]
+        print(f"alpha = {alpha:g}")
+        for scheme, rep in reports.items():
+            utils = " ".join(f"{name}={u:.5g}" for name, u in zip(scn.index.sp_names, rep.utilities))
+            print(f"  {scheme.upper():2s}: welfare={welfare[scheme]:.6g}  {utils}")
+            rows.extend(
+                (float(alpha), scheme, name, rep.utilities[s], welfare[scheme], nash[scheme], poa, bound)
+                for s, name in enumerate(scn.index.sp_names)
             )
-            print(f"  {scheme.upper():2s}: welfare={comp.welfare[scheme]:.6g}  {utils}")
-        poa = "n/a" if comp.poa_value is None else f"{comp.poa_value:.5g}"
-        print(f"  PoA={poa} (bound {comp.poa_bound:.5g})  min ME-SS={comp.me_minus_ss.min():.3g}")
+        me_minus_ss = reports["me"].utilities - reports["ss"].utilities
+        print(f"  PoA={'n/a' if poa is None else f'{poa:.5g}'} (bound {bound:.5g})  min ME-SS={me_minus_ss.min():.3g}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "compare.csv")
         _write_csv(
             path,
             ("alpha", "scheme", "sp", "utility", "welfare", "nash_welfare", "poa", "poa_bound"),
-            [
-                (
-                    comp.alpha,
-                    scheme,
-                    name,
-                    comp.utilities[scheme][s],
-                    comp.welfare[scheme],
-                    comp.nash[scheme],
-                    comp.poa_value,
-                    comp.poa_bound,
-                )
-                for comp in report.comparisons
-                for scheme in ("so", "me", "ss")
-                for s, name in enumerate(report.sp_names)
-            ],
+            rows,
         )
         print(f"wrote {path}")
     return 0

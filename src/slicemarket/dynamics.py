@@ -45,7 +45,6 @@ class DynamicsConfig:
     tol: float = 1e-8
     initial_bids: np.ndarray | None = None
     trace_stride: int = 1
-    equilibrium_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -322,7 +321,7 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
             break
 
     final_prices, allocation = settle_bids(scn, b)
-    check = verify_equilibrium(scn, allocation, final_prices, tol=config.equilibrium_tol)
+    check = verify_equilibrium(scn, allocation, final_prices)
     report = make_report(
         scn,
         method="dynamics",

@@ -22,18 +22,10 @@ import numpy as np
 
 from . import charts
 from .dynamics import price_path
-from .model import NormalizedScenario, ScenarioSpec, load_scenario, normalize_scenario
+from .model import ScenarioSpec, load_scenario, normalize_scenario
 from .scenarios import LoadModel, budget_sweep, instantiate, benchmark_preset
-from .solvers import (
-    SchemeComparison,
-    WelfareReport,
-    max_utilities,
-    nash_welfare,
-    poa_bound,
-    solve_eg,
-    solve_social_optimal,
-    static_share,
-)
+from .market import SolveReport
+from .solvers import nash_welfare, solve_eg, solve_social_optimal, static_share
 
 CSV_COLUMNS = (
     "instance",
@@ -164,23 +156,29 @@ def _format_column(values: tuple) -> list[str]:
     return list(map(_fmt, values))
 
 
+def score_schemes(budgets: np.ndarray, reports: dict[str, SolveReport]) -> tuple[dict, dict, float | None]:
+    """Budget-weighted welfare and Nash welfare of every scheme's report,
+    keyed as ``reports`` (Nash welfare 0.0 where some utility is 0), and the
+    realized price of anarchy ``(W_so - W_me) / W_so``, None without both
+    schemes or at zero SO welfare."""
+    welfare = {name: float(np.dot(budgets, rep.utilities)) for name, rep in reports.items()}
+    nash = {
+        name: nash_welfare(rep.utilities, budgets) if np.all(rep.utilities > 0) else 0.0
+        for name, rep in reports.items()
+    }
+    poa = None
+    if "me" in reports and "so" in reports and welfare["so"] > 0:
+        poa = (welfare["so"] - welfare["me"]) / welfare["so"]
+    return welfare, nash, poa
+
+
 def _scheme_rows(instance: int, alpha: float, spec: ScenarioSpec, schemes) -> list[tuple]:
     """Long-format rows for one (instance, alpha): one row per
     (scheme, sp, cell, class)."""
     scn = normalize_scenario(spec.with_alphas(alpha))
     index = scn.index
     reports = {name: SCHEME_SOLVERS[name](scn) for name in schemes}
-    welfare = {
-        name: float(np.dot(index.budgets, rep.utilities)) for name, rep in reports.items()
-    }
-    nash = {}
-    for name, rep in reports.items():
-        nash[name] = (
-            nash_welfare(rep.utilities, index.budgets) if np.all(rep.utilities > 0) else 0.0
-        )
-    poa = None
-    if "me" in reports and "so" in reports and welfare["so"] > 0:
-        poa = (welfare["so"] - welfare["me"]) / welfare["so"]
+    welfare, nash, poa = score_schemes(index.budgets, reports)
     rows = []
     for name, rep in reports.items():
         for i, (sp, cell, klass) in enumerate(index.triples):
@@ -306,52 +304,6 @@ def _convergence_study(template: ScenarioSpec, load: LoadModel) -> tuple[tuple, 
     spec = instantiate(template, load, 0).with_alphas(1.0)
     scn = normalize_scenario(spec)
     return scn.index.goods, price_path(scn, CONVERGENCE_ROUNDS)
-
-
-def compare_schemes(spec: ScenarioSpec | NormalizedScenario, alphas) -> WelfareReport:
-    """Run ME, SO and SS on one instance across the fairness sweep, with the
-    price-of-anarchy bound and the per-provider market-vs-static deltas."""
-    base = spec.spec if isinstance(spec, NormalizedScenario) else spec
-    comparisons = []
-    for alpha in alphas:
-        scn = normalize_scenario(base.with_alphas(float(alpha)))
-        index = scn.index
-        me = solve_eg(scn)
-        so = solve_social_optimal(scn)
-        ss = static_share(scn)
-        welfare = {
-            "me": float(np.dot(index.budgets, me.utilities)),
-            "so": float(np.dot(index.budgets, so.utilities)),
-            "ss": float(np.dot(index.budgets, ss.utilities)),
-        }
-        nash = {
-            name: (nash_welfare(rep.utilities, index.budgets) if np.all(rep.utilities > 0) else 0.0)
-            for name, rep in (("me", me), ("so", so), ("ss", ss))
-        }
-        hat = max_utilities(scn)
-        poa = None
-        bound = math.nan
-        if welfare["so"] > 0:
-            poa, bound = poa_bound(scn, hat, so_report=so, me_report=me)
-        comparisons.append(
-            SchemeComparison(
-                alpha=float(alpha),
-                utilities={"me": me.utilities, "so": so.utilities, "ss": ss.utilities},
-                welfare=welfare,
-                nash=nash,
-                poa_value=poa,
-                poa_bound=bound,
-                max_utilities=hat,
-                me_minus_ss=me.utilities - ss.utilities,
-                converged={"me": me.converged, "so": so.converged, "ss": ss.converged},
-            )
-        )
-    first = normalize_scenario(base.with_alphas(float(alphas[0])))
-    return WelfareReport(
-        sp_names=first.index.sp_names,
-        budgets=first.index.budgets,
-        comparisons=comparisons,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -53,69 +53,25 @@ def service_rates(index: MarketIndex, x: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(rates), rates, 0.0)
 
 
-def sp_utility_homog(index: MarketIndex, rates: np.ndarray, s: int) -> float:
-    """Degree-one aggregate utility ``(sum w u^(1-a))^(1/(1-a))``.
+def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
+    """Every provider's degree-one utility ``(sum w u^(1-a))^(1/(1-a))`` of
+    per-triple ``rates`` ``[..., n_triples]``, over any leading batch axes
+    (:attr:`~slicemarket.model.MarketIndex.utility`).
 
     At alpha=1 this is the weighted geometric mean (the continuity limit),
     at alpha=inf it is ``min u/n``.  Positively homogeneous of degree one,
     which is what the equilibrium program and cross-scheme welfare
-    comparisons require.  Computed in log space for large alpha.
+    comparisons require.  A provider with no triple has utility 0.
     """
-    alpha = float(index.alphas[s])
-    rows = index.sp_rows(s)
-    u = np.asarray(rates, dtype=float)[rows]
-    w = index.weights[rows]
-    if np.any(u < 0):
+    rates = np.asarray(rates, dtype=float)
+    if np.any(rates < 0):
         raise ValueError("negative service rate")
-    if math.isnan(alpha) or alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if math.isinf(alpha):
-        return float(np.min(u / index.users[rows]))
-    if alpha == 0.0:
-        return float(np.dot(w, u))
-    if alpha == 1.0:
-        if np.any(u == 0):
-            return 0.0
-        return float(np.exp(np.dot(w, np.log(u)) / w.sum()))
-    if alpha > 1.0 and np.any(u == 0):
-        return 0.0
-    pos = u > 0
-    if not pos.any():
-        return 0.0
-    log_terms = np.log(w[pos]) + (1.0 - alpha) * np.log(u[pos])
-    return float(np.exp(_logsumexp(log_terms) / (1.0 - alpha)))
-
-
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """``log(sum(exp(a)))`` along ``axis``, shifted by the largest term so
-    that no term overflows."""
-    top = np.max(a, axis=axis, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
-
-
-def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
-    """Every provider's degree-one utility (:func:`sp_utility_homog`)."""
-    return np.array([sp_utility_homog(scn.index, rates, s) for s in range(scn.index.n_sps)])
-
-
-@dataclass(frozen=True)
-class BidTensor:
-    """Per-triple, per-good spending in budget units."""
-
-    values: np.ndarray
-
-    def sp_spend(self, index: MarketIndex) -> np.ndarray:
-        return index.sp_sum(self.values.sum(axis=1))
-
-    def check(self, index: MarketIndex, tol: float = 1e-9) -> None:
-        if np.any(self.values < 0):
-            raise ValueError("negative bid")
-        if np.any(self.values[~index.consumed] != 0):
-            raise ValueError("bid on a good outside the triple's consumed set")
-        gap = np.abs(self.sp_spend(index) - index.budgets).max()
-        if gap > tol:
-            raise ValueError(f"bids violate budgets by {gap:g}")
+    utility = scn.index.utility
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u = utility(np.log(rates))
+    out = np.zeros(rates.shape[:-1] + (scn.index.n_sps,))
+    out[..., utility.ids] = np.exp(log_u)
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,13 +82,13 @@ class Allocation:
     rates: np.ndarray
 
 
-def tp_allocate(scn: NormalizedScenario, bids: np.ndarray | BidTensor) -> tuple[np.ndarray, Allocation]:
+def tp_allocate(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, Allocation]:
     """Trading-post rule: price = total bid, allocation proportional to own
     bid; zero-total-bid goods get price 0 and allocation 0.
 
     Returns ``(prices, allocation)``.
     """
-    b = bids.values if isinstance(bids, BidTensor) else np.asarray(bids, dtype=float)
+    b = np.asarray(bids, dtype=float)
     if np.any(b < 0):
         raise ValueError("negative bid")
     index = scn.index
@@ -213,24 +169,22 @@ def verify_equilibrium(
         raise ValueError("negative price")
     kernel = index.kernel
     u_br = kernel.rates(kernel.row_prices(prices)[1])
-    br_gap = br_gap_rel = 0.0
-    for s in range(index.n_sps):
-        if index.alphas[s] == 0.0:
-            # degenerate-linear case has no finite closed form; skip the
-            # best-response check (tp dynamics never run at alpha=0)
-            continue
-        best = sp_utility_homog(index, u_br, s)
-        if not math.isfinite(best):
-            # demand is unbounded at these prices
-            br_gap = br_gap_rel = math.inf
-            continue
-        gap = best - sp_utility_homog(index, allocation.rates, s)
-        br_gap = max(br_gap, gap)
-        br_gap_rel = max(br_gap_rel, gap / best)
+    best, held = utilities(scn, np.stack([u_br, allocation.rates]))
+    # the alpha=0 best response has no closed form, so it is not checked
+    # (tp dynamics never run at alpha=0)
+    checked = index.alphas > 0.0
+    best, held = best[checked], held[checked]
+    if not np.all(np.isfinite(best)):
+        # demand is unbounded at these prices
+        br_gap = br_gap_rel = math.inf
+    else:
+        gap = best - held
+        br_gap = float(gap.max(initial=0.0))
+        br_gap_rel = float(np.divide(gap, best, out=np.zeros_like(gap), where=best > 0).max(initial=0.0))
     return EquilibriumReport(
         budget_gap=budget_gap,
         clearing_gap=clearing_gap,
-        br_gap=max(br_gap, 0.0),
+        br_gap=br_gap,
         tol=tol,
         br_gap_rel=br_gap_rel,
     )
@@ -255,9 +209,6 @@ class SolveReport:
     trace_iterations: np.ndarray | None = None
     bids: np.ndarray | None = None
     surrogate_alphas: dict[str, float] = field(default_factory=dict)
-
-    def allocation_physical(self) -> np.ndarray:
-        return self.scn.denormalize_allocation(self.allocation.x)
 
 
 def make_report(

@@ -259,6 +259,13 @@ class MarketIndex:
         return DemandKernel(self)
 
     @cached_property
+    def utility(self) -> "CESAggregate":
+        """Every provider's degree-one utility of its rates, ``(sum w
+        u^(1-a))^(1/(1-a))`` and ``min u/n`` at ``a = inf``, built once per
+        index."""
+        return CESAggregate(np.log(self.weights), 1.0 - self.alphas[self.sp_of], self.sp_of)
+
+    @cached_property
     def blocks(self) -> "CellBlocks":
         """The (provider, cell) blocks of the providers' own alpha-fair
         problems, built once per index."""
@@ -369,6 +376,99 @@ class DemandKernel:
         out = np.zeros((self.n_triples, self.n_goods))
         out[self.row_ids[rows], self.goods[rows]] = slot_values[rows]
         return out
+
+
+class CESAggregate:
+    """The degree-one CES aggregate ``A_s(x) = (sum w x^q)^(1/q)`` of every
+    segment ``s`` of positive values ``x``, in log space.
+
+    Variables belong to contiguous segments (``seg``, sorted; results are per
+    segment in order of appearance, whose ids are ``ids``), and every variable
+    of a segment has the same exponent ``q``.  ``q = 0`` is the limit ``prod
+    x^(w / sum w)``, the weighted geometric mean, and ``q = -inf`` is taken
+    as ``min x / w``.  ``log_w`` and ``q`` are per variable, ``[..., n]``,
+    and results per segment, ``[..., n_seg]``, over common leading batch
+    axes.  A variable of weight 0 (``log_w = -inf``) is padding and takes no
+    part.  Which of the three forms the segments use is settled here, and a
+    call evaluates only those.
+
+    An alpha-fair provider's degree-one utility is the aggregate of its rates
+    at ``q = 1 - a`` (:attr:`MarketIndex.utility`), and the least cost of a
+    unit of it is an aggregate of the prices of its rates (the
+    ``_UnitCost`` of :mod:`~slicemarket.solvers`).
+    """
+
+    def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray):
+        new = np.r_[True, seg[1:] != seg[:-1]]
+        self.starts = np.flatnonzero(new)
+        self.ids = seg[self.starts]
+        self.seg = np.cumsum(new) - 1
+        self._flat: dict[int, np.ndarray] = {}
+        self.log_w = log_w
+        q = np.asarray(q, dtype=float)
+        q_sp = q[..., self.starts]
+        power = np.isfinite(q_sp) & (q_sp != 0.0)
+        # q stays 0 on geometric segments, where the power terms' shares are
+        # the normalized weights; min segments get a finite placeholder
+        self.q = np.where(np.isneginf(q), 1.0, q)
+        self.q_div = np.where(power, q_sp, 1.0)
+        forms = ((power, self._power), (q_sp == 0.0, self._geometric), (np.isneginf(q_sp), self._least))
+        self.forms = [(mask, form) for mask, form in forms if mask.any()]
+        # the shares at x = 1, w / sum w
+        _, e, tot = self._terms(np.zeros(np.shape(log_w)))
+        self.w_hat = e / tot[..., self.seg]
+
+    def seg_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment sums of ``values`` ``[..., n]``, added in variable
+        order (``np.bincount``; ``np.add.reduceat`` adds in another order),
+        so that no batch member's sums depend on the batch."""
+        lead, n_seg = values.shape[:-1], self.starts.size
+        if not lead:
+            return np.bincount(self.seg, weights=values, minlength=n_seg)
+        count = math.prod(lead)
+        flat = self._flat.get(count)
+        if flat is None:
+            flat = self._flat[count] = (np.arange(count)[:, None] * n_seg + self.seg).ravel()
+        return np.bincount(flat, weights=values.ravel(), minlength=count * n_seg).reshape(lead + (n_seg,))
+
+    def __call__(self, log_x: np.ndarray) -> np.ndarray:
+        """``log A_s`` of every segment at ``log x``."""
+        return self._combine(log_x, None)
+
+    def shares(self, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log A_s`` at ``log x`` and every variable's share ``pi = w x^q /
+        sum w x^q`` of its segment's sum (``w / sum w`` at ``q = 0``), the
+        derivative of ``log A_s`` by ``log x``.  Finite ``q`` only."""
+        terms = self._terms(log_x)
+        _, e, tot = terms
+        return self._combine(log_x, terms), e / tot[..., self.seg]
+
+    def _combine(self, log_x, terms):
+        out = None
+        for mask, form in self.forms:
+            value = form(log_x, terms)
+            out = value if out is None else np.where(mask, value, out)
+        return out
+
+    def _terms(self, log_x):
+        """The terms ``w x^q`` of every segment's sum, divided by the largest
+        one ``exp(top)``, and their total."""
+        h = self.log_w + self.q * log_x
+        top = np.maximum.reduceat(h, self.starts, axis=-1)
+        # an all-zero or all-infinite segment gives a log-sum of -inf or inf
+        top = np.where(np.isfinite(top), top, 0.0)
+        e = np.exp(h - top[..., self.seg])
+        return top, e, self.seg_sum(e)
+
+    def _power(self, log_x, terms):
+        top, _, tot = terms or self._terms(log_x)
+        return (top + np.log(tot)) / self.q_div
+
+    def _geometric(self, log_x, terms):
+        return self.seg_sum(self.w_hat * log_x)
+
+    def _least(self, log_x, terms):
+        return np.minimum.reduceat(log_x - self.log_w, self.starts, axis=-1)
 
 
 class CellBlocks:

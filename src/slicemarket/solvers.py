@@ -22,15 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import (
-    Allocation,
-    _logsumexp,
-    SolveReport,
-    make_report,
-    sp_utility_homog,
-    verify_equilibrium,
-)
-from .model import MarketIndex, NormalizedScenario, normalize_scenario
+from .market import Allocation, SolveReport, make_report, utilities, verify_equilibrium
+from .model import CESAggregate, MarketIndex, NormalizedScenario, normalize_scenario
 
 
 def __getattr__(name: str):
@@ -59,30 +52,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class SchemeComparison:
-    """ME/SO/SS side-by-side at one fairness setting."""
-
-    alpha: float
-    utilities: dict[str, np.ndarray]
-    welfare: dict[str, float]
-    nash: dict[str, float]
-    poa_value: float | None
-    poa_bound: float
-    max_utilities: np.ndarray
-    me_minus_ss: np.ndarray
-    converged: dict[str, bool]
-
-
-@dataclass
-class WelfareReport:
-    """Cross-scheme comparison of one instance over a fairness sweep."""
-
-    sp_names: tuple[str, ...]
-    budgets: np.ndarray
-    comparisons: list[SchemeComparison]
 
 
 def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarray:
@@ -158,48 +127,27 @@ class _UnitCost:
     variables costs ``L``.
 
     Variables are grouped by provider in contiguous segments (``seg``) and
-    ``alpha`` is the fairness of each variable's provider.  ``e_s`` is
-    ``(sum w^(1/a) L^((a-1)/a))^(a/(a-1))`` for a CES utility, ``prod
-    (L / w_hat)^w_hat`` with ``w_hat = w / sum w`` at ``a = 1``, ``sum w L``
-    at ``a = inf`` (max-min utility ``min u / w``) and ``min L / w`` at
-    ``a = 0``.
+    ``alpha`` is the fairness of each variable's provider.  ``e_s`` is the
+    CES aggregate (:class:`~slicemarket.model.CESAggregate`) of ``L`` with
+    weights ``w^(1/a)`` and exponent ``(a-1)/a``: ``(sum w^(1/a)
+    L^((a-1)/a))^(a/(a-1))``, ``prod (L / w_hat)^w_hat`` with ``w_hat = w /
+    sum w`` at ``a = 1`` (the geometric mean shifted by the entropy ``-sum
+    w_hat log w_hat``), ``sum w L`` at ``a = inf`` (max-min utility ``min u
+    / w``) and ``min L / w`` at ``a = 0``.
     """
 
     def __init__(self, log_w: np.ndarray, alpha: np.ndarray, seg: np.ndarray):
-        self.seg = seg
-        self.starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-        alpha_sp = alpha[self.starts]
-        self.ces_sp = (alpha_sp > 0) & (alpha_sp != 1.0)
-        self.cobb_sp = alpha_sp == 1.0
-        ces = self.ces_sp[seg]
-        finite = ces & np.isfinite(alpha)
-        # h = log_w_a + expo * log L: the log-sum-exp argument of a CES,
-        # else log L - log w
-        self.expo = np.where(finite, (alpha - 1.0) / np.where(finite, alpha, 1.0), 1.0)
-        self.log_w_a = np.where(
-            finite, log_w / np.where(finite, alpha, 1.0), np.where(ces, log_w, -log_w)
-        )
-        self.expo_sp = self.expo[self.starts]
-        top = np.maximum.reduceat(log_w, self.starts)
-        self.log_wsum = top + np.log(self.seg_sum(np.exp(log_w - top[seg])))
-        self.w_hat = np.exp(log_w - self.log_wsum[seg])
-
-    def seg_sum(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.seg, weights=values, minlength=self.starts.size)
+        regular = (alpha > 0) & np.isfinite(alpha)
+        a = np.where(regular, alpha, 1.0)
+        expo = np.where(regular, (alpha - 1.0) / a, np.where(alpha > 0, 1.0, -np.inf))
+        self.cost = CESAggregate(log_w / a, expo, seg)
+        self.shift = 0.0
+        if (alpha == 1.0).any():
+            w_hat = np.where(alpha == 1.0, self.cost.w_hat, 1.0)
+            self.shift = -self.cost.seg_sum(w_hat * np.log(w_hat))
 
     def __call__(self, log_l: np.ndarray) -> np.ndarray:
-        h = self.log_w_a + self.expo * log_l
-        top = np.maximum.reduceat(h, self.starts)
-        lse = top + np.log(self.seg_sum(np.exp(h - top[self.seg])))
-        return np.where(
-            self.ces_sp,
-            lse / self.expo_sp,
-            np.where(
-                self.cobb_sp,
-                self.seg_sum(self.w_hat * h) + self.log_wsum,
-                np.minimum.reduceat(h, self.starts),
-            ),
-        )
+        return self.cost(log_l) + self.shift
 
 
 class _PriceCells:
@@ -487,40 +435,27 @@ class _Welfare:
 
     def __init__(self, log_w, q, seg, log_b, log_ref):
         self.log_w, self.q, self.seg, self.log_b, self.log_ref = log_w, q, seg, log_b, log_ref
-        self.starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-        self.q_sp = q[:, self.starts]
+        self.utility = CESAggregate(log_w, q, seg)
+        self.q_sp = q[:, self.utility.starts]
         self.alpha_sp = 1.0 - self.q_sp
         self.same_sp = seg[:, None] == seg[None, :]
-
-    def seg_sum(self, values):
-        return np.add.reduceat(values, self.starts, axis=-1)
+        # W = sum_s B_s U_s, the aggregate of the utilities at q = 1
+        self.total = CESAggregate(log_b, np.ones_like(log_b), np.zeros(log_b.shape[-1], dtype=np.intp))
 
     def utilities(self, y):
         """Log of every provider's utility at ``y`` and the shares ``pi_v =
         w u^q / sum w u^q`` (``w / sum w`` at ``q = 0``) of its terms."""
-        log_u = self.log_ref + np.log(y)
-        h = self.log_w + self.q * log_u
-        top = np.maximum.reduceat(h, self.starts, axis=-1)
-        e = np.exp(h - top[:, self.seg])
-        tot = self.seg_sum(e)
-        pi = e / tot[:, self.seg]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_u_sp = np.where(
-                self.q_sp == 0.0,
-                self.seg_sum(pi * log_u),
-                (top + np.log(tot)) / self.q_sp,
-            )
-        return log_u_sp, pi
+        return self.utility.shares(self.log_ref + np.log(y))
 
     def log_welfare(self, log_u_sp):
         """Log of the welfare of every problem from its providers' log
         utilities."""
-        return _logsumexp(self.log_b + log_u_sp, axis=-1)
+        return self.total(log_u_sp)[..., 0]
 
     def rel_change(self, pi, log_ratio):
         """Relative change of every provider's utility when each variable is
         multiplied by ``exp(log_ratio)``, summed from per-term differences."""
-        x = self.seg_sum(pi * _power_change(self.q, log_ratio))
+        x = self.utility.seg_sum(pi * _power_change(self.q, log_ratio))
         return _utility_change(self.q_sp, x)
 
 
@@ -780,14 +715,16 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
         box = np.where(blocks.demand > 0, cap[:, None, :] / blocks.demand, np.inf).min(axis=2)
         ref = np.where(mask, box / mask.sum(axis=1)[:, None], 1.0)
         log_c = np.log(blocks.weights) + (1.0 - alpha)[:, None] * np.log(ref)
-    log_norm = _logsumexp(log_c, axis=1)
+    one_sp = np.zeros(log_c.shape[1], dtype=np.intp)
+    # log sum c, the aggregate of ones at q = 1
+    log_norm = CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))[:, 0]
     log_c = log_c - log_norm[:, None]
     c = np.exp(log_c)
     a_mat = blocks.demand * (ref[:, :, None] / cap[:, None, :])
     welfare = _Welfare(
         log_c,
         np.broadcast_to((1.0 - alpha)[:, None], c.shape),
-        np.zeros(c.shape[1], dtype=np.intp),
+        one_sp,
         np.zeros((c.shape[0], 1)),
         np.zeros(c.shape),
     )
@@ -929,11 +866,10 @@ class _WelfareLayout:
         one unit of each variable and ``e_s`` the unit expenditure of
         provider ``s``, ``(sum w^(1/a) L^((a-1)/a))^(a / (a-1))``, ``prod
         (L / w_hat)^w_hat`` at ``a = 1`` and ``min L / w`` at ``a = 0`` (which
-        covers max-min levels).  A variable that costs nothing makes ``e_s =
-        0`` (the log-sum-exp of a CES reads nan there) and the ratio inf."""
+        covers max-min levels).  A provider whose utility costs nothing (a
+        free variable at ``a <= 1``) has ``e_s = 0`` and the ratio inf."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_e = self.cost(np.log(self.amat @ lam) - self.log_ref)
-        return self.log_b - np.where(np.isnan(log_e), -np.inf, log_e)
+            return self.log_b - self.cost(np.log(self.amat @ lam) - self.log_ref)
 
     def log_bound(self, lam):
         """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(L_s)``
@@ -1122,7 +1058,7 @@ def max_utilities(scn: NormalizedScenario) -> np.ndarray:
     alone (the scale constants of the price-of-anarchy bound)."""
     index = scn.index
     rates, _, _ = _single_sp_allocate(index, np.ones((index.n_sps, index.n_goods)))
-    return np.array([sp_utility_homog(index, rates, s) for s in range(index.n_sps)])
+    return utilities(scn, rates)
 
 
 def nash_welfare(util: np.ndarray, budgets: np.ndarray) -> float:

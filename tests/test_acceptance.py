@@ -37,7 +37,7 @@ from slicemarket import (
     uniform_bids,
     verify_equilibrium,
 )
-from slicemarket.market import sp_utility_homog
+from slicemarket.market import utilities
 from tests.test_market import make_scn
 
 
@@ -268,9 +268,7 @@ def test_c08_nash_welfare_optimality():
             direction = rng.exponential(1.0, index.n_triples)
             usage = (direction[:, None] * index.demand).sum(axis=0).max()
             rates = direction / usage
-            utils = np.array(
-                [sp_utility_homog(index, rates, s) for s in range(index.n_sps)]
-            )
+            utils = utilities(scn, rates)
             value = nash_welfare(utils, index.budgets) if np.all(utils > 0) else 0.0
             if value > nash_me * (1 + 1e-9):
                 violations += 1

@@ -19,6 +19,7 @@ from slicemarket import (
     benchmark_preset,
     instantiate,
     normalize_scenario,
+    poa_bound,
     run_dynamics,
 )
 from slicemarket.experiments import (
@@ -30,11 +31,12 @@ from slicemarket.experiments import (
     _convergence_study,
     _write_csv,
     _write_price_trace,
-    compare_schemes,
+    SCHEME_SOLVERS,
     config_from_dict,
     emit_csv,
     emit_plotdata,
     run_experiment,
+    score_schemes,
 )
 from tests.test_market import make_scn
 
@@ -218,19 +220,28 @@ class TestConfig:
             ExperimentConfig(schemes=())
 
 
+def compare(spec, alpha):
+    """Every scheme's report on ``spec`` at ``alpha``, their scores and the
+    price-of-anarchy bound, as the CLI ``compare`` command computes them."""
+    scn = normalize_scenario(spec.with_alphas(alpha))
+    reports = {name: SCHEME_SOLVERS[name](scn) for name in ("so", "me", "ss")}
+    welfare, _, poa = score_schemes(scn.index.budgets, reports)
+    bound = poa_bound(scn, so_report=reports["so"], me_report=reports["me"])[1]
+    return {name: rep.utilities for name, rep in reports.items()}, welfare, poa, bound
+
+
 class TestCompareSchemes:
     def test_single_sp_schemes_coincide(self):
         scn = make_scn([[0.5, 0.25]], [2.0], [1.0])
-        report = compare_schemes(scn, [2.0])
-        comp = report.comparisons[0]
-        assert comp.utilities["me"][0] == pytest.approx(comp.utilities["so"][0], rel=1e-6)
-        assert comp.utilities["me"][0] == pytest.approx(comp.utilities["ss"][0], rel=1e-6)
-        assert comp.poa_value == pytest.approx(0.0, abs=1e-6)
+        utils, _, poa, _ = compare(scn.spec, 2.0)
+        assert utils["me"][0] == pytest.approx(utils["so"][0], rel=1e-6)
+        assert utils["me"][0] == pytest.approx(utils["ss"][0], rel=1e-6)
+        assert poa == pytest.approx(0.0, abs=1e-6)
 
     def test_preset_dominance_and_poa(self):
         spec = instantiate(benchmark_preset(), LoadModel(seed=2), 0)
-        report = compare_schemes(spec, [1.0, 2.0])
-        for comp in report.comparisons:
-            assert np.all(comp.me_minus_ss >= -1e-8)
-            assert comp.poa_value <= comp.poa_bound + 1e-9
-            assert comp.welfare["so"] >= comp.welfare["me"] - 1e-9
+        for alpha in (1.0, 2.0):
+            utils, welfare, poa, bound = compare(spec, alpha)
+            assert np.all(utils["me"] - utils["ss"] >= -1e-8)
+            assert poa <= bound + 1e-9
+            assert welfare["so"] >= welfare["me"] - 1e-9

@@ -1,6 +1,7 @@
 """Service rates, utilities, trading-post rule, equilibrium verification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from slicemarket import (
     ScenarioSpec,
     SupportEntry,
     normalize_scenario,
+    random_scenario,
     service_rate,
     solve_eg,
-    sp_utility_homog,
     static_share,
     tp_allocate,
+    utilities,
     verify_equilibrium,
 )
 from slicemarket.market import service_rates, settle_bids
+from slicemarket.solvers import _UnitCost
 
 
 def make_scn(demands, alphas, budgets, users=None, weights=None, caps=(1.0, 1.0)):
@@ -98,43 +101,43 @@ def rates_scn(alpha, users=(1, 1), weights=(1.0, 1.0)):
 class TestUtilities:
     def test_linear(self):
         scn = rates_scn(0.0)
-        assert sp_utility_homog(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(10.0)
+        assert utilities(scn, np.array([2.0, 8.0]))[0] == pytest.approx(10.0)
 
     def test_max_min(self):
         scn = rates_scn(math.inf, users=(2, 4), weights=(None, None))
-        assert sp_utility_homog(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(1.0)
+        assert utilities(scn, np.array([2.0, 8.0]))[0] == pytest.approx(1.0)
 
     def test_zero_rate_markers(self):
         # a class left at rate 0 zeroes the utility at alpha >= 1
         u = np.array([0.0, 8.0])
-        assert sp_utility_homog(rates_scn(1.0).index, u, 0) == 0.0
-        assert sp_utility_homog(rates_scn(2.0).index, u, 0) == 0.0
+        assert utilities(rates_scn(1.0), u)[0] == 0.0
+        assert utilities(rates_scn(2.0), u)[0] == 0.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            sp_utility_homog(rates_scn(1.0).index, np.array([-1.0, 1.0]), 0)
+            utilities(rates_scn(1.0), np.array([-1.0, 1.0]))[0]
 
     def test_homog_alpha_two(self):
         scn = rates_scn(2.0)
-        assert sp_utility_homog(scn.index, np.array([2.0, 8.0]), 0) == pytest.approx(1.6)
+        assert utilities(scn, np.array([2.0, 8.0]))[0] == pytest.approx(1.6)
 
     def test_homog_scaling(self):
         scn = rates_scn(2.0)
         u = np.array([2.0, 8.0])
-        v1 = sp_utility_homog(scn.index, u, 0)
-        v3 = sp_utility_homog(scn.index, 3.0 * u, 0)
+        v1 = utilities(scn, u)[0]
+        v3 = utilities(scn, 3.0 * u)[0]
         assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
 
     def test_homog_alpha_one_is_geometric_mean_limit(self):
         u = np.array([2.0, 8.0])
-        val = sp_utility_homog(rates_scn(1.0).index, u, 0)
+        val = utilities(rates_scn(1.0), u)[0]
         assert val == pytest.approx(4.0, rel=1e-12)
         # the aggregate family is continuous at alpha=1 exactly when the
         # weights sum to one; bracket the limit there
         half = (0.5, 0.5)
-        val_n = sp_utility_homog(rates_scn(1.0, weights=half).index, u, 0)
-        lo = sp_utility_homog(rates_scn(1.0 + 1e-4, weights=half).index, u, 0)
-        hi = sp_utility_homog(rates_scn(1.0 - 1e-4, weights=half).index, u, 0)
+        val_n = utilities(rates_scn(1.0, weights=half), u)[0]
+        lo = utilities(rates_scn(1.0 + 1e-4, weights=half), u)[0]
+        hi = utilities(rates_scn(1.0 - 1e-4, weights=half), u)[0]
         assert val_n == pytest.approx(4.0, rel=1e-12)
         assert min(lo, hi) <= val_n <= max(lo, hi)
         assert val_n == pytest.approx(lo, rel=1e-3)
@@ -146,9 +149,80 @@ class TestUtilities:
             scn = rates_scn(alpha, users=(2, 3), weights=(None, None))
             for t in (0.5, 2.0, 10.0):
                 u = rng.uniform(0.2, 3.0, 2)
-                a = sp_utility_homog(scn.index, t * u, 0)
-                b = t * sp_utility_homog(scn.index, u, 0)
+                a = utilities(scn, t * u)[0]
+                b = t * utilities(scn, u)[0]
                 assert a == pytest.approx(b, rel=1e-10)
+
+
+def reference_utility(index, rates, s):
+    """Provider ``s``'s degree-one utility, one provider at a time and
+    branch by branch."""
+    alpha = float(index.alphas[s])
+    rows = index.sp_rows(s)
+    u = np.asarray(rates, dtype=float)[rows]
+    w = index.weights[rows]
+    if math.isinf(alpha):
+        return float(np.min(u / index.users[rows]))
+    if alpha == 0.0:
+        return float(np.dot(w, u))
+    if alpha == 1.0:
+        if np.any(u == 0):
+            return 0.0
+        return float(np.exp(np.dot(w, np.log(u)) / w.sum()))
+    if alpha > 1.0 and np.any(u == 0):
+        return 0.0
+    pos = u > 0
+    if not pos.any():
+        return 0.0
+    log_terms = np.log(w[pos]) + (1.0 - alpha) * np.log(u[pos])
+    top = log_terms.max()
+    top = top if math.isfinite(top) else 0.0
+    with np.errstate(divide="ignore"):
+        return float(np.exp((top + np.log(np.exp(log_terms - top).sum())) / (1.0 - alpha)))
+
+
+MIXED_ALPHAS = (0.0, 0.5, 1.0, 2.0, 20.0, math.inf)
+
+
+def mixed_market(rng):
+    """A random market with one provider at each of ``MIXED_ALPHAS``."""
+    spec = random_scenario(rng, n_sps=len(MIXED_ALPHAS), n_cells=int(rng.integers(1, 4)), max_users=4)
+    sps = tuple(replace(sp, alpha=a) for sp, a in zip(spec.sps, MIXED_ALPHAS))
+    return normalize_scenario(replace(spec, sps=sps))
+
+
+def test_mixed_market_utilities_match_per_provider_reference():
+    """Every provider of a mixed-alpha market is scored by one batched call,
+    zero rates and the all-inf rates of an unbounded provider included."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        scn = mixed_market(rng)
+        index = scn.index
+        batch = rng.uniform(0.0, 5.0, (3, index.n_triples))
+        batch[0, rng.random(index.n_triples) < 0.3] = 0.0
+        batch[1, index.sp_of == rng.integers(index.n_sps)] = np.inf
+        got = utilities(scn, batch)
+        assert got.shape == (3, index.n_sps)
+        for k, rates in enumerate(batch):
+            assert np.array_equal(utilities(scn, rates), got[k])
+            ref = [reference_utility(index, rates, s) for s in range(index.n_sps)]
+            assert got[k] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_utility_times_unit_cost_is_budget():
+    """At positive prices every alpha > 0 provider's best response costs its
+    budget: ``U_s(rates) e_s(D_s p) = B_s``, the utility and the unit cost
+    being one aggregate and its dual."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        scn = mixed_market(rng)
+        index = scn.index
+        kernel = index.kernel
+        pd = kernel.row_prices(rng.uniform(0.1, 1.0, index.n_goods))[1]
+        cost = _UnitCost(np.log(index.weights), index.alphas[index.sp_of], kernel.seg)
+        spent = utilities(scn, kernel.rates(pd)) * np.exp(cost(np.log(pd)))
+        scored = index.alphas > 0
+        assert spent[scored] == pytest.approx(index.budgets[scored], rel=1e-12)
 
 
 class TestTradingPost:
@@ -235,18 +309,6 @@ class TestVerifyEquilibrium:
         spend = (me.prices[None, :] * me.allocation.x).sum(axis=1)
         assert np.allclose(spend, scn.index.budgets, atol=1e-6)
         assert me.prices.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_bid_tensor_budget_check():
-    from slicemarket import BidTensor
-
-    scn = make_scn([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], [0.4, 0.6])
-    good = BidTensor(np.array([[0.2, 0.2], [0.3, 0.3]]))
-    good.check(scn.index)
-    with pytest.raises(ValueError, match="budgets"):
-        BidTensor(np.array([[0.2, 0.3], [0.3, 0.3]])).check(scn.index)
-    with pytest.raises(ValueError, match="negative"):
-        BidTensor(np.array([[-0.1, 0.5], [0.3, 0.3]])).check(scn.index)
 
 
 def test_settle_bids_matches_tp_at_interior_fixed_point():

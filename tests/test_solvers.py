@@ -23,6 +23,7 @@ from slicemarket import (
     solve_eg,
     solve_social_optimal,
     static_share,
+    utilities,
     verify_equilibrium,
 )
 from tests.test_market import make_scn
@@ -90,7 +91,7 @@ class TestBestResponse:
                     u_star = np.where(
                         index.consumed[rows], b_star / pd_rows, np.inf
                     ).min(axis=1)
-                util_star = _group_utility(index, s, u_star)
+                util_star = _group_utility(scn, s, u_star)
                 budget = index.budgets[s]
                 cons = [(i, g) for k, i in enumerate(rows) for g in np.flatnonzero(index.consumed[i])]
                 for _ in range(250):
@@ -101,15 +102,13 @@ class TestBestResponse:
                         b[k, g] = v
                     with np.errstate(divide="ignore", invalid="ignore"):
                         u = np.where(index.consumed[rows], b / pd_rows, np.inf).min(axis=1)
-                    assert _group_utility(index, s, u) <= util_star + 1e-9
+                    assert _group_utility(scn, s, u) <= util_star + 1e-9
 
 
-def _group_utility(index, s, u_rows):
-    from slicemarket.market import sp_utility_homog
-
-    full = np.zeros(index.n_triples)
-    full[index.sp_rows(s)] = u_rows
-    return sp_utility_homog(index, full, s)
+def _group_utility(scn, s, u_rows):
+    full = np.zeros(scn.index.n_triples)
+    full[scn.index.sp_rows(s)] = u_rows
+    return utilities(scn, full)[s]
 
 
 class TestSolveEG:

@@ -21,7 +21,7 @@ from slicemarket import (
     random_scenario,
     static_share,
 )
-from slicemarket.market import sp_utility_homog
+from slicemarket.market import utilities
 
 
 def two_class_cell(alpha):
@@ -150,6 +150,6 @@ def test_matches_scipy_on_random_markets(alpha):
         assert rep.converged
         for s in range(index.n_sps):
             for got, cap in ((rep.utilities[s], index.budgets[s]), (hat[s], 1.0)):
-                ref = sp_utility_homog(index, reference_rates(index, s, cap), s)
+                ref = utilities(scn, reference_rates(index, s, cap))[s]
                 assert got == pytest.approx(ref, rel=1e-8)
                 assert got >= ref * (1 - 1e-9)
