@@ -169,8 +169,9 @@ def cmd_compare(args) -> int:
                 (float(alpha), scheme, name, rep.utilities[s], welfare[scheme], nash[scheme], poa, bound)
                 for s, name in enumerate(scn.index.sp_names)
             )
+        poa_text = "n/a" if poa is None else f"{poa:.5g}"
         me_minus_ss = reports["me"].utilities - reports["ss"].utilities
-        print(f"  PoA={'n/a' if poa is None else f'{poa:.5g}'} (bound {bound:.5g})  min ME-SS={me_minus_ss.min():.3g}")
+        print(f"  PoA={poa_text} (bound {bound:.5g})  min ME-SS={me_minus_ss.min():.3g}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "compare.csv")

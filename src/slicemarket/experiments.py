@@ -22,9 +22,9 @@ import numpy as np
 
 from . import charts
 from .dynamics import price_path
+from .market import SolveReport
 from .model import ScenarioSpec, load_scenario, normalize_scenario
 from .scenarios import LoadModel, budget_sweep, instantiate, benchmark_preset
-from .market import SolveReport
 from .solvers import nash_welfare, solve_eg, solve_social_optimal, static_share
 
 CSV_COLUMNS = (

@@ -399,7 +399,7 @@ class CESAggregate:
     """
 
     def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray):
-        new = np.r_[True, seg[1:] != seg[:-1]]
+        new = np.concatenate(([True], seg[1:] != seg[:-1]))
         self.starts = np.flatnonzero(new)
         self.ids = seg[self.starts]
         self.seg = np.cumsum(new) - 1
@@ -412,11 +412,13 @@ class CESAggregate:
         # the normalized weights; min segments get a finite placeholder
         self.q = np.where(np.isneginf(q), 1.0, q)
         self.q_div = np.where(power, q_sp, 1.0)
-        forms = ((power, self._power), (q_sp == 0.0, self._geometric), (np.isneginf(q_sp), self._least))
+        geometric = q_sp == 0.0
+        forms = ((power, self._power), (geometric, self._geometric), (np.isneginf(q_sp), self._least))
         self.forms = [(mask, form) for mask, form in forms if mask.any()]
-        # the shares at x = 1, w / sum w
-        _, e, tot = self._terms(np.zeros(np.shape(log_w)))
-        self.w_hat = e / tot[..., self.seg]
+        if geometric.any():
+            # the shares at x = 1, w / sum w
+            _, e, tot = self._terms(np.zeros(np.shape(log_w)))
+            self.w_hat = e / tot[..., self.seg]
 
     def seg_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-segment sums of ``values`` ``[..., n]``, added in variable
