@@ -11,7 +11,9 @@ resource per unit service rate; all file I/O stays in physical units.
 arrays, the layout every public function takes and returns.  The providers'
 closed-form demand, which the equilibrium solvers evaluate on every
 iteration, runs in :class:`DemandKernel` on an internal compact layout with
-one slot per consumed good.
+one slot per consumed good.  Every degree-one utility, and the unit cost of
+one, is a CES aggregate over a provider's variables, evaluated by
+:class:`CESAggregate`.
 """
 
 from __future__ import annotations
@@ -413,7 +415,13 @@ class CESAggregate:
         self.q = np.where(np.isneginf(q), 1.0, q)
         self.q_div = np.where(power, q_sp, 1.0)
         geometric = q_sp == 0.0
-        forms = ((power, self._power), (geometric, self._geometric), (np.isneginf(q_sp), self._least))
+        # unbound methods: bound ones would make each aggregate a reference
+        # cycle, freed only by the cyclic garbage collector
+        forms = (
+            (power, CESAggregate._power),
+            (geometric, CESAggregate._geometric),
+            (np.isneginf(q_sp), CESAggregate._least),
+        )
         self.forms = [(mask, form) for mask, form in forms if mask.any()]
         if geometric.any():
             # the shares at x = 1, w / sum w
@@ -448,7 +456,7 @@ class CESAggregate:
     def _combine(self, log_x, terms):
         out = None
         for mask, form in self.forms:
-            value = form(log_x, terms)
+            value = form(self, log_x, terms)
             out = value if out is None else np.where(mask, value, out)
         return out
 

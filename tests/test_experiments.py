@@ -19,9 +19,10 @@ from slicemarket import (
     benchmark_preset,
     instantiate,
     normalize_scenario,
-    poa_bound,
     run_dynamics,
+    save_scenario,
 )
+from slicemarket.cli import main
 from slicemarket.experiments import (
     CONVERGENCE_ROUNDS,
     CSV_COLUMNS,
@@ -31,12 +32,10 @@ from slicemarket.experiments import (
     _convergence_study,
     _write_csv,
     _write_price_trace,
-    SCHEME_SOLVERS,
     config_from_dict,
     emit_csv,
     emit_plotdata,
     run_experiment,
-    score_schemes,
 )
 from tests.test_market import make_scn
 
@@ -220,28 +219,38 @@ class TestConfig:
             ExperimentConfig(schemes=())
 
 
-def compare(spec, alpha):
-    """Every scheme's report on ``spec`` at ``alpha``, their scores and the
-    price-of-anarchy bound, as the CLI ``compare`` command computes them."""
-    scn = normalize_scenario(spec.with_alphas(alpha))
-    reports = {name: SCHEME_SOLVERS[name](scn) for name in ("so", "me", "ss")}
-    welfare, _, poa = score_schemes(scn.index.budgets, reports)
-    bound = poa_bound(scn, so_report=reports["so"], me_report=reports["me"])[1]
-    return {name: rep.utilities for name, rep in reports.items()}, welfare, poa, bound
+def compare_rows(tmp_path, spec, alphas):
+    """``compare.csv`` of the CLI ``compare`` command on ``spec``, as
+    ``{(alpha, scheme): [row per provider]}``."""
+    path = tmp_path / "scn.json"
+    save_scenario(spec, path)
+    argv = ["compare", "--config", str(path), "--alpha", ",".join(map(str, alphas)), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = {}
+    with open(tmp_path / "compare.csv", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            rows.setdefault((float(row["alpha"]), row["scheme"]), []).append(row)
+    return rows
+
+
+def column(rows, name):
+    return np.array([float(row[name]) for row in rows])
 
 
 class TestCompareSchemes:
-    def test_single_sp_schemes_coincide(self):
+    def test_single_sp_schemes_coincide(self, tmp_path):
         scn = make_scn([[0.5, 0.25]], [2.0], [1.0])
-        utils, _, poa, _ = compare(scn.spec, 2.0)
-        assert utils["me"][0] == pytest.approx(utils["so"][0], rel=1e-6)
-        assert utils["me"][0] == pytest.approx(utils["ss"][0], rel=1e-6)
-        assert poa == pytest.approx(0.0, abs=1e-6)
+        rows = compare_rows(tmp_path, scn.spec, [2.0])
+        me, so, ss = (column(rows[2.0, name], "utility")[0] for name in ("me", "so", "ss"))
+        assert me == pytest.approx(so, rel=1e-6)
+        assert me == pytest.approx(ss, rel=1e-6)
+        assert float(rows[2.0, "me"][0]["poa"]) == pytest.approx(0.0, abs=1e-6)
 
-    def test_preset_dominance_and_poa(self):
+    def test_preset_dominance_and_poa(self, tmp_path):
         spec = instantiate(benchmark_preset(), LoadModel(seed=2), 0)
+        rows = compare_rows(tmp_path, spec, [1.0, 2.0])
         for alpha in (1.0, 2.0):
-            utils, welfare, poa, bound = compare(spec, alpha)
-            assert np.all(utils["me"] - utils["ss"] >= -1e-8)
-            assert poa <= bound + 1e-9
-            assert welfare["so"] >= welfare["me"] - 1e-9
+            me, so, ss = (rows[alpha, name] for name in ("me", "so", "ss"))
+            assert np.all(column(me, "utility") - column(ss, "utility") >= -1e-8)
+            assert np.all(column(me, "poa") <= column(me, "poa_bound") + 1e-9)
+            assert column(so, "welfare")[0] >= column(me, "welfare")[0] - 1e-9
