@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slicemarket import (
+    Allocation,
     CellDef,
     ClassDef,
     ProviderDef,
@@ -299,6 +300,20 @@ class TestVerifyEquilibrium:
             u0 = b_ck[0] / pd[0]
             best = max(best, u0)
         assert best > ss.allocation.rates[0] + 1e-4
+
+    def test_alpha_zero_is_not_checked_and_unbounded_demand_is_inf(self):
+        # sp0 (alpha 0) gets nothing and sp1 (alpha 2) its best response: only
+        # sp1 is checked, and it has no gap
+        scn = make_scn([[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0], [0.5, 0.5])
+        kernel = scn.index.kernel
+        prices = np.array([0.5, 0.5])
+        rates = kernel.rates(kernel.row_prices(prices)[1]) * np.array([0.0, 1.0])
+        alloc = Allocation(x=rates[:, None] * scn.index.demand, rates=rates)
+        rep = verify_equilibrium(scn, alloc, prices)
+        assert rep.br_gap == rep.br_gap_rel == 0.0
+        # sp1's only good is free, so its demand is unbounded
+        rep = verify_equilibrium(scn, alloc, np.array([0.5, 0.0]))
+        assert rep.br_gap == rep.br_gap_rel == math.inf
 
     def test_solver_output_verifies(self):
         scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [2.0, 1.0], [0.4, 0.6])
