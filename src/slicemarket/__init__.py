@@ -11,7 +11,6 @@ from .dynamics import (
     PotentialBreakdown,
     bid_update,
     bregman_gap,
-    convergence_certificate,
     eval_dual,
     eval_potential,
     potential_gradient,
@@ -84,7 +83,6 @@ __all__ = [
     "bid_update",
     "bregman_gap",
     "budget_sweep",
-    "convergence_certificate",
     "eval_dual",
     "eval_potential",
     "generate_instances",

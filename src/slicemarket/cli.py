@@ -50,8 +50,6 @@ def _load_spec(args, seed: int):
 
 def _print_report(rep, index) -> None:
     print(f"method: {rep.method}  iterations: {rep.iterations}  converged: {rep.converged}")
-    if rep.surrogate_alphas:
-        print(f"alpha surrogates applied for: {sorted(rep.surrogate_alphas)}")
     for key, val in rep.residuals.items():
         print(f"  {key}: {val:.3e}")
     print("per-provider utility (degree-one aggregate) and spending:")

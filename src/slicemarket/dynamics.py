@@ -162,7 +162,9 @@ def potential_gradient(scn: NormalizedScenario, bids: np.ndarray) -> np.ndarray:
 def divergence_dg(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) -> float:
     """Bregman reference divergence ``sum KL(b, b') - sum_{1<a<inf}
     KL(b_ck, b'_ck)/(1-a)``: the first over per-good bids, the second over
-    per-(cell, class) aggregated spend."""
+    per-(cell, class) aggregated spend.  From the equilibrium bids ``b`` to
+    the starting bids ``b_prev`` it is the budget ``D`` of the O(1/T)
+    convergence guarantee ``Phi(b^T) - Phi(b*) <= D / T``."""
     index = scn.index
     eq1, between, inf = _regime_masks(index)
     total = 0.0
@@ -245,14 +247,6 @@ def uniform_bids(index: MarketIndex) -> np.ndarray:
     counts = index.sp_sum(index.consumed.sum(axis=1).astype(float))
     b = index.consumed * (index.budgets / counts)[index.sp_of, None]
     return b
-
-
-def convergence_certificate(
-    scn: NormalizedScenario, b_star: np.ndarray, b0: np.ndarray
-) -> float:
-    """KL budget D of the O(1/T) convergence guarantee
-    ``Phi(b^T) - Phi(b*) <= D / T``."""
-    return divergence_dg(scn, b_star, b0)
 
 
 def _bid_round(kernel: DemandKernel, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

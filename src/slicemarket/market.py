@@ -9,7 +9,7 @@ a ``[n_goods]`` array of prices for the whole normalized resource.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,13 @@ def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
     At alpha=1 this is the weighted geometric mean (the continuity limit),
     at alpha=inf it is ``min u/n``.  Positively homogeneous of degree one,
     which is what the equilibrium program and cross-scheme welfare
-    comparisons require.  A provider with no triple has utility 0.
+    comparisons require.
     """
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("negative service rate")
-    utility = scn.index.utility
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_u = utility(np.log(rates))
-    out = np.zeros(rates.shape[:-1] + (scn.index.n_sps,))
-    out[..., utility.ids] = np.exp(log_u)
-    return out
+        return np.exp(scn.index.utility(np.log(rates)))
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,7 @@ def verify_equilibrium(
     kernel = index.kernel
     u_br = kernel.rates(kernel.row_prices(prices)[1])
     best, held = utilities(scn, np.stack([u_br, allocation.rates]))
-    # the alpha=0 best response has no closed form, so it is not checked
-    # (tp dynamics never run at alpha=0)
+    # an alpha-0 provider's best responses are not unique and are not checked
     checked = index.alphas > 0.0
     best, held = best[checked], held[checked]
     if not np.all(np.isfinite(best)):
@@ -208,7 +203,6 @@ class SolveReport:
     price_trace: np.ndarray | None = None
     trace_iterations: np.ndarray | None = None
     bids: np.ndarray | None = None
-    surrogate_alphas: dict[str, float] = field(default_factory=dict)
 
 
 def make_report(
@@ -221,7 +215,6 @@ def make_report(
     residuals: dict[str, float],
     potential_trace: np.ndarray | None = None,
     price_trace: np.ndarray | None = None,
-    surrogate_alphas: dict[str, float] | None = None,
 ) -> SolveReport:
     index = scn.index
     spend = index.sp_sum((prices[None, :] * allocation.x).sum(axis=1))
@@ -237,5 +230,4 @@ def make_report(
         residuals=residuals,
         potential_trace=potential_trace,
         price_trace=price_trace,
-        surrogate_alphas=surrogate_alphas or {},
     )

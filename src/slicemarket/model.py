@@ -119,9 +119,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     """Check structural invariants; raises :class:`ScenarioError`.
 
     Enforced: positive capacities, positive demands on consumed resources,
-    budgets summing to 1, alpha >= 0, nonnegative integer user counts,
-    every supported class existing at its cell with all consumed resources
-    present there.
+    budgets summing to 1, alpha >= 0, nonnegative integer user counts, some
+    users for every provider, every supported class existing at its cell
+    with all consumed resources present there.
     """
     if not spec.cells:
         raise ScenarioError("scenario has no cells")
@@ -187,6 +187,8 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 raise ScenarioError(
                     f"class {e.klass!r} needs {sorted(missing)} absent at cell {e.cell!r}"
                 )
+        if not any(e.users > 0 for e in sp.support):
+            raise ScenarioError(f"SP {sp.name!r} serves no users")
     if abs(total_budget - 1.0) > BUDGET_SUM_TOL:
         raise ScenarioError(f"budgets sum to {total_budget!r}, expected 1")
 
@@ -290,9 +292,10 @@ class DemandKernel:
     w^(1/a) PD^((a-1)/a)`` (``w * PD`` at ``a = inf``), split over the
     triple's goods in proportion to ``p_g d_ig``; the induced rate is uniform
     across the goods of a class.  The softmax runs in log space so sharp
-    concentration at small ``a`` stays finite.  ``a = 0`` has no closed form:
-    its rows get the ``a = inf`` coefficients as a finite placeholder, and
-    every caller rejects or skips alpha-0 providers.
+    concentration at small ``a`` stays finite.  ``a = 0`` has no closed form
+    (a linear utility's best responses are every bundle of its best value
+    per unit price): its rows get the ``a = inf`` coefficients as a finite
+    placeholder, and every caller rejects or skips alpha-0 providers.
     """
 
     def __init__(self, index: MarketIndex):
@@ -312,9 +315,10 @@ class DemandKernel:
         # rows served at a common per-user level (a = inf, and the a = 0
         # placeholders)
         self.level = ~regular
-        sps, self.starts = np.unique(index.sp_of, return_index=True)
-        self.seg = np.searchsorted(sps, index.sp_of)
-        self.budgets = index.budgets[sps]
+        # every provider has a row (validate_scenario), in provider order
+        _, self.starts = np.unique(index.sp_of, return_index=True)
+        self.seg = index.sp_of
+        self.budgets = index.budgets
         self.row_budgets = index.budgets[index.sp_of]
 
     def row_prices(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,14 +389,14 @@ class CESAggregate:
     segment ``s`` of positive values ``x``, in log space.
 
     Variables belong to contiguous segments (``seg``, sorted; results are per
-    segment in order of appearance, whose ids are ``ids``), and every variable
-    of a segment has the same exponent ``q``.  ``q = 0`` is the limit ``prod
-    x^(w / sum w)``, the weighted geometric mean, and ``q = -inf`` is taken
-    as ``min x / w``.  ``log_w`` and ``q`` are per variable, ``[..., n]``,
-    and results per segment, ``[..., n_seg]``, over common leading batch
-    axes.  A variable of weight 0 (``log_w = -inf``) is padding and takes no
-    part.  Which of the three forms the segments use is settled here, and a
-    call evaluates only those.
+    segment in order of appearance), and every variable of a segment has the
+    same exponent ``q``.  ``q = 0`` is the limit ``prod x^(w / sum w)``, the
+    weighted geometric mean, and ``q = -inf`` is taken as ``min x / w``.
+    ``log_w`` and ``q`` are per variable, ``[..., n]``, and results per
+    segment, ``[..., n_seg]``, over common leading batch axes.  A variable of
+    weight 0 (``log_w = -inf``) is padding and takes no part.  Which of the
+    three forms the segments use is settled here, and a call evaluates only
+    those.
 
     An alpha-fair provider's degree-one utility is the aggregate of its rates
     at ``q = 1 - a`` (:attr:`MarketIndex.utility`), and the least cost of a
@@ -403,7 +407,6 @@ class CESAggregate:
     def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray):
         new = np.concatenate(([True], seg[1:] != seg[:-1]))
         self.starts = np.flatnonzero(new)
-        self.ids = seg[self.starts]
         self.seg = np.cumsum(new) - 1
         self._flat: dict[int, np.ndarray] = {}
         self.log_w = log_w
@@ -575,9 +578,6 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
             users.append(e.users)
             weights.append(effective_weight(e.users, sp.alpha, e.weight))
             rows.append(row)
-
-    if not triples:
-        raise ScenarioError("no supported (sp, cell, class) triple has users")
 
     demand_mat = np.array(rows)
     index = MarketIndex(

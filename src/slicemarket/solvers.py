@@ -2,28 +2,29 @@
 
 ``solve_eg`` computes the market equilibrium (the optimum of the
 budget-weighted log-utility program whose capacity duals are the prices) at
-every alpha by projected Newton steps on the program's price dual, whose
-gradient is the excess supply of the closed-form demands.  The decentralized
-bid dynamics (:mod:`~slicemarket.dynamics`), the paper's learning
-algorithm, reach the same equilibrium without a central solver.
+every alpha: by projected Newton steps on the program's price dual, whose
+gradient is the excess supply of the closed-form demands, or, where an
+alpha-0 provider has no closed-form demand, on the program itself by the
+primal-dual interior-point engine (:func:`_interior_point`).  The
+decentralized bid dynamics (:mod:`~slicemarket.dynamics`), the paper's
+learning algorithm, reach the same equilibrium without a central solver.
 ``solve_social_optimal`` and ``static_share`` are the efficiency and
-isolation baselines, both solved by one primal-dual interior-point engine
-(:func:`_interior_point`) and certified by weak duality; the social optimum
-runs the engine as an active set that drops the providers priced out of the
-optimum.  ``poa_bound`` / ``nash_welfare`` provide the fairness/efficiency
-diagnostics.
+isolation baselines, solved by the same engine and certified by weak
+duality; the social optimum runs the engine as an active set that drops the
+providers priced out of the optimum.  ``poa_bound`` / ``nash_welfare``
+provide the fairness/efficiency diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .market import Allocation, SolveReport, make_report, utilities, verify_equilibrium
-from .model import CESAggregate, MarketIndex, NormalizedScenario, normalize_scenario
+from .model import CESAggregate, MarketIndex, NormalizedScenario
 
 
 def __getattr__(name: str):
@@ -37,15 +38,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-#: Fairness parameter standing in for alpha=0 (degenerate linear demands)
-#: inside market-equilibrium solves.
-ALPHA_ZERO_SURROGATE = 1e-3
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of :func:`solve_eg`: ``max_iterations`` caps the Newton
-    steps of each continuation stage."""
+    """Settings of :func:`solve_eg`: ``max_iterations`` caps its Newton steps."""
 
     max_iterations: int = 50000
 
@@ -75,7 +70,7 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
     if alpha == 0.0:
         raise ValueError(
             "best response degenerates at alpha=0 (linear utility concentrates); "
-            "market solves route alpha=0 through a smoothed surrogate"
+            "solve_eg solves alpha=0 markets on the Eisenberg-Gale program itself"
         )
     prices = np.asarray(prices, dtype=float)
     if np.any(prices < 0):
@@ -105,20 +100,6 @@ def _repair_rates(index: MarketIndex, rates: np.ndarray, caps: np.ndarray) -> np
     factor = np.where(usage > caps, caps / np.maximum(usage, 1e-300), 1.0)
     per_triple = np.where(index.consumed, factor[None, :], np.inf).min(axis=1)
     return rates * np.minimum(per_triple, 1.0)
-
-
-def _with_surrogates(scn: NormalizedScenario, mapping) -> tuple[NormalizedScenario, dict[str, float]]:
-    """Re-normalize with per-SP alpha substitutions; returns (scenario, flags)."""
-    flags = {}
-    sps = []
-    for sp in scn.spec.sps:
-        new_alpha = mapping(sp.alpha)
-        if new_alpha != sp.alpha:
-            flags[sp.name] = sp.alpha
-        sps.append(replace(sp, alpha=new_alpha))
-    if not flags:
-        return scn, {}
-    return normalize_scenario(replace(scn.spec, sps=tuple(sps))), flags
 
 
 class _UnitCost:
@@ -192,7 +173,7 @@ _ARMIJO = 1e-4
 _ACTIVE_PRICE = 1e-9
 
 
-def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, price_rows):
+def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, price_rows):
     """Minimize the Eisenberg-Gale price dual ``f(p) = sum_g p_g - sum_s B_s
     log e_s(D_s p)`` over nonnegative prices of the demanded goods, from
     ``p``, by a projected Newton method (Bertsekas, *Projected Newton
@@ -210,19 +191,17 @@ def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, pr
     min(residual, _ACTIVE_PRICE)`` with positive gradient are pinned and
     driven to 0 along the projection arc; a Levenberg term equal to the
     residual on the diagonal keeps rank-deficient cells (one class on three
-    goods, say) from stalling the step.  Where the structured direction is
-    not a descent direction, the dense Newton system is solved instead
-    (:func:`_newton_direction`).
+    goods, say) from stalling the step.
 
     The Armijo search evaluates ``f`` itself.  Once the predicted decrease
     is below the rounding of ``f``, the full step is taken; the solve stops
     when such a step fails to halve the projected gradient (which is then
-    at rounding level), when no step decreases ``f``, or after
-    ``max_steps`` steps.  Appends every iterate to ``price_rows`` and
-    returns ``(p, steps)``, ``p`` the iterate of smallest projected
-    gradient.
+    at rounding level), when the step is not a descent direction or no
+    step along it decreases ``f``, or after ``max_steps`` steps.  Appends
+    every iterate to ``price_rows`` and returns ``(p, steps)``, ``p`` the
+    iterate of smallest projected gradient.
     """
-    index = work.index
+    index = scn.index
     kernel = index.kernel
     cost = _UnitCost(np.log(index.weights), index.alphas[index.sp_of].astype(float), kernel.seg)
     budgets = kernel.budgets
@@ -262,18 +241,6 @@ def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, pr
             return None
         d = np.zeros(n_goods)
         d[cells.good[fb]] = (x[:, :, 0] - x[:, :, 1:] @ y)[fb]
-        return d
-
-    def dense(k_blocks, v_blocks, grad, free, mu):
-        h = np.zeros((n_goods, n_goods))
-        np.add.at(h, (cells.good[:, :, None], cells.good[:, None, :]), k_blocks)
-        vd = np.zeros((n_goods, n_seg))
-        np.add.at(vd, cells.good, v_blocks)
-        h += (vd * coupling) @ vd.T
-        h = h[np.ix_(free, free)]
-        h[np.diag_indices_from(h)] += mu
-        d = np.zeros(n_goods)
-        d[free] = _newton_direction(h[None], grad[free][None])[0]
         return d
 
     def search(p, d, grad, value, scale):
@@ -317,15 +284,11 @@ def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, pr
         v_blocks = np.bincount(
             cells.slot.ravel(), weights=(u[:, None] * dm).ravel(), minlength=cells.n_cells * m * n_seg
         ).reshape(cells.n_cells, m, n_seg)
-        found = None
-        for direction in (structured, dense):
-            d = direction(k_blocks, v_blocks, grad, free, resid)
-            if d is None or not np.all(np.isfinite(d)):
-                continue
-            d[pinned] = p[pinned]
-            found = search(p, d, grad, value, scale)
-            if found is not None:
-                break
+        d = structured(k_blocks, v_blocks, grad, free, resid)
+        if d is None or not np.all(np.isfinite(d)):
+            break
+        d[pinned] = p[pinned]
+        found = search(p, d, grad, value, scale)
         if found is None:
             break
         p, (value, scale, u, pd), quiet = found
@@ -335,70 +298,64 @@ def _price_newton(work: NormalizedScenario, cells: _PriceCells, p, max_steps, pr
 
 
 def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
-    """Market-equilibrium allocation and prices, by projected Newton steps
-    on the Eisenberg-Gale price dual (:func:`_price_newton`) at every alpha.
+    """Market-equilibrium allocation and prices: the optimum of the
+    Eisenberg-Gale program ``max sum_s B_s log U_s`` under the capacities,
+    whose capacity duals are the prices.
 
-    alpha=0 providers are routed through a smoothed alpha=1e-3 surrogate,
-    reached by a continuation over decreasing surrogate values so the
-    near-linear final stage starts from almost-equilibrium prices, and
-    flagged in ``surrogate_alphas``.  ``config.max_iterations`` caps the
-    Newton steps of each stage; ``iterations`` counts them all, and the price
-    trace holds every iterate.  The report's method is ``"tatonnement"``.
-    Deterministic: identical scenario and config give an identical report.
-    ``converged`` rests on the absolute gaps of
-    :func:`~slicemarket.market.verify_equilibrium` at its default tolerance;
+    A market with an alpha-0 provider is solved on the program itself
+    (:func:`_eisenberg_gale_solve`, method ``"barrier"``, with its duality
+    gap in ``residuals["duality_gap"]``), any other by projected Newton steps
+    on its price dual (:func:`_price_newton`, method ``"tatonnement"``, with
+    every iterate in the price trace).  ``config.max_iterations`` caps the
+    Newton steps that ``iterations`` counts (the interior-point engine stops
+    at ``_BARRIER_MAX_STEPS`` in any case).  Identical scenario and config
+    give an identical report.  ``converged`` rests on the absolute gaps of
+    :func:`~slicemarket.market.verify_equilibrium` at its default tolerance,
+    and on a duality gap of at most ``SO_GAP_TOL`` where there is one;
     ``residuals["br_gap_rel"]`` reports the best-response gap relative to
-    the best-response utility next to them.  The decentralized route to the
-    same equilibrium is :func:`~slicemarket.dynamics.run_dynamics`.
+    the best-response utility.  The decentralized route to the same
+    equilibrium is :func:`~slicemarket.dynamics.run_dynamics`.
     """
     config = config or SolverConfig()
-    has_zero = bool(np.any(scn.index.alphas == 0.0))
-    stages = [0.1, 0.01, ALPHA_ZERO_SURROGATE] if has_zero else [None]
-    demanded = scn.index.demanded_goods()
-    cells = _PriceCells(scn.index)
-    p = np.where(demanded, 1.0 / demanded.sum(), 0.0)
-    price_rows = [p]
-    total_it = 0
-    flags: dict[str, float] = {}
-    work = scn
-    for stage in stages:
-        work, flags = _with_surrogates(
-            scn, lambda a, st=stage: (st if st is not None else a) if a == 0.0 else a
-        )
-        p, it = _price_newton(work, cells, p, config.max_iterations, price_rows)
-        total_it += it
-
-    kernel = work.index.kernel
-    pd_slots, pd = kernel.row_prices(p)
-    demand = kernel.rates(pd)
-    rates = _repair_rates(work.index, demand, np.ones(work.index.n_goods))
-    allocation = _rate_allocation(work.index, rates)
-    # the equilibrium flag is judged against the surrogate market (an exact
-    # alpha=0 equilibrium does not exist)
-    check = verify_equilibrium(work, allocation, p)
+    index = scn.index
+    kernel = index.kernel
+    barrier = bool(np.any(index.alphas == 0.0))
+    if barrier:
+        rates, p, gap, iterations = _eisenberg_gale_solve(index, min(config.max_iterations, _BARRIER_MAX_STEPS))
+    else:
+        demanded = index.demanded_goods()
+        price_rows = [np.where(demanded, 1.0 / demanded.sum(), 0.0)]
+        p, iterations = _price_newton(scn, _PriceCells(index), price_rows[0], config.max_iterations, price_rows)
+        pd_slots, pd = kernel.row_prices(p)
+        demand = kernel.rates(pd)
+        rates = _repair_rates(index, demand, np.ones(index.n_goods))
+    allocation = _rate_allocation(index, rates)
+    check = verify_equilibrium(scn, allocation, p)
+    residuals = {
+        "budget_gap": check.budget_gap,
+        "clearing_gap": check.clearing_gap,
+        "br_gap": check.br_gap,
+        "br_gap_rel": check.br_gap_rel,
+    }
+    if barrier:
+        residuals["duality_gap"] = gap
     report = make_report(
         scn,
-        method="tatonnement",
+        method="barrier" if barrier else "tatonnement",
         prices=p,
         allocation=allocation,
-        iterations=total_it,
-        converged=check.is_equilibrium,
-        residuals={
-            "budget_gap": check.budget_gap,
-            "clearing_gap": check.clearing_gap,
-            "br_gap": check.br_gap,
-            "br_gap_rel": check.br_gap_rel,
-        },
-        price_trace=np.array(price_rows),
-        surrogate_alphas=flags,
+        iterations=iterations,
+        converged=check.is_equilibrium and (not barrier or gap <= SO_GAP_TOL),
+        residuals=residuals,
+        price_trace=None if barrier else np.array(price_rows),
     )
-    report.bids = kernel.dense(demand[:, None] * pd_slots)
+    report.bids = allocation.x * p if barrier else kernel.dense(demand[:, None] * pd_slots)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Welfare maximization under capacities: the interior-point engine shared by
-# the static share and the social optimum
+# the static share, the social optimum and the alpha-0 market equilibrium
 # ---------------------------------------------------------------------------
 
 #: Relative gap at which an interior-point solve stops: a (provider, cell)
@@ -422,8 +379,10 @@ _IP_DUAL_SPREAD = 1e10
 
 
 class _Welfare:
-    """Budget-weighted welfare ``W = sum_s B_s U_s(y)`` of a batch of
-    problems that share one layout of variables.
+    """Budget-weighted welfare ``sum_s B_s U_s(y)^q0 / q0`` of a batch of
+    problems that share one layout of variables: ``sum_s B_s U_s`` at ``q0 =
+    1`` (the social optimum) and ``sum_s B_s log U_s`` at ``q0 = 0`` (the
+    Eisenberg-Gale program).
 
     Variable ``v`` belongs to provider ``seg[v]`` (providers are contiguous
     segments) and stands for the rate ``u = exp(log_ref) y``.  ``U_s`` is the
@@ -433,14 +392,16 @@ class _Welfare:
     (``log_w = -inf``) is padding and takes no share of its utility.
     """
 
-    def __init__(self, log_w, q, seg, log_b, log_ref):
-        self.log_w, self.q, self.seg, self.log_b, self.log_ref = log_w, q, seg, log_b, log_ref
+    def __init__(self, log_w, q, seg, log_b, log_ref, q0):
+        self.log_w, self.q, self.seg, self.log_b, self.log_ref, self.q0 = log_w, q, seg, log_b, log_ref, q0
         self.utility = CESAggregate(log_w, q, seg)
         self.q_sp = q[:, self.utility.starts]
         self.alpha_sp = 1.0 - self.q_sp
+        # -hess(B U^q0 / q0) = B U^q0 [a diag(pi / y^2) - (a - 1 + q0) g g^T]
+        self.rank_sp = self.alpha_sp - (1.0 - q0)
         self.same_sp = seg[:, None] == seg[None, :]
-        # W = sum_s B_s U_s, the aggregate of the utilities at q = 1
-        self.total = CESAggregate(log_b, np.ones_like(log_b), np.zeros(log_b.shape[-1], dtype=np.intp))
+        # sum_s B_s U_s at q0 = 1, prod_s U_s^(B_s / sum B) at q0 = 0
+        self.total = CESAggregate(log_b, np.full_like(log_b, q0), np.zeros(log_b.shape[-1], dtype=np.intp))
 
     def utilities(self, y):
         """Log of every provider's utility at ``y`` and the shares ``pi_v =
@@ -448,15 +409,16 @@ class _Welfare:
         return self.utility.shares(self.log_ref + np.log(y))
 
     def log_welfare(self, log_u_sp):
-        """Log of the welfare of every problem from its providers' log
-        utilities."""
+        """Log of the aggregate :attr:`total` of every problem's utilities
+        from its providers' log utilities."""
         return self.total(log_u_sp)[..., 0]
 
     def rel_change(self, pi, log_ratio):
-        """Relative change of every provider's utility when each variable is
-        multiplied by ``exp(log_ratio)``, summed from per-term differences."""
+        """Change of every provider's ``U^q0 / q0`` in units of ``U^q0``
+        (``log U`` at ``q0 = 0``) when each variable is multiplied by
+        ``exp(log_ratio)``, summed from per-term differences."""
         x = self.utility.seg_sum(pi * _power_change(self.q, log_ratio))
-        return _utility_change(self.q_sp, x)
+        return _power_change(self.q0, _log_utility_change(self.q_sp, x))
 
 
 class _Iterate(NamedTuple):
@@ -472,7 +434,7 @@ class _Iterate(NamedTuple):
     scale: np.ndarray
 
 
-def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
+def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None, max_steps=_BARRIER_MAX_STEPS):
     """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
     for every problem ``b`` of a batch at once.
 
@@ -480,15 +442,16 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     (Wachter & Biegler, *On the implementation of an interior-point filter
     line-search algorithm for large-scale nonlinear programming*, Math.
     Prog. 2006; Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997).
-    The objective is ``f = -W / W_0``, ``W_0`` the welfare at the start
-    ``y = 0.9``, with slacks ``s = 1 - amat^T y`` carried along the steps
+    The objective is ``f = -W / W_0``, ``W`` the welfare of
+    :class:`_Welfare` and ``W_0`` its aggregate ``total`` at the start ``y =
+    0.9``, with slacks ``s = 1 - amat^T y`` carried along the steps
     (which keeps their relative precision near 0), capacity duals ``lam``
     and bound duals ``mu``.  A step is the Newton step of the barrier
     problem ``phi_nu = f - nu sum log s - nu sum log y``: one dense ``[batch,
     n, n]`` system ``(hess f + amat diag(lam / s) amat^T + diag(mu / y)) dy
     = -grad phi_nu`` (:func:`_newton_direction`), where provider ``s`` adds
-    ``(B_s U_s / W_0) a (diag(pi / y^2) - g g^T)`` with ``g = pi / y`` to
-    ``hess f``.
+    ``(B_s U_s^q0 / W_0) [a diag(pi / y^2) - (a - 1 + q0) g g^T]`` with ``g =
+    pi / y`` to ``hess f``.
 
     - ``nu`` starts at 0.1 and falls tenfold, as often as it takes, while
       the KKT error of the barrier problem is at most ``10 nu``.  That error
@@ -512,7 +475,8 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     that no variable uses carry no constraint.  After every step
     ``certified(y, lam, log_u)`` says which problems are solved, given the
     capacity duals in units of the welfare and the providers' log utilities;
-    a solved problem takes no further step.
+    a solved problem takes no further step, and none takes more than
+    ``max_steps``.
 
     Returns ``(end, iterations)``, ``end`` the final :class:`_Iterate`.  A
     solve given such a state as ``start`` goes on from it: with the same
@@ -544,8 +508,8 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
         lam, mu = cons * nu / s, free * nu / y
     lam, mu = spread(lam, mu)
     done = np.zeros((nb, 1), dtype=bool)
-    for it in range(1, _BARRIER_MAX_STEPS + 1):
-        coef = np.exp(welfare.log_b + log_u) / scale  # B_s U_s / W_0
+    for it in range(1, max_steps + 1):
+        coef = np.exp(welfare.log_b + welfare.q0 * log_u) / scale  # B_s U_s^q0 / W_0
         c_var = coef[:, welfare.seg]
         grad = -c_var * pi / y
         stat = (y * np.abs(grad + (amat @ lam[:, :, None])[:, :, 0] - mu)).max(axis=1, keepdims=True)
@@ -560,10 +524,10 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
             if not small.any():
                 break
             nu = np.where(small, 0.1 * nu, nu)
-        curv = (coef * welfare.alpha_sp)[:, welfare.seg]
-        cg = curv * pi / y
+        cg = (coef * welfare.alpha_sp)[:, welfare.seg] * pi / y
+        rank = (coef * welfare.rank_sp)[:, welfare.seg] * pi / y
         hess = (amat * (lam / s)[:, None, :]) @ amat_t
-        hess -= cg[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
+        hess -= rank[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
         hess[:, diag, diag] += (cg + mu) / y + (1.0 - free)
         rhs = free * (nu / y - grad) - (amat @ (cons * nu / s)[:, :, None])[:, :, 0]
         dy = _newton_direction(hess, rhs)
@@ -657,12 +621,12 @@ def _power_change(q, x):
         return np.where(q == 0.0, x, np.expm1(q * x) / np.where(q == 0.0, 1.0, q))
 
 
-def _utility_change(q, x):
-    """Relative change of a degree-one utility ``S^(1/q)`` (``exp S`` at
-    ``q = 0``) whose sum ``S / q`` changes by ``x`` in units of ``S``:
-    ``(1 + q x)^(1/q) - 1``, and ``e^x - 1`` at ``q = 0``."""
+def _log_utility_change(q, x):
+    """Log-ratio of a degree-one utility ``S^(1/q)`` (``exp S`` at ``q =
+    0``) whose sum ``S / q`` changes by ``x`` in units of ``S``: ``log(1 + q
+    x) / q``, and ``x`` at ``q = 0``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(q == 0.0, np.expm1(x), np.expm1(np.log1p(q * x) / q))
+        return np.where(q == 0.0, x, np.log1p(q * x) / q)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +691,7 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
         one_sp,
         np.zeros((c.shape[0], 1)),
         np.zeros(c.shape),
+        1.0,
     )
 
     def certified(z, lam, log_u):
@@ -760,7 +725,7 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     # its optimum, and the degree-one utility is S^(1/q)
     finite = np.isfinite(index.alphas)
     q, x = 1.0 - index.alphas[finite], x[finite]
-    gaps[finite] = np.where(q * x > -1.0, _utility_change(q, x), np.inf)
+    gaps[finite] = np.where(q * x > -1.0, np.expm1(_log_utility_change(q, x)), np.inf)
     return rates, gaps, iterations
 
 
@@ -819,10 +784,11 @@ class _WelfareLayout:
     its utility is ``tau`` itself.  ``amat[v]`` is the usage of one unit of
     variable ``v`` on every consumed good, and variables are scaled to an
     equal split of each good (``ref``) so the Newton systems stay O(1).
-    ``welfare`` is the program's objective as a batch of one.
+    ``welfare`` is the objective as a batch of one, at the outer exponent
+    ``q0`` of :class:`_Welfare` (1 for the social optimum).
     """
 
-    def __init__(self, index: MarketIndex):
+    def __init__(self, index: MarketIndex, q0: float = 1.0):
         cols, log_w, seg, alpha, owner, mult = [], [], [], [], [], []
         for s in range(index.n_sps):
             rows = index.sp_rows(s)
@@ -857,7 +823,7 @@ class _WelfareLayout:
         alpha = np.array(alpha)
         self.cost = _UnitCost(log_w, alpha, seg)
         self.welfare = _Welfare(
-            log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None]
+            log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None], q0
         )
 
     def log_ratios(self, lam):
@@ -885,7 +851,7 @@ class _WelfareLayout:
         keep = active[self.welfare.seg]
         w = self.welfare
         seg = np.cumsum(active)[w.seg[keep]] - 1
-        sub = _Welfare(w.log_w[:, keep], w.q[:, keep], seg, w.log_b[:, active], w.log_ref[:, keep])
+        sub = _Welfare(w.log_w[:, keep], w.q[:, keep], seg, w.log_b[:, active], w.log_ref[:, keep], w.q0)
         return sub, self.amat[keep], keep
 
     def rates(self, y):
@@ -982,6 +948,57 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
     prices = np.zeros(index.n_goods)
     prices[lay.goods] = lam
     return lay.rates(y), prices, gap, iterations
+
+
+def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Maximize ``sum_s B_s log U_s(u)`` under unit capacities by the
+    interior-point engine (:func:`_interior_point`, a batch of one; no
+    provider is priced out of an equilibrium) on the variables of
+    :class:`_WelfareLayout` with the outer exponent 0.
+
+    For prices ``lam >= 0`` the dual is ``sum lam - sum_s B_s (1 - r_s)``,
+    ``r_s = log B_s - log e_s`` (:meth:`_WelfareLayout.log_ratios`).  The gap
+    is taken at the iterate scaled onto the capacity frontier and at the
+    duals, those below their good's slack set to 0.  It is of second order
+    in each provider's ``r_s - log U_s`` (a gap of 1e-11 leaves budgets off
+    by up to 3e-6), so the solve stops once both are at most
+    ``_BARRIER_STOP_GAP`` in size, or after ``max_steps`` steps.  Providers
+    with alpha > 0 then take their one best response at the prices; alpha-0
+    providers, whose best responses are not unique, keep the solve's rates,
+    cut to the capacity the others leave.  Returns ``(rates, prices, gap,
+    iterations)``, the gap taken at those rates.
+    """
+    lay = _WelfareLayout(index, 0.0)
+    welfare, amat = lay.welfare, lay.amat
+    budgets = np.exp(lay.log_b)
+
+    def frontier(y, lam):
+        usage = amat.T @ y
+        return y / usage.max(), np.where(lam < 1.0 - usage / usage.max(), 0.0, lam)
+
+    def gap(lam, log_u):
+        r = lay.log_ratios(lam) - log_u
+        return float(lam.sum() - budgets.sum() + budgets @ r), r
+
+    def certified(y, lam, log_u):
+        y, lam = frontier(y[0], lam[0])
+        g, r = gap(lam, welfare.utilities(y[None])[0][0])
+        return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP])
+
+    end, iterations = _interior_point(
+        welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified, max_steps=max_steps
+    )
+    y, lam = frontier(end.y[0], end.lam[0] * end.scale[0])
+    prices = np.zeros(index.n_goods)
+    prices[lay.goods] = lam
+    kernel = index.kernel
+    linear = index.alphas[index.sp_of] == 0.0
+    demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1]))
+    left = np.maximum(1.0 - (demand[:, None] * index.demand).sum(axis=0), 0.0)
+    rates = np.where(linear, _repair_rates(index, np.where(linear, lay.rates(y), 0.0), left), demand)
+    with np.errstate(divide="ignore"):
+        log_u = index.utility(np.log(rates))
+    return rates, prices, gap(lam, log_u)[0], iterations
 
 
 def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:

@@ -19,7 +19,6 @@ from slicemarket import (
     bid_update,
     bregman_gap,
     budget_sweep,
-    convergence_certificate,
     eval_dual,
     eval_potential,
     instantiate,
@@ -37,6 +36,7 @@ from slicemarket import (
     uniform_bids,
     verify_equilibrium,
 )
+from slicemarket.dynamics import divergence_dg
 from slicemarket.market import utilities
 from tests.test_market import make_scn
 
@@ -92,7 +92,7 @@ def test_c02_convergence_rate_bound():
         ref = solve_eg(scn)
         uncertified += not ref.converged
         phi_star = eval_potential(scn, ref.bids).phi_total
-        budget = convergence_certificate(scn, ref.bids, uniform_bids(scn.index))
+        budget = divergence_dg(scn, ref.bids, uniform_bids(scn.index))
         run = run_dynamics(scn, DynamicsConfig(max_iterations=1000, tol=0.0))
         for t in (10, 100, 1000):
             slack = (run.potential_trace[t] - phi_star) - budget / t

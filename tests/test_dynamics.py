@@ -16,7 +16,6 @@ from slicemarket import (
     SupportEntry,
     bid_update,
     bregman_gap,
-    convergence_certificate,
     eval_dual,
     eval_potential,
     instantiate,
@@ -340,7 +339,7 @@ class TestRunDynamics:
         assert ref.converged
         phi_star = eval_potential(scn, ref.bids).phi_total
         b0 = uniform_bids(scn.index)
-        budget = convergence_certificate(scn, ref.bids, b0)
+        budget = divergence_dg(scn, ref.bids, b0)
         run = run_dynamics(scn, DynamicsConfig(max_iterations=1000, tol=0.0))
         # the O(1/T) certificate holds at every recorded step, not just the last
         steps = np.arange(1, 1001)

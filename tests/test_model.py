@@ -8,6 +8,7 @@ import pytest
 from slicemarket import (
     CellDef,
     ClassDef,
+    LoadModel,
     ProviderDef,
     ResourceDef,
     ScenarioError,
@@ -16,8 +17,10 @@ from slicemarket import (
     load_scenario,
     normalize_scenario,
     benchmark_preset,
+    instantiate,
     save_scenario,
 )
+from slicemarket.experiments import SCHEME_SOLVERS
 from slicemarket.model import scenario_from_dict, scenario_to_dict
 
 
@@ -136,6 +139,19 @@ def test_zero_user_triples_dropped():
     )
     scn = normalize_scenario(ScenarioSpec(spec.cells, spec.classes, (extra, spec.sps[1])))
     assert scn.index.n_triples == 2
+
+
+def test_provider_without_users_rejected_by_every_scheme():
+    # SP3 keeps its budget but serves nobody: no scheme can give it a utility
+    spec = instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(2.0)
+    sp3 = next(sp for sp in spec.sps if sp.name == "SP3")
+    spec = spec.with_users({("SP3", e.cell, e.klass): 0 for e in sp3.support})
+    messages = set()
+    for solver in SCHEME_SOLVERS.values():
+        with pytest.raises(ScenarioError) as err:
+            solver(normalize_scenario(spec))
+        messages.add(str(err.value))
+    assert messages == {"SP 'SP3' serves no users"}
 
 
 def test_with_alphas_keeps_explicit_weights():

@@ -29,7 +29,6 @@ from slicemarket import (
     solve_eg,
 )
 from slicemarket.market import utilities
-from slicemarket.solvers import ALPHA_ZERO_SURROGATE
 from tests.test_social_optimal import variables
 
 MIXED_ALPHAS = [0.0, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, math.inf]
@@ -40,7 +39,7 @@ MIXED_ALPHAS = [0.0, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, math.inf]
 def test_preset_certifies(seed, alpha):
     spec = instantiate(benchmark_preset(), LoadModel(seed=seed), 0).with_alphas(alpha)
     rep = solve_eg(normalize_scenario(spec))
-    assert rep.method == "tatonnement"
+    assert rep.method == ("barrier" if alpha == 0.0 else "tatonnement")
     assert rep.converged
     assert rep.iterations <= 60
     assert rep.residuals["br_gap_rel"] <= 1e-12
@@ -54,13 +53,6 @@ def test_agrees_with_bid_dynamics_at_alpha_geq_one():
         dyn = run_dynamics(scn, DynamicsConfig(max_iterations=100000, tol=1e-13))
         assert rep.converged and dyn.converged
         np.testing.assert_allclose(rep.prices, dyn.prices, rtol=0, atol=1e-10)
-
-
-def surrogate(spec):
-    """The market the equilibrium is computed on: alpha 0 replaced by its
-    smoothed surrogate, default weights recomputed."""
-    sps = tuple(replace(sp, alpha=sp.alpha or ALPHA_ZERO_SURROGATE) for sp in spec.sps)
-    return normalize_scenario(replace(spec, sps=sps))
 
 
 def eg_utilities(index):
@@ -135,9 +127,8 @@ def test_random_markets_match_eisenberg_gale_optimum():
     for spec in mixed_markets(30):
         scn = normalize_scenario(spec)
         rep = solve_eg(scn)
-        work = surrogate(spec)
-        reference = eg_utilities(work.index)
-        got = utilities(work, rep.allocation.rates)
+        reference = eg_utilities(scn.index)
+        got = utilities(scn, rep.allocation.rates)
         np.testing.assert_allclose(got, reference, rtol=1e-6)
 
 

@@ -147,11 +147,26 @@ class TestSolveEG:
         assert rep.allocation.x[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert rep.allocation.x[1, 1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_alpha_zero_surrogate_flagged(self):
+    def test_alpha_zero_is_exact(self):
         scn = make_scn([[1.0, 0.3], [0.4, 1.0]], [0.0, 1.0], [0.5, 0.5])
         rep = solve_eg(scn)
-        assert rep.method == "tatonnement"
-        assert rep.surrogate_alphas == {"sp0": 0.0}
+        assert rep.method == "barrier"
+        assert rep.converged
+        # Eisenberg-Gale duality gap on the market itself: a one-class
+        # provider's best utility at the prices over its own is B / (PD u),
+        # so the gap is sum p - sum B + sum_s B_s log(B_s / (PD_s u_s))
+        budgets = scn.index.budgets
+        pd = scn.index.demand @ rep.prices
+        gap = rep.prices.sum() - budgets.sum() + budgets @ np.log(budgets / (pd * rep.allocation.rates))
+        assert -1e-12 <= gap <= 1e-9
+        assert rep.residuals["duality_gap"] == pytest.approx(gap, abs=1e-12)
+
+    def test_one_barrier_step_is_not_converged(self):
+        scn = make_scn([[1.0, 0.3], [0.4, 1.0]], [0.0, 1.0], [0.5, 0.5])
+        rep = solve_eg(scn, SolverConfig(max_iterations=1))
+        assert rep.method == "barrier"
+        assert rep.iterations == 1
+        assert not rep.converged
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(73)
