@@ -7,13 +7,13 @@ criterion.  Solvers operate on a normalized view in which every resource
 capacity is rescaled to 1 and demands become fractions of the whole
 resource per unit service rate; all file I/O stays in physical units.
 
-:class:`MarketIndex` exposes that view as dense ``[n_triples, n_goods]``
-arrays, the layout every public function takes and returns.  The providers'
-closed-form demand, which the equilibrium solvers evaluate on every
-iteration, runs in :class:`DemandKernel` on an internal compact layout with
-one slot per consumed good.  Every degree-one utility, and the unit cost of
-one, is a CES aggregate over a provider's variables, evaluated by
-:class:`CESAggregate`.
+:class:`MarketIndex` is compiled on a slot layout, one slot per good a
+(provider, cell, class) triple consumes, and built from it are the dense
+``[n_triples, n_goods]`` arrays that every public function takes and returns.
+The providers' closed-form demand, which the equilibrium solvers evaluate on
+every iteration, runs in :class:`DemandKernel` on the slots.  Every
+degree-one utility, and the unit cost of one, is a CES aggregate over a
+provider's variables, evaluated by :class:`CESAggregate`.
 """
 
 from __future__ import annotations
@@ -214,12 +214,21 @@ class MarketIndex:
     """Compiled array view of a scenario over its supported (sp, cell, class)
     triples and (cell, resource) goods.
 
-    The public view is dense: bid tensors, allocations and demand matrices
-    are ``[n_triples, n_goods]`` arrays, zero outside each triple's consumed
-    goods.  Capacities are normalized to 1; ``capacity[g]`` keeps the
-    physical scale for denormalization.  Triples are grouped by provider
-    (``sp_of`` is sorted).  :attr:`kernel` holds the closed-form provider
-    demand on an internal compact layout, built on first use.
+    The compiled form is the slot layout: ``slot_goods[i, r]`` is the
+    ``r``-th good that triple ``i`` consumes, in increasing good order, and
+    ``slot_demand[i, r]`` its normalized demand.  Rows have as many slots as
+    the widest triple consumes; a shorter row is padded last with zero
+    demand on the lowest-numbered goods the triple does not consume, so the
+    slots of a row are distinct goods.  Every triple consumes only goods of
+    its own cell, and the goods of a cell are contiguous.
+
+    The public view is dense and built from the slots: bid tensors,
+    allocations and the ``demand`` matrix are ``[n_triples, n_goods]``
+    arrays, zero outside each triple's consumed goods (``consumed``).
+    Capacities are normalized to 1; ``capacity[g]`` keeps the physical scale
+    for denormalization.  Triples are grouped by provider (``sp_of`` is
+    sorted).  :attr:`kernel`, :attr:`blocks` and :attr:`price_cells` are
+    built from the slots on first use.
     """
 
     goods: tuple[tuple[str, str], ...]
@@ -233,6 +242,8 @@ class MarketIndex:
     weights: np.ndarray
     demand: np.ndarray
     consumed: np.ndarray
+    slot_goods: np.ndarray
+    slot_demand: np.ndarray
 
     @property
     def n_goods(self) -> int:
@@ -255,7 +266,9 @@ class MarketIndex:
 
     def demanded_goods(self) -> np.ndarray:
         """Boolean mask of goods consumed by at least one triple."""
-        return self.consumed.any(axis=0)
+        out = np.zeros(self.n_goods, dtype=bool)
+        out[self.slot_goods[self.slot_demand > 0]] = True
+        return out
 
     @cached_property
     def kernel(self) -> "DemandKernel":
@@ -275,17 +288,23 @@ class MarketIndex:
         problems, built once per index."""
         return CellBlocks(self)
 
+    @cached_property
+    def price_cells(self) -> "PriceCells":
+        """The goods grouped by cell, with the slots mapped onto them, built
+        once per index."""
+        return PriceCells(self)
+
 
 class DemandKernel:
-    """Every provider's closed-form demand at posted prices, on a compact
-    slot layout.
+    """Every provider's closed-form demand at posted prices, on the slot
+    layout of :class:`MarketIndex`.
 
-    Slot ``(i, r)`` is the ``r``-th good consumed by triple ``i``: ``goods``
-    holds its good index and ``demand`` its normalized demand.  Rows have as
-    many slots as the widest triple consumes; shorter rows are padded with
-    zero demand on goods the triple does not consume, so padded slots carry
-    zero spending.  Per-provider reductions run over the contiguous row
-    segments of ``sp_of``.
+    ``goods`` and ``demand`` are the index's ``slot_goods`` and
+    ``slot_demand``: slot ``(i, r)`` is the ``r``-th good consumed by triple
+    ``i``, and padding slots (zero demand, last in a row) point at the
+    lowest-numbered goods the triple does not consume, so they carry zero
+    spending.  Per-provider reductions run over the contiguous row segments
+    of ``sp_of``.
 
     With ``PD_i = sum_r p_g d_ir``, a provider with budget ``B`` and fairness
     ``a`` spends ``B * omega_i / sum omega`` on triple ``i``, where ``omega =
@@ -299,10 +318,7 @@ class DemandKernel:
     """
 
     def __init__(self, index: MarketIndex):
-        width = int(index.consumed.sum(axis=1).max())
-        # consumed goods first, in increasing good order, then padding
-        self.goods = np.argsort(~index.consumed, axis=1, kind="stable")[:, :width]
-        self.demand = np.take_along_axis(index.demand, self.goods, axis=1)
+        self.goods, self.demand = index.slot_goods, index.slot_demand
         self.n_goods, self.n_triples = index.n_goods, index.n_triples
         self.row_ids = np.arange(index.n_triples)[:, None]
         self.triples = index.triples
@@ -490,40 +506,89 @@ class CellBlocks:
 
     A provider that maximizes its own alpha-fair utility inside a box of
     per-good capacities faces one independent problem per cell: its classes
-    there (``rows``, at most ``K``) share only that cell's goods (``goods``,
-    at most ``m``).  ``demand[b, k, j]`` is the normalized demand of class
-    ``k`` of block ``b`` on its good ``j``.  Padded classes
+    there (``rows``, at most ``K``, in triple order) share only that cell's
+    goods (``goods``, at most ``m``, the goods any of them consumes, in
+    increasing order).  Blocks are in the order of their first triple.
+    ``demand[b, k, j]`` is the normalized demand of class ``k`` of block
+    ``b`` on its good ``j``, scattered from the slots.  Padded classes
     (``class_mask`` False) and padded goods (``good_mask`` False) carry zero
     demand; padding indices point at row or good 0.  Max-min providers have
     no blocks: their common per-user level couples all their cells.
     """
 
     def __init__(self, index: MarketIndex):
-        members: dict[tuple[int, str], list[int]] = {}
-        for i, s in enumerate(index.sp_of):
-            if math.isfinite(index.alphas[s]):
-                members.setdefault((int(s), index.triples[i][1]), []).append(i)
-        groups = list(members.values())
-        used = [np.flatnonzero(index.consumed[g].any(axis=0)) for g in groups]
-        n_k = max((len(g) for g in groups), default=1)
-        n_m = max((len(g) for g in used), default=1)
-        self.sp = np.array([s for s, _ in members], dtype=np.intp)
-        self.rows = np.zeros((len(groups), n_k), dtype=np.intp)
-        self.class_mask = np.zeros((len(groups), n_k), dtype=bool)
-        self.goods = np.zeros((len(groups), n_m), dtype=np.intp)
-        self.good_mask = np.zeros((len(groups), n_m), dtype=bool)
-        for b, (rows, goods) in enumerate(zip(groups, used)):
-            self.rows[b, : len(rows)] = rows
-            self.class_mask[b, : len(rows)] = True
-            self.goods[b, : len(goods)] = goods
-            self.good_mask[b, : len(goods)] = True
-        self.demand = np.where(
-            self.class_mask[:, :, None] & self.good_mask[:, None, :],
-            index.demand[self.rows[:, :, None], self.goods[:, None, :]],
-            0.0,
-        )
+        cells = index.price_cells
+        rows = np.flatnonzero(np.isfinite(index.alphas)[index.sp_of])
+        slot_goods = index.slot_goods[rows]
+        key = index.sp_of[rows] * cells.n_cells + cells.cell[slot_goods[:, 0]]
+        keys, first, block = np.unique(key, return_index=True, return_inverse=True)
+        # blocks in the order of their first triple
+        order = np.argsort(first)
+        keys, block = keys[order], np.argsort(order)[block]
+        n_blocks = keys.size
+        # a row's place in its block: rows are taken in triple order
+        count = np.bincount(block, minlength=n_blocks)
+        by_block = np.argsort(block, kind="stable")
+        place = np.empty_like(block)
+        place[by_block] = np.arange(rows.size) - (np.cumsum(count) - count)[block[by_block]]
+        # the cell positions that some row of the block consumes, left-packed
+        real = index.slot_demand[rows] > 0
+        slot_block = np.broadcast_to(block[:, None], real.shape)[real]
+        slot_pos = cells.pos[slot_goods[real]]
+        used = np.zeros((n_blocks, cells.m), dtype=bool)
+        used[slot_block, slot_pos] = True
+        column = np.cumsum(used, axis=1) - 1
+        n_k = int(count.max(initial=1))
+        n_m = int(used.sum(axis=1).max(initial=1))
+        self.sp = (keys // cells.n_cells).astype(np.intp)
+        self.rows = np.zeros((n_blocks, n_k), dtype=np.intp)
+        self.class_mask = np.zeros((n_blocks, n_k), dtype=bool)
+        self.rows[block, place] = rows
+        self.class_mask[block, place] = True
+        self.goods = np.zeros((n_blocks, n_m), dtype=np.intp)
+        self.good_mask = np.zeros((n_blocks, n_m), dtype=bool)
+        b, j = np.nonzero(used)
+        self.goods[b, column[b, j]] = cells.good[keys[b] % cells.n_cells, j]
+        self.good_mask[b, column[b, j]] = True
+        self.demand = np.zeros((n_blocks, n_k, n_m))
+        slot_place = np.broadcast_to(place[:, None], real.shape)[real]
+        self.demand[slot_block, slot_place, column[slot_block, slot_pos]] = index.slot_demand[rows][real]
         self.weights = np.where(self.class_mask, index.weights[self.rows], 0.0)
         self.alphas = index.alphas[self.sp].astype(float)
+
+
+class PriceCells:
+    """The goods of a market grouped by cell, padded to an ``[n_cells, m]``
+    layout, with the slots of the index mapped onto it.
+
+    ``cell[g]`` is the cell of good ``g`` (cells without goods are not
+    counted) and ``pos[g]`` its position there; ``good[c, j]`` is the good at
+    position ``j`` of cell ``c`` (``mask`` False on padding, which points at
+    good 0).  Every triple consumes only goods of its own cell, so ``D^T
+    diag(c) D`` is block-diagonal by cell for any per-triple ``c``.
+    ``pair[i, r, r']`` is the flat ``[n_cells, m, m]`` position of slot pair
+    ``(r, r')`` of triple ``i`` and ``slot[i, r]`` the flat ``[n_cells, m,
+    n_seg]`` position of slot ``r`` in the column of the triple's provider.
+    A padding slot sits in the triple's cell at the position its good has
+    in its own cell; it carries zero demand, so it adds nothing there.
+    """
+
+    def __init__(self, index: MarketIndex):
+        names = [c for c, _ in index.goods]
+        new = np.array([True] + [a != b for a, b in zip(names[1:], names)])
+        self.cell = np.cumsum(new) - 1
+        self.pos = np.arange(index.n_goods) - np.flatnonzero(new)[self.cell]
+        self.n_cells, self.m = int(new.sum()), int(self.pos.max()) + 1
+        self.good = np.zeros((self.n_cells, self.m), dtype=np.intp)
+        self.mask = np.zeros((self.n_cells, self.m), dtype=bool)
+        self.good[self.cell, self.pos] = np.arange(index.n_goods)
+        self.mask[self.cell, self.pos] = True
+        self.n_seg = index.n_sps
+        goods = index.slot_goods
+        # slot 0 of every row is a consumed good, so in the triple's cell
+        at = self.cell[goods[:, :1]] * self.m + self.pos[goods]
+        self.pair = at[:, :, None] * self.m + self.pos[goods][:, None, :]
+        self.slot = at * self.n_seg + index.sp_of[:, None]
 
 
 @dataclass(frozen=True)
@@ -550,39 +615,73 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
 
     goods: list[tuple[str, str]] = []
     cap: list[float] = []
-    good_pos: dict[tuple[str, str], int] = {}
+    good_at: dict[str, dict[str, int]] = {}
     for cell in spec.cells:
+        at = good_at[cell.id] = {}
         for res in cell.resources:
-            good_pos[(cell.id, res.name)] = len(goods)
+            at[res.name] = len(goods)
             goods.append((cell.id, res.name))
             cap.append(res.capacity)
 
+    # the slots of every (cell, class) pair served, flattened in pair order
+    pairs: dict[tuple[str, str], int] = {}
+    flat_pair: list[int] = []
+    flat_goods: list[int] = []
+    flat_demand: list[float] = []
     triples: list[tuple[str, str, str]] = []
     sp_of: list[int] = []
     users: list[int] = []
     weights: list[float] = []
-    rows: list[np.ndarray] = []
-    G = len(goods)
-    demands = {k.name: k.demand for k in spec.classes}
+    pair_of: list[int] = []
+    demands = {k.name: tuple(k.demand.items()) for k in spec.classes}
     for s, sp in enumerate(spec.sps):
         for e in sp.support:
             if e.users == 0:
                 continue
-            row = np.zeros(G)
-            demand = demands[e.klass]
-            for rname, d in demand.items():
-                g = good_pos[(e.cell, rname)]
-                row[g] = d / cap[g]
-            triples.append((sp.name, e.cell, e.klass))
+            key = (e.cell, e.klass)
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = len(pairs)
+                at = good_at[e.cell]
+                for r, d in demands[e.klass]:
+                    flat_pair.append(pair)
+                    flat_goods.append(at[r])
+                    flat_demand.append(d)
+            triples.append((sp.name, *key))
             sp_of.append(s)
             users.append(e.users)
             weights.append(effective_weight(e.users, sp.alpha, e.weight))
-            rows.append(row)
+            pair_of.append(pair)
 
-    demand_mat = np.array(rows)
+    capacity = np.array(cap)
+    # each pair's goods in increasing order, in the columns of its row
+    order = np.lexsort((flat_goods, flat_pair))
+    entry_pair = np.array(flat_pair, dtype=np.intp)[order]
+    entry_good = np.array(flat_goods, dtype=np.intp)[order]
+    width = np.bincount(entry_pair)
+    column = np.arange(entry_pair.size) - (np.cumsum(width) - width)[entry_pair]
+    pair_goods = np.zeros((width.size, width.max()), dtype=np.intp)
+    pair_demand = np.zeros(pair_goods.shape)
+    pair_goods[entry_pair, column] = entry_good
+    pair_demand[entry_pair, column] = np.array(flat_demand)[order] / capacity[entry_good]
+    # padding slot j of a row is the (j+1)-th lowest good the row does not
+    # consume: step past each consumed good at or below the candidate
+    slots = np.arange(pair_goods.shape[1])
+    real = slots < width[:, None]
+    pad = slots - width[:, None]
+    for r in slots:
+        pad += real[:, r : r + 1] & (pair_goods[:, r : r + 1] <= pad)
+    pair_goods = np.where(real, pair_goods, pad)
+    pair_of = np.array(pair_of, dtype=np.intp)
+    slot_goods, slot_demand = pair_goods[pair_of], pair_demand[pair_of]
+    row_ids = np.arange(pair_of.size)[:, None]
+    demand_mat = np.zeros((pair_of.size, len(goods)))
+    demand_mat[row_ids, slot_goods] = slot_demand
+    consumed = np.zeros(demand_mat.shape, dtype=bool)
+    consumed[row_ids, slot_goods] = slot_demand > 0
     index = MarketIndex(
         goods=tuple(goods),
-        capacity=_frozen(np.array(cap)),
+        capacity=_frozen(capacity),
         sp_names=tuple(sp.name for sp in spec.sps),
         budgets=_frozen(np.array([sp.budget for sp in spec.sps])),
         alphas=_frozen(np.array([sp.alpha for sp in spec.sps])),
@@ -591,7 +690,9 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
         users=_frozen(np.array(users, dtype=np.intp)),
         weights=_frozen(np.array(weights)),
         demand=_frozen(demand_mat),
-        consumed=_frozen(demand_mat > 0),
+        consumed=_frozen(consumed),
+        slot_goods=_frozen(slot_goods),
+        slot_demand=_frozen(slot_demand),
     )
     idle = ~index.demanded_goods()
     if idle.any():

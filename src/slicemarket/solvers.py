@@ -96,9 +96,10 @@ def _rate_allocation(index: MarketIndex, rates: np.ndarray) -> Allocation:
 def _repair_rates(index: MarketIndex, rates: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Scale each triple's rate by the worst overuse factor of its consumed
     goods so that no capacity is exceeded."""
-    usage = (rates[:, None] * index.demand).sum(axis=0)
+    kernel = index.kernel
+    usage = kernel.per_good(rates[:, None] * kernel.demand)
     factor = np.where(usage > caps, caps / np.maximum(usage, 1e-300), 1.0)
-    per_triple = np.where(index.consumed, factor[None, :], np.inf).min(axis=1)
+    per_triple = np.where(kernel.demand > 0, factor[kernel.goods], np.inf).min(axis=1)
     return rates * np.minimum(per_triple, 1.0)
 
 
@@ -131,41 +132,6 @@ class _UnitCost:
         return self.cost(log_l) + self.shift
 
 
-class _PriceCells:
-    """The goods of a market grouped by cell, padded to an ``[n_cells, m]``
-    layout, with the slots of :class:`~slicemarket.model.DemandKernel`
-    mapped onto it.
-
-    Every triple consumes only goods of its own cell, so ``D^T diag(c) D``
-    is block-diagonal by cell for any per-triple ``c``.  ``pair[i, r, r']``
-    is the flat ``[n_cells, m, m]`` position of slot pair ``(r, r')`` of
-    triple ``i`` and ``slot[i, r]`` the flat ``[n_cells, m, n_seg]``
-    position of slot ``r`` in the column of the triple's provider; padded
-    slots carry zero demand, so where they point does not matter.
-    ``good[c, j]`` is the good at position ``j`` of cell ``c`` (``mask``
-    False on padding, which points at good 0).
-    """
-
-    def __init__(self, index: MarketIndex):
-        ids: dict[str, int] = {}
-        cell = np.array([ids.setdefault(c, len(ids)) for c, _ in index.goods])
-        pos = np.zeros(index.n_goods, dtype=np.intp)
-        for c in range(len(ids)):
-            at = np.flatnonzero(cell == c)
-            pos[at] = np.arange(at.size)
-        self.n_cells, self.m = len(ids), int(pos.max()) + 1
-        self.good = np.zeros((self.n_cells, self.m), dtype=np.intp)
-        self.mask = np.zeros((self.n_cells, self.m), dtype=bool)
-        self.good[cell, pos] = np.arange(index.n_goods)
-        self.mask[cell, pos] = True
-        kernel = index.kernel
-        self.n_seg = kernel.budgets.size
-        # slot 0 of every row is a consumed good, so in the triple's cell
-        at = cell[kernel.goods[:, :1]] * self.m + pos[kernel.goods]
-        self.pair = at[:, :, None] * self.m + pos[kernel.goods][:, None, :]
-        self.slot = at * self.n_seg + kernel.seg[:, None]
-
-
 #: Armijo fraction of the predicted decrease of the price dual.
 _ARMIJO = 1e-4
 
@@ -173,7 +139,7 @@ _ARMIJO = 1e-4
 _ACTIVE_PRICE = 1e-9
 
 
-def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, price_rows):
+def _price_newton(index: MarketIndex, p, max_steps, price_rows):
     """Minimize the Eisenberg-Gale price dual ``f(p) = sum_g p_g - sum_s B_s
     log e_s(D_s p)`` over nonnegative prices of the demanded goods, from
     ``p``, by a projected Newton method (Bertsekas, *Projected Newton
@@ -185,9 +151,9 @@ def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, pri
     The Hessian is ``sum_s [(1/a) D^T diag(u/L) D + ((a-1)/(a B)) v v^T]``
     with ``v = D_s^T u_s`` (the first term vanishes at ``a = inf``, where the
     second coefficient is ``1/B``).  The first term is block-diagonal by cell
-    (:class:`_PriceCells`) and the second is one rank-one term per provider,
-    so a step is one batched per-cell solve plus a Woodbury correction with
-    an ``n_sp x n_sp`` capacitance matrix.  Goods priced at most ``eps =
+    (:attr:`~slicemarket.model.MarketIndex.price_cells`) and the second is
+    one rank-one term per provider, so a step is one batched per-cell solve
+    plus a Woodbury correction with an ``n_sp x n_sp`` capacitance matrix.  Goods priced at most ``eps =
     min(residual, _ACTIVE_PRICE)`` with positive gradient are pinned and
     driven to 0 along the projection arc; a Levenberg term equal to the
     residual on the diagonal keeps rank-deficient cells (one class on three
@@ -198,11 +164,11 @@ def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, pri
     when such a step fails to halve the projected gradient (which is then
     at rounding level), when the step is not a descent direction or no
     step along it decreases ``f``, or after ``max_steps`` steps.  Appends
-    every iterate to ``price_rows`` and returns ``(p, steps)``, ``p`` the
-    iterate of smallest projected gradient.
+    every iterate to ``price_rows`` and returns ``(p, f(p), steps)``, ``p``
+    the iterate of smallest projected gradient.
     """
-    index = scn.index
     kernel = index.kernel
+    cells = index.price_cells
     cost = _UnitCost(np.log(index.weights), index.alphas[index.sp_of].astype(float), kernel.seg)
     budgets = kernel.budgets
     # the rank-one coefficient (a - 1) / (a B), 1 / B at a = inf
@@ -262,7 +228,7 @@ def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, pri
                 return None
 
     value, scale, u, pd = evaluate(p)
-    best_resid, best_p = math.inf, p
+    best_resid, best_p, best_value = math.inf, p, value
     prev_resid = math.inf
     quiet = False
     steps = 0
@@ -270,7 +236,7 @@ def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, pri
         grad = np.where(demanded, 1.0 - kernel.per_good(u[:, None] * dm), 0.0)
         resid = float(np.abs(p - np.maximum(p - grad, 0.0)).max())
         if resid < best_resid:
-            best_resid, best_p = resid, p
+            best_resid, best_p, best_value = resid, p, value
         if resid == 0.0 or steps >= max_steps or (quiet and resid > 0.5 * prev_resid):
             break
         prev_resid = resid
@@ -294,7 +260,7 @@ def _price_newton(scn: NormalizedScenario, cells: _PriceCells, p, max_steps, pri
         p, (value, scale, u, pd), quiet = found
         steps += 1
         price_rows.append(p)
-    return best_p, steps
+    return best_p, best_value, steps
 
 
 def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
@@ -303,15 +269,18 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
     whose capacity duals are the prices.
 
     A market with an alpha-0 provider is solved on the program itself
-    (:func:`_eisenberg_gale_solve`, method ``"barrier"``, with its duality
-    gap in ``residuals["duality_gap"]``), any other by projected Newton steps
-    on its price dual (:func:`_price_newton`, method ``"tatonnement"``, with
-    every iterate in the price trace).  ``config.max_iterations`` caps the
+    (:func:`_eisenberg_gale_solve`, method ``"barrier"``), any other by
+    projected Newton steps on its price dual (:func:`_price_newton`, method
+    ``"tatonnement"``, with every iterate in the price trace).  Both report
+    the program's duality gap ``sum p - sum B + sum_s B_s (log B_s - log
+    e_s(D_s p)) - sum_s B_s log U_s`` at the returned prices and rates in
+    ``residuals["duality_gap"]``, ``e_s`` the unit expenditure
+    (:class:`_UnitCost`).  ``config.max_iterations`` caps the
     Newton steps that ``iterations`` counts (the interior-point engine stops
     at ``_BARRIER_MAX_STEPS`` in any case).  Identical scenario and config
     give an identical report.  ``converged`` rests on the absolute gaps of
     :func:`~slicemarket.market.verify_equilibrium` at its default tolerance,
-    and on a duality gap of at most ``SO_GAP_TOL`` where there is one;
+    and, on the barrier route, on a duality gap of at most ``SO_GAP_TOL``;
     ``residuals["br_gap_rel"]`` reports the best-response gap relative to
     the best-response utility.  The decentralized route to the same
     equilibrium is :func:`~slicemarket.dynamics.run_dynamics`.
@@ -325,10 +294,14 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
     else:
         demanded = index.demanded_goods()
         price_rows = [np.where(demanded, 1.0 / demanded.sum(), 0.0)]
-        p, iterations = _price_newton(scn, _PriceCells(index), price_rows[0], config.max_iterations, price_rows)
+        p, dual, iterations = _price_newton(index, price_rows[0], config.max_iterations, price_rows)
         pd_slots, pd = kernel.row_prices(p)
         demand = kernel.rates(pd)
         rates = _repair_rates(index, demand, np.ones(index.n_goods))
+        with np.errstate(divide="ignore"):
+            log_u = index.utility(np.log(rates))
+        budgets = index.budgets
+        gap = float(dual - budgets.sum() + budgets @ (np.log(budgets) - log_u))
     allocation = _rate_allocation(index, rates)
     check = verify_equilibrium(scn, allocation, p)
     residuals = {
@@ -336,9 +309,8 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         "clearing_gap": check.clearing_gap,
         "br_gap": check.br_gap,
         "br_gap_rel": check.br_gap_rel,
+        "duality_gap": gap,
     }
-    if barrier:
-        residuals["duality_gap"] = gap
     report = make_report(
         scn,
         method="barrier" if barrier else "tatonnement",
@@ -994,7 +966,7 @@ def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarra
     kernel = index.kernel
     linear = index.alphas[index.sp_of] == 0.0
     demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1]))
-    left = np.maximum(1.0 - (demand[:, None] * index.demand).sum(axis=0), 0.0)
+    left = np.maximum(1.0 - kernel.per_good(demand[:, None] * kernel.demand), 0.0)
     rates = np.where(linear, _repair_rates(index, np.where(linear, lay.rates(y), 0.0), left), demand)
     with np.errstate(divide="ignore"):
         log_u = index.utility(np.log(rates))

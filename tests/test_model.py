@@ -1,6 +1,8 @@
 """Scenario model, validation and normalization."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from slicemarket import (
     normalize_scenario,
     benchmark_preset,
     instantiate,
+    random_scenario,
     save_scenario,
 )
 from slicemarket.experiments import SCHEME_SOLVERS
-from slicemarket.model import scenario_from_dict, scenario_to_dict
+from slicemarket.model import effective_weight, scenario_from_dict, scenario_to_dict
 
 
 def two_sp_spec(alpha1=1.0, alpha2=1.0, users=(1, 1), budgets=(0.5, 0.5)):
@@ -188,3 +191,158 @@ def test_undemanded_resource_warns():
     )
     with pytest.warns(UserWarning, match="ignored"):
         normalize_scenario(ScenarioSpec(cells, spec.classes, spec.sps))
+
+
+# ---------------------------------------------------------------------------
+# The slot layout against dense references
+# ---------------------------------------------------------------------------
+
+
+def dense_demand(spec):
+    """The normalized ``[n_triples, n_goods]`` demand matrix, one dense row
+    per served (provider, cell, class) triple."""
+    goods = [(c.id, r.name) for c in spec.cells for r in c.resources]
+    cap = {g: r.capacity for g, r in zip(goods, (r for c in spec.cells for r in c.resources))}
+    demands = {k.name: k.demand for k in spec.classes}
+    rows = []
+    for sp in spec.sps:
+        for e in sp.support:
+            if e.users == 0:
+                continue
+            row = np.zeros(len(goods))
+            for r, d in demands[e.klass].items():
+                row[goods.index((e.cell, r))] = d / cap[(e.cell, r)]
+            rows.append(row)
+    return np.array(rows)
+
+
+def argsort_slots(index):
+    """Every row's consumed goods first, in increasing order, then the goods
+    it does not consume, cut to the widest row, and their demands."""
+    width = int(index.consumed.sum(axis=1).max())
+    goods = np.argsort(~index.consumed, axis=1, kind="stable")[:, :width]
+    return goods, np.take_along_axis(index.demand, goods, axis=1)
+
+
+def scanned_blocks(index):
+    """The fields of ``CellBlocks``, one dense ``consumed`` scan per
+    (finite-alpha provider, cell) group of triples."""
+    members = {}
+    for i, s in enumerate(index.sp_of):
+        if math.isfinite(index.alphas[s]):
+            members.setdefault((int(s), index.triples[i][1]), []).append(i)
+    groups = list(members.values())
+    used = [np.flatnonzero(index.consumed[g].any(axis=0)) for g in groups]
+    n_k = max((len(g) for g in groups), default=1)
+    n_m = max((len(g) for g in used), default=1)
+    rows = np.zeros((len(groups), n_k), dtype=np.intp)
+    class_mask = np.zeros((len(groups), n_k), dtype=bool)
+    goods = np.zeros((len(groups), n_m), dtype=np.intp)
+    good_mask = np.zeros((len(groups), n_m), dtype=bool)
+    for b, (g_rows, g_goods) in enumerate(zip(groups, used)):
+        rows[b, : len(g_rows)] = g_rows
+        class_mask[b, : len(g_rows)] = True
+        goods[b, : len(g_goods)] = g_goods
+        good_mask[b, : len(g_goods)] = True
+    sp = np.array([s for s, _ in members], dtype=np.intp)
+    demand = np.where(
+        class_mask[:, :, None] & good_mask[:, None, :], index.demand[rows[:, :, None], goods[:, None, :]], 0.0
+    )
+    return {
+        "sp": sp, "rows": rows, "class_mask": class_mask, "goods": goods, "good_mask": good_mask,
+        "demand": demand, "weights": np.where(class_mask, index.weights[rows], 0.0),
+        "alphas": index.alphas[sp].astype(float),
+    }
+
+
+def scanned_price_cells(index, slot_goods):
+    """The fields of ``PriceCells``, the cells numbered in order of their
+    first good and the positions found by one scan per cell."""
+    ids = {}
+    cell = np.array([ids.setdefault(c, len(ids)) for c, _ in index.goods])
+    pos = np.zeros(index.n_goods, dtype=np.intp)
+    for c in range(len(ids)):
+        at = np.flatnonzero(cell == c)
+        pos[at] = np.arange(at.size)
+    n_cells, m = len(ids), int(pos.max()) + 1
+    good = np.zeros((n_cells, m), dtype=np.intp)
+    mask = np.zeros((n_cells, m), dtype=bool)
+    good[cell, pos] = np.arange(index.n_goods)
+    mask[cell, pos] = True
+    at = cell[slot_goods[:, :1]] * m + pos[slot_goods]
+    return {
+        "cell": cell, "pos": pos, "n_cells": n_cells, "m": m, "good": good, "mask": mask,
+        "n_seg": index.n_sps,
+        "pair": at[:, :, None] * m + pos[slot_goods][:, None, :],
+        "slot": at * index.n_sps + index.sp_of[:, None],
+    }
+
+
+def irregular_scenario(rng):
+    """A ``random_scenario`` with resources shuffled per cell, an idle
+    resource no class demands, classes consuming one to four resources,
+    support entries in shuffled order and zero users on some entries."""
+    spec = random_scenario(rng, n_sps=4, n_cells=3, n_resources=4, alphas=[0.0, 1.0, 2.0, math.inf])
+    cells = []
+    for c in spec.cells:
+        res = [*c.resources, ResourceDef("idle", 7.0)]
+        cells.append(CellDef(c.id, tuple(res[j] for j in rng.permutation(len(res)))))
+    classes = []
+    for k in spec.classes:
+        keep = rng.choice(sorted(k.demand), size=int(rng.integers(1, 5)), replace=False)
+        classes.append(ClassDef(k.name, {r: k.demand[r] for r in keep}))
+    sps = []
+    for sp in spec.sps:
+        order = rng.permutation(len(sp.support))
+        sps.append(replace(sp, support=tuple(sp.support[j] for j in order)))
+    users = {}
+    for sp in sps:
+        for e in sp.support[1:]:
+            if rng.random() < 0.3:
+                users[(sp.name, e.cell, e.klass)] = 0
+    return ScenarioSpec(tuple(cells), tuple(classes), tuple(sps)).with_users(users)
+
+
+def assert_slots_match_dense(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        index = normalize_scenario(spec).index
+    served = [(sp, e) for sp in spec.sps for e in sp.support if e.users != 0]
+    assert index.triples == tuple((sp.name, e.cell, e.klass) for sp, e in served)
+    assert index.weights.tolist() == [effective_weight(e.users, sp.alpha, e.weight) for sp, e in served]
+    demand = dense_demand(spec)
+    assert np.array_equal(index.demand, demand)
+    assert np.array_equal(index.consumed, demand > 0)
+    assert np.array_equal(index.demanded_goods(), index.consumed.any(axis=0))
+    goods, slot_demand = argsort_slots(index)
+    assert np.array_equal(index.kernel.goods, goods)
+    assert np.array_equal(index.kernel.demand, slot_demand)
+    cells = index.price_cells
+    for name, want in scanned_price_cells(index, goods).items():
+        assert np.array_equal(getattr(cells, name), want), name
+    blocks = index.blocks
+    for name, want in scanned_blocks(index).items():
+        got = getattr(blocks, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    return index
+
+
+def test_slot_layout_matches_dense_references():
+    rng = np.random.default_rng(421)
+    widths, zero_users, idle = set(), 0, 0
+    for _ in range(25):
+        spec = irregular_scenario(rng)
+        index = assert_slots_match_dense(spec)
+        widths |= set(index.consumed.sum(axis=1).tolist())
+        zero_users += sum(e.users == 0 for sp in spec.sps for e in sp.support)
+        idle += int((~index.demanded_goods()).sum())
+    assert widths == {1, 2, 3, 4}
+    assert zero_users > 0 and idle > 0
+
+
+def test_slot_layout_matches_dense_references_at_112_cells():
+    spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=3), 0).with_alphas(2.0)
+    index = assert_slots_match_dense(spec)
+    assert index.blocks.sp.size == 3 * 112
+

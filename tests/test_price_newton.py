@@ -45,6 +45,41 @@ def test_preset_certifies(seed, alpha):
     assert rep.residuals["br_gap_rel"] <= 1e-12
 
 
+def log_unit_cost(index, prices, s):
+    """``log e_s(D_s p)``: the log of the least cost of one unit of provider
+    ``s``'s degree-one utility at the prices ``L = D p`` of its classes'
+    unit rates, ``(sum w^(1/a) L^((a-1)/a))^(a/(a-1))``, ``prod (L /
+    w_hat)^w_hat`` at ``a = 1`` and ``sum n L`` at ``a = inf``."""
+    rows = index.sp_rows(s)
+    with np.errstate(divide="ignore"):
+        # a max-min provider's class may find all its goods free
+        log_l = np.log(index.demand[rows] @ prices)
+    log_w = np.log(index.weights[rows])
+    alpha = float(index.alphas[s])
+    if math.isinf(alpha):
+        return float(logsumexp(log_w + log_l))
+    if alpha == 1.0:
+        w_hat = np.exp(log_w - logsumexp(log_w))
+        return float(w_hat @ (log_l - np.log(w_hat)))
+    expo = (alpha - 1.0) / alpha
+    return float(logsumexp(log_w / alpha + expo * log_l)) / expo
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, math.inf])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_preset_reports_duality_gap(seed, alpha):
+    spec = instantiate(benchmark_preset(), LoadModel(seed=seed), 0).with_alphas(alpha)
+    scn = normalize_scenario(spec)
+    rep = solve_eg(scn)
+    assert rep.method == "tatonnement"
+    index, p = scn.index, rep.prices
+    budgets = index.budgets
+    log_e = np.array([log_unit_cost(index, p, s) for s in range(index.n_sps)])
+    gap = p.sum() - budgets.sum() + budgets @ (np.log(budgets) - log_e) - budgets @ np.log(rep.utilities)
+    assert -1e-12 <= rep.residuals["duality_gap"] <= 1e-9
+    assert rep.residuals["duality_gap"] == pytest.approx(gap, abs=1e-12)
+
+
 def test_agrees_with_bid_dynamics_at_alpha_geq_one():
     rng = np.random.default_rng(223)
     for _ in range(30):

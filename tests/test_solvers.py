@@ -326,6 +326,17 @@ class TestDiagnostics:
         assert hat[1] == pytest.approx(2.5, rel=1e-9)  # bottleneck r1: 1/0.4
 
 
+def test_large_market_certifies():
+    # the shapes of the 112-cell benchmark market
+    from slicemarket import LoadModel, benchmark_preset, instantiate
+
+    spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=3), 0)
+    for solver, alpha in ((solve_eg, 0.5), (solve_eg, 2.0), (static_share, 2.0)):
+        rep = solver(normalize_scenario(spec.with_alphas(alpha)))
+        assert rep.converged, (solver.__name__, alpha)
+        assert rep.allocation.x.sum(axis=0).max() <= 1.0 + 1e-6
+
+
 def test_update_rule_equals_best_response():
     rng = np.random.default_rng(103)
     for alpha in (1.0, 1.7, 2.0, 13.0, 100.0, math.inf):
