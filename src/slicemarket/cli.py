@@ -109,7 +109,7 @@ def cmd_dynamics(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "price_trace.csv")
-        _write_price_trace(path, rep.trace_iterations.tolist(), scn.index.goods, rep.price_trace)
+        _write_price_trace(path, range(len(rep.price_trace)), scn.index.goods, rep.price_trace)
         print(f"wrote {path}")
     return 0
 

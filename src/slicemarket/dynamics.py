@@ -44,15 +44,12 @@ class DynamicsConfig:
     max_iterations: int = 10000
     tol: float = 1e-8
     initial_bids: np.ndarray | None = None
-    trace_stride: int = 1
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
-        if self.trace_stride < 1:
-            raise ValueError("trace_stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -293,7 +290,6 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
 
     phis = [eval_potential(scn, b).phi_total]
     price_rows = [b.sum(axis=0)]
-    trace_iters = [0]
 
     kernel = index.kernel
     prices = price_rows[0]
@@ -304,12 +300,9 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
         change = float((np.abs(new_prices - prices) / scale).max())
         prices = new_prices
-        # the last iteration is always traced, so b ends as the final bids
-        if it % config.trace_stride == 0 or change < config.tol or it == config.max_iterations:
-            b = kernel.dense(slots)
-            phis.append(eval_potential(scn, b).phi_total)
-            price_rows.append(prices)
-            trace_iters.append(it)
+        b = kernel.dense(slots)
+        phis.append(eval_potential(scn, b).phi_total)
+        price_rows.append(prices)
         if change < config.tol:
             converged = True
             break
@@ -332,7 +325,6 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
         potential_trace=np.array(phis),
         price_trace=np.array(price_rows),
     )
-    report.trace_iterations = np.array(trace_iters)
     report.bids = b
     return report
 

@@ -164,7 +164,7 @@ def verify_equilibrium(
     if np.any(prices < 0):
         raise ValueError("negative price")
     kernel = index.kernel
-    u_br = kernel.rates(kernel.row_prices(prices)[1])
+    u_br = kernel.rates(kernel.row_prices(prices)[1])[0]
     best, held = utilities(scn, np.stack([u_br, allocation.rates]))
     # an alpha-0 provider's best responses are not unique and are not checked
     checked = index.alphas > 0.0
@@ -201,7 +201,6 @@ class SolveReport:
     residuals: dict[str, float]
     potential_trace: np.ndarray | None = None
     price_trace: np.ndarray | None = None
-    trace_iterations: np.ndarray | None = None
     bids: np.ndarray | None = None
 
 

@@ -10,10 +10,15 @@ resource per unit service rate; all file I/O stays in physical units.
 :class:`MarketIndex` is compiled on a slot layout, one slot per good a
 (provider, cell, class) triple consumes, and built from it are the dense
 ``[n_triples, n_goods]`` arrays that every public function takes and returns.
+Every degree-one utility, and the unit cost of one, is a CES aggregate over a
+provider's variables, evaluated by :class:`CESAggregate`.  The index keeps two:
+the providers' utilities of their rates (:attr:`MarketIndex.utility`) and
+their unit costs at the prices of those rates (:attr:`MarketIndex.unit_cost`).
 The providers' closed-form demand, which the equilibrium solvers evaluate on
-every iteration, runs in :class:`DemandKernel` on the slots.  Every
-degree-one utility, and the unit cost of one, is a CES aggregate over a
-provider's variables, evaluated by :class:`CESAggregate`.
+every iteration, is the unit cost's shares (:class:`DemandKernel`, on the
+slots), and the Eisenberg-Gale certificates of the market equilibrium and the
+social optimum are built from its ratios to the budgets
+(:meth:`MarketIndex.log_ratios`).
 """
 
 from __future__ import annotations
@@ -153,6 +158,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 
     total_budget = 0.0
     sp_names = set()
+    served: set[tuple[str, str]] = set()
     for sp in spec.sps:
         if sp.name in sp_names:
             raise ScenarioError(f"duplicate SP {sp.name!r}")
@@ -182,6 +188,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 raise ScenarioError(
                     f"weight for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be positive"
                 )
+            if (e.cell, e.klass) in served:
+                continue
+            served.add((e.cell, e.klass))
             missing = set(class_by_name[e.klass].demand) - resources_at[e.cell]
             if missing:
                 raise ScenarioError(
@@ -227,8 +236,8 @@ class MarketIndex:
     arrays, zero outside each triple's consumed goods (``consumed``).
     Capacities are normalized to 1; ``capacity[g]`` keeps the physical scale
     for denormalization.  Triples are grouped by provider (``sp_of`` is
-    sorted).  :attr:`kernel`, :attr:`blocks` and :attr:`price_cells` are
-    built from the slots on first use.
+    sorted).  :attr:`kernel`, :attr:`blocks`, :attr:`price_cells` and the
+    aggregates :attr:`utility` and :attr:`unit_cost` are built on first use.
     """
 
     goods: tuple[tuple[str, str], ...]
@@ -283,6 +292,30 @@ class MarketIndex:
         return CESAggregate(np.log(self.weights), 1.0 - self.alphas[self.sp_of], self.sp_of)
 
     @cached_property
+    def unit_cost(self) -> "CESAggregate":
+        """Every provider's unit cost ``e_s(L)``, the least cost of one unit
+        of its utility when one unit rate of triple ``i`` costs ``L_i``,
+        built once per index: ``(sum w^(1/a) L^((a-1)/a))^(a/(a-1))``, ``prod
+        (L / w_hat)^w_hat`` with ``w_hat = w / sum w`` at ``a = 1`` (the
+        geometric mean shifted by the entropy of ``w_hat``), ``sum w L`` at
+        ``a = inf`` and ``min L / w`` at ``a = 0``."""
+        alpha = self.alphas[self.sp_of].astype(float)
+        regular = (alpha > 0) & np.isfinite(alpha)
+        a = np.where(regular, alpha, 1.0)
+        expo = np.where(regular, (alpha - 1.0) / a, np.where(alpha > 0, 1.0, -np.inf))
+        w_hat = np.where(alpha == 1.0, self.weights / self.sp_sum(self.weights)[self.sp_of], 1.0)
+        return CESAggregate(np.log(self.weights) / a, expo, self.sp_of, -self.sp_sum(w_hat * np.log(w_hat)))
+
+    def log_ratios(self, prices: np.ndarray) -> np.ndarray:
+        """``log B_s - log e_s(D_s p)`` of every provider at the prices ``p
+        >= 0`` of all goods: its budget over the cost of one unit of its
+        utility (:attr:`unit_cost`) at the prices ``PD`` of its rates.  A
+        provider whose utility costs nothing (a free row at ``a <= 1``, or
+        every row free at ``a = inf``) has the ratio inf."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.budgets) - self.unit_cost(np.log(self.kernel.row_prices(prices)[1]))
+
+    @cached_property
     def blocks(self) -> "CellBlocks":
         """The (provider, cell) blocks of the providers' own alpha-fair
         problems, built once per index."""
@@ -306,15 +339,16 @@ class DemandKernel:
     spending.  Per-provider reductions run over the contiguous row segments
     of ``sp_of``.
 
-    With ``PD_i = sum_r p_g d_ir``, a provider with budget ``B`` and fairness
-    ``a`` spends ``B * omega_i / sum omega`` on triple ``i``, where ``omega =
-    w^(1/a) PD^((a-1)/a)`` (``w * PD`` at ``a = inf``), split over the
-    triple's goods in proportion to ``p_g d_ig``; the induced rate is uniform
-    across the goods of a class.  The softmax runs in log space so sharp
-    concentration at small ``a`` stays finite.  ``a = 0`` has no closed form
-    (a linear utility's best responses are every bundle of its best value
-    per unit price): its rows get the ``a = inf`` coefficients as a finite
-    placeholder, and every caller rejects or skips alpha-0 providers.
+    With ``PD_i = sum_r p_g d_ir`` the price of one unit rate of triple
+    ``i``, a provider with budget ``B`` demands the rates ``B pi_i / PD_i``,
+    ``pi`` the shares of its unit cost ``e_s`` (:attr:`MarketIndex.unit_cost`)
+    at ``L = PD``, the derivatives of ``log e_s`` by ``log L``: it spends ``B
+    pi_i`` on triple ``i``, split over the triple's goods in proportion to
+    ``p_g d_ig``, so the induced rate is uniform across the goods of a
+    class.  ``a = 0`` has no closed form (a linear utility's best responses
+    are every bundle of its best value per unit price): its rows get the
+    finite placeholder ``B pi / PD`` with the shares of ``w L``, and every
+    caller rejects or skips alpha-0 providers.
     """
 
     def __init__(self, index: MarketIndex):
@@ -322,20 +356,15 @@ class DemandKernel:
         self.n_goods, self.n_triples = index.n_goods, index.n_triples
         self.row_ids = np.arange(index.n_triples)[:, None]
         self.triples = index.triples
-
-        alpha = index.alphas[index.sp_of].astype(float)
-        regular = np.isfinite(alpha) & (alpha > 0)
-        log_w = np.log(index.weights)
-        self.log_w_a = np.divide(log_w, alpha, out=log_w.copy(), where=regular)
-        self.expo = np.divide(alpha - 1.0, alpha, out=np.ones_like(alpha), where=regular)
-        # rows served at a common per-user level (a = inf, and the a = 0
-        # placeholders)
-        self.level = ~regular
-        # every provider has a row (validate_scenario), in provider order
-        _, self.starts = np.unique(index.sp_of, return_index=True)
+        self.cost = index.unit_cost
         self.seg = index.sp_of
         self.budgets = index.budgets
         self.row_budgets = index.budgets[index.sp_of]
+        alpha = index.alphas[index.sp_of]
+        # providers whose demand is unbounded once one of their rows is free
+        self.bounded = (alpha > 0) & np.isfinite(alpha)
+        self.max_min = np.isinf(alpha)
+        self.max_min_coef = self.row_budgets * index.weights
 
     def row_prices(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-slot ``p_g d_ig`` and per-row price ``PD_i`` of one unit rate."""
@@ -354,38 +383,33 @@ class DemandKernel:
         return self.spend(pd_slots, pd), pd
 
     def spend(self, pd_slots: np.ndarray, pd: np.ndarray) -> np.ndarray:
-        """:meth:`bids` from the output of :meth:`row_prices`, unchecked.
-        Each provider's rows are computed apart from the others', so a
-        triple with ``PD <= 0`` spoils its own provider's rows only."""
-        log_omega = self.log_w_a + self.expo * np.log(pd)
-        omega = np.exp(log_omega - np.maximum.reduceat(log_omega, self.starts)[self.seg])
-        b_ck = self.row_budgets * omega / self._sp_sum(omega)[self.seg]
-        bids = (b_ck / pd)[:, None] * pd_slots
-        bids *= (self.budgets / self._sp_sum(bids.sum(axis=1)))[self.seg, None]
+        """:meth:`bids` from the output of :meth:`row_prices`, unchecked: the
+        rates of :meth:`rates` times the slot prices, scaled so that each
+        provider's slots sum to its budget.  Each provider's rows are
+        computed apart from the others', so a triple with ``PD <= 0`` spoils
+        its own provider's rows only."""
+        # the unit cost's terms are the shares pi up to a factor per provider
+        bids = (self.cost.terms(np.log(pd))[1] / pd)[:, None] * pd_slots
+        bids *= (self.budgets / self.cost.seg_sum(bids.sum(axis=1)))[self.seg, None]
         return bids
 
-    def rates(self, pd: np.ndarray) -> np.ndarray:
+    def rates(self, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row rate of every provider's best response to the per-row
-        prices ``pd`` of :meth:`row_prices`: ``B omega / (PD sum omega)``,
-        which is ``B w / sum w PD`` at ``a = inf`` and stays finite on a row
-        with ``PD = 0`` there.  A provider with unbounded demand (a row with
-        ``PD = 0`` at finite ``a``, or all rows at ``a = inf``) gets inf on
-        all its rows."""
-        priced = pd > 0
-        log_pd = np.log(np.where(priced, pd, 1.0))
-        log_omega = np.where(priced, self.log_w_a + self.expo * log_pd, -np.inf)
-        top = np.maximum.reduceat(log_omega, self.starts)
-        free = np.isneginf(top) | (self._sp_sum(~priced & ~self.level) > 0)
-        top = np.where(free, 0.0, top)
-        with np.errstate(divide="ignore", over="ignore"):
-            lse = top + np.log(self._sp_sum(np.exp(log_omega - top[self.seg])))
-            rate = self.row_budgets * np.exp(self.log_w_a + (self.expo - 1.0) * log_pd - lse[self.seg])
-        return np.where(free[self.seg], np.inf, rate)
-
-    def _sp_sum(self, per_row: np.ndarray) -> np.ndarray:
-        # bincount adds in row order, as MarketIndex.sp_sum does;
-        # np.add.reduceat sums pairwise and would change the last bits
-        return np.bincount(self.seg, weights=per_row, minlength=self.budgets.size)
+        prices ``pd`` of :meth:`row_prices`, and every provider's log unit
+        cost ``log e_s(PD)``, from one pass of the unit-cost aggregate.  The
+        rate is ``B pi / PD``, which is ``B w / e_s`` at ``a = inf``.  On a
+        row with ``PD = 0``, where ``pi / PD`` is ``0 / 0``, a max-min
+        provider's rate is ``B w / e_s`` and an alpha-0 row takes 0, and a
+        provider with unbounded demand (such a row at finite ``a > 0``, or
+        all rows at ``a = inf``) gets inf on all its rows."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_e, pi = self.cost.shares(np.log(pd))
+            rate = self.row_budgets * pi / pd
+            zero = ~(pd > 0)
+            if zero.any():
+                rate[zero] = np.where(self.max_min, self.max_min_coef * np.exp(-log_e)[self.seg], 0.0)[zero]
+                rate[(self.cost.seg_sum(zero & self.bounded) > 0)[self.seg]] = np.inf
+        return rate, log_e
 
     def per_good(self, slot_values: np.ndarray) -> np.ndarray:
         """Total of per-slot values on each good (prices from bids, usage
@@ -412,20 +436,20 @@ class CESAggregate:
     segment, ``[..., n_seg]``, over common leading batch axes.  A variable of
     weight 0 (``log_w = -inf``) is padding and takes no part.  Which of the
     three forms the segments use is settled here, and a call evaluates only
-    those.
+    those.  ``shift``, per segment, scales ``A_s`` by ``exp(shift)``.
 
     An alpha-fair provider's degree-one utility is the aggregate of its rates
     at ``q = 1 - a`` (:attr:`MarketIndex.utility`), and the least cost of a
-    unit of it is an aggregate of the prices of its rates (the
-    ``_UnitCost`` of :mod:`~slicemarket.solvers`).
+    unit of it is an aggregate of the prices of its rates
+    (:attr:`MarketIndex.unit_cost`).
     """
 
-    def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray):
+    def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray, shift=0.0):
         new = np.concatenate(([True], seg[1:] != seg[:-1]))
         self.starts = np.flatnonzero(new)
         self.seg = np.cumsum(new) - 1
         self._flat: dict[int, np.ndarray] = {}
-        self.log_w = log_w
+        self.log_w, self.shift = log_w, shift
         q = np.asarray(q, dtype=float)
         q_sp = q[..., self.starts]
         power = np.isfinite(q_sp) & (q_sp != 0.0)
@@ -444,8 +468,8 @@ class CESAggregate:
         self.forms = [(mask, form) for mask, form in forms if mask.any()]
         if geometric.any():
             # the shares at x = 1, w / sum w
-            _, e, tot = self._terms(np.zeros(np.shape(log_w)))
-            self.w_hat = e / tot[..., self.seg]
+            _, e, tot = self.terms(np.zeros(np.shape(log_w)))
+            self.w_hat = e / self.spread(tot)
 
     def seg_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-segment sums of ``values`` ``[..., n]``, added in variable
@@ -460,17 +484,24 @@ class CESAggregate:
             flat = self._flat[count] = (np.arange(count)[:, None] * n_seg + self.seg).ravel()
         return np.bincount(flat, weights=values.ravel(), minlength=count * n_seg).reshape(lead + (n_seg,))
 
+    def spread(self, per_seg: np.ndarray) -> np.ndarray:
+        """Per-segment values ``[..., n_seg]`` on every variable of their
+        segment; one problem takes the plain gather, several times faster."""
+        return per_seg[self.seg] if per_seg.ndim == 1 else per_seg[..., self.seg]
+
     def __call__(self, log_x: np.ndarray) -> np.ndarray:
         """``log A_s`` of every segment at ``log x``."""
-        return self._combine(log_x, None)
+        return self._combine(log_x, None) + self.shift
 
     def shares(self, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``log A_s`` at ``log x`` and every variable's share ``pi = w x^q /
         sum w x^q`` of its segment's sum (``w / sum w`` at ``q = 0``), the
-        derivative of ``log A_s`` by ``log x``.  Finite ``q`` only."""
-        terms = self._terms(log_x)
+        derivative of ``log A_s`` by ``log x``.  On a ``min`` segment they
+        are the shares of ``sum w x``, a finite placeholder that is not the
+        derivative of the ``min``."""
+        terms = self.terms(log_x)
         _, e, tot = terms
-        return self._combine(log_x, terms), e / tot[..., self.seg]
+        return self._combine(log_x, terms) + self.shift, e / self.spread(tot)
 
     def _combine(self, log_x, terms):
         out = None
@@ -479,18 +510,18 @@ class CESAggregate:
             out = value if out is None else np.where(mask, value, out)
         return out
 
-    def _terms(self, log_x):
-        """The terms ``w x^q`` of every segment's sum, divided by the largest
-        one ``exp(top)``, and their total."""
+    def terms(self, log_x):
+        """``(top, e, total)``: the terms ``e`` of every segment's sum ``w
+        x^q`` divided by its largest one ``exp(top)``, and their total."""
         h = self.log_w + self.q * log_x
         top = np.maximum.reduceat(h, self.starts, axis=-1)
         # an all-zero or all-infinite segment gives a log-sum of -inf or inf
         top = np.where(np.isfinite(top), top, 0.0)
-        e = np.exp(h - top[..., self.seg])
+        e = np.exp(h - self.spread(top))
         return top, e, self.seg_sum(e)
 
     def _power(self, log_x, terms):
-        top, _, tot = terms or self._terms(log_x)
+        top, _, tot = terms or self.terms(log_x)
         return (top + np.log(tot)) / self.q_div
 
     def _geometric(self, log_x, terms):

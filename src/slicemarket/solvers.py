@@ -103,35 +103,6 @@ def _repair_rates(index: MarketIndex, rates: np.ndarray, caps: np.ndarray) -> np
     return rates * np.minimum(per_triple, 1.0)
 
 
-class _UnitCost:
-    """Log unit expenditure ``log e_s(L)`` of every provider: the least cost
-    of one unit of its degree-one utility when one unit of each of its
-    variables costs ``L``.
-
-    Variables are grouped by provider in contiguous segments (``seg``) and
-    ``alpha`` is the fairness of each variable's provider.  ``e_s`` is the
-    CES aggregate (:class:`~slicemarket.model.CESAggregate`) of ``L`` with
-    weights ``w^(1/a)`` and exponent ``(a-1)/a``: ``(sum w^(1/a)
-    L^((a-1)/a))^(a/(a-1))``, ``prod (L / w_hat)^w_hat`` with ``w_hat = w /
-    sum w`` at ``a = 1`` (the geometric mean shifted by the entropy ``-sum
-    w_hat log w_hat``), ``sum w L`` at ``a = inf`` (max-min utility ``min u
-    / w``) and ``min L / w`` at ``a = 0``.
-    """
-
-    def __init__(self, log_w: np.ndarray, alpha: np.ndarray, seg: np.ndarray):
-        regular = (alpha > 0) & np.isfinite(alpha)
-        a = np.where(regular, alpha, 1.0)
-        expo = np.where(regular, (alpha - 1.0) / a, np.where(alpha > 0, 1.0, -np.inf))
-        self.cost = CESAggregate(log_w / a, expo, seg)
-        self.shift = 0.0
-        if (alpha == 1.0).any():
-            w_hat = np.where(alpha == 1.0, self.cost.w_hat, 1.0)
-            self.shift = -self.cost.seg_sum(w_hat * np.log(w_hat))
-
-    def __call__(self, log_l: np.ndarray) -> np.ndarray:
-        return self.cost(log_l) + self.shift
-
-
 #: Armijo fraction of the predicted decrease of the price dual.
 _ARMIJO = 1e-4
 
@@ -144,12 +115,15 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
     log e_s(D_s p)`` over nonnegative prices of the demanded goods, from
     ``p``, by a projected Newton method (Bertsekas, *Projected Newton
     methods for optimization problems with simple constraints*, SIAM J.
-    Control Optim. 1982).  ``e_s`` is the unit expenditure (:class:`_UnitCost`)
-    and the gradient ``1 - usage(p)`` is the excess supply, so the minimizer
-    is the equilibrium price vector.
+    Control Optim. 1982).  ``e_s`` is the unit cost
+    (:attr:`~slicemarket.model.MarketIndex.unit_cost`) and the gradient ``1 -
+    usage(p)`` is the excess supply, so the minimizer is the equilibrium
+    price vector.  The demanded rates and ``f`` come from one pass of the
+    unit cost (:meth:`~slicemarket.model.DemandKernel.rates`).
 
     The Hessian is ``sum_s [(1/a) D^T diag(u/L) D + ((a-1)/(a B)) v v^T]``
-    with ``v = D_s^T u_s`` (the first term vanishes at ``a = inf``, where the
+    with ``v = D_s^T u_s``: ``1/a`` is ``1 - q`` and ``(a-1)/a`` is ``q``, the
+    unit cost's exponent (the first term vanishes at ``a = inf``, where the
     second coefficient is ``1/B``).  The first term is block-diagonal by cell
     (:attr:`~slicemarket.model.MarketIndex.price_cells`) and the second is
     one rank-one term per provider, so a step is one batched per-cell solve
@@ -164,16 +138,16 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
     when such a step fails to halve the projected gradient (which is then
     at rounding level), when the step is not a descent direction or no
     step along it decreases ``f``, or after ``max_steps`` steps.  Appends
-    every iterate to ``price_rows`` and returns ``(p, f(p), steps)``, ``p``
-    the iterate of smallest projected gradient.
+    every iterate to ``price_rows`` and returns ``(p, steps)``, ``p`` the
+    iterate of smallest projected gradient.
     """
     kernel = index.kernel
     cells = index.price_cells
-    cost = _UnitCost(np.log(index.weights), index.alphas[index.sp_of].astype(float), kernel.seg)
-    budgets = kernel.budgets
+    cost = index.unit_cost
+    budgets = index.budgets
     # the rank-one coefficient (a - 1) / (a B), 1 / B at a = inf
-    coupling = kernel.expo[kernel.starts] / budgets
-    curv_row = 1.0 - kernel.expo  # 1 / a, 0 at a = inf
+    coupling = cost.q[cost.starts] / budgets
+    curv_row = 1.0 - cost.q  # 1 / a, 0 at a = inf
     demanded = index.demanded_goods()
     n_goods, n_seg, m = index.n_goods, cells.n_seg, cells.m
     dm = kernel.demand
@@ -184,9 +158,8 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
         """``f(p)``, the scale of its rounding, the rates demanded at ``p``
         and their prices ``L``; ``f`` is inf where some demand is unbounded."""
         pd = kernel.row_prices(p)[1]
-        u = kernel.rates(pd)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = budgets * cost(np.log(pd))
+        u, log_e = kernel.rates(pd)
+        terms = budgets * log_e
         total = float(p.sum())
         value = total - float(terms.sum())
         if not np.all(np.isfinite(u)):
@@ -228,7 +201,7 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
                 return None
 
     value, scale, u, pd = evaluate(p)
-    best_resid, best_p, best_value = math.inf, p, value
+    best_resid, best_p = math.inf, p
     prev_resid = math.inf
     quiet = False
     steps = 0
@@ -236,7 +209,7 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
         grad = np.where(demanded, 1.0 - kernel.per_good(u[:, None] * dm), 0.0)
         resid = float(np.abs(p - np.maximum(p - grad, 0.0)).max())
         if resid < best_resid:
-            best_resid, best_p, best_value = resid, p, value
+            best_resid, best_p = resid, p
         if resid == 0.0 or steps >= max_steps or (quiet and resid > 0.5 * prev_resid):
             break
         prev_resid = resid
@@ -260,7 +233,7 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
         p, (value, scale, u, pd), quiet = found
         steps += 1
         price_rows.append(p)
-    return best_p, best_value, steps
+    return best_p, steps
 
 
 def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
@@ -272,17 +245,16 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
     (:func:`_eisenberg_gale_solve`, method ``"barrier"``), any other by
     projected Newton steps on its price dual (:func:`_price_newton`, method
     ``"tatonnement"``, with every iterate in the price trace).  Both report
-    the program's duality gap ``sum p - sum B + sum_s B_s (log B_s - log
-    e_s(D_s p)) - sum_s B_s log U_s`` at the returned prices and rates in
-    ``residuals["duality_gap"]``, ``e_s`` the unit expenditure
-    (:class:`_UnitCost`).  ``config.max_iterations`` caps the
-    Newton steps that ``iterations`` counts (the interior-point engine stops
-    at ``_BARRIER_MAX_STEPS`` in any case).  Identical scenario and config
-    give an identical report.  ``converged`` rests on the absolute gaps of
-    :func:`~slicemarket.market.verify_equilibrium` at its default tolerance,
-    and, on the barrier route, on a duality gap of at most ``SO_GAP_TOL``;
-    ``residuals["br_gap_rel"]`` reports the best-response gap relative to
-    the best-response utility.  The decentralized route to the same
+    the program's duality gap (:func:`_eg_gap`) at the returned prices and
+    rates in ``residuals["duality_gap"]``.  ``config.max_iterations`` caps
+    the Newton steps that ``iterations`` counts (the interior-point engine
+    stops at ``_BARRIER_MAX_STEPS`` in any case).  Identical scenario and
+    config give an identical report.  ``converged`` means that the budget
+    and clearing gaps of :func:`~slicemarket.market.verify_equilibrium` are
+    within its default tolerance and the duality gap is at most
+    ``SO_GAP_TOL``; the best-response gaps ``residuals["br_gap"]`` (absolute)
+    and ``residuals["br_gap_rel"]`` (relative to the best-response utility)
+    are reported next to them.  The decentralized route to the same
     equilibrium is :func:`~slicemarket.dynamics.run_dynamics`.
     """
     config = config or SolverConfig()
@@ -290,18 +262,16 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
     kernel = index.kernel
     barrier = bool(np.any(index.alphas == 0.0))
     if barrier:
-        rates, p, gap, iterations = _eisenberg_gale_solve(index, min(config.max_iterations, _BARRIER_MAX_STEPS))
+        rates, p, iterations = _eisenberg_gale_solve(index, min(config.max_iterations, _BARRIER_MAX_STEPS))
     else:
         demanded = index.demanded_goods()
         price_rows = [np.where(demanded, 1.0 / demanded.sum(), 0.0)]
-        p, dual, iterations = _price_newton(index, price_rows[0], config.max_iterations, price_rows)
+        p, iterations = _price_newton(index, price_rows[0], config.max_iterations, price_rows)
         pd_slots, pd = kernel.row_prices(p)
-        demand = kernel.rates(pd)
+        demand = kernel.rates(pd)[0]
         rates = _repair_rates(index, demand, np.ones(index.n_goods))
-        with np.errstate(divide="ignore"):
-            log_u = index.utility(np.log(rates))
-        budgets = index.budgets
-        gap = float(dual - budgets.sum() + budgets @ (np.log(budgets) - log_u))
+    with np.errstate(divide="ignore"):
+        gap = _eg_gap(index, p, index.utility(np.log(rates)))[0]
     allocation = _rate_allocation(index, rates)
     check = verify_equilibrium(scn, allocation, p)
     residuals = {
@@ -317,12 +287,25 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         prices=p,
         allocation=allocation,
         iterations=iterations,
-        converged=check.is_equilibrium and (not barrier or gap <= SO_GAP_TOL),
+        converged=max(check.budget_gap, check.clearing_gap) <= check.tol and gap <= SO_GAP_TOL,
         residuals=residuals,
         price_trace=None if barrier else np.array(price_rows),
     )
     report.bids = allocation.x * p if barrier else kernel.dense(demand[:, None] * pd_slots)
     return report
+
+
+def _eg_gap(index: MarketIndex, prices: np.ndarray, log_u: np.ndarray) -> tuple[float, np.ndarray]:
+    """The Eisenberg-Gale duality gap at prices ``p >= 0`` of every good and
+    the providers' log utilities ``log_u``: the dual ``sum p - sum_s B_s (1
+    - r_s)``, with ``r_s = log B_s - log e_s(D_s p)``
+    (:meth:`~slicemarket.model.MarketIndex.log_ratios`), minus the program's
+    value ``sum_s B_s log U_s``.  By weak duality it is at least 0 at every
+    feasible allocation, and it is 0 at the equilibrium.  Returns the gap
+    and every provider's ``r_s - log U_s``, 0 at a best response."""
+    r = index.log_ratios(prices) - log_u
+    budgets = index.budgets
+    return float(prices.sum() - budgets.sum() + budgets @ r), r
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +740,12 @@ class _WelfareLayout:
     variable ``v`` on every consumed good, and variables are scaled to an
     equal split of each good (``ref``) so the Newton systems stay O(1).
     ``welfare`` is the objective as a batch of one, at the outer exponent
-    ``q0`` of :class:`_Welfare` (1 for the social optimum).
+    ``q0`` of :class:`_Welfare` (1 for the social optimum).  The capacity
+    duals live on the consumed goods (``goods``).
     """
 
     def __init__(self, index: MarketIndex, q0: float = 1.0):
+        self.index = index
         cols, log_w, seg, alpha, owner, mult = [], [], [], [], [], []
         for s in range(index.n_sps):
             rows = index.sp_rows(s)
@@ -793,29 +778,31 @@ class _WelfareLayout:
         log_w = np.concatenate(log_w)
         seg = np.array(seg, dtype=np.intp)
         alpha = np.array(alpha)
-        self.cost = _UnitCost(log_w, alpha, seg)
         self.welfare = _Welfare(
             log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None], q0
         )
 
-    def log_ratios(self, lam):
-        """``log B_s - log e_s(L_s)`` of every provider, for capacity prices
-        ``lam > 0`` on the consumed goods: ``L = D_s lam`` is the price of
-        one unit of each variable and ``e_s`` the unit expenditure of
-        provider ``s``, ``(sum w^(1/a) L^((a-1)/a))^(a / (a-1))``, ``prod
-        (L / w_hat)^w_hat`` at ``a = 1`` and ``min L / w`` at ``a = 0`` (which
-        covers max-min levels).  A provider whose utility costs nothing (a
-        free variable at ``a <= 1``) has ``e_s = 0`` and the ratio inf."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.log_b - self.cost(np.log(self.amat @ lam) - self.log_ref)
+    def prices(self, lam):
+        """Capacity duals ``lam`` on the consumed goods as prices of every
+        good, 0 on the others."""
+        prices = np.zeros(self.goods.size)
+        prices[self.goods] = lam
+        return prices
 
     def log_bound(self, lam):
-        """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(L_s)``
-        on the welfare of every feasible allocation (:meth:`log_ratios`).
-        Any allocation costs ``sum_s e_s U_s <= lam . 1`` at these prices,
-        so its welfare ``sum_s B_s U_s`` is at most the bound.
+        """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(D_s
+        lam)`` on the welfare of every feasible allocation, for capacity
+        duals ``lam > 0`` on the consumed goods
+        (:meth:`~slicemarket.model.MarketIndex.log_ratios`).  Any allocation
+        costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its welfare
+        ``sum_s B_s U_s`` is at most the bound.  The bound is rounded up by 8
+        ulps of its terms: where weak duality is tight (a linear provider on
+        a face of optima) the rounding of the logarithms, here and in the
+        utilities, would otherwise put it a few ulps below the welfare.
         """
-        return math.log(float(lam.sum())) + float(self.log_ratios(lam).max())
+        log_sum = math.log(float(lam.sum()))
+        best = float(self.index.log_ratios(self.prices(lam)).max())
+        return log_sum + best + 8.0 * np.finfo(float).eps * (1.0 + abs(log_sum) + abs(best))
 
     def restrict(self, active):
         """The welfare, usage rows and variable mask of the program on the
@@ -833,9 +820,10 @@ class _WelfareLayout:
 
 #: A provider leaves a social-optimum solve when its share of the welfare is
 #: below ``_DROP_SHARE``, its price-space log-ratio
-#: (:meth:`_WelfareLayout.log_ratios`) is more than ``_DROP_RATIO`` below the
-#: best one of the providers still in the solve, and that distance is at
-#: least ``_DROP_HOLD`` times the one of the step before.  A provider that
+#: (:meth:`~slicemarket.model.MarketIndex.log_ratios`) is more than
+#: ``_DROP_RATIO`` below the best one of the providers still in the solve,
+#: and that distance is at least ``_DROP_HOLD`` times the one of the step
+#: before.  A provider that
 #: the optimum gives a small share closes the distance by about half per
 #: step.
 _DROP_SHARE = 1e-2
@@ -881,7 +869,7 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
         def certified(y, lam, log_u):
             lam, log_u, usage = lam[0], log_u[0], amat.T @ y[0]
             log_w = welfare.log_welfare(log_u[None])[0]
-            ratios = lay.log_ratios(lam)
+            ratios = index.log_ratios(lay.prices(lam))
             best = ratios[active].max()
             below = np.where(active, best - ratios, np.inf)
             small = np.zeros(index.n_sps, dtype=bool)
@@ -917,60 +905,48 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
     lam = end.lam[0] * end.scale[0]
     log_w = welfare.log_welfare(welfare.utilities(y[keep][None])[0])[0]
     gap = math.expm1(lay.log_bound(lam) - log_w)
-    prices = np.zeros(index.n_goods)
-    prices[lay.goods] = lam
-    return lay.rates(y), prices, gap, iterations
+    return lay.rates(y), lay.prices(lam), gap, iterations
 
 
-def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximize ``sum_s B_s log U_s(u)`` under unit capacities by the
     interior-point engine (:func:`_interior_point`, a batch of one; no
     provider is priced out of an equilibrium) on the variables of
     :class:`_WelfareLayout` with the outer exponent 0.
 
-    For prices ``lam >= 0`` the dual is ``sum lam - sum_s B_s (1 - r_s)``,
-    ``r_s = log B_s - log e_s`` (:meth:`_WelfareLayout.log_ratios`).  The gap
-    is taken at the iterate scaled onto the capacity frontier and at the
-    duals, those below their good's slack set to 0.  It is of second order
-    in each provider's ``r_s - log U_s`` (a gap of 1e-11 leaves budgets off
-    by up to 3e-6), so the solve stops once both are at most
-    ``_BARRIER_STOP_GAP`` in size, or after ``max_steps`` steps.  Providers
-    with alpha > 0 then take their one best response at the prices; alpha-0
-    providers, whose best responses are not unique, keep the solve's rates,
-    cut to the capacity the others leave.  Returns ``(rates, prices, gap,
-    iterations)``, the gap taken at those rates.
+    The duality gap (:func:`_eg_gap`) is taken at the iterate scaled onto
+    the capacity frontier and at the duals, those below their good's slack
+    set to 0.  It is of second order in each provider's ``r_s - log U_s`` (a
+    gap of 1e-11 leaves budgets off by up to 3e-6), so the solve stops once
+    both are at most ``_BARRIER_STOP_GAP`` in size, or after ``max_steps``
+    steps.  Providers with alpha > 0 then take their one best response at
+    the prices; alpha-0 providers, whose best responses are not unique, keep
+    the solve's rates, cut to the capacity the others leave.  Returns
+    ``(rates, prices, iterations)``.
     """
     lay = _WelfareLayout(index, 0.0)
     welfare, amat = lay.welfare, lay.amat
-    budgets = np.exp(lay.log_b)
 
     def frontier(y, lam):
         usage = amat.T @ y
         return y / usage.max(), np.where(lam < 1.0 - usage / usage.max(), 0.0, lam)
 
-    def gap(lam, log_u):
-        r = lay.log_ratios(lam) - log_u
-        return float(lam.sum() - budgets.sum() + budgets @ r), r
-
     def certified(y, lam, log_u):
         y, lam = frontier(y[0], lam[0])
-        g, r = gap(lam, welfare.utilities(y[None])[0][0])
+        g, r = _eg_gap(index, lay.prices(lam), welfare.utilities(y[None])[0][0])
         return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP])
 
     end, iterations = _interior_point(
         welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified, max_steps=max_steps
     )
     y, lam = frontier(end.y[0], end.lam[0] * end.scale[0])
-    prices = np.zeros(index.n_goods)
-    prices[lay.goods] = lam
+    prices = lay.prices(lam)
     kernel = index.kernel
     linear = index.alphas[index.sp_of] == 0.0
-    demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1]))
+    demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1])[0])
     left = np.maximum(1.0 - kernel.per_good(demand[:, None] * kernel.demand), 0.0)
     rates = np.where(linear, _repair_rates(index, np.where(linear, lay.rates(y), 0.0), left), demand)
-    with np.errstate(divide="ignore"):
-        log_u = index.utility(np.log(rates))
-    return rates, prices, gap(lam, log_u)[0], iterations
+    return rates, prices, iterations
 
 
 def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
@@ -985,7 +961,7 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     certifies itself through the Eisenberg-Gale price-space bound: for
     capacity prices ``lam >= 0``, no feasible allocation has welfare above
     ``(lam . 1) max_s B_s / e_s``, where ``e_s`` is provider ``s``'s unit
-    expenditure at the prices ``D_s lam`` of its classes.  ``prices`` are
+    cost at the prices ``D_s lam`` of its classes.  ``prices`` are
     the certifying capacity duals, ``residuals["duality_gap"]`` is that
     bound over the returned welfare minus 1, ``converged`` means it is at
     most ``SO_GAP_TOL``, and ``iterations`` counts the Newton steps of every

@@ -167,15 +167,15 @@ class TestPriceTrace:
             ProviderDef("sp1", 0.4, 1.0, (SupportEntry('c,"0"', "k0", 1), SupportEntry("c\n1", "k1", 4))),
         )
         scn = normalize_scenario(ScenarioSpec(cells, classes, sps))
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=40, trace_stride=3))
+        rep = run_dynamics(scn, DynamicsConfig(max_iterations=40))
         rows = [
-            (int(it), cell, resource, float(rep.price_trace[k, g]))
-            for k, it in enumerate(rep.trace_iterations)
+            (it, cell, resource, float(rep.price_trace[it, g]))
+            for it in range(len(rep.price_trace))
             for g, (cell, resource) in enumerate(scn.index.goods)
         ]
         _write_csv(str(tmp_path / "rows.csv"), PRICE_TRACE_COLUMNS, rows)
         _write_price_trace(
-            str(tmp_path / "array.csv"), rep.trace_iterations.tolist(), scn.index.goods, rep.price_trace
+            str(tmp_path / "array.csv"), range(len(rep.price_trace)), scn.index.goods, rep.price_trace
         )
         expected = (tmp_path / "rows.csv").read_bytes()
         assert b'"c,""0"""' in expected and b'"r""1"' in expected and b'"c\n1"' in expected

@@ -24,7 +24,6 @@ from slicemarket import (
     verify_equilibrium,
 )
 from slicemarket.market import service_rates, settle_bids
-from slicemarket.solvers import _UnitCost
 
 
 def make_scn(demands, alphas, budgets, users=None, weights=None, caps=(1.0, 1.0)):
@@ -220,8 +219,7 @@ def test_utility_times_unit_cost_is_budget():
         index = scn.index
         kernel = index.kernel
         pd = kernel.row_prices(rng.uniform(0.1, 1.0, index.n_goods))[1]
-        cost = _UnitCost(np.log(index.weights), index.alphas[index.sp_of], kernel.seg)
-        spent = utilities(scn, kernel.rates(pd)) * np.exp(cost(np.log(pd)))
+        spent = utilities(scn, kernel.rates(pd)[0]) * np.exp(index.unit_cost(np.log(pd)))
         scored = index.alphas > 0
         assert spent[scored] == pytest.approx(index.budgets[scored], rel=1e-12)
 
@@ -307,7 +305,7 @@ class TestVerifyEquilibrium:
         scn = make_scn([[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0], [0.5, 0.5])
         kernel = scn.index.kernel
         prices = np.array([0.5, 0.5])
-        rates = kernel.rates(kernel.row_prices(prices)[1]) * np.array([0.0, 1.0])
+        rates = kernel.rates(kernel.row_prices(prices)[1])[0] * np.array([0.0, 1.0])
         alloc = Allocation(x=rates[:, None] * scn.index.demand, rates=rates)
         rep = verify_equilibrium(scn, alloc, prices)
         assert rep.br_gap == rep.br_gap_rel == 0.0

@@ -121,8 +121,13 @@ def test_unknown_class_and_duplicate_support_rejected():
 def test_missing_resource_at_cell_rejected():
     cells = (CellDef(id="c0", resources=(ResourceDef("r0", 10.0),)),)
     spec = two_sp_spec()
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"class 'a' needs \['r1'\] absent at cell 'c0'"):
         normalize_scenario(ScenarioSpec(cells, spec.classes, spec.sps))
+    # both providers serve the pair, and its message names every missing resource
+    cells = (CellDef(id="c0", resources=(ResourceDef("r2", 10.0),)),)
+    sps = tuple(replace(sp, support=(SupportEntry("c0", "b", 1),)) for sp in spec.sps)
+    with pytest.raises(ScenarioError, match=r"class 'b' needs \['r0', 'r1'\] absent at cell 'c0'"):
+        normalize_scenario(ScenarioSpec(cells, spec.classes, sps))
 
 
 def test_default_weights_follow_alpha():

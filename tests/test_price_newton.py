@@ -29,6 +29,8 @@ from slicemarket import (
     solve_eg,
 )
 from slicemarket.market import utilities
+from slicemarket.solvers import _eg_gap, static_share
+from tests.test_market import mixed_market
 from tests.test_social_optimal import variables
 
 MIXED_ALPHAS = [0.0, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0, math.inf]
@@ -49,7 +51,8 @@ def log_unit_cost(index, prices, s):
     """``log e_s(D_s p)``: the log of the least cost of one unit of provider
     ``s``'s degree-one utility at the prices ``L = D p`` of its classes'
     unit rates, ``(sum w^(1/a) L^((a-1)/a))^(a/(a-1))``, ``prod (L /
-    w_hat)^w_hat`` at ``a = 1`` and ``sum n L`` at ``a = inf``."""
+    w_hat)^w_hat`` at ``a = 1``, ``sum n L`` at ``a = inf`` and ``min L / w``
+    at ``a = 0``."""
     rows = index.sp_rows(s)
     with np.errstate(divide="ignore"):
         # a max-min provider's class may find all its goods free
@@ -58,6 +61,8 @@ def log_unit_cost(index, prices, s):
     alpha = float(index.alphas[s])
     if math.isinf(alpha):
         return float(logsumexp(log_w + log_l))
+    if alpha == 0.0:
+        return float((log_l - log_w).min())
     if alpha == 1.0:
         w_hat = np.exp(log_w - logsumexp(log_w))
         return float(w_hat @ (log_l - np.log(w_hat)))
@@ -78,6 +83,57 @@ def test_preset_reports_duality_gap(seed, alpha):
     gap = p.sum() - budgets.sum() + budgets @ (np.log(budgets) - log_e) - budgets @ np.log(rep.utilities)
     assert -1e-12 <= rep.residuals["duality_gap"] <= 1e-9
     assert rep.residuals["duality_gap"] == pytest.approx(gap, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, math.inf])
+def test_log_ratios_match_per_provider_unit_cost(alpha):
+    """The index's ``log B_s - log e_s(D_s p)``, one aggregate over every
+    triple, against the unit cost of each provider on its own; a good priced
+    at 0 makes the ratio inf at ``a <= 1``."""
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        spec = random_scenario(rng, n_sps=int(rng.integers(1, 5)), n_cells=int(rng.integers(1, 4)), alphas=[alpha])
+        index = normalize_scenario(spec).index
+        for zero in (0.0, 0.3):
+            p = rng.uniform(0.05, 2.0, index.n_goods)
+            p[rng.random(index.n_goods) < zero] = 0.0
+            ref = [math.log(index.budgets[s]) - log_unit_cost(index, p, s) for s in range(index.n_sps)]
+            np.testing.assert_allclose(index.log_ratios(p), ref, rtol=1e-13, atol=1e-13)
+
+
+def test_duality_gap_is_weak_duality():
+    """At any positive prices and any feasible rates the Eisenberg-Gale gap
+    is nonnegative.  At the equilibrium it is 0, and at the equilibrium
+    prices no feasible rates have a smaller gap than the equilibrium's."""
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        scn = mixed_market(rng)
+        index = scn.index
+        with np.errstate(divide="ignore"):
+            log_u = index.utility(np.log(static_share(scn).allocation.rates))
+        for _ in range(10):
+            p = rng.exponential(1.0, index.n_goods) * rng.choice([1e-2, 1.0, 1e2])
+            assert _eg_gap(index, p, log_u)[0] >= -1e-12
+        rep = solve_eg(scn)
+        assert abs(rep.residuals["duality_gap"]) <= 1e-9
+        assert _eg_gap(index, rep.prices, log_u)[0] >= rep.residuals["duality_gap"] - 1e-12
+
+
+def test_large_absolute_best_response_gap_at_alpha_near_one():
+    """Two alpha-0.9 providers with utilities of about 1e9: a best-response
+    gap at the rounding of those utilities can exceed the absolute 1e-6
+    while the relative and duality gaps are at rounding level, so
+    ``converged`` rests on the budget and clearing gaps and on the duality
+    gap."""
+    g = np.random.default_rng(5891)
+    spec = random_scenario(g, n_sps=int(g.integers(2, 6)), n_cells=int(g.integers(1, 5)), alphas=MIXED_ALPHAS)
+    assert [sp.alpha for sp in spec.sps] == [0.9, 0.9]
+    rep = solve_eg(normalize_scenario(spec))
+    assert rep.method == "tatonnement"
+    assert rep.converged
+    assert rep.utilities.max() > 1e9
+    assert rep.residuals["duality_gap"] <= 1e-12
+    assert rep.residuals["br_gap_rel"] <= 1e-12
 
 
 def test_agrees_with_bid_dynamics_at_alpha_geq_one():
