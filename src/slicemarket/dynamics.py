@@ -325,7 +325,7 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
         potential_trace=np.array(phis),
         price_trace=np.array(price_rows),
     )
-    report.bids = b
+    report.bid_slots = slots
     return report
 
 

@@ -1,15 +1,17 @@
 """Stateless market mechanics: service rates, SP utilities, the trading-post
 allocation rule, and market-equilibrium verification.
 
-Conventions: a bid tensor and an allocation are dense ``[n_triples, n_goods]``
-arrays aligned with :class:`~slicemarket.model.MarketIndex`; a price vector is
-a ``[n_goods]`` array of prices for the whole normalized resource.
+Conventions: a price vector is a ``[n_goods]`` array for the whole normalized
+resource.  A bid tensor is dense ``[n_triples, n_goods]``; a solve keeps its
+allocation and bids on the slot layout of :class:`~slicemarket.model.MarketIndex`
+and builds their dense views (``Allocation.x``, ``SolveReport.bids``) on read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,12 +72,42 @@ def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
         return np.exp(scn.index.utility(np.log(rates)))
 
 
-@dataclass(frozen=True)
 class Allocation:
-    """Fractional allocation ``x`` [n_triples, n_goods] and rates ``u``."""
+    """Per-triple service rates and the fractional allocation ``x``
+    [n_triples, n_goods].  A solve's allocation is Leontief-tight (``x = u
+    d``) and holds the rates and the index alone: ``x`` is scattered from the
+    kernel's slots on each read, never kept.  ``Allocation(x=x, rates=u)``
+    holds any other ``x``, such as the trading-post fractions."""
 
-    x: np.ndarray
-    rates: np.ndarray
+    def __init__(self, x: np.ndarray | None = None, rates: np.ndarray | None = None, index: MarketIndex | None = None):
+        self._x, self.rates, self.index = x, rates, index
+
+    @property
+    def x(self) -> np.ndarray:
+        if self._x is not None:
+            return self._x
+        kernel = self.index.kernel
+        return kernel.dense(self.rates[:, None] * kernel.demand)
+
+    def totals(self, index: MarketIndex, prices: np.ndarray, pd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every provider's spend ``sum p.x_s`` at ``prices`` and every good's
+        usage; a tight allocation spends ``u PD`` on a triple, ``PD`` its
+        price from :meth:`~slicemarket.model.DemandKernel.row_prices`."""
+        if self._x is not None:
+            return index.sp_sum(self._x @ prices), self._x.sum(axis=0)
+        kernel = index.kernel
+        pd = kernel.row_prices(prices)[1] if pd is None else pd
+        return index.sp_sum(self.rates * pd), kernel.per_good(self.rates[:, None] * kernel.demand)
+
+
+def _checked_prices(index: MarketIndex, prices: np.ndarray) -> np.ndarray:
+    """``prices`` as floats; ``ValueError`` unless one nonnegative price per good."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape != (index.n_goods,):
+        raise ValueError(f"prices have shape {prices.shape}, expected ({index.n_goods},)")
+    if np.any(prices < 0):
+        raise ValueError("negative price")
+    return prices
 
 
 def tp_allocate(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, Allocation]:
@@ -113,7 +145,7 @@ def settle_bids(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, 
         cap_rate = np.where(index.consumed, 1.0 / index.demand, np.inf).min(axis=1)
     rates = ratio.min(axis=1)
     rates = np.minimum(np.where(np.isfinite(rates), rates, cap_rate), cap_rate)
-    return prices, Allocation(x=rates[:, None] * index.demand, rates=rates)
+    return prices, Allocation(rates=rates, index=index)
 
 
 @dataclass(frozen=True)
@@ -154,17 +186,13 @@ def verify_equilibrium(
     set its scale.
     """
     index = scn.index
-    prices = np.asarray(prices, dtype=float)
-    spend = index.sp_sum((prices[None, :] * allocation.x).sum(axis=1))
+    prices = _checked_prices(index, prices)
+    pd = index.kernel.row_prices(prices)[1]
+    spend, usage = allocation.totals(index, prices, pd)
     budget_gap = float(np.abs(spend - index.budgets).max())
-
-    usage = allocation.x.sum(axis=0)
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())
 
-    if np.any(prices < 0):
-        raise ValueError("negative price")
-    kernel = index.kernel
-    u_br = kernel.rates(kernel.row_prices(prices)[1])[0]
+    u_br = index.kernel.rates(pd)[0]
     best, held = utilities(scn, np.stack([u_br, allocation.rates]))
     # an alpha-0 provider's best responses are not unique and are not checked
     checked = index.alphas > 0.0
@@ -188,7 +216,9 @@ def verify_equilibrium(
 @dataclass
 class SolveReport:
     """Everything a solve produces: allocation, prices, utilities, residual
-    diagnostics and iteration traces."""
+    diagnostics and iteration traces.  ``bids``, a market equilibrium's dense
+    bid tensor (None for the other schemes), is scattered on first read from
+    its per-slot bids ``bid_slots``, which the solve sets."""
 
     scn: NormalizedScenario
     method: str
@@ -201,7 +231,11 @@ class SolveReport:
     residuals: dict[str, float]
     potential_trace: np.ndarray | None = None
     price_trace: np.ndarray | None = None
-    bids: np.ndarray | None = None
+    bid_slots: np.ndarray | None = None
+
+    @cached_property
+    def bids(self) -> np.ndarray | None:
+        return None if self.bid_slots is None else self.scn.index.kernel.dense(self.bid_slots)
 
 
 def make_report(
@@ -215,15 +249,14 @@ def make_report(
     potential_trace: np.ndarray | None = None,
     price_trace: np.ndarray | None = None,
 ) -> SolveReport:
-    index = scn.index
-    spend = index.sp_sum((prices[None, :] * allocation.x).sum(axis=1))
+    prices = _checked_prices(scn.index, prices)
     return SolveReport(
         scn=scn,
         method=method,
         prices=prices,
         allocation=allocation,
         utilities=utilities(scn, allocation.rates),
-        spending=spend,
+        spending=allocation.totals(scn.index, prices)[0],
         iterations=iterations,
         converged=converged,
         residuals=residuals,

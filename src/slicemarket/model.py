@@ -8,8 +8,8 @@ capacity is rescaled to 1 and demands become fractions of the whole
 resource per unit service rate; all file I/O stays in physical units.
 
 :class:`MarketIndex` is compiled on a slot layout, one slot per good a
-(provider, cell, class) triple consumes, and built from it are the dense
-``[n_triples, n_goods]`` arrays that every public function takes and returns.
+(provider, cell, class) triple consumes.  The solvers and their reports work on
+the slots, and dense ``[n_triples, n_goods]`` views are scattered from them.
 Every degree-one utility, and the unit cost of one, is a CES aggregate over a
 provider's variables, evaluated by :class:`CESAggregate`.  The index keeps two:
 the providers' utilities of their rates (:attr:`MarketIndex.utility`) and
@@ -231,9 +231,9 @@ class MarketIndex:
     slots of a row are distinct goods.  Every triple consumes only goods of
     its own cell, and the goods of a cell are contiguous.
 
-    The public view is dense and built from the slots: bid tensors,
-    allocations and the ``demand`` matrix are ``[n_triples, n_goods]``
-    arrays, zero outside each triple's consumed goods (``consumed``).
+    Dense ``[n_triples, n_goods]`` views, zero outside each triple's consumed
+    goods (``consumed``), are scattered from the slots: ``demand`` here, and
+    a report's ``allocation.x`` and ``bids`` when they are read.
     Capacities are normalized to 1; ``capacity[g]`` keeps the physical scale
     for denormalization.  Triples are grouped by provider (``sp_of`` is
     sorted).  :attr:`kernel`, :attr:`blocks`, :attr:`price_cells` and the
@@ -411,10 +411,10 @@ class DemandKernel:
                 rate[(self.cost.seg_sum(zero & self.bounded) > 0)[self.seg]] = np.inf
         return rate, log_e
 
-    def per_good(self, slot_values: np.ndarray) -> np.ndarray:
-        """Total of per-slot values on each good (prices from bids, usage
-        from per-slot consumption)."""
-        return np.bincount(self.goods.ravel(), weights=slot_values.ravel(), minlength=self.n_goods)
+    def per_good(self, slot_values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Total of the per-slot values of ``rows`` on each good (prices from
+        bids, usage from per-slot consumption)."""
+        return np.bincount(self.goods[rows].ravel(), weights=slot_values[rows].ravel(), minlength=self.n_goods)
 
     def dense(self, slot_values: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per-slot values of ``rows`` scattered to the public ``[n_triples,

@@ -88,11 +88,6 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
     return kernel.dense(slots, rows)
 
 
-def _rate_allocation(index: MarketIndex, rates: np.ndarray) -> Allocation:
-    """Leontief-tight allocation ``x = u * d`` for given rates."""
-    return Allocation(x=rates[:, None] * index.demand, rates=rates)
-
-
 def _repair_rates(index: MarketIndex, rates: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Scale each triple's rate by the worst overuse factor of its consumed
     goods so that no capacity is exceeded."""
@@ -272,7 +267,7 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         rates = _repair_rates(index, demand, np.ones(index.n_goods))
     with np.errstate(divide="ignore"):
         gap = _eg_gap(index, p, index.utility(np.log(rates)))[0]
-    allocation = _rate_allocation(index, rates)
+    allocation = Allocation(rates=rates, index=index)
     check = verify_equilibrium(scn, allocation, p)
     residuals = {
         "budget_gap": check.budget_gap,
@@ -291,7 +286,7 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         residuals=residuals,
         price_trace=None if barrier else np.array(price_rows),
     )
-    report.bids = allocation.x * p if barrier else kernel.dense(demand[:, None] * pd_slots)
+    report.bid_slots = (rates[:, None] * kernel.demand) * p[kernel.goods] if barrier else demand[:, None] * pd_slots
     return report
 
 
@@ -621,7 +616,7 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     for s in np.flatnonzero(np.isinf(index.alphas)):
         rows = index.sp_rows(s)
         n_vec = index.users[rows].astype(float)
-        usage = (n_vec[:, None] * index.demand[rows]).sum(axis=0)
+        usage = index.kernel.per_good(index.users[:, None] * index.kernel.demand, rows)
         active = usage > 0
         rates[rows] = float((caps[s, active] / usage[active]).min()) * n_vec
     blocks = index.blocks
@@ -969,8 +964,8 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     """
     index = scn.index
     rates, prices, gap, iterations = _concave_welfare_solve(index)
-    allocation = _rate_allocation(index, rates)
-    usage = allocation.x.sum(axis=0)
+    allocation = Allocation(rates=rates, index=index)
+    usage = allocation.totals(index, prices)[1]
     return make_report(
         scn,
         method="barrier",
@@ -1001,8 +996,8 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
     index = scn.index
     caps = np.repeat(index.budgets[:, None], index.n_goods, axis=1)
     rates, gaps, iterations = _single_sp_allocate(index, caps)
-    allocation = _rate_allocation(index, rates)
-    usage = allocation.x.sum(axis=0)
+    allocation = Allocation(rates=rates, index=index)
+    usage = allocation.totals(index, np.zeros(index.n_goods))[1]
     gap = float(gaps.max())
     return make_report(
         scn,

@@ -1,6 +1,7 @@
 """Service rates, utilities, trading-post rule, equilibrium verification."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,20 +11,27 @@ from slicemarket import (
     Allocation,
     CellDef,
     ClassDef,
+    DynamicsConfig,
+    LoadModel,
     ProviderDef,
     ResourceDef,
     ScenarioSpec,
     SupportEntry,
+    benchmark_preset,
+    instantiate,
     normalize_scenario,
     random_scenario,
+    run_dynamics,
     service_rate,
     solve_eg,
+    solve_social_optimal,
     static_share,
     tp_allocate,
     utilities,
     verify_equilibrium,
 )
-from slicemarket.market import service_rates, settle_bids
+from slicemarket.market import make_report, service_rates, settle_bids
+from tests.test_kernel import mixed_scenario
 
 
 def make_scn(demands, alphas, budgets, users=None, weights=None, caps=(1.0, 1.0)):
@@ -339,3 +347,111 @@ def test_service_rates_batch_matches_scalar():
     for i in range(2):
         mask = scn.index.consumed[i]
         assert batch[i] == pytest.approx(service_rate(x[i][mask], scn.index.demand[i][mask]))
+
+
+# ---------------------------------------------------------------------------
+# Reports on the slot layout: dense views equal the dense formulas
+# ---------------------------------------------------------------------------
+
+
+def assert_ulps(actual, ref, scale, ulps=4):
+    """``actual`` within ``ulps`` units in the last place of ``scale``."""
+    assert np.all(np.abs(np.asarray(actual) - ref) <= ulps * np.spacing(scale))
+
+
+def assert_dense_report(rep):
+    """The report's dense views, spend and equilibrium gaps against the
+    dense ``[n_triples, n_goods]`` formulas."""
+    index = rep.scn.index
+    p, rates = rep.prices, rep.allocation.rates
+    x = rates[:, None] * index.demand
+    assert np.array_equal(rep.allocation.x, x)
+    spend = index.sp_sum((p[None, :] * x).sum(axis=1))
+    assert_ulps(rep.spending, spend, np.abs(spend))
+    usage = x.sum(axis=0)
+    check = verify_equilibrium(rep.scn, rep.allocation, p)
+    assert_ulps(check.budget_gap, np.abs(spend - index.budgets).max(), max(spend.max(), index.budgets.max()))
+    assert_ulps(check.clearing_gap, np.abs((usage - 1.0) * p).max(), max(usage.max(), 1.0) * p.max(initial=0.0))
+
+
+def test_reports_match_dense_formulas():
+    rng = np.random.default_rng(1401)
+    specs = [instantiate(benchmark_preset(), LoadModel(seed=1), 0)] + [mixed_scenario(rng) for _ in range(25)]
+    routes = set()
+    for spec in specs:
+        for alpha in (None, 0.0, 2.0):
+            scn = normalize_scenario(spec if alpha is None else spec.with_alphas(alpha))
+            index, kernel = scn.index, scn.index.kernel
+            me = solve_eg(scn)
+            routes.add(me.method)
+            p = me.prices
+            if me.method == "barrier":
+                bids = (me.allocation.rates[:, None] * index.demand) * p
+            else:
+                bids = kernel.rates(kernel.row_prices(p)[1])[0][:, None] * (p[None, :] * index.demand)
+            assert np.array_equal(me.bids, bids)
+            for rep in (me, solve_social_optimal(scn), static_share(scn)):
+                assert_dense_report(rep)
+            if alpha == 2.0:
+                dyn = run_dynamics(scn, DynamicsConfig(max_iterations=40))
+                assert np.array_equal(dyn.bids, kernel.dense(kernel.bids(dyn.price_trace[-2])[0]))
+                assert np.array_equal(dyn.bids.sum(axis=0), dyn.prices)
+                assert_dense_report(dyn)
+    assert routes == {"barrier", "tatonnement"}
+
+
+def test_verify_dense_allocation_uses_its_x():
+    """A trading-post allocation is not Leontief-tight: its gaps come from
+    its own ``x``, bids off a triple's consumed goods included."""
+    rng = np.random.default_rng(1402)
+    for _ in range(10):
+        scn = normalize_scenario(mixed_scenario(rng))
+        index = scn.index
+        bids = rng.uniform(0.0, 1.0, (index.n_triples, index.n_goods)) ** 3
+        bids *= (index.budgets / index.sp_sum(bids.sum(axis=1)))[index.sp_of, None]
+        prices, alloc = tp_allocate(scn, bids)
+        assert not np.array_equal(alloc.x, alloc.rates[:, None] * index.demand)
+        spend = index.sp_sum((prices[None, :] * alloc.x).sum(axis=1))
+        usage = alloc.x.sum(axis=0)
+        check = verify_equilibrium(scn, alloc, prices)
+        assert_ulps(check.budget_gap, np.abs(spend - index.budgets).max(), 1.0)
+        assert check.clearing_gap == np.abs((usage - 1.0) * prices).max()
+
+
+class Untouched:
+    """An allocation stand-in that fails any test that reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read allocation.{name} before checking the prices")
+
+
+@pytest.mark.parametrize("bad", ["long", "short", "matrix", "negative"])
+def test_prices_are_checked_before_any_work(bad):
+    scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [2.0, 1.0], [0.4, 0.6])
+    prices = {
+        "long": np.full(3, 0.5),
+        "short": np.full(1, 0.5),
+        "matrix": np.full((1, 2), 0.5),
+        "negative": np.array([0.5, -1e-3]),
+    }[bad]
+    with pytest.raises(ValueError, match="shape|negative"):
+        verify_equilibrium(scn, Untouched(), prices)
+    with pytest.raises(ValueError, match="shape|negative"):
+        make_report(scn, "barrier", prices, Untouched(), 0, True, {})
+
+
+@pytest.mark.parametrize("solve, alpha", [(solve_eg, 0.5), (solve_eg, 2.0), (static_share, 2.0)], ids=["me-0.5", "me-2", "ss-2"])
+def test_solve_allocates_less_than_one_dense_array(solve, alpha):
+    """At 112 cells a solve on a built index allocates less, at its peak,
+    than one ``[n_triples, n_goods]`` float array: its report stays on the
+    slot layout."""
+    spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=1), 0)
+    scn = normalize_scenario(spec.with_alphas(alpha))
+    solve(scn)
+    tracemalloc.start()
+    try:
+        solve(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < scn.index.n_triples * scn.index.n_goods * 8
