@@ -18,11 +18,15 @@ The alpha=1 piece is the limit of the middle one: its aggregate term
 degenerates into a barrier pinning per-class spending at B*w/sum(w) (which is
 where the alpha=1 update puts it after one round), leaving the plain entropy
 term.  Feasible-bid sampling respects that domain.
+
+Bids live on the slot layout of :class:`~slicemarket.model.MarketIndex`:
+:func:`run_dynamics` updates, traces and settles them there, and the public
+functions that take a dense ``[n_triples, n_goods]`` bid tensor gather it once
+(:meth:`~slicemarket.model.DemandKernel.gather`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +67,8 @@ class PotentialBreakdown:
         return self.phi_eq1 + self.phi_between + self.phi_inf
 
 
-def _kl(x: np.ndarray, y: np.ndarray) -> float:
-    """Unnormalized KL divergence ``sum x*log(x/y)``."""
+def _kl(x: np.ndarray, y: np.ndarray, scale=1.0) -> float:
+    """Unnormalized KL divergence ``sum x*log(x/y)``, each term times ``scale``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -75,7 +79,7 @@ def _kl(x: np.ndarray, y: np.ndarray) -> float:
     if np.any(y[pos] == 0):
         raise ValueError("KL divergence diverges: x > 0 where y = 0")
     ratio = np.divide(x, y, out=np.ones_like(x), where=pos)
-    return float(np.sum(x[pos] * np.log(ratio[pos])))
+    return float((np.where(pos, x * np.log(ratio), 0.0) * scale).sum())
 
 
 def _regime_masks(index: MarketIndex):
@@ -92,68 +96,69 @@ def _require_at_least_one(index: MarketIndex) -> None:
 
 
 def eval_potential(scn: NormalizedScenario, bids: np.ndarray) -> PotentialBreakdown:
-    """Evaluate the convex potential at a bid tensor, by regime.
+    """Evaluate the convex potential at a dense bid tensor, by regime.
 
     Zero bids contribute zero; bids below ``BID_FLOOR`` are treated as zero
-    so traces of collapsing prices stay finite.
+    so traces of collapsing prices stay finite.  Raises ``ValueError`` on a
+    bid off a triple's consumed goods.
     """
     index = scn.index
     _require_at_least_one(index)
-    b = np.asarray(bids, dtype=float)
-    p = b.sum(axis=0)
+    slots = index.kernel.gather(bids)
+    return _potential(index, slots, index.kernel.per_good(slots))
+
+
+def _potential(index: MarketIndex, b: np.ndarray, prices: np.ndarray) -> PotentialBreakdown:
+    """:func:`eval_potential` at per-slot bids ``b`` and the prices they
+    induce."""
+    kernel = index.kernel
     mask = b > BID_FLOOR
-    ratio = np.divide(b, p[None, :] * index.demand, out=np.ones_like(b), where=mask)
+    ratio = np.divide(b, prices[kernel.goods] * kernel.demand, out=np.ones_like(b), where=mask)
     entropy = np.where(mask, b * np.log(ratio), 0.0).sum(axis=1)
 
     eq1, between, inf = _regime_masks(index)
     phi_eq1 = float(entropy[eq1].sum())
 
     b_ck = b.sum(axis=1)
-    phi_between = 0.0
-    if between.any():
-        rows = np.flatnonzero(between)
-        alpha = index.alphas[index.sp_of[rows]]
-        bk = b_ck[rows]
-        w = index.weights[rows]
-        good = bk > BID_FLOOR
-        agg = np.where(good, bk * np.log(np.where(good, bk / w, 1.0)), 0.0)
-        phi_between = float(entropy[rows].sum() + (agg / (alpha - 1.0)).sum())
-
-    phi_inf = 0.0
-    if inf.any():
-        rows = np.flatnonzero(inf)
-        phi_inf = float(entropy[rows].sum() - (b_ck[rows] * np.log(index.weights[rows])).sum())
+    alpha = index.alphas[index.sp_of[between]]
+    bk, w = b_ck[between], index.weights[between]
+    good = bk > BID_FLOOR
+    agg = np.where(good, bk * np.log(np.where(good, bk / w, 1.0)), 0.0)
+    phi_between = float(entropy[between].sum() + (agg / (alpha - 1.0)).sum())
+    phi_inf = float(entropy[inf].sum() - (b_ck[inf] * np.log(index.weights[inf])).sum())
     return PotentialBreakdown(phi_eq1=phi_eq1, phi_between=phi_between, phi_inf=phi_inf)
 
 
 def potential_gradient(scn: NormalizedScenario, bids: np.ndarray) -> np.ndarray:
     """Analytic gradient of the potential, including the price coupling
     ``p = sum of bids`` (the per-good terms contribute exactly -1, cancelling
-    the +1 from each entropy term).
+    the +1 from each entropy term), zero off the consumed goods.
 
     Requires strictly positive bids on consumed goods.
     """
     index = scn.index
     _require_at_least_one(index)
-    b = np.asarray(bids, dtype=float)
-    if np.any(b[index.consumed] <= 0):
-        raise ValueError("gradient needs strictly positive bids on consumed goods")
-    p = b.sum(axis=0)
-    grad = np.zeros_like(b)
-    base = np.log(b[index.consumed] / (p[None, :] * index.demand)[index.consumed])
-    grad[index.consumed] = base
+    kernel = index.kernel
+    return kernel.dense(_gradient(index, kernel.gather(bids)))
 
-    eq1, between, inf = _regime_masks(index)
-    if between.any():
-        rows = np.flatnonzero(between)
-        alpha = index.alphas[index.sp_of[rows]]
-        bk = b[rows].sum(axis=1)
-        corr = (np.log(bk / index.weights[rows]) + 1.0) / (alpha - 1.0)
-        grad[rows] += corr[:, None] * index.consumed[rows]
-    if inf.any():
-        rows = np.flatnonzero(inf)
-        grad[rows] -= np.log(index.weights[rows])[:, None] * index.consumed[rows]
-    return grad
+
+def _gradient(index: MarketIndex, b: np.ndarray) -> np.ndarray:
+    """:func:`potential_gradient` at per-slot bids ``b``, zero on padding."""
+    kernel = index.kernel
+    real = kernel.real
+    if np.any(b[real] <= 0):
+        raise ValueError("gradient needs strictly positive bids on consumed goods")
+    pd_slots = kernel.per_good(b)[kernel.goods] * kernel.demand
+    grad = np.zeros_like(b)
+    grad[real] = np.log(b[real] / pd_slots[real])
+
+    # per-row shifts of the aggregate terms, on the consumed goods
+    shift = np.zeros(index.n_triples)
+    _, between, inf = _regime_masks(index)
+    alpha = index.alphas[index.sp_of[between]]
+    shift[between] = (np.log(b[between].sum(axis=1) / index.weights[between]) + 1.0) / (alpha - 1.0)
+    shift[inf] = -np.log(index.weights[inf])
+    return grad + shift[:, None] * real
 
 
 def divergence_dg(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) -> float:
@@ -162,21 +167,18 @@ def divergence_dg(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) ->
     per-(cell, class) aggregated spend.  From the equilibrium bids ``b`` to
     the starting bids ``b_prev`` it is the budget ``D`` of the O(1/T)
     convergence guarantee ``Phi(b^T) - Phi(b*) <= D / T``."""
-    index = scn.index
-    eq1, between, inf = _regime_masks(index)
-    total = 0.0
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        total += _kl(b[rows][index.consumed[rows]], b_prev[rows][index.consumed[rows]])
-        alpha = float(index.alphas[s])
-        if 1.0 < alpha < math.inf:
-            total -= _kl(b[rows].sum(axis=1), b_prev[rows].sum(axis=1)) / (1.0 - alpha)
-    return total
+    kernel = scn.index.kernel
+    return _divergence(scn.index, kernel.gather(b), kernel.gather(b_prev))
 
 
-def bregman_gap(
-    scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray
-) -> tuple[float, float]:
+def _divergence(index: MarketIndex, b: np.ndarray, b_prev: np.ndarray) -> float:
+    """:func:`divergence_dg` between per-slot bids."""
+    _, between, _ = _regime_masks(index)
+    alpha = index.alphas[index.sp_of[between]]
+    return _kl(b, b_prev) + _kl(b[between].sum(axis=1), b_prev[between].sum(axis=1), 1.0 / (alpha - 1.0))
+
+
+def bregman_gap(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) -> tuple[float, float]:
     """First-order convexity gap and its distance to the reference divergence.
 
     Returns ``(lower_gap, upper_gap)`` with
@@ -184,11 +186,14 @@ def bregman_gap(
     convexity) and ``upper_gap = d_g(b, b') - lower_gap`` (nonnegative, and
     equal to the KL divergence between the induced price vectors).
     """
-    phi = eval_potential(scn, b).phi_total
-    phi_prev = eval_potential(scn, b_prev).phi_total
-    grad = potential_gradient(scn, b_prev)
-    lower = phi - phi_prev - float(np.sum(grad * (b - b_prev)))
-    upper = divergence_dg(scn, b, b_prev) - lower
+    index = scn.index
+    _require_at_least_one(index)
+    kernel = index.kernel
+    b, b_prev = kernel.gather(b), kernel.gather(b_prev)
+    phi = _potential(index, b, kernel.per_good(b)).phi_total
+    phi_prev = _potential(index, b_prev, kernel.per_good(b_prev)).phi_total
+    lower = phi - phi_prev - float(np.sum(_gradient(index, b_prev) * (b - b_prev)))
+    upper = _divergence(index, b, b_prev) - lower
     return lower, upper
 
 
@@ -241,9 +246,14 @@ def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarra
 def uniform_bids(index: MarketIndex) -> np.ndarray:
     """Budget split uniformly over each provider's consumed (triple, good)
     pairs; strictly positive on the whole support."""
-    counts = index.sp_sum(index.consumed.sum(axis=1).astype(float))
-    b = index.consumed * (index.budgets / counts)[index.sp_of, None]
-    return b
+    return index.kernel.dense(_uniform_slots(index))
+
+
+def _uniform_slots(index: MarketIndex) -> np.ndarray:
+    """:func:`uniform_bids` per slot, zero on padding."""
+    real = index.kernel.real
+    counts = index.sp_sum(real.sum(axis=1).astype(float))
+    return real * (index.budgets / counts)[index.sp_of, None]
 
 
 def _bid_round(kernel: DemandKernel, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +274,7 @@ def price_path(scn: NormalizedScenario, rounds: int) -> np.ndarray:
     _require_at_least_one(index)
     kernel = index.kernel
     path = np.empty((rounds + 1, index.n_goods))
-    prices = path[0] = uniform_bids(index).sum(axis=0)
+    prices = path[0] = kernel.per_good(_uniform_slots(index))
     for it in range(1, rounds + 1):
         prices = path[it] = _bid_round(kernel, prices)[1]
     return path
@@ -274,25 +284,23 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
     """Iterate simultaneous bid updates from uniform (or given) initial bids
     until the maximum relative price change drops below tolerance.
 
-    Returns a :class:`~slicemarket.market.SolveReport` with the potential and
-    price traces; ``converged`` is False when the iteration budget runs out,
-    never a silent success.
+    Given initial bids are dense and must lie on the consumed goods.  Returns
+    a :class:`~slicemarket.market.SolveReport` with the potential and price
+    traces; ``converged`` is False when the iteration budget runs out, never
+    a silent success.
     """
     config = config or DynamicsConfig()
     index = scn.index
     _require_at_least_one(index)
-    if config.initial_bids is not None:
-        b = np.array(config.initial_bids, dtype=float)
-        if b.shape != (index.n_triples, index.n_goods):
-            raise ValueError("initial bids have the wrong shape")
-    else:
-        b = uniform_bids(index)
-
-    phis = [eval_potential(scn, b).phi_total]
-    price_rows = [b.sum(axis=0)]
-
     kernel = index.kernel
-    prices = price_rows[0]
+    if config.initial_bids is not None:
+        slots = kernel.gather(config.initial_bids)
+    else:
+        slots = _uniform_slots(index)
+
+    prices = kernel.per_good(slots)
+    phis = [_potential(index, slots, prices).phi_total]
+    price_rows = [prices]
     converged = False
     it = 0
     for it in range(1, config.max_iterations + 1):
@@ -300,14 +308,13 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
         change = float((np.abs(new_prices - prices) / scale).max())
         prices = new_prices
-        b = kernel.dense(slots)
-        phis.append(eval_potential(scn, b).phi_total)
+        phis.append(_potential(index, slots, prices).phi_total)
         price_rows.append(prices)
         if change < config.tol:
             converged = True
             break
 
-    final_prices, allocation = settle_bids(scn, b)
+    final_prices, allocation = settle_bids(scn, slots)
     check = verify_equilibrium(scn, allocation, final_prices)
     report = make_report(
         scn,
@@ -338,7 +345,8 @@ def random_feasible_bids(scn: NormalizedScenario, rng: np.random.Generator) -> n
     guarantees live); the split across goods within each class is random.
     """
     index = scn.index
-    b = np.zeros((index.n_triples, index.n_goods))
+    real = index.kernel.real
+    b = np.zeros(real.shape)
     for s in range(index.n_sps):
         rows = index.sp_rows(s)
         alpha = float(index.alphas[s])
@@ -346,11 +354,10 @@ def random_feasible_bids(scn: NormalizedScenario, rng: np.random.Generator) -> n
             w = index.weights[rows]
             b_ck = index.budgets[s] * w / w.sum()
             for j, i in enumerate(rows):
-                goods = np.flatnonzero(index.consumed[i])
-                b[i, goods] = b_ck[j] * rng.dirichlet(np.ones(goods.size))
+                b[i, real[i]] = b_ck[j] * rng.dirichlet(np.ones(real[i].sum()))
         else:
-            cells = [(i, g) for i in rows for g in np.flatnonzero(index.consumed[i])]
-            shares = rng.dirichlet(np.ones(len(cells))) * index.budgets[s]
-            for (i, g), v in zip(cells, shares):
-                b[i, g] = v
-    return b
+            # the consumed slots of the provider's rows, row by row
+            part = b[rows]
+            part[real[rows]] = rng.dirichlet(np.ones(real[rows].sum())) * index.budgets[s]
+            b[rows] = part
+    return index.kernel.dense(b)

@@ -363,6 +363,21 @@ def emit_csv(result: ExperimentResult, outdir: str) -> list[str]:
     return paths
 
 
+def _write_chart(outdir: str, name: str, points, title: str, xlabel: str, ylabel: str) -> str:
+    """``name.svg``: a line chart of ``(label, x, y)`` points, one series
+    per label in label order, each in the order of its points."""
+    series: dict[str, tuple[list, list]] = {}
+    for label, x, y in points:
+        xs, ys = series.setdefault(label, ([], []))
+        xs.append(x)
+        ys.append(y)
+    svg = charts.line_chart([(k, xs, ys) for k, (xs, ys) in sorted(series.items())], title, xlabel, ylabel)
+    path = os.path.join(outdir, f"{name}.svg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return path
+
+
 def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
     """Per-study CSV plus a self-contained SVG chart for each study."""
     os.makedirs(outdir, exist_ok=True)
@@ -377,23 +392,10 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
         [(a, sch, sp, kl, m, math.sqrt(v)) for a, sch, sp, kl, m, v, _, _, _ in agg],
     )
     paths.append(path)
-    series = {}
-    for a, sch, sp, kl, m, v, _, _, _ in agg:
-        if sch != "me":
-            continue
-        series.setdefault(f"{sp}:{kl}", ([], []))
-        series[f"{sp}:{kl}"][0].append(a)
-        series[f"{sp}:{kl}"][1].append(m)
-    svg = charts.line_chart(
-        [(k, xs, ys) for k, (xs, ys) in sorted(series.items())],
-        "Average per-user service rate vs fairness parameter (market scheme)",
-        "alpha",
-        "mean rate per user",
-    )
-    path = os.path.join(outdir, "alpha_effect.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    paths.append(path)
+    paths.append(_write_chart(
+        outdir, "alpha_effect", ((f"{sp}:{kl}", a, m) for a, sch, sp, kl, m, *_ in agg if sch == "me"),
+        "Average per-user service rate vs fairness parameter (market scheme)", "alpha", "mean rate per user",
+    ))
 
     # per-provider utility by scheme
     util_groups: dict[tuple, list[float]] = {}
@@ -406,21 +408,10 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
     path = os.path.join(outdir, "welfare.csv")
     _write_csv(path, ("alpha", "scheme", "sp", "mean_utility", "std_utility"), util_agg)
     paths.append(path)
-    series = {}
-    for a, sch, sp, m, _sd in util_agg:
-        series.setdefault(f"{sp} ({sch})", ([], []))
-        series[f"{sp} ({sch})"][0].append(a)
-        series[f"{sp} ({sch})"][1].append(m)
-    svg = charts.line_chart(
-        [(k, xs, ys) for k, (xs, ys) in sorted(series.items())],
-        "Provider utility vs fairness parameter by scheme",
-        "alpha",
-        "utility",
-    )
-    path = os.path.join(outdir, "welfare.svg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    paths.append(path)
+    paths.append(_write_chart(
+        outdir, "welfare", ((f"{sp} ({sch})", a, m) for a, sch, sp, m, _sd in util_agg),
+        "Provider utility vs fairness parameter by scheme", "alpha", "utility",
+    ))
 
     # budget sensitivity
     if result.sensitivity_rows:
@@ -431,22 +422,10 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
             result.sensitivity_rows,
         )
         paths.append(path)
-        series = {}
-        for frac, alpha, scheme, rate, _conv in result.sensitivity_rows:
-            key = f"{scheme} a={alpha:g}"
-            series.setdefault(key, ([], []))
-            series[key][0].append(frac)
-            series[key][1].append(rate)
-        svg = charts.line_chart(
-            [(k, xs, ys) for k, (xs, ys) in sorted(series.items())],
-            "Swept provider mean per-user rate vs budget share",
-            "budget fraction",
-            "mean rate per user",
-        )
-        path = os.path.join(outdir, "sensitivity.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        paths.append(path)
+        paths.append(_write_chart(
+            outdir, "sensitivity", ((f"{scheme} a={a:g}", frac, rate) for frac, a, scheme, rate, _ in result.sensitivity_rows),
+            "Swept provider mean per-user rate vs budget share", "budget fraction", "mean rate per user",
+        ))
 
     # price convergence trace
     if result.convergence is not None:
@@ -457,23 +436,9 @@ def emit_plotdata(result: ExperimentResult, outdir: str) -> list[str]:
         paths.append(path)
         cells = sorted({cell for cell, _ in goods})
         focus = cells[min(1, len(cells) - 1)]
-        xs = [float(it) for it in iterations]
-        series = sorted(
-            (
-                (resource, xs, prices[:, g].tolist())
-                for g, (cell, resource) in enumerate(goods)
-                if cell == focus
-            ),
-            key=lambda s: s[0],
-        )
-        svg = charts.line_chart(
-            series,
-            f"Price convergence at {focus} (proportional fairness)",
-            "iteration",
-            "price",
-        )
-        path = os.path.join(outdir, "convergence.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        paths.append(path)
+        paths.append(_write_chart(
+            outdir, "convergence", ((resource, float(it), p) for g, (cell, resource) in enumerate(goods) if cell == focus
+                                    for it, p in enumerate(prices[:, g].tolist())),
+            f"Price convergence at {focus} (proportional fairness)", "iteration", "price",
+        ))
     return paths

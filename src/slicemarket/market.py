@@ -2,9 +2,10 @@
 allocation rule, and market-equilibrium verification.
 
 Conventions: a price vector is a ``[n_goods]`` array for the whole normalized
-resource.  A bid tensor is dense ``[n_triples, n_goods]``; a solve keeps its
-allocation and bids on the slot layout of :class:`~slicemarket.model.MarketIndex`
-and builds their dense views (``Allocation.x``, ``SolveReport.bids``) on read.
+resource.  Solves, their settlement and reports keep bids and allocations on
+the slot layout of :class:`~slicemarket.model.MarketIndex` and build the dense
+``[n_triples, n_goods]`` views (``Allocation.x``, ``SolveReport.bids``) on
+read; only the literal trading post (:func:`tp_allocate`) takes dense bids.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def service_rate(x_bundle: np.ndarray, demand: np.ndarray) -> float:
 
 def service_rates(index: MarketIndex, x: np.ndarray) -> np.ndarray:
     """Per-triple Leontief rates for a full allocation array."""
-    ratio = np.divide(x, index.demand, out=np.full_like(x, np.inf), where=index.consumed)
+    kernel = index.kernel
+    held = x[kernel.row_ids, kernel.goods]
+    ratio = np.divide(held, kernel.demand, out=np.full_like(held, np.inf), where=kernel.real)
     rates = ratio.min(axis=1)
     return np.where(np.isfinite(rates), rates, 0.0)
 
@@ -101,12 +104,12 @@ class Allocation:
 
 
 def _checked_prices(index: MarketIndex, prices: np.ndarray) -> np.ndarray:
-    """``prices`` as floats; ``ValueError`` unless one nonnegative price per good."""
+    """``prices`` as floats; ``ValueError`` unless one nonnegative, non-NaN price per good."""
     prices = np.asarray(prices, dtype=float)
     if prices.shape != (index.n_goods,):
         raise ValueError(f"prices have shape {prices.shape}, expected ({index.n_goods},)")
-    if np.any(prices < 0):
-        raise ValueError("negative price")
+    if not np.all(prices >= 0):
+        raise ValueError("negative or NaN price")
     return prices
 
 
@@ -126,8 +129,8 @@ def tp_allocate(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, 
     return prices, Allocation(x=x, rates=rates)
 
 
-def settle_bids(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, Allocation]:
-    """Bids to (prices, allocation) in demand form, for reporting solves.
+def settle_bids(scn: NormalizedScenario, bid_slots: np.ndarray) -> tuple[np.ndarray, Allocation]:
+    """Per-slot bids to (prices, allocation) in demand form, for reporting solves.
 
     Rates come from the positively priced goods (``u = min (b/p)/d`` over
     them); zero-priced goods are in excess supply at equilibrium and are
@@ -137,12 +140,14 @@ def settle_bids(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, 
     good's price underflows to zero.
     """
     index = scn.index
-    b = np.asarray(bids, dtype=float)
-    prices = b.sum(axis=0)
-    priced = index.consumed & (prices[None, :] > SURPLUS_PRICE * prices.sum())
+    kernel = index.kernel
+    b = np.asarray(bid_slots, dtype=float)
+    prices = kernel.per_good(b)
+    slot_prices = prices[kernel.goods]
+    priced = kernel.real & (slot_prices > SURPLUS_PRICE * prices.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(priced, (b / prices[None, :]) / index.demand, np.inf)
-        cap_rate = np.where(index.consumed, 1.0 / index.demand, np.inf).min(axis=1)
+        ratio = np.where(priced, (b / slot_prices) / kernel.demand, np.inf)
+        cap_rate = np.where(kernel.real, 1.0 / kernel.demand, np.inf).min(axis=1)
     rates = ratio.min(axis=1)
     rates = np.minimum(np.where(np.isfinite(rates), rates, cap_rate), cap_rate)
     return prices, Allocation(rates=rates, index=index)

@@ -232,8 +232,11 @@ class MarketIndex:
     its own cell, and the goods of a cell are contiguous.
 
     Dense ``[n_triples, n_goods]`` views, zero outside each triple's consumed
-    goods (``consumed``), are scattered from the slots: ``demand`` here, and
-    a report's ``allocation.x`` and ``bids`` when they are read.
+    goods, are not compiled: they are scattered from the slots when read,
+    here :attr:`demand` and :attr:`consumed` (once, on first read), and a
+    report's ``allocation.x`` and ``bids``.  No price-Newton ME, SS or
+    dynamics path reads them; the interior-point layout of SO and alpha-0 ME
+    is built from :attr:`demand`.
     Capacities are normalized to 1; ``capacity[g]`` keeps the physical scale
     for denormalization.  Triples are grouped by provider (``sp_of`` is
     sorted).  :attr:`kernel`, :attr:`blocks`, :attr:`price_cells` and the
@@ -249,8 +252,6 @@ class MarketIndex:
     sp_of: np.ndarray
     users: np.ndarray
     weights: np.ndarray
-    demand: np.ndarray
-    consumed: np.ndarray
     slot_goods: np.ndarray
     slot_demand: np.ndarray
 
@@ -278,6 +279,16 @@ class MarketIndex:
         out = np.zeros(self.n_goods, dtype=bool)
         out[self.slot_goods[self.slot_demand > 0]] = True
         return out
+
+    @cached_property
+    def demand(self) -> np.ndarray:
+        """Dense normalized demand, scattered from the slots on first read."""
+        return _frozen(self.kernel.dense(self.slot_demand))
+
+    @cached_property
+    def consumed(self) -> np.ndarray:
+        """Dense mask of the goods each triple consumes, built on first read."""
+        return _frozen(self.demand > 0)
 
     @cached_property
     def kernel(self) -> "DemandKernel":
@@ -336,8 +347,8 @@ class DemandKernel:
     ``slot_demand``: slot ``(i, r)`` is the ``r``-th good consumed by triple
     ``i``, and padding slots (zero demand, last in a row) point at the
     lowest-numbered goods the triple does not consume, so they carry zero
-    spending.  Per-provider reductions run over the contiguous row segments
-    of ``sp_of``.
+    spending; the mask ``real`` is False on them.  Per-provider reductions
+    run over the contiguous row segments of ``sp_of``.
 
     With ``PD_i = sum_r p_g d_ir`` the price of one unit rate of triple
     ``i``, a provider with budget ``B`` demands the rates ``B pi_i / PD_i``,
@@ -353,6 +364,7 @@ class DemandKernel:
 
     def __init__(self, index: MarketIndex):
         self.goods, self.demand = index.slot_goods, index.slot_demand
+        self.real = self.demand > 0
         self.n_goods, self.n_triples = index.n_goods, index.n_triples
         self.row_ids = np.arange(index.n_triples)[:, None]
         self.triples = index.triples
@@ -422,6 +434,20 @@ class DemandKernel:
         out = np.zeros((self.n_triples, self.n_goods))
         out[self.row_ids[rows], self.goods[rows]] = slot_values[rows]
         return out
+
+    def gather(self, dense: np.ndarray) -> np.ndarray:
+        """The per-slot values of a ``[n_triples, n_goods]`` array, the
+        inverse of :meth:`dense`.  Raises ``ValueError`` on another shape
+        or on a nonzero value off a triple's consumed goods, which the slots
+        cannot hold."""
+        dense = np.asarray(dense, dtype=float)
+        if dense.shape != (self.n_triples, self.n_goods):
+            raise ValueError(f"dense values have shape {dense.shape}, expected ({self.n_triples}, {self.n_goods})")
+        held = np.where(self.real, dense[self.row_ids, self.goods], 0.0)
+        stray = np.count_nonzero(dense, axis=1) > np.count_nonzero(held, axis=1)
+        if stray.any():
+            raise ValueError(f"values off the consumed goods of triples {[self.triples[i] for i in np.flatnonzero(stray)]}")
+        return held
 
 
 class CESAggregate:
@@ -705,11 +731,6 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
     pair_goods = np.where(real, pair_goods, pad)
     pair_of = np.array(pair_of, dtype=np.intp)
     slot_goods, slot_demand = pair_goods[pair_of], pair_demand[pair_of]
-    row_ids = np.arange(pair_of.size)[:, None]
-    demand_mat = np.zeros((pair_of.size, len(goods)))
-    demand_mat[row_ids, slot_goods] = slot_demand
-    consumed = np.zeros(demand_mat.shape, dtype=bool)
-    consumed[row_ids, slot_goods] = slot_demand > 0
     index = MarketIndex(
         goods=tuple(goods),
         capacity=_frozen(capacity),
@@ -720,8 +741,6 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
         sp_of=_frozen(np.array(sp_of, dtype=np.intp)),
         users=_frozen(np.array(users, dtype=np.intp)),
         weights=_frozen(np.array(weights)),
-        demand=_frozen(demand_mat),
-        consumed=_frozen(consumed),
         slot_goods=_frozen(slot_goods),
         slot_demand=_frozen(slot_demand),
     )

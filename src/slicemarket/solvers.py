@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import Allocation, SolveReport, make_report, utilities, verify_equilibrium
+from .market import Allocation, SolveReport, _checked_prices, make_report, utilities, verify_equilibrium
 from .model import CESAggregate, MarketIndex, NormalizedScenario
 
 
@@ -72,9 +72,7 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
             "best response degenerates at alpha=0 (linear utility concentrates); "
             "solve_eg solves alpha=0 markets on the Eisenberg-Gale program itself"
         )
-    prices = np.asarray(prices, dtype=float)
-    if np.any(prices < 0):
-        raise ValueError("negative price")
+    prices = _checked_prices(index, prices)
     kernel = index.kernel
     pd_slots, pd = kernel.row_prices(prices)
     rows = index.sp_rows(s)
@@ -94,7 +92,7 @@ def _repair_rates(index: MarketIndex, rates: np.ndarray, caps: np.ndarray) -> np
     kernel = index.kernel
     usage = kernel.per_good(rates[:, None] * kernel.demand)
     factor = np.where(usage > caps, caps / np.maximum(usage, 1e-300), 1.0)
-    per_triple = np.where(kernel.demand > 0, factor[kernel.goods], np.inf).min(axis=1)
+    per_triple = np.where(kernel.real, factor[kernel.goods], np.inf).min(axis=1)
     return rates * np.minimum(per_triple, 1.0)
 
 

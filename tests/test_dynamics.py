@@ -29,6 +29,7 @@ from slicemarket import (
     uniform_bids,
 )
 from slicemarket.dynamics import UnsupportedRegimeError, _kl, divergence_dg
+from slicemarket.market import BID_FLOOR
 
 
 def one_sp_two_goods(alpha=1.0, weights=(1.0,)):
@@ -405,3 +406,82 @@ def test_update_equals_own_fixed_point_bids():
     for s in range(scn.index.n_sps):
         joint += bid_update(scn, prices, s)
     assert np.allclose(joint, rep.bids, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The slot potential and divergence against the dense formulas
+# ---------------------------------------------------------------------------
+
+
+def dense_potential(scn, b):
+    """The potential on the dense ``[n_triples, n_goods]`` layout."""
+    index = scn.index
+    p = b.sum(axis=0)
+    mask = b > BID_FLOOR
+    ratio = np.divide(b, p[None, :] * index.demand, out=np.ones_like(b), where=mask)
+    entropy = np.where(mask, b * np.log(ratio), 0.0).sum(axis=1)
+    a = index.alphas[index.sp_of]
+    eq1, between, inf = a == 1.0, (a > 1.0) & np.isfinite(a), np.isinf(a)
+    b_ck = b.sum(axis=1)
+    phi_between = 0.0
+    if between.any():
+        rows = np.flatnonzero(between)
+        bk, w = b_ck[rows], index.weights[rows]
+        good = bk > BID_FLOOR
+        agg = np.where(good, bk * np.log(np.where(good, bk / w, 1.0)), 0.0)
+        phi_between = float(entropy[rows].sum() + (agg / (a[rows] - 1.0)).sum())
+    phi_inf = 0.0
+    if inf.any():
+        rows = np.flatnonzero(inf)
+        phi_inf = float(entropy[rows].sum() - (b_ck[rows] * np.log(index.weights[rows])).sum())
+    return float(entropy[eq1].sum()) + phi_between + phi_inf
+
+
+def dense_divergence(scn, b, b_prev):
+    """``divergence_dg`` provider by provider on the dense layout."""
+    index = scn.index
+    total = 0.0
+    for s in range(index.n_sps):
+        rows = index.sp_rows(s)
+        total += _kl(b[rows][index.consumed[rows]], b_prev[rows][index.consumed[rows]])
+        alpha = float(index.alphas[s])
+        if 1.0 < alpha < math.inf:
+            total -= _kl(b[rows].sum(axis=1), b_prev[rows].sum(axis=1)) / (1.0 - alpha)
+    return total
+
+
+def test_slot_potential_and_divergence_match_dense_formulas():
+    rng = np.random.default_rng(1501)
+    for n in range(12):
+        alphas = [[1.0, 2.0, math.inf], [1.5, 5.0], [1.0], [math.inf, 3.0]][n % 4]
+        scn = normalize_scenario(random_scenario(rng, alphas=alphas, n_sps=3))
+        run = run_dynamics(scn, DynamicsConfig(max_iterations=30, tol=0.0))
+        bids = [random_feasible_bids(scn, rng) for _ in range(4)] + [uniform_bids(scn.index), run.bids]
+        for b in bids:
+            ref = dense_potential(scn, b)
+            assert abs(eval_potential(scn, b).phi_total - ref) <= 1e-13 * max(1.0, abs(ref))
+        for b, b_prev in zip(bids, bids[1:]):
+            ref = dense_divergence(scn, b, b_prev)
+            assert abs(divergence_dg(scn, b, b_prev) - ref) <= 1e-13 * max(1.0, abs(ref))
+        # the run's trace is the slot potential of its rounds
+        assert abs(run.potential_trace[-1] - dense_potential(scn, run.bids)) <= 1e-13 * max(1.0, abs(run.potential_trace[-1]))
+
+
+def test_bids_off_the_consumed_goods_are_rejected():
+    # one cell, two goods; the only class consumes r0 alone
+    cells = (CellDef("c0", (ResourceDef("r0", 1.0), ResourceDef("r1", 1.0))),)
+    classes = (ClassDef("k0", {"r0": 1.0}),)
+    sp = ProviderDef("sp0", 1.0, 2.0, (SupportEntry("c0", "k0", 1),))
+    with pytest.warns(UserWarning, match="demanded by no SP"):
+        scn = normalize_scenario(ScenarioSpec(cells, classes, (sp,)))
+    stray = np.array([[0.75, 0.25]])
+    for call in (
+        lambda: eval_potential(scn, stray),
+        lambda: potential_gradient(scn, stray),
+        lambda: divergence_dg(scn, stray, stray),
+        lambda: bregman_gap(scn, stray, stray),
+        lambda: run_dynamics(scn, DynamicsConfig(initial_bids=stray)),
+    ):
+        with pytest.raises(ValueError, match="off the consumed goods"):
+            call()
+    assert eval_potential(scn, np.array([[1.0, 0.0]])).phi_total == pytest.approx(0.0, abs=1e-15)

@@ -335,7 +335,7 @@ class TestVerifyEquilibrium:
 def test_settle_bids_matches_tp_at_interior_fixed_point():
     scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [1.0, 1.0], [0.5, 0.5])
     me = solve_eg(scn)
-    prices, alloc = settle_bids(scn, me.bids)
+    prices, alloc = settle_bids(scn, me.bid_slots)
     _, tp_alloc = tp_allocate(scn, me.bids)
     assert np.allclose(alloc.rates, tp_alloc.rates, rtol=1e-9)
 
@@ -425,7 +425,7 @@ class Untouched:
         raise AssertionError(f"read allocation.{name} before checking the prices")
 
 
-@pytest.mark.parametrize("bad", ["long", "short", "matrix", "negative"])
+@pytest.mark.parametrize("bad", ["long", "short", "matrix", "negative", "nan"])
 def test_prices_are_checked_before_any_work(bad):
     scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [2.0, 1.0], [0.4, 0.6])
     prices = {
@@ -433,6 +433,7 @@ def test_prices_are_checked_before_any_work(bad):
         "short": np.full(1, 0.5),
         "matrix": np.full((1, 2), 0.5),
         "negative": np.array([0.5, -1e-3]),
+        "nan": np.array([np.nan, 0.5]),
     }[bad]
     with pytest.raises(ValueError, match="shape|negative"):
         verify_equilibrium(scn, Untouched(), prices)
@@ -440,11 +441,24 @@ def test_prices_are_checked_before_any_work(bad):
         make_report(scn, "barrier", prices, Untouched(), 0, True, {})
 
 
-@pytest.mark.parametrize("solve, alpha", [(solve_eg, 0.5), (solve_eg, 2.0), (static_share, 2.0)], ids=["me-0.5", "me-2", "ss-2"])
+def dynamics_20(scn):
+    return run_dynamics(scn, DynamicsConfig(max_iterations=20))
+
+
+def renormalize(scn):
+    return normalize_scenario(scn.spec)
+
+
+@pytest.mark.parametrize(
+    "solve, alpha",
+    [(solve_eg, 0.5), (solve_eg, 2.0), (static_share, 2.0), (dynamics_20, 2.0), (renormalize, 2.0)],
+    ids=["me-0.5", "me-2", "ss-2", "dyn-2", "normalize-2"],
+)
 def test_solve_allocates_less_than_one_dense_array(solve, alpha):
-    """At 112 cells a solve on a built index allocates less, at its peak,
-    than one ``[n_triples, n_goods]`` float array: its report stays on the
-    slot layout."""
+    """At 112 cells a solve on a built index (or the build of an index)
+    allocates less, at its peak, than one ``[n_triples, n_goods]`` float
+    array: neither compiles a dense view, and reports stay on the slot
+    layout."""
     spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=1), 0)
     scn = normalize_scenario(spec.with_alphas(alpha))
     solve(scn)
