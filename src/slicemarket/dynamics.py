@@ -207,21 +207,11 @@ def eval_dual(scn: NormalizedScenario, prices: np.ndarray) -> float:
     index = scn.index
     _require_at_least_one(index)
     kernel = index.kernel
-    pd_slots, pd = kernel.row_prices(np.asarray(prices, dtype=float))
+    prices = np.asarray(prices, dtype=float)
+    pd_slots, pd = kernel.row_prices(prices)
     if np.any(pd <= 0):
         raise ValueError("dual undefined: some class sees only zero-priced resources")
-    b = kernel.spend(pd_slots, pd)
-    mask = b > BID_FLOOR
-    ratio = np.divide(b, pd_slots, out=np.ones_like(b), where=mask)
-    total = float(np.where(mask, b * np.log(ratio), 0.0).sum())
-    b_ck = b.sum(axis=1)
-    _, between, inf = _regime_masks(index)
-    total -= float((b_ck[inf] * np.log(index.weights[inf])).sum())
-    if between.any():
-        bk = b_ck[between]
-        alpha = index.alphas[index.sp_of[between]]
-        total += float((bk * np.log(bk / index.weights[between]) / (alpha - 1.0)).sum())
-    return total
+    return _potential(index, kernel.spend(pd_slots, pd), prices).phi_total
 
 
 def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarray:

@@ -18,7 +18,9 @@ The providers' closed-form demand, which the equilibrium solvers evaluate on
 every iteration, is the unit cost's shares (:class:`DemandKernel`, on the
 slots), and the Eisenberg-Gale certificates of the market equilibrium and the
 social optimum are built from its ratios to the budgets
-(:meth:`MarketIndex.log_ratios`).
+(:meth:`MarketIndex.log_ratios`).  The static share's (provider, cell) blocks
+(:class:`CellBlocks`) keep the same two aggregates per block, built by the same
+constructor (:meth:`CESAggregate.unit_cost`), for its price-space certificate.
 """
 
 from __future__ import annotations
@@ -304,18 +306,10 @@ class MarketIndex:
 
     @cached_property
     def unit_cost(self) -> "CESAggregate":
-        """Every provider's unit cost ``e_s(L)``, the least cost of one unit
-        of its utility when one unit rate of triple ``i`` costs ``L_i``,
-        built once per index: ``(sum w^(1/a) L^((a-1)/a))^(a/(a-1))``, ``prod
-        (L / w_hat)^w_hat`` with ``w_hat = w / sum w`` at ``a = 1`` (the
-        geometric mean shifted by the entropy of ``w_hat``), ``sum w L`` at
-        ``a = inf`` and ``min L / w`` at ``a = 0``."""
-        alpha = self.alphas[self.sp_of].astype(float)
-        regular = (alpha > 0) & np.isfinite(alpha)
-        a = np.where(regular, alpha, 1.0)
-        expo = np.where(regular, (alpha - 1.0) / a, np.where(alpha > 0, 1.0, -np.inf))
-        w_hat = np.where(alpha == 1.0, self.weights / self.sp_sum(self.weights)[self.sp_of], 1.0)
-        return CESAggregate(np.log(self.weights) / a, expo, self.sp_of, -self.sp_sum(w_hat * np.log(w_hat)))
+        """Every provider's unit cost ``e_s(L)`` (:meth:`CESAggregate.unit_cost`),
+        the least cost of one unit of its utility when one unit rate of triple
+        ``i`` costs ``L_i``, built once per index."""
+        return CESAggregate.unit_cost(self.weights, self.alphas[self.sp_of].astype(float), self.sp_of)
 
     def log_ratios(self, prices: np.ndarray) -> np.ndarray:
         """``log B_s - log e_s(D_s p)`` of every provider at the prices ``p
@@ -497,6 +491,25 @@ class CESAggregate:
             _, e, tot = self.terms(np.zeros(np.shape(log_w)))
             self.w_hat = e / self.spread(tot)
 
+    @classmethod
+    def unit_cost(cls, weights: np.ndarray, alpha: np.ndarray, seg: np.ndarray) -> "CESAggregate":
+        """The unit cost ``e(L)`` of every segment's alpha-fair utility ``(sum
+        w u^(1-a))^(1/(1-a))``: the least cost of one unit of it when one unit
+        of variable ``i`` costs ``L_i``.  It is ``(sum w^(1/a)
+        L^((a-1)/a))^(a/(a-1))``, ``prod (L / w_hat)^w_hat`` with ``w_hat = w
+        / sum w`` at ``a = 1`` (the geometric mean shifted by the entropy of
+        ``w_hat``), ``sum w L`` at ``a = inf`` and ``min L / w`` at ``a =
+        0``.  ``weights`` are per variable, ``[..., n]``, and a weight of 0 is
+        padding; ``alpha`` broadcasts against them, one value per segment."""
+        regular = (alpha > 0) & np.isfinite(alpha)
+        a = np.where(regular, alpha, 1.0)
+        expo = np.where(regular, (alpha - 1.0) / a, np.where(alpha > 0, 1.0, -np.inf))
+        with np.errstate(divide="ignore"):
+            cost = cls(np.log(weights) / a, expo, seg)
+        w_hat = np.where(alpha == 1.0, weights / cost.spread(cost.seg_sum(weights)), 1.0)
+        cost.shift = -cost.seg_sum(w_hat * np.log(np.where(w_hat > 0, w_hat, 1.0)))
+        return cost
+
     def seg_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-segment sums of ``values`` ``[..., n]``, added in variable
         order (``np.bincount``; ``np.add.reduceat`` adds in another order),
@@ -571,6 +584,9 @@ class CellBlocks:
     (``class_mask`` False) and padded goods (``good_mask`` False) carry zero
     demand; padding indices point at row or good 0.  Max-min providers have
     no blocks: their common per-user level couples all their cells.
+    :attr:`utility` and :attr:`unit_cost` are every block's degree-one
+    utility and its unit cost, as :class:`MarketIndex` keeps them per
+    provider.
     """
 
     def __init__(self, index: MarketIndex):
@@ -612,6 +628,22 @@ class CellBlocks:
         self.demand[slot_block, slot_place, column[slot_block, slot_pos]] = index.slot_demand[rows][real]
         self.weights = np.where(self.class_mask, index.weights[self.rows], 0.0)
         self.alphas = index.alphas[self.sp].astype(float)
+
+    @cached_property
+    def utility(self) -> CESAggregate:
+        """Every block's degree-one utility of its classes' rates, a batch
+        of one segment per block, built on first use."""
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.weights)
+        return CESAggregate(log_w, 1.0 - self.alphas[:, None], np.zeros(log_w.shape[1], dtype=np.intp))
+
+    @cached_property
+    def unit_cost(self) -> CESAggregate:
+        """Every block's unit cost (:meth:`CESAggregate.unit_cost`) at the
+        prices of its classes' unit rates, built on first use."""
+        return CESAggregate.unit_cost(
+            self.weights, self.alphas[:, None], np.zeros(self.weights.shape[1], dtype=np.intp)
+        )
 
 
 class PriceCells:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .market import Allocation, SolveReport, _checked_prices, make_report, utilities, verify_equilibrium
-from .model import CESAggregate, MarketIndex, NormalizedScenario
+from .model import CellBlocks, CESAggregate, MarketIndex, NormalizedScenario
 
 
 def __getattr__(name: str):
@@ -306,8 +306,10 @@ def _eg_gap(index: MarketIndex, prices: np.ndarray, log_u: np.ndarray) -> tuple[
 # the static share, the social optimum and the alpha-0 market equilibrium
 # ---------------------------------------------------------------------------
 
-#: Relative gap at which an interior-point solve stops: a (provider, cell)
-#: block of a static share, or a social optimum.
+#: Gap at which an interior-point solve stops: the price-space bound over
+#: the value at the iterate scaled onto the capacity frontier, minus 1, of a
+#: static-share (provider, cell) block's utility or of a social optimum's
+#: welfare; and the Eisenberg-Gale gap of an alpha-0 market equilibrium.
 _BARRIER_STOP_GAP = 1e-11
 
 #: Newton-step cap of an interior-point solve.  On the 7-cell preset a
@@ -598,16 +600,16 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     of an equal split of its box, capacities to one and the weights ``c`` to
     sum to one), and all blocks of all providers are solved together by
     :func:`_interior_point` as single-provider welfare problems.  A block
-    stops once :func:`_block_gap` certifies it on the separable sum ``sum c
-    z^(1-alpha) / (1-alpha)``, which has the same optimum; its capacity
-    duals are the solve's scaled by ``U^(-alpha)``, ``U`` the block utility.
-    Each block is then scaled up onto its capacity frontier, which can only
-    raise every utility.
+    stops once its capacity duals certify its iterate, scaled up onto its
+    capacity frontier, by the price-space bound of :func:`_block_log_bounds`
+    to within ``_BARRIER_STOP_GAP``; every block is then scaled up so.
 
     Returns ``(rates, gaps, iterations)``.  ``gaps[s]`` is a certified bound
-    on the relative shortfall of provider ``s``'s degree-one utility: its
-    optimum is at most ``1 + gaps[s]`` times the returned one (0 for max-min
-    providers).  ``iterations`` counts Newton steps.
+    on the relative shortfall of provider ``s``'s degree-one utility: the
+    largest of its blocks' gaps, since its utility is a monotone degree-one
+    aggregate of theirs (0 for max-min providers).  Its optimum is at most
+    ``1 + gaps[s]`` times the returned one.  ``iterations`` counts Newton
+    steps.
     """
     rates = np.zeros(index.n_triples)
     gaps = np.zeros(index.n_sps)
@@ -628,89 +630,44 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
         ref = np.where(mask, box / mask.sum(axis=1)[:, None], 1.0)
         log_c = np.log(blocks.weights) + (1.0 - alpha)[:, None] * np.log(ref)
     one_sp = np.zeros(log_c.shape[1], dtype=np.intp)
-    # log sum c, the aggregate of ones at q = 1
-    log_norm = CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))[:, 0]
-    log_c = log_c - log_norm[:, None]
-    c = np.exp(log_c)
+    # weights summing to one: less log sum c, the aggregate of ones at q = 1
+    log_c = log_c - CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))
     a_mat = blocks.demand * (ref[:, :, None] / cap[:, None, :])
     welfare = _Welfare(
         log_c,
-        np.broadcast_to((1.0 - alpha)[:, None], c.shape),
+        np.broadcast_to((1.0 - alpha)[:, None], log_c.shape),
         one_sp,
-        np.zeros((c.shape[0], 1)),
-        np.zeros(c.shape),
+        np.zeros((log_c.shape[0], 1)),
+        np.zeros(log_c.shape),
         1.0,
     )
 
-    def certified(z, lam, log_u):
-        # _block_gap counts lam . slack U^(-alpha) against the sum
-        # U^(1-alpha), so no block certifies while lam . slack > gap U
-        slack = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
-        out = (lam * slack).sum(axis=1) <= _BARRIER_STOP_GAP * np.exp(log_u[:, 0])
-        if out.any():
-            gap, total = _block_gap(
-                a_mat[out], c[out], alpha[out], mask[out], z[out], lam[out] * np.exp(-alpha[out, None] * log_u[out])
-            )
-            out[out] = gap <= _BARRIER_STOP_GAP * total
-        return out
+    def log_gap(z, lam):
+        # log of the bound over the utility of the rates scaled onto the frontier
+        frontier = ref * z / np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _block_log_bounds(blocks, cap, lam / cap) - blocks.utility(np.log(frontier))[:, 0]
 
-    end, iterations = _interior_point(welfare, a_mat, mask, certified)
-    z = end.y
-    lam = end.lam * end.scale * np.exp(-alpha[:, None] * welfare.utilities(z)[0])
-    z /= np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
-    gap, total = _block_gap(a_mat, c, alpha, mask, z, lam)
+    end, iterations = _interior_point(
+        welfare, a_mat, mask, lambda z, lam, log_u: log_gap(z, lam) <= math.log1p(_BARRIER_STOP_GAP)
+    )
+    z = end.y / np.einsum("bkj,bk->bj", a_mat, end.y).max(axis=1)[:, None]
+    np.maximum.at(gaps, blocks.sp, np.expm1(log_gap(z, end.lam)))
     rates[blocks.rows[mask]] = (ref * z)[mask]
-
-    # per-provider sums in the original units, where block b's objective is
-    # exp(log_norm[b]) times its scaled one
-    top = np.full(index.n_sps, -np.inf)
-    np.maximum.at(top, blocks.sp, log_norm)
-    weight = np.exp(log_norm - top[blocks.sp])
-    num = np.bincount(blocks.sp, weights=weight * gap, minlength=index.n_sps)
-    den = np.bincount(blocks.sp, weights=weight * total, minlength=index.n_sps)
-    x = np.divide(num, den, out=np.zeros(index.n_sps), where=den > 0)
-    # the sum S = sum w u^q (q = 1 - alpha) is within a factor 1 + q x of
-    # its optimum, and the degree-one utility is S^(1/q)
-    finite = np.isfinite(index.alphas)
-    q, x = 1.0 - index.alphas[finite], x[finite]
-    gaps[finite] = np.where(q * x > -1.0, np.expm1(_log_utility_change(q, x)), np.inf)
     return rates, gaps, iterations
 
 
-def _block_gap(a_mat, c, alpha, class_mask, z, lam):
-    """Certified duality gap of every static-share block of
-    :func:`_single_sp_allocate` at ``z``, from capacity duals ``lam >= 0``,
-    on the separable sum ``sum_k c_k h(z_k)`` with ``h(z) = z^(1-a) / (1-a)``
-    (``log z`` at ``a = 1``).
-
-    By weak duality the block optimum is at most ``sum_j lam_j + sum_k
-    max_{v >= 0} [c_k h(v) - L_k v]`` with ``L = a_mat lam``; the inner
-    maximum is at ``v = (c / L)^(1/a)``.  The gap to the objective at ``z``
-    is summed from nonnegative terms, ``lam_j slack_j`` and ``[c h(v) - L v]
-    - [c h(z) - L z]``, so no large values cancel.  At ``a = 0`` the inner
-    maximum is 0 once ``L >= c``, so ``lam`` is scaled up to that first.
-    Returns ``(gap, total)`` with ``total = sum_k c_k z_k^(1-a)``; ``gap /
-    total`` is the block's relative gap on that sum.
-    """
-    q = (1.0 - alpha)[:, None]
-    slack = 1.0 - np.einsum("bkj,bk->bj", a_mat, z)
-    cc = np.where(class_mask, c, 1.0)
-    big_l = np.where(class_mask, np.einsum("bkj,bj->bk", a_mat, lam), 1.0)
-    linear = alpha == 0.0
-    lift = np.where(linear, np.maximum((cc / big_l).max(axis=1), 1.0), 1.0)
-    lam = lam * lift[:, None]
-    big_l = big_l * lift[:, None]
-    log_v = (np.log(cc) - np.log(big_l)) / np.where(linear, 1.0, alpha)[:, None]
-    log_r = np.log(z) - log_v
-    with np.errstate(over="ignore", invalid="ignore"):
-        term = np.where(
-            linear[:, None],
-            (big_l - cc) * z,
-            cc * np.exp(q * log_v) * (np.expm1(log_r) - _power_change(q, log_r)),
-        )
-    gap = np.where(class_mask, term, 0.0).sum(axis=1) + (lam * slack).sum(axis=1)
-    total = np.where(class_mask, c * np.exp(q * np.log(z)), 0.0).sum(axis=1)
-    return gap, total
+def _block_log_bounds(blocks: CellBlocks, cap: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Log of the price-space bound ``(lam . cap_b) / e_b(D_b lam)`` on the
+    utility of every static-share block, for prices ``lam >= 0`` of its goods
+    (``[n_blocks, m]``, in the layout of ``blocks.goods``) whose capacities
+    are ``cap``.  Rates within the capacities cost at most ``lam . cap_b`` at
+    the prices ``D_b lam`` of the classes' unit rates, and a unit of the
+    block's utility costs at least ``e_b``, its unit cost
+    (:attr:`~slicemarket.model.CellBlocks.unit_cost`), so no feasible rates
+    have more utility than the bound (weak duality)."""
+    price = np.where(blocks.class_mask, np.einsum("bkj,bj->bk", blocks.demand, lam), 1.0)
+    return np.log((lam * cap).sum(axis=1)) - blocks.unit_cost(np.log(price))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -986,9 +943,14 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
     Max-min providers take the waterfill closed form (the common per-user
     rate level); the (provider, cell) problems of all other providers are
     solved together by one batched primal-dual interior-point solve (see
-    :func:`_single_sp_allocate`).  ``residuals["duality_gap"]`` is the
-    largest certified relative gap of any provider's degree-one utility to
-    its optimum, and ``converged`` means it is at most ``SS_GAP_TOL``;
+    :func:`_single_sp_allocate`).  Each block is certified by the
+    price-space bound: for capacity prices ``lam >= 0`` no rates within the
+    block's box have utility above ``(lam . cap) / e_b``, ``e_b`` the unit
+    cost of the block's utility at the prices ``D lam`` of its classes.  A
+    provider's utility is a monotone degree-one aggregate of its blocks', so
+    its relative shortfall is at most the largest of its blocks' bounds over
+    their utilities minus 1.  ``residuals["duality_gap"]`` is the largest
+    over all providers, ``converged`` means it is at most ``SS_GAP_TOL``, and
     ``iterations`` counts Newton steps.
     """
     index = scn.index

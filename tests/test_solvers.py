@@ -331,7 +331,13 @@ def test_large_market_certifies():
     from slicemarket import LoadModel, benchmark_preset, instantiate
 
     spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=3), 0)
-    for solver, alpha in ((solve_eg, 0.5), (solve_eg, 2.0), (static_share, 2.0)):
+    for solver, alpha in (
+        (solve_eg, 0.5),
+        (solve_eg, 2.0),
+        (static_share, 0.0),
+        (static_share, 2.0),
+        (static_share, 100.0),
+    ):
         rep = solver(normalize_scenario(spec.with_alphas(alpha)))
         assert rep.converged, (solver.__name__, alpha)
         assert rep.allocation.x.sum(axis=0).max() <= 1.0 + 1e-6

@@ -22,6 +22,7 @@ from slicemarket import (
     static_share,
 )
 from slicemarket.market import utilities
+from slicemarket.solvers import _block_log_bounds
 
 
 def two_class_cell(alpha):
@@ -82,6 +83,22 @@ def test_matches_frontier_scan(alpha):
     np.testing.assert_allclose(rep.allocation.rates, rates, rtol=1e-6)
     assert rep.converged
     assert rep.residuals["duality_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 5.0])
+def test_certifying_bound_is_weak_dual(alpha):
+    # any prices of the goods, some of them 0, bound the block's utility
+    # from above: no rates within the capacities beat the bound
+    scn = two_class_cell(alpha)
+    blocks = scn.index.blocks
+    _, best = frontier_optimum(scn)
+    cap = np.ones(blocks.goods.shape)
+    rng = np.random.default_rng(int(2000 + 10 * alpha))
+    for _ in range(50):
+        lam = rng.uniform(0.0, 1.0, cap.shape) * (rng.random(cap.shape) < 0.6)
+        lam[0, rng.integers(cap.shape[1])] += 0.1
+        bound = math.exp(_block_log_bounds(blocks, cap, lam)[0])
+        assert bound >= best * (1 - 1e-12)
 
 
 def reference_rates(index, s, cap):
