@@ -10,11 +10,7 @@ from .dynamics import (
     DynamicsConfig,
     PotentialBreakdown,
     bid_update,
-    bregman_gap,
-    eval_dual,
     eval_potential,
-    potential_gradient,
-    random_feasible_bids,
     run_dynamics,
     uniform_bids,
 )
@@ -22,8 +18,6 @@ from .market import (
     Allocation,
     EquilibriumReport,
     SolveReport,
-    service_rate,
-    tp_allocate,
     utilities,
     verify_equilibrium,
 )
@@ -81,9 +75,7 @@ __all__ = [
     "SupportEntry",
     "best_response",
     "bid_update",
-    "bregman_gap",
     "budget_sweep",
-    "eval_dual",
     "eval_potential",
     "generate_instances",
     "instantiate",
@@ -93,16 +85,12 @@ __all__ = [
     "normalize_scenario",
     "benchmark_preset",
     "poa_bound",
-    "potential_gradient",
-    "random_feasible_bids",
     "random_scenario",
     "run_dynamics",
     "save_scenario",
-    "service_rate",
     "solve_eg",
     "solve_social_optimal",
     "static_share",
-    "tp_allocate",
     "uniform_bids",
     "utilities",
     "verify_equilibrium",

@@ -5,7 +5,10 @@ simultaneously redistribute their budgets with a multiplicative mirror-descent
 step; the step is a closed-form update that is simultaneously the provider's
 best response to the posted prices.  The joint update minimizes a convex
 potential whose minimum is the market equilibrium, which yields an O(1/T)
-convergence certificate in the bid-space KL divergences.
+convergence certificate in the bid-space KL divergences (Birnbaum, Devanur &
+Xiao, EC 2011).  The library evaluates the potential, which
+:func:`run_dynamics` traces; the proof's gradient, divergence and dual are
+dense references of the test suite (``tests/reference.py``).
 
 Potential pieces per provider regime (prices ``p`` are induced by the bids,
 ``pd = p_g * d_ig``, ``b_ck = sum_r b``):
@@ -17,11 +20,12 @@ Potential pieces per provider regime (prices ``p`` are induced by the bids,
 The alpha=1 piece is the limit of the middle one: its aggregate term
 degenerates into a barrier pinning per-class spending at B*w/sum(w) (which is
 where the alpha=1 update puts it after one round), leaving the plain entropy
-term.  Feasible-bid sampling respects that domain.
+term.
 
 Bids live on the slot layout of :class:`~slicemarket.model.MarketIndex`:
-:func:`run_dynamics` updates, traces and settles them there, and the public
-functions that take a dense ``[n_triples, n_goods]`` bid tensor gather it once
+:func:`run_dynamics` updates, traces and settles them there, and a dense
+``[n_triples, n_goods]`` bid tensor (:func:`eval_potential`'s argument,
+``DynamicsConfig.initial_bids``) is gathered once
 (:meth:`~slicemarket.model.DemandKernel.gather`).
 """
 
@@ -65,21 +69,6 @@ class PotentialBreakdown:
     @property
     def phi_total(self) -> float:
         return self.phi_eq1 + self.phi_between + self.phi_inf
-
-
-def _kl(x: np.ndarray, y: np.ndarray, scale=1.0) -> float:
-    """Unnormalized KL divergence ``sum x*log(x/y)``, each term times ``scale``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("KL arguments must be nonnegative")
-    pos = x > 0
-    if np.any(y[pos] == 0):
-        raise ValueError("KL divergence diverges: x > 0 where y = 0")
-    ratio = np.divide(x, y, out=np.ones_like(x), where=pos)
-    return float((np.where(pos, x * np.log(ratio), 0.0) * scale).sum())
 
 
 def _regime_masks(index: MarketIndex):
@@ -127,91 +116,6 @@ def _potential(index: MarketIndex, b: np.ndarray, prices: np.ndarray) -> Potenti
     phi_between = float(entropy[between].sum() + (agg / (alpha - 1.0)).sum())
     phi_inf = float(entropy[inf].sum() - (b_ck[inf] * np.log(index.weights[inf])).sum())
     return PotentialBreakdown(phi_eq1=phi_eq1, phi_between=phi_between, phi_inf=phi_inf)
-
-
-def potential_gradient(scn: NormalizedScenario, bids: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the potential, including the price coupling
-    ``p = sum of bids`` (the per-good terms contribute exactly -1, cancelling
-    the +1 from each entropy term), zero off the consumed goods.
-
-    Requires strictly positive bids on consumed goods.
-    """
-    index = scn.index
-    _require_at_least_one(index)
-    kernel = index.kernel
-    return kernel.dense(_gradient(index, kernel.gather(bids)))
-
-
-def _gradient(index: MarketIndex, b: np.ndarray) -> np.ndarray:
-    """:func:`potential_gradient` at per-slot bids ``b``, zero on padding."""
-    kernel = index.kernel
-    real = kernel.real
-    if np.any(b[real] <= 0):
-        raise ValueError("gradient needs strictly positive bids on consumed goods")
-    pd_slots = kernel.per_good(b)[kernel.goods] * kernel.demand
-    grad = np.zeros_like(b)
-    grad[real] = np.log(b[real] / pd_slots[real])
-
-    # per-row shifts of the aggregate terms, on the consumed goods
-    shift = np.zeros(index.n_triples)
-    _, between, inf = _regime_masks(index)
-    alpha = index.alphas[index.sp_of[between]]
-    shift[between] = (np.log(b[between].sum(axis=1) / index.weights[between]) + 1.0) / (alpha - 1.0)
-    shift[inf] = -np.log(index.weights[inf])
-    return grad + shift[:, None] * real
-
-
-def divergence_dg(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) -> float:
-    """Bregman reference divergence ``sum KL(b, b') - sum_{1<a<inf}
-    KL(b_ck, b'_ck)/(1-a)``: the first over per-good bids, the second over
-    per-(cell, class) aggregated spend.  From the equilibrium bids ``b`` to
-    the starting bids ``b_prev`` it is the budget ``D`` of the O(1/T)
-    convergence guarantee ``Phi(b^T) - Phi(b*) <= D / T``."""
-    kernel = scn.index.kernel
-    return _divergence(scn.index, kernel.gather(b), kernel.gather(b_prev))
-
-
-def _divergence(index: MarketIndex, b: np.ndarray, b_prev: np.ndarray) -> float:
-    """:func:`divergence_dg` between per-slot bids."""
-    _, between, _ = _regime_masks(index)
-    alpha = index.alphas[index.sp_of[between]]
-    return _kl(b, b_prev) + _kl(b[between].sum(axis=1), b_prev[between].sum(axis=1), 1.0 / (alpha - 1.0))
-
-
-def bregman_gap(scn: NormalizedScenario, b: np.ndarray, b_prev: np.ndarray) -> tuple[float, float]:
-    """First-order convexity gap and its distance to the reference divergence.
-
-    Returns ``(lower_gap, upper_gap)`` with
-    ``lower_gap = Phi(b) - Phi(b') - <grad Phi(b'), b - b'>`` (nonnegative by
-    convexity) and ``upper_gap = d_g(b, b') - lower_gap`` (nonnegative, and
-    equal to the KL divergence between the induced price vectors).
-    """
-    index = scn.index
-    _require_at_least_one(index)
-    kernel = index.kernel
-    b, b_prev = kernel.gather(b), kernel.gather(b_prev)
-    phi = _potential(index, b, kernel.per_good(b)).phi_total
-    phi_prev = _potential(index, b_prev, kernel.per_good(b_prev)).phi_total
-    lower = phi - phi_prev - float(np.sum(_gradient(index, b_prev) * (b - b_prev)))
-    upper = _divergence(index, b, b_prev) - lower
-    return lower, upper
-
-
-def eval_dual(scn: NormalizedScenario, prices: np.ndarray) -> float:
-    """Dual objective at a price vector: the potential pieces evaluated at the
-    closed-form optimal spending against those (fixed) prices.
-
-    Satisfies ``eval_dual(p(b)) <= Phi(b)`` for budget-feasible bids with
-    equality at the equilibrium bid profile.
-    """
-    index = scn.index
-    _require_at_least_one(index)
-    kernel = index.kernel
-    prices = np.asarray(prices, dtype=float)
-    pd_slots, pd = kernel.row_prices(prices)
-    if np.any(pd <= 0):
-        raise ValueError("dual undefined: some class sees only zero-priced resources")
-    return _potential(index, kernel.spend(pd_slots, pd), prices).phi_total
 
 
 def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarray:
@@ -324,30 +228,3 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
     )
     report.bid_slots = slots
     return report
-
-
-def random_feasible_bids(scn: NormalizedScenario, rng: np.random.Generator) -> np.ndarray:
-    """Strictly positive budget-exhausting bids, uniform Dirichlet over each
-    provider's support.
-
-    Providers at alpha=1 get their per-class spending pinned at B*w/sum(w)
-    (the reachable set of the alpha=1 dynamics, where the potential's
-    guarantees live); the split across goods within each class is random.
-    """
-    index = scn.index
-    real = index.kernel.real
-    b = np.zeros(real.shape)
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        alpha = float(index.alphas[s])
-        if alpha == 1.0:
-            w = index.weights[rows]
-            b_ck = index.budgets[s] * w / w.sum()
-            for j, i in enumerate(rows):
-                b[i, real[i]] = b_ck[j] * rng.dirichlet(np.ones(real[i].sum()))
-        else:
-            # the consumed slots of the provider's rows, row by row
-            part = b[rows]
-            part[real[rows]] = rng.dirichlet(np.ones(real[rows].sum())) * index.budgets[s]
-            b[rows] = part
-    return index.kernel.dense(b)

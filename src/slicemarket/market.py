@@ -1,11 +1,11 @@
-"""Stateless market mechanics: service rates, SP utilities, the trading-post
-allocation rule, and market-equilibrium verification.
+"""Stateless market mechanics: SP utilities, the settlement of bids into an
+allocation, and market-equilibrium verification.
 
 Conventions: a price vector is a ``[n_goods]`` array for the whole normalized
 resource.  Solves, their settlement and reports keep bids and allocations on
 the slot layout of :class:`~slicemarket.model.MarketIndex` and build the dense
 ``[n_triples, n_goods]`` views (``Allocation.x``, ``SolveReport.bids``) on
-read; only the literal trading post (:func:`tp_allocate`) takes dense bids.
+read.  Every allocation is Leontief-tight: its rates fix its bundles.
 """
 
 from __future__ import annotations
@@ -31,33 +31,6 @@ BID_FLOOR = 1e-300
 SURPLUS_PRICE = 1e-12
 
 
-def service_rate(x_bundle: np.ndarray, demand: np.ndarray) -> float:
-    """Leontief service rate ``min_r x_r / d_r`` over consumed resources.
-
-    Resources with zero demand are not consumed and are ignored; a zero
-    allocation on any consumed resource gives rate 0.
-    """
-    x_bundle = np.asarray(x_bundle, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    if x_bundle.shape != demand.shape:
-        raise ValueError(f"shape mismatch: {x_bundle.shape} vs {demand.shape}")
-    mask = demand > 0
-    if not mask.any():
-        raise ValueError("demand vector consumes no resource")
-    if np.any(x_bundle[mask] < 0):
-        raise ValueError("negative allocation")
-    return float(np.min(x_bundle[mask] / demand[mask]))
-
-
-def service_rates(index: MarketIndex, x: np.ndarray) -> np.ndarray:
-    """Per-triple Leontief rates for a full allocation array."""
-    kernel = index.kernel
-    held = x[kernel.row_ids, kernel.goods]
-    ratio = np.divide(held, kernel.demand, out=np.full_like(held, np.inf), where=kernel.real)
-    rates = ratio.min(axis=1)
-    return np.where(np.isfinite(rates), rates, 0.0)
-
-
 def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
     """Every provider's degree-one utility ``(sum w u^(1-a))^(1/(1-a))`` of
     per-triple ``rates`` ``[..., n_triples]``, over any leading batch axes
@@ -75,30 +48,25 @@ def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
         return np.exp(scn.index.utility(np.log(rates)))
 
 
+@dataclass(frozen=True, eq=False)
 class Allocation:
-    """Per-triple service rates and the fractional allocation ``x``
-    [n_triples, n_goods].  A solve's allocation is Leontief-tight (``x = u
-    d``) and holds the rates and the index alone: ``x`` is scattered from the
-    kernel's slots on each read, never kept.  ``Allocation(x=x, rates=u)``
-    holds any other ``x``, such as the trading-post fractions."""
+    """Per-triple service rates ``rates`` of a Leontief-tight allocation on
+    the market ``index``.  Its fractional allocation ``x = u d`` [n_triples,
+    n_goods] is scattered from the kernel's slots on each read, never kept."""
 
-    def __init__(self, x: np.ndarray | None = None, rates: np.ndarray | None = None, index: MarketIndex | None = None):
-        self._x, self.rates, self.index = x, rates, index
+    rates: np.ndarray
+    index: MarketIndex
 
     @property
     def x(self) -> np.ndarray:
-        if self._x is not None:
-            return self._x
         kernel = self.index.kernel
         return kernel.dense(self.rates[:, None] * kernel.demand)
 
-    def totals(self, index: MarketIndex, prices: np.ndarray, pd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def totals(self, prices: np.ndarray, pd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Every provider's spend ``sum p.x_s`` at ``prices`` and every good's
-        usage; a tight allocation spends ``u PD`` on a triple, ``PD`` its
-        price from :meth:`~slicemarket.model.DemandKernel.row_prices`."""
-        if self._x is not None:
-            return index.sp_sum(self._x @ prices), self._x.sum(axis=0)
-        kernel = index.kernel
+        usage; a triple spends ``u PD``, ``PD`` its price from
+        :meth:`~slicemarket.model.DemandKernel.row_prices`."""
+        index, kernel = self.index, self.index.kernel
         pd = kernel.row_prices(prices)[1] if pd is None else pd
         return index.sp_sum(self.rates * pd), kernel.per_good(self.rates[:, None] * kernel.demand)
 
@@ -111,22 +79,6 @@ def _checked_prices(index: MarketIndex, prices: np.ndarray) -> np.ndarray:
     if not np.all(prices >= 0):
         raise ValueError("negative or NaN price")
     return prices
-
-
-def tp_allocate(scn: NormalizedScenario, bids: np.ndarray) -> tuple[np.ndarray, Allocation]:
-    """Trading-post rule: price = total bid, allocation proportional to own
-    bid; zero-total-bid goods get price 0 and allocation 0.
-
-    Returns ``(prices, allocation)``.
-    """
-    b = np.asarray(bids, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("negative bid")
-    index = scn.index
-    prices = b.sum(axis=0)
-    x = np.divide(b, prices[None, :], out=np.zeros_like(b), where=prices[None, :] > 0)
-    rates = service_rates(index, x)
-    return prices, Allocation(x=x, rates=rates)
 
 
 def settle_bids(scn: NormalizedScenario, bid_slots: np.ndarray) -> tuple[np.ndarray, Allocation]:
@@ -150,7 +102,7 @@ def settle_bids(scn: NormalizedScenario, bid_slots: np.ndarray) -> tuple[np.ndar
         cap_rate = np.where(kernel.real, 1.0 / kernel.demand, np.inf).min(axis=1)
     rates = ratio.min(axis=1)
     rates = np.minimum(np.where(np.isfinite(rates), rates, cap_rate), cap_rate)
-    return prices, Allocation(rates=rates, index=index)
+    return prices, Allocation(rates, index)
 
 
 @dataclass(frozen=True)
@@ -193,7 +145,7 @@ def verify_equilibrium(
     index = scn.index
     prices = _checked_prices(index, prices)
     pd = index.kernel.row_prices(prices)[1]
-    spend, usage = allocation.totals(index, prices, pd)
+    spend, usage = allocation.totals(prices, pd)
     budget_gap = float(np.abs(spend - index.budgets).max())
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())
 
@@ -261,7 +213,7 @@ def make_report(
         prices=prices,
         allocation=allocation,
         utilities=utilities(scn, allocation.rates),
-        spending=allocation.totals(scn.index, prices)[0],
+        spending=allocation.totals(prices)[0],
         iterations=iterations,
         converged=converged,
         residuals=residuals,

@@ -265,7 +265,7 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         rates = _repair_rates(index, demand, np.ones(index.n_goods))
     with np.errstate(divide="ignore"):
         gap = _eg_gap(index, p, index.utility(np.log(rates)))[0]
-    allocation = Allocation(rates=rates, index=index)
+    allocation = Allocation(rates, index)
     check = verify_equilibrium(scn, allocation, p)
     residuals = {
         "budget_gap": check.budget_gap,
@@ -433,7 +433,8 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None, ma
     ``nu`` and ``W_0``, and with its duals moved to within
     ``_IP_DUAL_SPREAD`` of their central values.  The start may come from a
     problem with more variables (the social optimum drops providers), whose
-    rows of ``y`` and ``mu`` the caller leaves out.
+    rows of ``y`` and ``mu`` the caller leaves out.  A fresh solve whose
+    ``W_0`` overflows float64 raises ``ValueError`` before its first step.
     """
     nb, n, _ = amat.shape
     amat_t = amat.transpose(0, 2, 1)
@@ -454,7 +455,10 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None, ma
     s = 1.0 - (amat_t @ y[:, :, None])[:, :, 0]
     log_u, pi = welfare.utilities(y)
     if start is None:
-        scale = np.exp(welfare.log_welfare(log_u))[:, None]  # W_0
+        log_scale = welfare.log_welfare(log_u)[:, None]
+        if not np.all(log_scale < math.log(np.finfo(float).max)):
+            raise ValueError(f"the start's welfare exp({log_scale.max():.6g}) overflows float64")
+        scale = np.exp(log_scale)  # W_0
         lam, mu = cons * nu / s, free * nu / y
     lam, mu = spread(lam, mu)
     done = np.zeros((nb, 1), dtype=bool)
@@ -919,8 +923,8 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     """
     index = scn.index
     rates, prices, gap, iterations = _concave_welfare_solve(index)
-    allocation = Allocation(rates=rates, index=index)
-    usage = allocation.totals(index, prices)[1]
+    allocation = Allocation(rates, index)
+    usage = allocation.totals(prices)[1]
     return make_report(
         scn,
         method="barrier",
@@ -956,8 +960,8 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
     index = scn.index
     caps = np.repeat(index.budgets[:, None], index.n_goods, axis=1)
     rates, gaps, iterations = _single_sp_allocate(index, caps)
-    allocation = Allocation(rates=rates, index=index)
-    usage = allocation.totals(index, np.zeros(index.n_goods))[1]
+    allocation = Allocation(rates, index)
+    usage = allocation.totals(np.zeros(index.n_goods))[1]
     gap = float(gaps.max())
     return make_report(
         scn,

@@ -15,21 +15,18 @@ from slicemarket import (
     ScenarioSpec,
     SupportEntry,
     bid_update,
-    bregman_gap,
-    eval_dual,
     eval_potential,
     instantiate,
     normalize_scenario,
     benchmark_preset,
-    potential_gradient,
-    random_feasible_bids,
     random_scenario,
     run_dynamics,
     solve_eg,
     uniform_bids,
 )
-from slicemarket.dynamics import UnsupportedRegimeError, _kl, divergence_dg
-from slicemarket.market import BID_FLOOR
+from slicemarket.dynamics import UnsupportedRegimeError
+from tests.reference import bregman_gap, dense_divergence, dense_potential, eval_dual
+from tests.reference import kl, potential_gradient, random_feasible_bids
 
 
 def one_sp_two_goods(alpha=1.0, weights=(1.0,)):
@@ -68,21 +65,21 @@ def two_class_scn(alpha, weights=(1.0, 3.0), users=(1, 1), budget=1.0, other=Non
 class TestKL:
     def test_identity_is_zero(self):
         x = np.array([0.4, 0.6])
-        assert _kl(x, x) == 0.0
+        assert kl(x, x) == 0.0
 
     def test_direct_formula(self):
-        assert _kl(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(math.log(2))
+        assert kl(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(math.log(2))
 
     def test_nonnegative_on_equal_mass(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.dirichlet(np.ones(4))
             y = rng.dirichlet(np.ones(4))
-            assert _kl(x, y) >= -1e-12
+            assert kl(x, y) >= -1e-12
 
     def test_divergence_error(self):
         with pytest.raises(ValueError):
-            _kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 class TestPotential:
@@ -305,7 +302,7 @@ class TestGradientAndBregman:
         for _ in range(50):
             b1 = random_feasible_bids(scn, rng)
             b2 = random_feasible_bids(scn, rng)
-            assert divergence_dg(scn, b1, b2) >= -1e-12
+            assert dense_divergence(scn, b1, b2) >= -1e-12
 
 
 class TestRunDynamics:
@@ -340,7 +337,7 @@ class TestRunDynamics:
         assert ref.converged
         phi_star = eval_potential(scn, ref.bids).phi_total
         b0 = uniform_bids(scn.index)
-        budget = divergence_dg(scn, ref.bids, b0)
+        budget = dense_divergence(scn, ref.bids, b0)
         run = run_dynamics(scn, DynamicsConfig(max_iterations=1000, tol=0.0))
         # the O(1/T) certificate holds at every recorded step, not just the last
         steps = np.arange(1, 1001)
@@ -409,48 +406,11 @@ def test_update_equals_own_fixed_point_bids():
 
 
 # ---------------------------------------------------------------------------
-# The slot potential and divergence against the dense formulas
+# The slot potential against the dense formula
 # ---------------------------------------------------------------------------
 
 
-def dense_potential(scn, b):
-    """The potential on the dense ``[n_triples, n_goods]`` layout."""
-    index = scn.index
-    p = b.sum(axis=0)
-    mask = b > BID_FLOOR
-    ratio = np.divide(b, p[None, :] * index.demand, out=np.ones_like(b), where=mask)
-    entropy = np.where(mask, b * np.log(ratio), 0.0).sum(axis=1)
-    a = index.alphas[index.sp_of]
-    eq1, between, inf = a == 1.0, (a > 1.0) & np.isfinite(a), np.isinf(a)
-    b_ck = b.sum(axis=1)
-    phi_between = 0.0
-    if between.any():
-        rows = np.flatnonzero(between)
-        bk, w = b_ck[rows], index.weights[rows]
-        good = bk > BID_FLOOR
-        agg = np.where(good, bk * np.log(np.where(good, bk / w, 1.0)), 0.0)
-        phi_between = float(entropy[rows].sum() + (agg / (a[rows] - 1.0)).sum())
-    phi_inf = 0.0
-    if inf.any():
-        rows = np.flatnonzero(inf)
-        phi_inf = float(entropy[rows].sum() - (b_ck[rows] * np.log(index.weights[rows])).sum())
-    return float(entropy[eq1].sum()) + phi_between + phi_inf
-
-
-def dense_divergence(scn, b, b_prev):
-    """``divergence_dg`` provider by provider on the dense layout."""
-    index = scn.index
-    total = 0.0
-    for s in range(index.n_sps):
-        rows = index.sp_rows(s)
-        total += _kl(b[rows][index.consumed[rows]], b_prev[rows][index.consumed[rows]])
-        alpha = float(index.alphas[s])
-        if 1.0 < alpha < math.inf:
-            total -= _kl(b[rows].sum(axis=1), b_prev[rows].sum(axis=1)) / (1.0 - alpha)
-    return total
-
-
-def test_slot_potential_and_divergence_match_dense_formulas():
+def test_slot_potential_matches_dense_formula():
     rng = np.random.default_rng(1501)
     for n in range(12):
         alphas = [[1.0, 2.0, math.inf], [1.5, 5.0], [1.0], [math.inf, 3.0]][n % 4]
@@ -460,9 +420,6 @@ def test_slot_potential_and_divergence_match_dense_formulas():
         for b in bids:
             ref = dense_potential(scn, b)
             assert abs(eval_potential(scn, b).phi_total - ref) <= 1e-13 * max(1.0, abs(ref))
-        for b, b_prev in zip(bids, bids[1:]):
-            ref = dense_divergence(scn, b, b_prev)
-            assert abs(divergence_dg(scn, b, b_prev) - ref) <= 1e-13 * max(1.0, abs(ref))
         # the run's trace is the slot potential of its rounds
         assert abs(run.potential_trace[-1] - dense_potential(scn, run.bids)) <= 1e-13 * max(1.0, abs(run.potential_trace[-1]))
 
@@ -477,9 +434,6 @@ def test_bids_off_the_consumed_goods_are_rejected():
     stray = np.array([[0.75, 0.25]])
     for call in (
         lambda: eval_potential(scn, stray),
-        lambda: potential_gradient(scn, stray),
-        lambda: divergence_dg(scn, stray, stray),
-        lambda: bregman_gap(scn, stray, stray),
         lambda: run_dynamics(scn, DynamicsConfig(initial_bids=stray)),
     ):
         with pytest.raises(ValueError, match="off the consumed goods"):

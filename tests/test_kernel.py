@@ -16,27 +16,9 @@ from slicemarket import (
     bid_update,
     normalize_scenario,
 )
+from tests.reference import dense_best_response
 
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, math.inf)
-
-
-def dense_best_response(index, prices, s):
-    """Provider ``s``'s closed-form spending on the dense layout, one
-    provider at a time: ``b ~ p d * (w / PD)^(1/a)`` normalized to the budget,
-    ``b ~ w * p d`` at alpha = inf.  Returns the provider's rows."""
-    alpha = float(index.alphas[s])
-    rows = index.sp_rows(s)
-    pd_rows = prices[None, :] * index.demand[rows]
-    pd = pd_rows.sum(axis=1)
-    w = index.weights[rows]
-    budget = index.budgets[s]
-    if math.isinf(alpha):
-        b_rows = budget / float(np.dot(w, pd)) * w[:, None] * pd_rows
-    else:
-        log_coef = (np.log(w) - np.log(pd)) / alpha
-        coef = np.exp(log_coef - log_coef.max())
-        b_rows = budget * coef[:, None] * pd_rows / float(np.dot(coef, pd))
-    return b_rows * (budget / b_rows.sum())
 
 
 def mixed_scenario(rng, n_sps=4, n_cells=3):

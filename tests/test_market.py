@@ -1,4 +1,4 @@
-"""Service rates, utilities, trading-post rule, equilibrium verification."""
+"""Service rates, utilities, the trading post, equilibrium verification."""
 
 import math
 import tracemalloc
@@ -22,15 +22,14 @@ from slicemarket import (
     normalize_scenario,
     random_scenario,
     run_dynamics,
-    service_rate,
     solve_eg,
     solve_social_optimal,
     static_share,
-    tp_allocate,
     utilities,
     verify_equilibrium,
 )
-from slicemarket.market import make_report, service_rates, settle_bids
+from slicemarket.market import make_report, settle_bids
+from tests.reference import service_rate, tp_allocate
 from tests.test_kernel import mixed_scenario
 
 
@@ -283,7 +282,7 @@ class TestVerifyEquilibrium:
         scn = self.symmetric_scn()
         bids = np.full((2, 2), 0.25)
         prices, alloc = tp_allocate(scn, bids)
-        rep = verify_equilibrium(scn, alloc, prices)
+        rep = verify_equilibrium(scn, Allocation(alloc.rates, scn.index), prices)
         assert rep.budget_gap < 1e-12
         assert rep.clearing_gap < 1e-12
         assert rep.br_gap < 1e-12
@@ -314,7 +313,7 @@ class TestVerifyEquilibrium:
         kernel = scn.index.kernel
         prices = np.array([0.5, 0.5])
         rates = kernel.rates(kernel.row_prices(prices)[1])[0] * np.array([0.0, 1.0])
-        alloc = Allocation(x=rates[:, None] * scn.index.demand, rates=rates)
+        alloc = Allocation(rates, scn.index)
         rep = verify_equilibrium(scn, alloc, prices)
         assert rep.br_gap == rep.br_gap_rel == 0.0
         # sp1's only good is free, so its demand is unbounded
@@ -338,15 +337,6 @@ def test_settle_bids_matches_tp_at_interior_fixed_point():
     prices, alloc = settle_bids(scn, me.bid_slots)
     _, tp_alloc = tp_allocate(scn, me.bids)
     assert np.allclose(alloc.rates, tp_alloc.rates, rtol=1e-9)
-
-
-def test_service_rates_batch_matches_scalar():
-    scn = make_scn([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], [0.5, 0.5])
-    x = np.array([[0.4, 0.1], [0.2, 0.8]])
-    batch = service_rates(scn.index, x)
-    for i in range(2):
-        mask = scn.index.consumed[i]
-        assert batch[i] == pytest.approx(service_rate(x[i][mask], scn.index.demand[i][mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +388,6 @@ def test_reports_match_dense_formulas():
                 assert np.array_equal(dyn.bids.sum(axis=0), dyn.prices)
                 assert_dense_report(dyn)
     assert routes == {"barrier", "tatonnement"}
-
-
-def test_verify_dense_allocation_uses_its_x():
-    """A trading-post allocation is not Leontief-tight: its gaps come from
-    its own ``x``, bids off a triple's consumed goods included."""
-    rng = np.random.default_rng(1402)
-    for _ in range(10):
-        scn = normalize_scenario(mixed_scenario(rng))
-        index = scn.index
-        bids = rng.uniform(0.0, 1.0, (index.n_triples, index.n_goods)) ** 3
-        bids *= (index.budgets / index.sp_sum(bids.sum(axis=1)))[index.sp_of, None]
-        prices, alloc = tp_allocate(scn, bids)
-        assert not np.array_equal(alloc.x, alloc.rates[:, None] * index.demand)
-        spend = index.sp_sum((prices[None, :] * alloc.x).sum(axis=1))
-        usage = alloc.x.sum(axis=0)
-        check = verify_equilibrium(scn, alloc, prices)
-        assert_ulps(check.budget_gap, np.abs(spend - index.budgets).max(), 1.0)
-        assert check.clearing_gap == np.abs((usage - 1.0) * prices).max()
 
 
 class Untouched:

@@ -250,3 +250,14 @@ def test_wrongly_dropped_provider_is_put_back(monkeypatch):
         assert rep.converged
         assert welfare(scn, rep) == pytest.approx(welfare(scn, ref), rel=1e-9)
         assert np.all((rep.utilities > 0.0) == (ref.utilities > 0.0))
+
+
+def test_overflowing_welfare_fails_before_any_step(monkeypatch):
+    """At alpha 0.99 the preset's welfare at the interior-point start is
+    about exp(719): the solve says so instead of stepping on NaN duals."""
+    steps = []
+    monkeypatch.setattr(solvers, "_newton_direction", lambda *a: steps.append(1))
+    scn = normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(0.99))
+    with pytest.raises(ValueError, match="welfare .* overflows float64"):
+        solve_social_optimal(scn)
+    assert not steps
