@@ -44,7 +44,6 @@ from .scenarios import (
     random_scenario,
 )
 from .solvers import (
-    SolverConfig,
     best_response,
     max_utilities,
     nash_welfare,
@@ -71,7 +70,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioSpec",
     "SolveReport",
-    "SolverConfig",
     "SupportEntry",
     "best_response",
     "bid_update",

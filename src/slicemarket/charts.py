@@ -38,24 +38,18 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    log_y: bool = False,
 ) -> str:
     """Render labelled (x, y) polylines as a standalone SVG document."""
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y) and (not log_y or y > 0)]
+    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if log_y:
-        y_lo, y_hi = math.log10(min(ys_all)), math.log10(max(ys_all))
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        pad = 0.05 * (y_hi - y_lo or 1.0)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    pad = 0.05 * (y_hi - y_lo or 1.0)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -64,8 +58,7 @@ def line_chart(
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        yy = math.log10(y) if log_y else y
-        return MARGIN_T + plot_h - (yy - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -84,13 +77,11 @@ def line_chart(
             parts.append(
                 f'<text x="{px(tx):.1f}" y="{MARGIN_T + plot_h + 16}" text-anchor="middle">{tx:g}</text>'
             )
-    y_tick_vals = _ticks(y_lo, y_hi)
-    for ty in y_tick_vals:
+    for ty in _ticks(y_lo, y_hi):
         if y_lo <= ty <= y_hi:
-            yy = MARGIN_T + plot_h - (ty - y_lo) / (y_hi - y_lo) * plot_h
-            label = f"1e{ty:g}" if log_y else f"{ty:g}"
+            yy = py(ty)
             parts.append(f'<line x1="{MARGIN_L - 4}" y1="{yy:.1f}" x2="{MARGIN_L}" y2="{yy:.1f}" stroke="#444"/>')
-            parts.append(f'<text x="{MARGIN_L - 8}" y="{yy + 3:.1f}" text-anchor="end">{label}</text>')
+            parts.append(f'<text x="{MARGIN_L - 8}" y="{yy + 3:.1f}" text-anchor="end">{ty:g}</text>')
             parts.append(
                 f'<line x1="{MARGIN_L}" y1="{yy:.1f}" x2="{MARGIN_L + plot_w}" y2="{yy:.1f}" '
                 'stroke="#ddd" stroke-dasharray="3,3"/>'
@@ -104,11 +95,7 @@ def line_chart(
     )
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = [
-            f"{px(x):.1f},{py(y):.1f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(y) and (not log_y or y > 0)
-        ]
+        pts = [f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys) if math.isfinite(y)]
         if pts:
             parts.append(
                 f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -206,16 +206,20 @@ def make_report(
     potential_trace: np.ndarray | None = None,
     price_trace: np.ndarray | None = None,
 ) -> SolveReport:
+    """The report of a solve.  It is ``converged`` only if the solve says
+    so and every utility is finite: a certificate in log space can hold at
+    utilities that overflow float64."""
     prices = _checked_prices(scn.index, prices)
+    util = utilities(scn, allocation.rates)
     return SolveReport(
         scn=scn,
         method=method,
         prices=prices,
         allocation=allocation,
-        utilities=utilities(scn, allocation.rates),
+        utilities=util,
         spending=allocation.totals(prices)[0],
         iterations=iterations,
-        converged=converged,
+        converged=converged and bool(np.all(np.isfinite(util))),
         residuals=residuals,
         potential_trace=potential_trace,
         price_trace=price_trace,

@@ -9,7 +9,8 @@ resource per unit service rate; all file I/O stays in physical units.
 
 :class:`MarketIndex` is compiled on a slot layout, one slot per good a
 (provider, cell, class) triple consumes.  The solvers and their reports work on
-the slots, and dense ``[n_triples, n_goods]`` views are scattered from them.
+the slots; a report's dense ``[n_triples, n_goods]`` views are scattered from
+them when read.
 Every degree-one utility, and the unit cost of one, is a CES aggregate over a
 provider's variables, evaluated by :class:`CESAggregate`.  The index keeps two:
 the providers' utilities of their rates (:attr:`MarketIndex.utility`) and
@@ -233,16 +234,13 @@ class MarketIndex:
     slots of a row are distinct goods.  Every triple consumes only goods of
     its own cell, and the goods of a cell are contiguous.
 
-    Dense ``[n_triples, n_goods]`` views, zero outside each triple's consumed
-    goods, are not compiled: they are scattered from the slots when read,
-    here :attr:`demand` and :attr:`consumed` (once, on first read), and a
-    report's ``allocation.x`` and ``bids``.  No price-Newton ME, SS or
-    dynamics path reads them; the interior-point layout of SO and alpha-0 ME
-    is built from :attr:`demand`.
-    Capacities are normalized to 1; ``capacity[g]`` keeps the physical scale
-    for denormalization.  Triples are grouped by provider (``sp_of`` is
-    sorted).  :attr:`kernel`, :attr:`blocks`, :attr:`price_cells` and the
-    aggregates :attr:`utility` and :attr:`unit_cost` are built on first use.
+    The index holds no dense ``[n_triples, n_goods]`` array: the only
+    ones, a report's ``allocation.x`` and ``bids``, are scattered from the
+    slots when read (:meth:`DemandKernel.dense`), and no solve reads them.
+    Capacities are normalized to 1; ``capacity[g]`` keeps the physical
+    scale.  Triples are grouped by provider (``sp_of`` is sorted).
+    :attr:`kernel`, :attr:`blocks`, :attr:`price_cells` and the aggregates
+    :attr:`utility` and :attr:`unit_cost` are built on first use.
     """
 
     goods: tuple[tuple[str, str], ...]
@@ -281,16 +279,6 @@ class MarketIndex:
         out = np.zeros(self.n_goods, dtype=bool)
         out[self.slot_goods[self.slot_demand > 0]] = True
         return out
-
-    @cached_property
-    def demand(self) -> np.ndarray:
-        """Dense normalized demand, scattered from the slots on first read."""
-        return _frozen(self.kernel.dense(self.slot_demand))
-
-    @cached_property
-    def consumed(self) -> np.ndarray:
-        """Dense mask of the goods each triple consumes, built on first read."""
-        return _frozen(self.demand > 0)
 
     @cached_property
     def kernel(self) -> "DemandKernel":
@@ -686,10 +674,6 @@ class NormalizedScenario:
 
     spec: ScenarioSpec
     index: MarketIndex
-
-    def denormalize_allocation(self, x: np.ndarray) -> np.ndarray:
-        """Fractional allocation [n_triples, n_goods] back to physical units."""
-        return x * self.index.capacity[None, :]
 
 
 def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:

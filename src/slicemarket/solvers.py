@@ -18,7 +18,6 @@ provide the fairness/efficiency diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,17 +35,6 @@ def __getattr__(name: str):
 
         return optimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings of :func:`solve_eg`: ``max_iterations`` caps its Newton steps."""
-
-    max_iterations: int = 50000
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarray:
@@ -103,7 +91,7 @@ _ARMIJO = 1e-4
 _ACTIVE_PRICE = 1e-9
 
 
-def _price_newton(index: MarketIndex, p, max_steps, price_rows):
+def _price_newton(index: MarketIndex, p):
     """Minimize the Eisenberg-Gale price dual ``f(p) = sum_g p_g - sum_s B_s
     log e_s(D_s p)`` over nonnegative prices of the demanded goods, from
     ``p``, by a projected Newton method (Bertsekas, *Projected Newton
@@ -130,9 +118,9 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
     is below the rounding of ``f``, the full step is taken; the solve stops
     when such a step fails to halve the projected gradient (which is then
     at rounding level), when the step is not a descent direction or no
-    step along it decreases ``f``, or after ``max_steps`` steps.  Appends
-    every iterate to ``price_rows`` and returns ``(p, steps)``, ``p`` the
-    iterate of smallest projected gradient.
+    step along it decreases ``f``, or after ``_PRICE_NEWTON_MAX_STEPS``
+    steps.  Returns ``(p, steps)``, ``p`` the iterate of smallest projected
+    gradient.
     """
     kernel = index.kernel
     cells = index.price_cells
@@ -203,7 +191,7 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
         resid = float(np.abs(p - np.maximum(p - grad, 0.0)).max())
         if resid < best_resid:
             best_resid, best_p = resid, p
-        if resid == 0.0 or steps >= max_steps or (quiet and resid > 0.5 * prev_resid):
+        if resid == 0.0 or steps >= _PRICE_NEWTON_MAX_STEPS or (quiet and resid > 0.5 * prev_resid):
             break
         prev_resid = resid
         pinned = demanded & (p <= min(resid, _ACTIVE_PRICE)) & (grad > 0.0)
@@ -225,41 +213,39 @@ def _price_newton(index: MarketIndex, p, max_steps, price_rows):
             break
         p, (value, scale, u, pd), quiet = found
         steps += 1
-        price_rows.append(p)
     return best_p, steps
 
 
-def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> SolveReport:
+def solve_eg(scn: NormalizedScenario) -> SolveReport:
     """Market-equilibrium allocation and prices: the optimum of the
     Eisenberg-Gale program ``max sum_s B_s log U_s`` under the capacities,
     whose capacity duals are the prices.
 
     A market with an alpha-0 provider is solved on the program itself
-    (:func:`_eisenberg_gale_solve`, method ``"barrier"``), any other by
-    projected Newton steps on its price dual (:func:`_price_newton`, method
-    ``"tatonnement"``, with every iterate in the price trace).  Both report
-    the program's duality gap (:func:`_eg_gap`) at the returned prices and
-    rates in ``residuals["duality_gap"]``.  ``config.max_iterations`` caps
-    the Newton steps that ``iterations`` counts (the interior-point engine
-    stops at ``_BARRIER_MAX_STEPS`` in any case).  Identical scenario and
-    config give an identical report.  ``converged`` means that the budget
-    and clearing gaps of :func:`~slicemarket.market.verify_equilibrium` are
-    within its default tolerance and the duality gap is at most
-    ``SO_GAP_TOL``; the best-response gaps ``residuals["br_gap"]`` (absolute)
-    and ``residuals["br_gap_rel"]`` (relative to the best-response utility)
-    are reported next to them.  The decentralized route to the same
-    equilibrium is :func:`~slicemarket.dynamics.run_dynamics`.
+    (:func:`_eisenberg_gale_solve`, method ``"barrier"``, at most
+    ``_BARRIER_MAX_STEPS`` Newton steps), any other by projected Newton
+    steps on its price dual (:func:`_price_newton`, method
+    ``"tatonnement"``, at most ``_PRICE_NEWTON_MAX_STEPS``); ``iterations``
+    counts the steps.  Both report the program's duality gap
+    (:func:`_eg_gap`) at the returned prices and rates in
+    ``residuals["duality_gap"]``.  Identical scenarios give identical
+    reports.  ``converged`` means that the budget and clearing gaps of
+    :func:`~slicemarket.market.verify_equilibrium` are within its default
+    tolerance and the duality gap is at most ``SO_GAP_TOL``; the
+    best-response gaps ``residuals["br_gap"]`` (absolute) and
+    ``residuals["br_gap_rel"]`` (relative to the best-response utility) are
+    reported next to them.  The decentralized route to the same
+    equilibrium, with its price trace, is
+    :func:`~slicemarket.dynamics.run_dynamics`.
     """
-    config = config or SolverConfig()
     index = scn.index
     kernel = index.kernel
     barrier = bool(np.any(index.alphas == 0.0))
     if barrier:
-        rates, p, iterations = _eisenberg_gale_solve(index, min(config.max_iterations, _BARRIER_MAX_STEPS))
+        rates, p, iterations = _eisenberg_gale_solve(index)
     else:
         demanded = index.demanded_goods()
-        price_rows = [np.where(demanded, 1.0 / demanded.sum(), 0.0)]
-        p, iterations = _price_newton(index, price_rows[0], config.max_iterations, price_rows)
+        p, iterations = _price_newton(index, np.where(demanded, 1.0 / demanded.sum(), 0.0))
         pd_slots, pd = kernel.row_prices(p)
         demand = kernel.rates(pd)[0]
         rates = _repair_rates(index, demand, np.ones(index.n_goods))
@@ -282,7 +268,6 @@ def solve_eg(scn: NormalizedScenario, config: SolverConfig | None = None) -> Sol
         iterations=iterations,
         converged=max(check.budget_gap, check.clearing_gap) <= check.tol and gap <= SO_GAP_TOL,
         residuals=residuals,
-        price_trace=None if barrier else np.array(price_rows),
     )
     report.bid_slots = (rates[:, None] * kernel.demand) * p[kernel.goods] if barrier else demand[:, None] * pd_slots
     return report
@@ -319,6 +304,10 @@ _BARRIER_STOP_GAP = 1e-11
 #: and 37-74 at alpha 100.  The counts barely grow with size: 10 to 72
 #: steps at 28 and 112 cells.
 _BARRIER_MAX_STEPS = 1000
+
+#: Step cap of a projected-Newton solve of the market equilibrium's price
+#: dual (:func:`_price_newton`).
+_PRICE_NEWTON_MAX_STEPS = 50000
 
 #: Armijo fraction of the predicted decrease of the barrier function.
 _IP_ARMIJO = 1e-4
@@ -384,7 +373,7 @@ class _Iterate(NamedTuple):
     scale: np.ndarray
 
 
-def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None, max_steps=_BARRIER_MAX_STEPS):
+def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
     for every problem ``b`` of a batch at once.
 
@@ -426,7 +415,7 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None, ma
     ``certified(y, lam, log_u)`` says which problems are solved, given the
     capacity duals in units of the welfare and the providers' log utilities;
     a solved problem takes no further step, and none takes more than
-    ``max_steps``.
+    ``_BARRIER_MAX_STEPS``.
 
     Returns ``(end, iterations)``, ``end`` the final :class:`_Iterate`.  A
     solve given such a state as ``start`` goes on from it: with the same
@@ -462,7 +451,7 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None, ma
         lam, mu = cons * nu / s, free * nu / y
     lam, mu = spread(lam, mu)
     done = np.zeros((nb, 1), dtype=bool)
-    for it in range(1, max_steps + 1):
+    for it in range(1, _BARRIER_MAX_STEPS + 1):
         coef = np.exp(welfare.log_b + welfare.q0 * log_u) / scale  # B_s U_s^q0 / W_0
         c_var = coef[:, welfare.seg]
         grad = -c_var * pi / y
@@ -696,29 +685,26 @@ class _WelfareLayout:
     ``welfare`` is the objective as a batch of one, at the outer exponent
     ``q0`` of :class:`_Welfare` (1 for the social optimum).  The capacity
     duals live on the consumed goods (``goods``).
+
+    Triple ``i`` has the rate ``mult[i]`` times variable ``owner[i]``
+    (``mult`` is the user count on a max-min provider's rows and 1
+    elsewhere), so ``amat`` is the sum of ``mult * slot_demand`` over the
+    slots of each variable's triples.
     """
 
     def __init__(self, index: MarketIndex, q0: float = 1.0):
         self.index = index
-        cols, log_w, seg, alpha, owner, mult = [], [], [], [], [], []
-        for s in range(index.n_sps):
-            rows = index.sp_rows(s)
-            if math.isinf(index.alphas[s]):
-                n_vec = index.users[rows].astype(float)
-                owner.append(np.full(rows.size, len(seg)))
-                mult.append(n_vec)
-                cols.append((n_vec @ index.demand[rows])[None, :])
-                log_w.append([0.0])
-                seg.append(s)
-                alpha.append(0.0)
-            else:
-                owner.append(len(seg) + np.arange(rows.size))
-                mult.append(np.ones(rows.size))
-                cols.append(index.demand[rows])
-                log_w.append(np.log(index.weights[rows]))
-                seg.extend([s] * rows.size)
-                alpha.extend([float(index.alphas[s])] * rows.size)
-        amat = np.concatenate(cols)
+        max_min = np.isinf(index.alphas)[index.sp_of]
+        # a new variable at every finite-alpha row and at a provider's first row
+        new = ~max_min | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
+        self.owner = np.cumsum(new) - 1
+        self.mult = np.where(max_min, index.users, 1.0)
+        n_var, n_goods = int(new.sum()), index.n_goods
+        amat = np.bincount(
+            (self.owner[:, None] * n_goods + index.slot_goods).ravel(),
+            weights=(self.mult[:, None] * index.slot_demand).ravel(),
+            minlength=n_var * n_goods,
+        ).reshape(n_var, n_goods)
         used = amat > 0
         count = used.sum(axis=0)
         self.goods = count > 0
@@ -727,11 +713,10 @@ class _WelfareLayout:
         self.amat = amat[:, self.goods] * self.ref[:, None]
         self.log_ref = np.log(self.ref)
         self.log_b = np.log(index.budgets)
-        self.owner = np.concatenate(owner)
-        self.mult = np.concatenate(mult)
-        log_w = np.concatenate(log_w)
-        seg = np.array(seg, dtype=np.intp)
-        alpha = np.array(alpha)
+        seg = index.sp_of[new]
+        # a max-min provider's utility is its level: one unit-weight linear term
+        log_w = np.where(max_min, 0.0, np.log(index.weights))[new]
+        alpha = np.where(np.isinf(index.alphas), 0.0, index.alphas)[seg]
         self.welfare = _Welfare(
             log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None], q0
         )
@@ -862,7 +847,7 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
     return lay.rates(y), lay.prices(lam), gap, iterations
 
 
-def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _eisenberg_gale_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximize ``sum_s B_s log U_s(u)`` under unit capacities by the
     interior-point engine (:func:`_interior_point`, a batch of one; no
     provider is priced out of an equilibrium) on the variables of
@@ -872,11 +857,11 @@ def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarra
     the capacity frontier and at the duals, those below their good's slack
     set to 0.  It is of second order in each provider's ``r_s - log U_s`` (a
     gap of 1e-11 leaves budgets off by up to 3e-6), so the solve stops once
-    both are at most ``_BARRIER_STOP_GAP`` in size, or after ``max_steps``
-    steps.  Providers with alpha > 0 then take their one best response at
-    the prices; alpha-0 providers, whose best responses are not unique, keep
-    the solve's rates, cut to the capacity the others leave.  Returns
-    ``(rates, prices, iterations)``.
+    both are at most ``_BARRIER_STOP_GAP`` in size, or after
+    ``_BARRIER_MAX_STEPS`` steps.  Providers with alpha > 0 then take their
+    one best response at the prices; alpha-0 providers, whose best responses
+    are not unique, keep the solve's rates, cut to the capacity the others
+    leave.  Returns ``(rates, prices, iterations)``.
     """
     lay = _WelfareLayout(index, 0.0)
     welfare, amat = lay.welfare, lay.amat
@@ -890,9 +875,7 @@ def _eisenberg_gale_solve(index: MarketIndex, max_steps: int) -> tuple[np.ndarra
         g, r = _eg_gap(index, lay.prices(lam), welfare.utilities(y[None])[0][0])
         return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP])
 
-    end, iterations = _interior_point(
-        welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified, max_steps=max_steps
-    )
+    end, iterations = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
     y, lam = frontier(end.y[0], end.lam[0] * end.scale[0])
     prices = lay.prices(lam)
     kernel = index.kernel

@@ -10,6 +10,14 @@ import numpy as np
 from slicemarket.market import BID_FLOOR
 
 
+def dense_demand(index):
+    """The normalized demand ``[n_triples, n_goods]`` of ``index``,
+    scattered from its slots: zero off each triple's consumed goods."""
+    out = np.zeros((index.n_triples, index.n_goods))
+    out[np.arange(index.n_triples)[:, None], index.slot_goods] = index.slot_demand
+    return out
+
+
 def service_rate(x, demand):
     """Leontief service rate ``min_r x_r / d_r`` over the consumed resources
     (``d_r > 0``) along the last axis: of one bundle, or of every row."""
@@ -33,7 +41,7 @@ def tp_allocate(scn, bids):
         raise ValueError("negative bid")
     prices = b.sum(axis=0)
     x = np.divide(b, prices, out=np.zeros_like(b), where=prices > 0)
-    return prices, TradingPost(x, service_rate(x, scn.index.demand))
+    return prices, TradingPost(x, service_rate(x, dense_demand(scn.index)))
 
 
 def dense_best_response(index, prices, s):
@@ -42,7 +50,7 @@ def dense_best_response(index, prices, s):
     ``b ~ w * p d`` at alpha = inf.  Returns the provider's rows."""
     alpha = float(index.alphas[s])
     rows = index.sp_rows(s)
-    pd_rows = prices[None, :] * index.demand[rows]
+    pd_rows = prices[None, :] * dense_demand(index)[rows]
     pd = pd_rows.sum(axis=1)
     w = index.weights[rows]
     budget = index.budgets[s]
@@ -61,7 +69,7 @@ def random_feasible_bids(scn, rng):
     B*w/sum(w), the reachable set of the alpha=1 dynamics, where the
     potential's guarantees live."""
     index = scn.index
-    consumed = index.consumed
+    consumed = dense_demand(index) > 0
     b = np.zeros(consumed.shape)
     for s in range(index.n_sps):
         rows = index.sp_rows(s)
@@ -88,7 +96,7 @@ def dense_potential(scn, b, prices=None):
     index = scn.index
     p = b.sum(axis=0) if prices is None else prices
     mask = b > BID_FLOOR
-    ratio = np.divide(b, p[None, :] * index.demand, out=np.ones_like(b), where=mask)
+    ratio = np.divide(b, p[None, :] * dense_demand(index), out=np.ones_like(b), where=mask)
     total = float(np.where(mask, b * np.log(ratio), 0.0).sum())
     a, between, inf = _regimes(index)
     b_ck = b.sum(axis=1)
@@ -104,10 +112,11 @@ def potential_gradient(scn, b):
     +1 of each entropy term), zero off the consumed goods.  Needs strictly
     positive bids on the consumed goods."""
     index = scn.index
-    consumed = index.consumed
+    demand = dense_demand(index)
+    consumed = demand > 0
     if np.any(b[consumed] <= 0):
         raise ValueError("gradient needs strictly positive bids on consumed goods")
-    pd = b.sum(axis=0)[None, :] * index.demand
+    pd = b.sum(axis=0)[None, :] * demand
     grad = np.log(np.divide(b, pd, out=np.ones_like(b), where=consumed))
     a, between, inf = _regimes(index)
     shift = np.zeros(index.n_triples)
@@ -132,10 +141,11 @@ def dense_divergence(scn, b, b_prev):
     the starting bids it is the budget ``D`` of the O(1/T) guarantee
     ``Phi(b^T) - Phi(b*) <= D / T``."""
     index = scn.index
+    consumed = dense_demand(index) > 0
     total = 0.0
     for s in range(index.n_sps):
         rows = index.sp_rows(s)
-        total += kl(b[rows][index.consumed[rows]], b_prev[rows][index.consumed[rows]])
+        total += kl(b[rows][consumed[rows]], b_prev[rows][consumed[rows]])
         alpha = float(index.alphas[s])
         if 1.0 < alpha < math.inf:
             total -= kl(b[rows].sum(axis=1), b_prev[rows].sum(axis=1)) / (1.0 - alpha)
@@ -159,7 +169,7 @@ def eval_dual(scn, prices):
     at the equilibrium."""
     index = scn.index
     prices = np.asarray(prices, dtype=float)
-    if np.any(index.demand @ prices <= 0):
+    if np.any(dense_demand(index) @ prices <= 0):
         raise ValueError("dual undefined: some class sees only zero-priced resources")
     # providers own contiguous rows
     b = np.vstack([dense_best_response(index, prices, s) for s in range(index.n_sps)])

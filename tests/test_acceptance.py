@@ -32,7 +32,7 @@ from slicemarket import (
     verify_equilibrium,
 )
 from slicemarket.market import utilities
-from tests.reference import bregman_gap, dense_best_response, dense_divergence, eval_dual
+from tests.reference import bregman_gap, dense_best_response, dense_demand, dense_divergence, eval_dual
 from tests.reference import potential_gradient, random_feasible_bids
 from tests.test_market import make_scn
 
@@ -126,8 +126,9 @@ def test_c03_bregman_sandwich():
             b = 0.5 * uniform_bids(scn.index) + 0.5 * random_feasible_bids(scn, rng)
             grad = potential_gradient(scn, b)
             h = 1e-6
+            consumed = dense_demand(scn.index) > 0
             for i in range(scn.index.n_triples):
-                for g in np.flatnonzero(scn.index.consumed[i]):
+                for g in np.flatnonzero(consumed[i]):
                     bp, bm = b.copy(), b.copy()
                     bp[i, g] += h
                     bm[i, g] -= h
@@ -261,9 +262,10 @@ def test_c08_nash_welfare_optimality():
         index = scn.index
         me = solve_eg(scn)
         nash_me = nash_welfare(me.utilities, index.budgets)
+        demand = dense_demand(index)
         for _ in range(500):
             direction = rng.exponential(1.0, index.n_triples)
-            usage = (direction[:, None] * index.demand).sum(axis=0).max()
+            usage = (direction[:, None] * demand).sum(axis=0).max()
             rates = direction / usage
             utils = utilities(scn, rates)
             value = nash_welfare(utils, index.budgets) if np.all(utils > 0) else 0.0

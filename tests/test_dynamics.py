@@ -25,7 +25,7 @@ from slicemarket import (
     uniform_bids,
 )
 from slicemarket.dynamics import UnsupportedRegimeError
-from tests.reference import bregman_gap, dense_divergence, dense_potential, eval_dual
+from tests.reference import bregman_gap, dense_demand, dense_divergence, dense_potential, eval_dual
 from tests.reference import kl, potential_gradient, random_feasible_bids
 
 
@@ -205,7 +205,7 @@ class TestBidUpdate:
         b_t = random_feasible_bids(scn, rng)
         update = bid_update(scn, p, 0)
 
-        pd = p[None, :] * index.demand
+        pd = p[None, :] * dense_demand(index)
 
         def frozen_grad(b):
             g = np.log(b / pd)
@@ -278,8 +278,9 @@ class TestGradientAndBregman:
         b = random_feasible_bids(scn, rng)
         grad = potential_gradient(scn, b)
         h = 1e-6
+        consumed = dense_demand(scn.index) > 0
         for i in range(scn.index.n_triples):
-            for g in np.flatnonzero(scn.index.consumed[i]):
+            for g in np.flatnonzero(consumed[i]):
                 bp, bm = b.copy(), b.copy()
                 bp[i, g] += h
                 bm[i, g] -= h

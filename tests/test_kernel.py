@@ -16,7 +16,7 @@ from slicemarket import (
     bid_update,
     normalize_scenario,
 )
-from tests.reference import dense_best_response
+from tests.reference import dense_best_response, dense_demand
 
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0, 5.0, math.inf)
 
@@ -59,7 +59,7 @@ def test_kernel_matches_dense_closed_form():
         scn = normalize_scenario(mixed_scenario(rng))
         index = scn.index
         kernel = index.kernel
-        padded += int((index.consumed.sum(axis=1) < kernel.goods.shape[1]).sum())
+        padded += int(((dense_demand(index) > 0).sum(axis=1) < kernel.goods.shape[1]).sum())
         for _ in range(5):
             p = rng.uniform(0.05, 2.0, index.n_goods)
             joint = kernel.dense(kernel.bids(p)[0])

@@ -29,7 +29,7 @@ from slicemarket import (
     verify_equilibrium,
 )
 from slicemarket.market import make_report, settle_bids
-from tests.reference import service_rate, tp_allocate
+from tests.reference import dense_demand, service_rate, tp_allocate
 from tests.test_kernel import mixed_scenario
 
 
@@ -297,7 +297,7 @@ class TestVerifyEquilibrium:
         assert rep.br_gap > 1e-3
         # grid oracle: some budget split beats the static bundle's utility
         index = scn.index
-        pd = index.demand @ me.prices
+        pd = dense_demand(index) @ me.prices
         best = -math.inf
         for t in np.linspace(0.0, 1.0, 2001):
             b_ck = np.array([0.5 * t, 0.5 * (1 - t)])
@@ -354,7 +354,7 @@ def assert_dense_report(rep):
     dense ``[n_triples, n_goods]`` formulas."""
     index = rep.scn.index
     p, rates = rep.prices, rep.allocation.rates
-    x = rates[:, None] * index.demand
+    x = rates[:, None] * dense_demand(index)
     assert np.array_equal(rep.allocation.x, x)
     spend = index.sp_sum((p[None, :] * x).sum(axis=1))
     assert_ulps(rep.spending, spend, np.abs(spend))
@@ -372,13 +372,14 @@ def test_reports_match_dense_formulas():
         for alpha in (None, 0.0, 2.0):
             scn = normalize_scenario(spec if alpha is None else spec.with_alphas(alpha))
             index, kernel = scn.index, scn.index.kernel
+            demand = dense_demand(index)
             me = solve_eg(scn)
             routes.add(me.method)
             p = me.prices
             if me.method == "barrier":
-                bids = (me.allocation.rates[:, None] * index.demand) * p
+                bids = (me.allocation.rates[:, None] * demand) * p
             else:
-                bids = kernel.rates(kernel.row_prices(p)[1])[0][:, None] * (p[None, :] * index.demand)
+                bids = kernel.rates(kernel.row_prices(p)[1])[0][:, None] * (p[None, :] * demand)
             assert np.array_equal(me.bids, bids)
             for rep in (me, solve_social_optimal(scn), static_share(scn)):
                 assert_dense_report(rep)
@@ -411,6 +412,19 @@ def test_prices_are_checked_before_any_work(bad):
         verify_equilibrium(scn, Untouched(), prices)
     with pytest.raises(ValueError, match="shape|negative"):
         make_report(scn, "barrier", prices, Untouched(), 0, True, {})
+
+
+@pytest.mark.parametrize("solve", [solve_eg, static_share], ids=["me", "ss"])
+def test_infinite_utilities_are_not_converged(solve):
+    """Just below alpha 1 the preset's utilities overflow float64.  The
+    certificates run in log space and still hold, but a report whose
+    utilities are inf is not converged."""
+    scn = normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(0.99))
+    with np.errstate(over="ignore"):
+        rep = solve(scn)
+    assert rep.residuals["duality_gap"] <= 1e-9
+    assert np.all(np.isinf(rep.utilities))
+    assert not rep.converged
 
 
 def dynamics_20(scn):

@@ -25,6 +25,7 @@ from slicemarket import (
 )
 from slicemarket.experiments import SCHEME_SOLVERS
 from slicemarket.model import effective_weight, scenario_from_dict, scenario_to_dict
+from tests.reference import dense_demand
 
 
 def two_sp_spec(alpha1=1.0, alpha2=1.0, users=(1, 1), budgets=(0.5, 0.5)):
@@ -43,8 +44,9 @@ def two_sp_spec(alpha1=1.0, alpha2=1.0, users=(1, 1), budgets=(0.5, 0.5)):
 def test_normalization_divides_by_capacity():
     scn = normalize_scenario(two_sp_spec())
     # class a: 2/10 on r0, 1/20 on r1
-    assert np.allclose(scn.index.demand[0], [0.2, 0.05])
-    assert np.allclose(scn.index.demand[1], [0.1, 0.2])
+    demand = dense_demand(scn.index)
+    assert np.allclose(demand[0], [0.2, 0.05])
+    assert np.allclose(demand[1], [0.1, 0.2])
 
 
 def test_unit_capacity_is_identity():
@@ -55,24 +57,17 @@ def test_unit_capacity_is_identity():
         sps=spec.sps,
     )
     scn = normalize_scenario(spec)
-    assert np.allclose(scn.index.demand[0], [2.0, 1.0])
+    assert np.allclose(dense_demand(scn.index)[0], [2.0, 1.0])
 
 
 def test_preset_row_normalizes_to_fractions():
     inst = benchmark_preset(n_cells=1, users=10)
     scn = normalize_scenario(inst)
     i = scn.index.triples.index(("SP1", "cell1", "bw-intensive"))
-    got = {r: scn.index.demand[i, g] for g, (c, r) in enumerate(scn.index.goods)}
+    got = {r: dense_demand(scn.index)[i, g] for g, (c, r) in enumerate(scn.index.goods)}
     assert got["cpu"] == pytest.approx(1.0 / 30.0, rel=1e-12)
     assert got["ram"] == pytest.approx(8.0 / 126.0, rel=1e-12)
     assert got["bw"] == pytest.approx(10.0 / 40.0, rel=1e-12)
-
-
-def test_denormalize_round_trip():
-    scn = normalize_scenario(two_sp_spec())
-    x = np.array([[0.5, 0.25], [0.25, 0.5]])
-    phys = scn.denormalize_allocation(x)
-    assert np.allclose(phys, [[5.0, 5.0], [2.5, 10.0]], rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -203,9 +198,10 @@ def test_undemanded_resource_warns():
 # ---------------------------------------------------------------------------
 
 
-def dense_demand(spec):
-    """The normalized ``[n_triples, n_goods]`` demand matrix, one dense row
-    per served (provider, cell, class) triple."""
+def spec_demand(spec):
+    """The normalized ``[n_triples, n_goods]`` demand matrix built from the
+    scenario itself, one dense row per served (provider, cell, class)
+    triple."""
     goods = [(c.id, r.name) for c in spec.cells for r in c.resources]
     cap = {g: r.capacity for g, r in zip(goods, (r for c in spec.cells for r in c.resources))}
     demands = {k.name: k.demand for k in spec.classes}
@@ -221,23 +217,24 @@ def dense_demand(spec):
     return np.array(rows)
 
 
-def argsort_slots(index):
+def argsort_slots(demand):
     """Every row's consumed goods first, in increasing order, then the goods
     it does not consume, cut to the widest row, and their demands."""
-    width = int(index.consumed.sum(axis=1).max())
-    goods = np.argsort(~index.consumed, axis=1, kind="stable")[:, :width]
-    return goods, np.take_along_axis(index.demand, goods, axis=1)
+    consumed = demand > 0
+    width = int(consumed.sum(axis=1).max())
+    goods = np.argsort(~consumed, axis=1, kind="stable")[:, :width]
+    return goods, np.take_along_axis(demand, goods, axis=1)
 
 
-def scanned_blocks(index):
-    """The fields of ``CellBlocks``, one dense ``consumed`` scan per
+def scanned_blocks(index, demand):
+    """The fields of ``CellBlocks``, one scan of the dense ``demand`` per
     (finite-alpha provider, cell) group of triples."""
     members = {}
     for i, s in enumerate(index.sp_of):
         if math.isfinite(index.alphas[s]):
             members.setdefault((int(s), index.triples[i][1]), []).append(i)
     groups = list(members.values())
-    used = [np.flatnonzero(index.consumed[g].any(axis=0)) for g in groups]
+    used = [np.flatnonzero((demand[g] > 0).any(axis=0)) for g in groups]
     n_k = max((len(g) for g in groups), default=1)
     n_m = max((len(g) for g in used), default=1)
     rows = np.zeros((len(groups), n_k), dtype=np.intp)
@@ -250,12 +247,12 @@ def scanned_blocks(index):
         goods[b, : len(g_goods)] = g_goods
         good_mask[b, : len(g_goods)] = True
     sp = np.array([s for s, _ in members], dtype=np.intp)
-    demand = np.where(
-        class_mask[:, :, None] & good_mask[:, None, :], index.demand[rows[:, :, None], goods[:, None, :]], 0.0
+    block_demand = np.where(
+        class_mask[:, :, None] & good_mask[:, None, :], demand[rows[:, :, None], goods[:, None, :]], 0.0
     )
     return {
         "sp": sp, "rows": rows, "class_mask": class_mask, "goods": goods, "good_mask": good_mask,
-        "demand": demand, "weights": np.where(class_mask, index.weights[rows], 0.0),
+        "demand": block_demand, "weights": np.where(class_mask, index.weights[rows], 0.0),
         "alphas": index.alphas[sp].astype(float),
     }
 
@@ -315,18 +312,18 @@ def assert_slots_match_dense(spec):
     served = [(sp, e) for sp in spec.sps for e in sp.support if e.users != 0]
     assert index.triples == tuple((sp.name, e.cell, e.klass) for sp, e in served)
     assert index.weights.tolist() == [effective_weight(e.users, sp.alpha, e.weight) for sp, e in served]
-    demand = dense_demand(spec)
-    assert np.array_equal(index.demand, demand)
-    assert np.array_equal(index.consumed, demand > 0)
-    assert np.array_equal(index.demanded_goods(), index.consumed.any(axis=0))
-    goods, slot_demand = argsort_slots(index)
+    demand = spec_demand(spec)
+    assert np.array_equal(dense_demand(index), demand)
+    assert np.array_equal(index.kernel.dense(index.slot_demand), demand)
+    assert np.array_equal(index.demanded_goods(), (demand > 0).any(axis=0))
+    goods, slot_demand = argsort_slots(demand)
     assert np.array_equal(index.kernel.goods, goods)
     assert np.array_equal(index.kernel.demand, slot_demand)
     cells = index.price_cells
     for name, want in scanned_price_cells(index, goods).items():
         assert np.array_equal(getattr(cells, name), want), name
     blocks = index.blocks
-    for name, want in scanned_blocks(index).items():
+    for name, want in scanned_blocks(index, demand).items():
         got = getattr(blocks, name)
         assert got.shape == want.shape and got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
@@ -339,7 +336,7 @@ def test_slot_layout_matches_dense_references():
     for _ in range(25):
         spec = irregular_scenario(rng)
         index = assert_slots_match_dense(spec)
-        widths |= set(index.consumed.sum(axis=1).tolist())
+        widths |= set((spec_demand(spec) > 0).sum(axis=1).tolist())
         zero_users += sum(e.users == 0 for sp in spec.sps for e in sp.support)
         idle += int((~index.demanded_goods()).sum())
     assert widths == {1, 2, 3, 4}

@@ -30,6 +30,7 @@ from slicemarket import (
 )
 from slicemarket.market import utilities
 from slicemarket.solvers import _eg_gap, static_share
+from tests.reference import dense_demand
 from tests.test_market import mixed_market
 from tests.test_social_optimal import variables
 
@@ -56,7 +57,7 @@ def log_unit_cost(index, prices, s):
     rows = index.sp_rows(s)
     with np.errstate(divide="ignore"):
         # a max-min provider's class may find all its goods free
-        log_l = np.log(index.demand[rows] @ prices)
+        log_l = np.log(dense_demand(index)[rows] @ prices)
     log_w = np.log(index.weights[rows])
     alpha = float(index.alphas[s])
     if math.isinf(alpha):

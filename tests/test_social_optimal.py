@@ -21,7 +21,9 @@ from slicemarket import (
 )
 from slicemarket import solvers
 from slicemarket.solvers import _WelfareLayout
+from tests.reference import dense_demand
 from tests.test_market import make_scn
+from tests.test_model import irregular_scenario
 
 MIXED_ALPHAS = [0.0, 0.5, 1.0, 2.0, 5.0, math.inf]
 
@@ -33,14 +35,55 @@ def welfare(scn, rep):
 def variables(index):
     """One column per rate of a finite-alpha triple and one per level of a
     max-min provider: ``(provider, rows, usage of one unit)``."""
+    demand = dense_demand(index)
     out = []
     for s in range(index.n_sps):
         rows = index.sp_rows(s)
         if math.isinf(index.alphas[s]):
-            out.append((s, rows, index.users[rows] @ index.demand[rows]))
+            out.append((s, rows, index.users[rows] @ demand[rows]))
         else:
-            out.extend((s, rows[k : k + 1], index.demand[i]) for k, i in enumerate(rows))
+            out.extend((s, rows[k : k + 1], demand[i]) for k, i in enumerate(rows))
     return out
+
+
+def test_layout_matches_dense_columns():
+    """The interior-point layout, built from the slots, against the columns
+    of :func:`variables`: bit-equal for finite-alpha providers, and within
+    1e-15 relative on a max-min provider's level, whose usage sums the same
+    products in another order."""
+    rng = np.random.default_rng(47)
+    specs = [irregular_scenario(rng) for _ in range(40)]
+    specs += [instantiate(benchmark_preset(n_cells=n), LoadModel(seed=3), 0).with_alphas(math.inf) for n in (7, 112)]
+    levels = zero_users = 0
+    for spec in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            index = normalize_scenario(spec).index
+        lay = _WelfareLayout(index)
+        cols = variables(index)
+        amat = np.array([col for _, _, col in cols])
+        used = amat > 0
+        count = used.sum(axis=0)
+        with np.errstate(divide="ignore"):
+            ref = np.where(used, 1.0 / (amat * count), np.inf).min(axis=1)
+        want = amat[:, count > 0] * ref[:, None]
+        owner = np.zeros(index.n_triples, dtype=np.intp)
+        mult = np.ones(index.n_triples)
+        level = np.zeros(len(cols), dtype=bool)
+        for v, (s, rows, _) in enumerate(cols):
+            owner[rows] = v
+            if math.isinf(index.alphas[s]):
+                mult[rows] = index.users[rows]
+                level[v] = True
+        assert np.array_equal(lay.owner, owner) and np.array_equal(lay.mult, mult)
+        assert np.array_equal(lay.goods, count > 0)
+        assert np.array_equal(lay.ref[~level], ref[~level])
+        assert np.array_equal(lay.amat[~level], want[~level])
+        assert np.all(np.abs(lay.ref[level] - ref[level]) <= 1e-15 * ref[level])
+        assert np.all(np.abs(lay.amat[level] - want[level]) <= 1e-15 * want[level])
+        levels += int(level.sum())
+        zero_users += sum(e.users == 0 for sp in spec.sps for e in sp.support)
+    assert levels > 0 and zero_users > 0
 
 
 def lp_welfare(index):

@@ -11,7 +11,6 @@ from slicemarket import (
     ProviderDef,
     ResourceDef,
     ScenarioSpec,
-    SolverConfig,
     SupportEntry,
     best_response,
     bid_update,
@@ -26,7 +25,8 @@ from slicemarket import (
     utilities,
     verify_equilibrium,
 )
-from tests.reference import dense_best_response
+from slicemarket import solvers
+from tests.reference import dense_best_response, dense_demand
 from tests.test_market import make_scn
 
 
@@ -68,11 +68,12 @@ class TestBestResponse:
         spec = random_scenario(rng, alphas=[1.0, 2.0, math.inf], n_sps=3)
         scn = normalize_scenario(spec)
         p = rng.uniform(0.1, 1.0, scn.index.n_goods)
+        demand = dense_demand(scn.index)
         for s in range(scn.index.n_sps):
             b = best_response(scn, p, s)
             for i in scn.index.sp_rows(s):
-                goods = np.flatnonzero(scn.index.consumed[i])
-                ratios = b[i, goods] / (p[goods] * scn.index.demand[i, goods])
+                goods = np.flatnonzero(demand[i])
+                ratios = b[i, goods] / (p[goods] * demand[i, goods])
                 assert np.allclose(ratios, ratios[0], rtol=1e-10)
 
     def test_monte_carlo_optimality(self):
@@ -83,18 +84,20 @@ class TestBestResponse:
             spec = random_scenario(rng, n_sps=2, n_cells=1, alphas=[alpha])
             scn = normalize_scenario(spec)
             index = scn.index
+            demand = dense_demand(index)
+            consumed = demand > 0
             p = rng.uniform(0.2, 1.5, index.n_goods)
             for s in range(index.n_sps):
                 rows = index.sp_rows(s)
-                pd_rows = p[None, :] * index.demand[rows]
+                pd_rows = p[None, :] * demand[rows]
                 b_star = best_response(scn, p, s)[rows]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     u_star = np.where(
-                        index.consumed[rows], b_star / pd_rows, np.inf
+                        consumed[rows], b_star / pd_rows, np.inf
                     ).min(axis=1)
                 util_star = _group_utility(scn, s, u_star)
                 budget = index.budgets[s]
-                cons = [(i, g) for k, i in enumerate(rows) for g in np.flatnonzero(index.consumed[i])]
+                cons = [(i, g) for k, i in enumerate(rows) for g in np.flatnonzero(consumed[i])]
                 for _ in range(250):
                     shares = rng.dirichlet(np.ones(len(cons))) * budget
                     b = np.zeros_like(b_star)
@@ -102,7 +105,7 @@ class TestBestResponse:
                         k = list(rows).index(i)
                         b[k, g] = v
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        u = np.where(index.consumed[rows], b / pd_rows, np.inf).min(axis=1)
+                        u = np.where(consumed[rows], b / pd_rows, np.inf).min(axis=1)
                     assert _group_utility(scn, s, u) <= util_star + 1e-9
 
 
@@ -157,14 +160,15 @@ class TestSolveEG:
         # provider's best utility at the prices over its own is B / (PD u),
         # so the gap is sum p - sum B + sum_s B_s log(B_s / (PD_s u_s))
         budgets = scn.index.budgets
-        pd = scn.index.demand @ rep.prices
+        pd = dense_demand(scn.index) @ rep.prices
         gap = rep.prices.sum() - budgets.sum() + budgets @ np.log(budgets / (pd * rep.allocation.rates))
         assert -1e-12 <= gap <= 1e-9
         assert rep.residuals["duality_gap"] == pytest.approx(gap, abs=1e-12)
 
-    def test_one_barrier_step_is_not_converged(self):
+    def test_one_barrier_step_is_not_converged(self, monkeypatch):
         scn = make_scn([[1.0, 0.3], [0.4, 1.0]], [0.0, 1.0], [0.5, 0.5])
-        rep = solve_eg(scn, SolverConfig(max_iterations=1))
+        monkeypatch.setattr(solvers, "_BARRIER_MAX_STEPS", 1)
+        rep = solve_eg(scn)
         assert rep.method == "barrier"
         assert rep.iterations == 1
         assert not rep.converged
@@ -179,15 +183,12 @@ class TestSolveEG:
         assert a.allocation.x.tobytes() == b.allocation.x.tobytes()
         assert a.utilities.tobytes() == b.utilities.tobytes()
 
-    def test_max_iterations_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            SolverConfig(max_iterations=0)
-
-    def test_one_newton_step_is_not_converged(self):
+    def test_one_newton_step_is_not_converged(self, monkeypatch):
         from slicemarket import LoadModel, instantiate, benchmark_preset
 
         spec = instantiate(benchmark_preset(), LoadModel(seed=0), 0).with_alphas(0.5)
-        rep = solve_eg(normalize_scenario(spec), SolverConfig(max_iterations=1))
+        monkeypatch.setattr(solvers, "_PRICE_NEWTON_MAX_STEPS", 1)
+        rep = solve_eg(normalize_scenario(spec))
         assert rep.method == "tatonnement"
         assert rep.iterations == 1
         assert not rep.converged
@@ -249,7 +250,7 @@ class TestStaticShare:
         rep = static_share(scn)
         for s in range(3):
             rows = scn.index.sp_rows(s)
-            usage = (rep.allocation.rates[rows, None] * scn.index.demand[rows]).sum(axis=0)
+            usage = (rep.allocation.rates[rows, None] * dense_demand(scn.index)[rows]).sum(axis=0)
             assert np.all(usage <= 1.0 / 3.0 + 1e-9)
 
     def test_single_class_closed_form(self):

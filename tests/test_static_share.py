@@ -23,6 +23,7 @@ from slicemarket import (
 )
 from slicemarket.market import utilities
 from slicemarket.solvers import _block_log_bounds
+from tests.reference import dense_demand
 
 
 def two_class_cell(alpha):
@@ -58,7 +59,7 @@ def frontier_optimum(scn):
     is concave along the frontier, so the refinement cannot leave the
     optimum's bracket."""
     index = scn.index
-    d0, d1 = index.demand
+    d0, d1 = dense_demand(index)
     alpha = float(index.alphas[0])
     w = index.weights
     top = float((1.0 / d0).min())
@@ -106,14 +107,15 @@ def reference_rates(index, s, cap):
     good, one cell at a time: HiGHS at alpha = 0, else SLSQP on the separable
     sum in rates scaled to the box."""
     alpha = float(index.alphas[s])
+    demand = dense_demand(index)
     rates = np.zeros(index.n_triples)
     cells = {}
     for i in index.sp_rows(s):
         cells.setdefault(index.triples[i][1], []).append(i)
     for rows in cells.values():
         rows = np.array(rows)
-        goods = np.flatnonzero(index.consumed[rows].any(axis=0))
-        dmat = index.demand[np.ix_(rows, goods)]
+        goods = np.flatnonzero((demand[rows] > 0).any(axis=0))
+        dmat = demand[np.ix_(rows, goods)]
         w = index.weights[rows]
         caps = np.full(goods.size, cap)
         if alpha == 0.0:
