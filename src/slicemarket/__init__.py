@@ -7,10 +7,7 @@ baselines, and fairness/efficiency diagnostics.
 """
 
 from .dynamics import (
-    DynamicsConfig,
-    PotentialBreakdown,
     bid_update,
-    eval_potential,
     run_dynamics,
     uniform_bids,
 )
@@ -59,12 +56,10 @@ __all__ = [
     "Allocation",
     "CellDef",
     "ClassDef",
-    "DynamicsConfig",
     "EquilibriumReport",
     "LoadModel",
     "MarketIndex",
     "NormalizedScenario",
-    "PotentialBreakdown",
     "ProviderDef",
     "ResourceDef",
     "ScenarioError",
@@ -74,7 +69,6 @@ __all__ = [
     "best_response",
     "bid_update",
     "budget_sweep",
-    "eval_potential",
     "generate_instances",
     "instantiate",
     "load_scenario",

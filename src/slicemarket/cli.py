@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .dynamics import DynamicsConfig, run_dynamics
+from .dynamics import run_dynamics
 from .experiments import (
     ExperimentConfig,
     SCHEME_SOLVERS,
@@ -104,7 +104,7 @@ def cmd_dynamics(args) -> int:
     if alpha is not None:
         spec = spec.with_alphas(alpha)
     scn = normalize_scenario(spec)
-    rep = run_dynamics(scn, DynamicsConfig(max_iterations=args.iterations))
+    rep = run_dynamics(scn, max_iterations=args.iterations)
     _print_report(rep, scn.index)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -185,12 +185,12 @@ def cmd_compare(args) -> int:
 def cmd_gen(args) -> int:
     template = load_scenario(args.config) if args.config else benchmark_preset()
     load = LoadModel(seed=args.seed if args.seed is not None else 0)
+    specs = generate_instances(template, load, 10 if args.instances is None else args.instances)
     out = args.out or "scenarios"
     os.makedirs(out, exist_ok=True)
-    count = args.instances or 10
-    for k, spec in enumerate(generate_instances(template, load, count)):
+    for k, spec in enumerate(specs):
         save_scenario(spec, os.path.join(out, f"scenario_{k:04d}.json"))
-    print(f"wrote {count} scenario files under {out}/")
+    print(f"wrote {len(specs)} scenario files under {out}/")
     return 0
 
 

@@ -6,9 +6,9 @@ step; the step is a closed-form update that is simultaneously the provider's
 best response to the posted prices.  The joint update minimizes a convex
 potential whose minimum is the market equilibrium, which yields an O(1/T)
 convergence certificate in the bid-space KL divergences (Birnbaum, Devanur &
-Xiao, EC 2011).  The library evaluates the potential, which
-:func:`run_dynamics` traces; the proof's gradient, divergence and dual are
-dense references of the test suite (``tests/reference.py``).
+Xiao, EC 2011).  :func:`run_dynamics` traces the potential, round by
+round; the dense potential and the proof's gradient, divergence and dual are
+references of the test suite (``tests/reference.py``).
 
 Potential pieces per provider regime (prices ``p`` are induced by the bids,
 ``pd = p_g * d_ig``, ``b_ck = sum_r b``):
@@ -23,15 +23,12 @@ where the alpha=1 update puts it after one round), leaving the plain entropy
 term.
 
 Bids live on the slot layout of :class:`~slicemarket.model.MarketIndex`:
-:func:`run_dynamics` updates, traces and settles them there, and a dense
-``[n_triples, n_goods]`` bid tensor (:func:`eval_potential`'s argument,
-``DynamicsConfig.initial_bids``) is gathered once
+:func:`run_dynamics` updates, traces and settles them there, and gathers
+dense ``[n_triples, n_goods]`` initial bids onto it once
 (:meth:`~slicemarket.model.DemandKernel.gather`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,35 +44,6 @@ class UnsupportedRegimeError(ValueError):
     """An operation restricted to alpha in [1, inf] saw alpha < 1."""
 
 
-@dataclass(frozen=True)
-class DynamicsConfig:
-    max_iterations: int = 10000
-    tol: float = 1e-8
-    initial_bids: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PotentialBreakdown:
-    phi_eq1: float
-    phi_between: float
-    phi_inf: float
-
-    @property
-    def phi_total(self) -> float:
-        return self.phi_eq1 + self.phi_between + self.phi_inf
-
-
-def _regime_masks(index: MarketIndex):
-    a = index.alphas[index.sp_of]
-    return a == 1.0, (a > 1.0) & np.isfinite(a), np.isinf(a)
-
-
 def _require_at_least_one(index: MarketIndex) -> None:
     if np.any(index.alphas < 1.0):
         bad = [index.sp_names[s] for s in np.flatnonzero(index.alphas < 1.0)]
@@ -84,38 +52,29 @@ def _require_at_least_one(index: MarketIndex) -> None:
         )
 
 
-def eval_potential(scn: NormalizedScenario, bids: np.ndarray) -> PotentialBreakdown:
-    """Evaluate the convex potential at a dense bid tensor, by regime.
+def _potential(index: MarketIndex, b: np.ndarray, prices: np.ndarray) -> float:
+    """The convex potential at per-slot bids ``b`` and the prices they
+    induce.  The regimes' partial sums are added in the order alpha = 1,
+    between, inf; one single sum would move the traces' last bits.
 
     Zero bids contribute zero; bids below ``BID_FLOOR`` are treated as zero
-    so traces of collapsing prices stay finite.  Raises ``ValueError`` on a
-    bid off a triple's consumed goods.
+    so traces of collapsing prices stay finite.
     """
-    index = scn.index
-    _require_at_least_one(index)
-    slots = index.kernel.gather(bids)
-    return _potential(index, slots, index.kernel.per_good(slots))
-
-
-def _potential(index: MarketIndex, b: np.ndarray, prices: np.ndarray) -> PotentialBreakdown:
-    """:func:`eval_potential` at per-slot bids ``b`` and the prices they
-    induce."""
     kernel = index.kernel
     mask = b > BID_FLOOR
     ratio = np.divide(b, prices[kernel.goods] * kernel.demand, out=np.ones_like(b), where=mask)
     entropy = np.where(mask, b * np.log(ratio), 0.0).sum(axis=1)
 
-    eq1, between, inf = _regime_masks(index)
-    phi_eq1 = float(entropy[eq1].sum())
-
+    a = index.alphas[index.sp_of]
+    between, inf = (a > 1.0) & np.isfinite(a), np.isinf(a)
     b_ck = b.sum(axis=1)
-    alpha = index.alphas[index.sp_of[between]]
     bk, w = b_ck[between], index.weights[between]
     good = bk > BID_FLOOR
     agg = np.where(good, bk * np.log(np.where(good, bk / w, 1.0)), 0.0)
-    phi_between = float(entropy[between].sum() + (agg / (alpha - 1.0)).sum())
+    phi_eq1 = float(entropy[a == 1.0].sum())
+    phi_between = float(entropy[between].sum() + (agg / (a[between] - 1.0)).sum())
     phi_inf = float(entropy[inf].sum() - (b_ck[inf] * np.log(index.weights[inf])).sum())
-    return PotentialBreakdown(phi_eq1=phi_eq1, phi_between=phi_between, phi_inf=phi_inf)
+    return phi_eq1 + phi_between + phi_inf
 
 
 def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarray:
@@ -174,43 +133,51 @@ def price_path(scn: NormalizedScenario, rounds: int) -> np.ndarray:
     return path
 
 
-def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
+def run_dynamics(
+    scn: NormalizedScenario,
+    *,
+    max_iterations: int = 10000,
+    tol: float = 1e-8,
+    initial_bids: np.ndarray | None = None,
+):
     """Iterate simultaneous bid updates from uniform (or given) initial bids
-    until the maximum relative price change drops below tolerance.
+    until the maximum relative price change drops below ``tol``, for at most
+    ``max_iterations`` rounds.
 
-    Given initial bids are dense and must lie on the consumed goods.  Returns
+    Given initial bids are dense ``[n_triples, n_goods]`` and must lie on the
+    consumed goods (:meth:`~slicemarket.model.DemandKernel.gather`).  Returns
     a :class:`~slicemarket.market.SolveReport` with the potential and price
     traces; ``converged`` is False when the iteration budget runs out, never
     a silent success.
     """
-    config = config or DynamicsConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     index = scn.index
     _require_at_least_one(index)
     kernel = index.kernel
-    if config.initial_bids is not None:
-        slots = kernel.gather(config.initial_bids)
-    else:
-        slots = _uniform_slots(index)
+    slots = _uniform_slots(index) if initial_bids is None else kernel.gather(initial_bids)
 
     prices = kernel.per_good(slots)
-    phis = [_potential(index, slots, prices).phi_total]
+    phis = [_potential(index, slots, prices)]
     price_rows = [prices]
     converged = False
     it = 0
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         slots, new_prices = _bid_round(kernel, prices)
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
         change = float((np.abs(new_prices - prices) / scale).max())
         prices = new_prices
-        phis.append(_potential(index, slots, prices).phi_total)
+        phis.append(_potential(index, slots, prices))
         price_rows.append(prices)
-        if change < config.tol:
+        if change < tol:
             converged = True
             break
 
     final_prices, allocation = settle_bids(scn, slots)
     check = verify_equilibrium(scn, allocation, final_prices)
-    report = make_report(
+    return make_report(
         scn,
         method="dynamics",
         prices=final_prices,
@@ -226,5 +193,3 @@ def run_dynamics(scn: NormalizedScenario, config: DynamicsConfig | None = None):
         potential_trace=np.array(phis),
         price_trace=np.array(price_rows),
     )
-    report.bid_slots = slots
-    return report

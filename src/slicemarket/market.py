@@ -4,21 +4,21 @@ allocation, and market-equilibrium verification.
 Conventions: a price vector is a ``[n_goods]`` array for the whole normalized
 resource.  Solves, their settlement and reports keep bids and allocations on
 the slot layout of :class:`~slicemarket.model.MarketIndex` and build the dense
-``[n_triples, n_goods]`` views (``Allocation.x``, ``SolveReport.bids``) on
-read.  Every allocation is Leontief-tight: its rates fix its bundles.
+``[n_triples, n_goods]`` allocation (``Allocation.x``) on read.  A report
+keeps no bids.  Every allocation is Leontief-tight: its rates fix its
+bundles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .model import MarketIndex, NormalizedScenario
 
-#: Default tolerance for declaring a (price, allocation) pair an equilibrium.
+#: Tolerance for declaring a (price, allocation) pair an equilibrium.
 EQUILIBRIUM_TOL = 1e-6
 
 #: Bids below this are treated as exact zeros inside logarithms (diagnostics
@@ -107,7 +107,8 @@ def settle_bids(scn: NormalizedScenario, bid_slots: np.ndarray) -> tuple[np.ndar
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Gap diagnostics for a candidate (price, allocation) pair.
+    """Gap diagnostics for a candidate (price, allocation) pair; it is an
+    equilibrium when the absolute gaps are within ``EQUILIBRIUM_TOL``.
 
     ``br_gap_rel`` is each provider's best-response gap over its
     best-response utility, maximized over providers; it is reported next to
@@ -118,19 +119,13 @@ class EquilibriumReport:
     clearing_gap: float
     br_gap: float
     br_gap_rel: float
-    tol: float
 
     @property
     def is_equilibrium(self) -> bool:
-        return max(self.budget_gap, self.clearing_gap, self.br_gap) <= self.tol
+        return max(self.budget_gap, self.clearing_gap, self.br_gap) <= EQUILIBRIUM_TOL
 
 
-def verify_equilibrium(
-    scn: NormalizedScenario,
-    allocation: Allocation,
-    prices: np.ndarray,
-    tol: float = EQUILIBRIUM_TOL,
-) -> EquilibriumReport:
+def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: np.ndarray) -> EquilibriumReport:
     """Check the two market-equilibrium conditions plus budget balance.
 
     budget_gap: ``max_s |sum p.x_s - B_s|``.
@@ -165,7 +160,6 @@ def verify_equilibrium(
         budget_gap=budget_gap,
         clearing_gap=clearing_gap,
         br_gap=br_gap,
-        tol=tol,
         br_gap_rel=br_gap_rel,
     )
 
@@ -173,9 +167,7 @@ def verify_equilibrium(
 @dataclass
 class SolveReport:
     """Everything a solve produces: allocation, prices, utilities, residual
-    diagnostics and iteration traces.  ``bids``, a market equilibrium's dense
-    bid tensor (None for the other schemes), is scattered on first read from
-    its per-slot bids ``bid_slots``, which the solve sets."""
+    diagnostics and iteration traces."""
 
     scn: NormalizedScenario
     method: str
@@ -188,11 +180,6 @@ class SolveReport:
     residuals: dict[str, float]
     potential_trace: np.ndarray | None = None
     price_trace: np.ndarray | None = None
-    bid_slots: np.ndarray | None = None
-
-    @cached_property
-    def bids(self) -> np.ndarray | None:
-        return None if self.bid_slots is None else self.scn.index.kernel.dense(self.bid_slots)
 
 
 def make_report(

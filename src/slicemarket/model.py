@@ -9,8 +9,8 @@ resource per unit service rate; all file I/O stays in physical units.
 
 :class:`MarketIndex` is compiled on a slot layout, one slot per good a
 (provider, cell, class) triple consumes.  The solvers and their reports work on
-the slots; a report's dense ``[n_triples, n_goods]`` views are scattered from
-them when read.
+the slots; a report's one dense ``[n_triples, n_goods]`` view, its allocation,
+is scattered from them when read.
 Every degree-one utility, and the unit cost of one, is a CES aggregate over a
 provider's variables, evaluated by :class:`CESAggregate`.  The index keeps two:
 the providers' utilities of their rates (:attr:`MarketIndex.utility`) and
@@ -213,12 +213,10 @@ def effective_weight(users: int, alpha: float, weight: float | None) -> float:
         return float(users)
     if weight is not None:
         return float(weight)
-    w = float(users) ** alpha
-    if not math.isfinite(w):
-        raise ScenarioError(
-            f"default weight {users}**{alpha} overflows; supply explicit weights"
-        )
-    return w
+    try:
+        return float(users) ** alpha
+    except OverflowError:
+        raise ScenarioError(f"default weight {users}**{alpha} overflows; supply explicit weights") from None
 
 
 @dataclass(frozen=True)
@@ -788,6 +786,15 @@ def _alpha_from_json(value) -> float:
     return float(value)
 
 
+def _users_from_json(entry) -> int:
+    """A support entry's user count; a fractional count is an error, never
+    truncated."""
+    value = entry["users"]
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"user count {value!r} at ({entry['cell']!r}, {entry['class']!r}) is not an integer")
+    return int(value)
+
+
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -850,7 +857,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
                     SupportEntry(
                         cell=str(e["cell"]),
                         klass=str(e["class"]),
-                        users=int(e["users"]),
+                        users=_users_from_json(e),
                         weight=float(e["weight"]) if "weight" in e else None,
                     )
                     for e in sp["support"]

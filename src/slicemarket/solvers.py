@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import Allocation, SolveReport, _checked_prices, make_report, utilities, verify_equilibrium
+from .market import EQUILIBRIUM_TOL, Allocation, SolveReport, _checked_prices, make_report, utilities, verify_equilibrium
 from .model import CellBlocks, CESAggregate, MarketIndex, NormalizedScenario
 
 
@@ -230,8 +230,8 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     (:func:`_eg_gap`) at the returned prices and rates in
     ``residuals["duality_gap"]``.  Identical scenarios give identical
     reports.  ``converged`` means that the budget and clearing gaps of
-    :func:`~slicemarket.market.verify_equilibrium` are within its default
-    tolerance and the duality gap is at most ``SO_GAP_TOL``; the
+    :func:`~slicemarket.market.verify_equilibrium` are within
+    ``EQUILIBRIUM_TOL`` and the duality gap is at most ``SO_GAP_TOL``; the
     best-response gaps ``residuals["br_gap"]`` (absolute) and
     ``residuals["br_gap_rel"]`` (relative to the best-response utility) are
     reported next to them.  The decentralized route to the same
@@ -246,9 +246,7 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     else:
         demanded = index.demanded_goods()
         p, iterations = _price_newton(index, np.where(demanded, 1.0 / demanded.sum(), 0.0))
-        pd_slots, pd = kernel.row_prices(p)
-        demand = kernel.rates(pd)[0]
-        rates = _repair_rates(index, demand, np.ones(index.n_goods))
+        rates = _repair_rates(index, kernel.rates(kernel.row_prices(p)[1])[0], np.ones(index.n_goods))
     with np.errstate(divide="ignore"):
         gap = _eg_gap(index, p, index.utility(np.log(rates)))[0]
     allocation = Allocation(rates, index)
@@ -260,17 +258,15 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
         "br_gap_rel": check.br_gap_rel,
         "duality_gap": gap,
     }
-    report = make_report(
+    return make_report(
         scn,
         method="barrier" if barrier else "tatonnement",
         prices=p,
         allocation=allocation,
         iterations=iterations,
-        converged=max(check.budget_gap, check.clearing_gap) <= check.tol and gap <= SO_GAP_TOL,
+        converged=max(check.budget_gap, check.clearing_gap) <= EQUILIBRIUM_TOL and gap <= SO_GAP_TOL,
         residuals=residuals,
     )
-    report.bid_slots = (rates[:, None] * kernel.demand) * p[kernel.goods] if barrier else demand[:, None] * pd_slots
-    return report
 
 
 def _eg_gap(index: MarketIndex, prices: np.ndarray, log_u: np.ndarray) -> tuple[float, np.ndarray]:

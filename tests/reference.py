@@ -18,6 +18,16 @@ def dense_demand(index):
     return out
 
 
+def report_bids(rep):
+    """A solve report's dense bids ``[n_triples, n_goods]``: a dynamics run's
+    last round, every provider's update against the prices before it, or
+    any other solve's spending ``u d p``."""
+    index = rep.scn.index
+    if rep.method == "dynamics":
+        return index.kernel.dense(index.kernel.bids(rep.price_trace[-2])[0])
+    return (rep.allocation.rates[:, None] * dense_demand(index)) * rep.prices
+
+
 def service_rate(x, demand):
     """Leontief service rate ``min_r x_r / d_r`` over the consumed resources
     (``d_r > 0``) along the last axis: of one bundle, or of every row."""

@@ -100,6 +100,20 @@ def test_gen_writes_scenarios(tmp_path):
     assert {c["id"] for c in doc["cells"]} == {f"cell{i}" for i in range(1, 8)}
 
 
+def test_gen_rejects_zero_instances(tmp_path, capsys):
+    out = tmp_path / "gen"
+    rc = main(["gen", "--out", str(out), "--instances", "0"])
+    assert rc == 2
+    assert "count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_default_weight_is_an_error(capsys):
+    rc = main(["solve", "--scheme", "me", "--alpha", "200"])
+    assert rc == 2
+    assert "overflows; supply explicit weights" in capsys.readouterr().err
+
+
 def test_alpha_inf_parsing(tmp_path):
     rc = main(["solve", "--seed", "1", "--alpha", "inf", "--scheme", "ss"])
     assert rc == 0

@@ -8,14 +8,12 @@ import pytest
 from slicemarket import (
     CellDef,
     ClassDef,
-    DynamicsConfig,
     LoadModel,
     ProviderDef,
     ResourceDef,
     ScenarioSpec,
     SupportEntry,
     bid_update,
-    eval_potential,
     instantiate,
     normalize_scenario,
     benchmark_preset,
@@ -25,8 +23,14 @@ from slicemarket import (
     uniform_bids,
 )
 from slicemarket.dynamics import UnsupportedRegimeError
-from tests.reference import bregman_gap, dense_demand, dense_divergence, dense_potential, eval_dual
+from tests.reference import bregman_gap, dense_demand, dense_divergence, dense_potential, eval_dual, report_bids
 from tests.reference import kl, potential_gradient, random_feasible_bids
+
+
+def library_potential(scn, b):
+    """The library's potential at dense bids ``b``: the first entry of the
+    potential trace of a dynamics run started there."""
+    return run_dynamics(scn, initial_bids=b, max_iterations=1).potential_trace[0]
 
 
 def one_sp_two_goods(alpha=1.0, weights=(1.0,)):
@@ -85,9 +89,11 @@ class TestKL:
 class TestPotential:
     def test_sole_bidder_alpha_one_is_zero(self):
         scn = one_sp_two_goods(1.0)
-        phi = eval_potential(scn, np.array([[0.5, 0.5]]))
-        assert phi.phi_total == pytest.approx(0.0, abs=1e-12)
-        assert phi.phi_eq1 == phi.phi_total
+        b = np.array([[0.5, 0.5]])
+        phi = library_potential(scn, b)
+        assert phi == pytest.approx(0.0, abs=1e-12)
+        # an alpha = 1 market's potential is its entropy term alone
+        assert phi == float(np.sum(b * np.log(b / (b.sum(axis=0) * dense_demand(scn.index)))))
 
     def test_two_identical_bidders(self):
         cells = (CellDef("c0", (ResourceDef("r0", 1.0), ResourceDef("r1", 1.0))),)
@@ -97,31 +103,23 @@ class TestPotential:
             for i in range(2)
         )
         scn = normalize_scenario(ScenarioSpec(cells, classes, sps))
-        phi = eval_potential(scn, np.full((2, 2), 0.25))
-        assert phi.phi_total == pytest.approx(4 * 0.25 * math.log(0.5))
-
-    def test_breakdown_sums(self):
-        rng = np.random.default_rng(5)
-        spec = random_scenario(rng, alphas=[1.0, 2.0, math.inf])
-        scn = normalize_scenario(spec)
-        b = random_feasible_bids(scn, rng)
-        phi = eval_potential(scn, b)
-        assert phi.phi_total == pytest.approx(phi.phi_eq1 + phi.phi_between + phi.phi_inf)
+        phi = library_potential(scn, np.full((2, 2), 0.25))
+        assert phi == pytest.approx(4 * 0.25 * math.log(0.5))
 
     def test_rejects_alpha_below_one(self):
         scn = two_class_scn(0.5)
         with pytest.raises(UnsupportedRegimeError):
-            eval_potential(scn, uniform_bids(scn.index))
+            library_potential(scn, uniform_bids(scn.index))
 
     def test_minimized_at_equilibrium(self):
         rng = np.random.default_rng(11)
         spec = random_scenario(rng, alphas=[1.0, 2.0], n_sps=2, n_cells=2)
         scn = normalize_scenario(spec)
-        ref = run_dynamics(scn, DynamicsConfig(max_iterations=30000, tol=1e-13))
-        phi_star = eval_potential(scn, ref.bids).phi_total
+        ref = run_dynamics(scn, max_iterations=30000, tol=1e-13)
+        phi_star = dense_potential(scn, report_bids(ref))
         for _ in range(200):
             b = random_feasible_bids(scn, rng)
-            assert eval_potential(scn, b).phi_total >= phi_star - 1e-9
+            assert dense_potential(scn, b) >= phi_star - 1e-9
 
 
 class TestDual:
@@ -130,7 +128,7 @@ class TestDual:
         spec = random_scenario(rng, alphas=[1.0, 1.5, math.inf], n_sps=3)
         scn = normalize_scenario(spec)
         rep = run_dynamics(scn)
-        phi_star = eval_potential(scn, rep.bids).phi_total
+        phi_star = dense_potential(scn, report_bids(rep))
         assert abs(eval_dual(scn, rep.prices) - phi_star) <= 1e-8
 
     def test_weak_duality_and_sandwich(self):
@@ -138,11 +136,11 @@ class TestDual:
         spec = random_scenario(rng, alphas=[1.0, 2.0, 5.0], n_sps=3)
         scn = normalize_scenario(spec)
         rep = run_dynamics(scn)
-        phi_star = eval_potential(scn, rep.bids).phi_total
+        phi_star = dense_potential(scn, report_bids(rep))
         ups_star = eval_dual(scn, rep.prices)
         for _ in range(100):
             b = random_feasible_bids(scn, rng)
-            phi = eval_potential(scn, b).phi_total
+            phi = dense_potential(scn, b)
             ups = eval_dual(scn, b.sum(axis=0))
             assert ups <= phi + 1e-10
             assert ups - ups_star >= phi_star - phi - 1e-9
@@ -284,9 +282,7 @@ class TestGradientAndBregman:
                 bp, bm = b.copy(), b.copy()
                 bp[i, g] += h
                 bm[i, g] -= h
-                fd = (
-                    eval_potential(scn, bp).phi_total - eval_potential(scn, bm).phi_total
-                ) / (2 * h)
+                fd = (dense_potential(scn, bp) - dense_potential(scn, bm)) / (2 * h)
                 assert grad[i, g] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_gradient_rejects_zero_bids(self):
@@ -323,7 +319,7 @@ class TestRunDynamics:
     def test_preset_alpha_one_price_convergence_at_cell2(self):
         spec = instantiate(benchmark_preset(), LoadModel(seed=0), 0).with_alphas(1.0)
         scn = normalize_scenario(spec)
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=200, tol=0.0))
+        rep = run_dynamics(scn, max_iterations=200, tol=0.0)
         cell2 = [g for g, (c, r) in enumerate(scn.index.goods) if c == "cell2"]
         trace = rep.price_trace[:, cell2]
         delta = np.abs(trace[-1] - trace[-2])
@@ -336,10 +332,11 @@ class TestRunDynamics:
         scn = normalize_scenario(spec)
         ref = solve_eg(scn)
         assert ref.converged
-        phi_star = eval_potential(scn, ref.bids).phi_total
+        ref_bids = report_bids(ref)
+        phi_star = dense_potential(scn, ref_bids)
         b0 = uniform_bids(scn.index)
-        budget = dense_divergence(scn, ref.bids, b0)
-        run = run_dynamics(scn, DynamicsConfig(max_iterations=1000, tol=0.0))
+        budget = dense_divergence(scn, ref_bids, b0)
+        run = run_dynamics(scn, max_iterations=1000, tol=0.0)
         # the O(1/T) certificate holds at every recorded step, not just the last
         steps = np.arange(1, 1001)
         assert np.all(run.potential_trace[1:] - phi_star <= budget / steps + 1e-8)
@@ -356,14 +353,14 @@ class TestRunDynamics:
         rng = np.random.default_rng(53)
         spec = random_scenario(rng, alphas=[2.0], n_sps=3)
         scn = normalize_scenario(spec)
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=2, tol=1e-14))
+        rep = run_dynamics(scn, max_iterations=2, tol=1e-14)
         assert not rep.converged
 
     def test_trace_lengths(self):
         rng = np.random.default_rng(59)
         spec = random_scenario(rng, alphas=[1.0], n_sps=2)
         scn = normalize_scenario(spec)
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=50, tol=0.0))
+        rep = run_dynamics(scn, max_iterations=50, tol=0.0)
         assert len(rep.potential_trace) == rep.iterations + 1
         assert rep.price_trace.shape[0] == rep.iterations + 1
 
@@ -372,11 +369,16 @@ class TestRunDynamics:
         with pytest.raises(UnsupportedRegimeError):
             run_dynamics(scn)
 
+    @pytest.mark.parametrize("options", [{"max_iterations": 0}, {"tol": -1e-9}, {"tol": math.nan}])
+    def test_rejects_bad_options(self, options):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1|tol must be nonnegative"):
+            run_dynamics(two_class_scn(2.0), **options)
+
     def test_potential_trace_decreases_to_optimum(self):
         rng = np.random.default_rng(61)
         spec = random_scenario(rng, alphas=[1.0, 2.0], n_sps=3)
         scn = normalize_scenario(spec)
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=400, tol=0.0))
+        rep = run_dynamics(scn, max_iterations=400, tol=0.0)
         # diagnostics, not an assumption: by the end the potential is at its
         # minimum over the trace
         assert rep.potential_trace[-1] == pytest.approx(rep.potential_trace.min(), abs=1e-9)
@@ -386,11 +388,8 @@ def test_custom_initial_bids_reach_the_same_prices():
     rng = np.random.default_rng(71)
     spec = random_scenario(rng, alphas=[1.5, 2.0], n_sps=2)
     scn = normalize_scenario(spec)
-    base = run_dynamics(scn, DynamicsConfig(tol=1e-12))
-    custom = run_dynamics(
-        scn,
-        DynamicsConfig(tol=1e-12, initial_bids=random_feasible_bids(scn, rng)),
-    )
+    base = run_dynamics(scn, tol=1e-12)
+    custom = run_dynamics(scn, tol=1e-12, initial_bids=random_feasible_bids(scn, rng))
     assert np.allclose(base.prices, custom.prices, atol=1e-8)
 
 
@@ -398,12 +397,13 @@ def test_update_equals_own_fixed_point_bids():
     rng = np.random.default_rng(67)
     spec = random_scenario(rng, alphas=[1.0, 2.0, math.inf], n_sps=3)
     scn = normalize_scenario(spec)
-    rep = run_dynamics(scn, DynamicsConfig(tol=1e-13))
-    prices = rep.bids.sum(axis=0)
-    joint = np.zeros_like(rep.bids)
+    rep = run_dynamics(scn, tol=1e-13)
+    bids = report_bids(rep)
+    prices = bids.sum(axis=0)
+    joint = np.zeros_like(bids)
     for s in range(scn.index.n_sps):
         joint += bid_update(scn, prices, s)
-    assert np.allclose(joint, rep.bids, atol=1e-9)
+    assert np.allclose(joint, bids, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +416,14 @@ def test_slot_potential_matches_dense_formula():
     for n in range(12):
         alphas = [[1.0, 2.0, math.inf], [1.5, 5.0], [1.0], [math.inf, 3.0]][n % 4]
         scn = normalize_scenario(random_scenario(rng, alphas=alphas, n_sps=3))
-        run = run_dynamics(scn, DynamicsConfig(max_iterations=30, tol=0.0))
-        bids = [random_feasible_bids(scn, rng) for _ in range(4)] + [uniform_bids(scn.index), run.bids]
+        run = run_dynamics(scn, max_iterations=30, tol=0.0)
+        run_bids = report_bids(run)
+        bids = [random_feasible_bids(scn, rng) for _ in range(4)] + [uniform_bids(scn.index), run_bids]
         for b in bids:
             ref = dense_potential(scn, b)
-            assert abs(eval_potential(scn, b).phi_total - ref) <= 1e-13 * max(1.0, abs(ref))
+            assert abs(library_potential(scn, b) - ref) <= 1e-13 * max(1.0, abs(ref))
         # the run's trace is the slot potential of its rounds
-        assert abs(run.potential_trace[-1] - dense_potential(scn, run.bids)) <= 1e-13 * max(1.0, abs(run.potential_trace[-1]))
+        assert abs(run.potential_trace[-1] - dense_potential(scn, run_bids)) <= 1e-13 * max(1.0, abs(run.potential_trace[-1]))
 
 
 def test_bids_off_the_consumed_goods_are_rejected():
@@ -434,9 +435,9 @@ def test_bids_off_the_consumed_goods_are_rejected():
         scn = normalize_scenario(ScenarioSpec(cells, classes, (sp,)))
     stray = np.array([[0.75, 0.25]])
     for call in (
-        lambda: eval_potential(scn, stray),
-        lambda: run_dynamics(scn, DynamicsConfig(initial_bids=stray)),
+        lambda: library_potential(scn, stray),
+        lambda: run_dynamics(scn, initial_bids=stray),
     ):
         with pytest.raises(ValueError, match="off the consumed goods"):
             call()
-    assert eval_potential(scn, np.array([[1.0, 0.0]])).phi_total == pytest.approx(0.0, abs=1e-15)
+    assert library_potential(scn, np.array([[1.0, 0.0]])) == pytest.approx(0.0, abs=1e-15)

@@ -10,7 +10,6 @@ import pytest
 from slicemarket import (
     CellDef,
     ClassDef,
-    DynamicsConfig,
     LoadModel,
     ProviderDef,
     ResourceDef,
@@ -149,7 +148,7 @@ class TestPriceTrace:
         load = LoadModel(seed=11)
         goods, path = _convergence_study(benchmark_preset(), load)
         scn = normalize_scenario(instantiate(benchmark_preset(), load, 0).with_alphas(1.0))
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=CONVERGENCE_ROUNDS, tol=0.0))
+        rep = run_dynamics(scn, max_iterations=CONVERGENCE_ROUNDS, tol=0.0)
         assert goods == scn.index.goods
         assert path.shape == (CONVERGENCE_ROUNDS + 1, scn.index.n_goods)
         assert np.array_equal(path, rep.price_trace)
@@ -167,7 +166,7 @@ class TestPriceTrace:
             ProviderDef("sp1", 0.4, 1.0, (SupportEntry('c,"0"', "k0", 1), SupportEntry("c\n1", "k1", 4))),
         )
         scn = normalize_scenario(ScenarioSpec(cells, classes, sps))
-        rep = run_dynamics(scn, DynamicsConfig(max_iterations=40))
+        rep = run_dynamics(scn, max_iterations=40)
         rows = [
             (it, cell, resource, float(rep.price_trace[it, g]))
             for it in range(len(rep.price_trace))

@@ -11,7 +11,6 @@ from slicemarket import (
     Allocation,
     CellDef,
     ClassDef,
-    DynamicsConfig,
     LoadModel,
     ProviderDef,
     ResourceDef,
@@ -29,7 +28,7 @@ from slicemarket import (
     verify_equilibrium,
 )
 from slicemarket.market import make_report, settle_bids
-from tests.reference import dense_demand, service_rate, tp_allocate
+from tests.reference import dense_demand, report_bids, service_rate, tp_allocate
 from tests.test_kernel import mixed_scenario
 
 
@@ -323,7 +322,7 @@ class TestVerifyEquilibrium:
     def test_solver_output_verifies(self):
         scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [2.0, 1.0], [0.4, 0.6])
         me = solve_eg(scn)
-        rep = verify_equilibrium(scn, me.allocation, me.prices, tol=1e-6)
+        rep = verify_equilibrium(scn, me.allocation, me.prices)
         assert rep.is_equilibrium
         # budget balance and unit price mass at the equilibrium
         spend = (me.prices[None, :] * me.allocation.x).sum(axis=1)
@@ -334,8 +333,9 @@ class TestVerifyEquilibrium:
 def test_settle_bids_matches_tp_at_interior_fixed_point():
     scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [1.0, 1.0], [0.5, 0.5])
     me = solve_eg(scn)
-    prices, alloc = settle_bids(scn, me.bid_slots)
-    _, tp_alloc = tp_allocate(scn, me.bids)
+    bids = report_bids(me)
+    prices, alloc = settle_bids(scn, scn.index.kernel.gather(bids))
+    _, tp_alloc = tp_allocate(scn, bids)
     assert np.allclose(alloc.rates, tp_alloc.rates, rtol=1e-9)
 
 
@@ -371,22 +371,13 @@ def test_reports_match_dense_formulas():
     for spec in specs:
         for alpha in (None, 0.0, 2.0):
             scn = normalize_scenario(spec if alpha is None else spec.with_alphas(alpha))
-            index, kernel = scn.index, scn.index.kernel
-            demand = dense_demand(index)
             me = solve_eg(scn)
             routes.add(me.method)
-            p = me.prices
-            if me.method == "barrier":
-                bids = (me.allocation.rates[:, None] * demand) * p
-            else:
-                bids = kernel.rates(kernel.row_prices(p)[1])[0][:, None] * (p[None, :] * demand)
-            assert np.array_equal(me.bids, bids)
             for rep in (me, solve_social_optimal(scn), static_share(scn)):
                 assert_dense_report(rep)
             if alpha == 2.0:
-                dyn = run_dynamics(scn, DynamicsConfig(max_iterations=40))
-                assert np.array_equal(dyn.bids, kernel.dense(kernel.bids(dyn.price_trace[-2])[0]))
-                assert np.array_equal(dyn.bids.sum(axis=0), dyn.prices)
+                dyn = run_dynamics(scn, max_iterations=40)
+                assert np.array_equal(report_bids(dyn).sum(axis=0), dyn.prices)
                 assert_dense_report(dyn)
     assert routes == {"barrier", "tatonnement"}
 
@@ -428,7 +419,7 @@ def test_infinite_utilities_are_not_converged(solve):
 
 
 def dynamics_20(scn):
-    return run_dynamics(scn, DynamicsConfig(max_iterations=20))
+    return run_dynamics(scn, max_iterations=20)
 
 
 def renormalize(scn):

@@ -132,6 +132,12 @@ def test_default_weights_follow_alpha():
     assert scn.index.weights[1] == pytest.approx(4.0)  # users at alpha=inf
 
 
+def test_overflowing_default_weight_rejected():
+    with pytest.raises(ScenarioError, match=r"default weight 100\*\*200.0 overflows"):
+        effective_weight(100, 200.0, None)
+    assert effective_weight(100, 200.0, 2.0) == 2.0
+
+
 def test_zero_user_triples_dropped():
     spec = two_sp_spec(users=(1, 1))
     extra = ProviderDef(
@@ -179,6 +185,15 @@ def test_schema_version_rejected():
     doc["schema_version"] = 99
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc)
+
+
+def test_fractional_user_count_rejected():
+    doc = scenario_to_dict(two_sp_spec(users=(3, 1)))
+    doc["sps"][0]["support"][0]["users"] = 2.5
+    with pytest.raises(ScenarioError, match="user count 2.5 at .* is not an integer"):
+        scenario_from_dict(doc)
+    doc["sps"][0]["support"][0]["users"] = 3.0
+    assert scenario_from_dict(doc) == two_sp_spec(users=(3, 1))
 
 
 def test_undemanded_resource_warns():

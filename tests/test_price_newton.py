@@ -15,7 +15,6 @@ from scipy.special import logsumexp
 from slicemarket import (
     CellDef,
     ClassDef,
-    DynamicsConfig,
     LoadModel,
     ProviderDef,
     ResourceDef,
@@ -142,7 +141,7 @@ def test_agrees_with_bid_dynamics_at_alpha_geq_one():
     for _ in range(30):
         scn = normalize_scenario(random_scenario(rng, alphas=[1.0, 1.5, 2.0, 5.0, math.inf]))
         rep = solve_eg(scn)
-        dyn = run_dynamics(scn, DynamicsConfig(max_iterations=100000, tol=1e-13))
+        dyn = run_dynamics(scn, max_iterations=100000, tol=1e-13)
         assert rep.converged and dyn.converged
         np.testing.assert_allclose(rep.prices, dyn.prices, rtol=0, atol=1e-10)
 

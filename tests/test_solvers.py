@@ -208,7 +208,7 @@ class TestSolveEG:
         for alpha in (1.0, 2.0):
             scn = normalize_scenario(spec.with_alphas(alpha))
             rep = solve_eg(scn)
-            check = verify_equilibrium(scn, rep.allocation, rep.prices, tol=1e-6)
+            check = verify_equilibrium(scn, rep.allocation, rep.prices)
             assert check.is_equilibrium
 
 
@@ -363,7 +363,7 @@ def test_fixed_point_passes_verification():
     spec = random_scenario(rng, alphas=[1.0, 2.0, math.inf])
     scn = normalize_scenario(spec)
     rep = solve_eg(scn)
-    check = verify_equilibrium(scn, rep.allocation, rep.prices, tol=1e-6)
+    check = verify_equilibrium(scn, rep.allocation, rep.prices)
     assert check.is_equilibrium
 
 
