@@ -41,11 +41,11 @@ def _parse_alpha_list(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _load_spec(args, seed: int):
-    """Scenario from --config, or a preset instance drawn at the seed."""
+def _load_spec(args):
+    """Scenario from --config, or a preset instance drawn at --seed (0 if none)."""
     if args.config:
         return load_scenario(args.config)
-    return instantiate(benchmark_preset(), LoadModel(seed=seed), 0)
+    return instantiate(benchmark_preset(), LoadModel(seed=args.seed or 0), 0)
 
 
 def _print_report(rep, index) -> None:
@@ -69,7 +69,7 @@ def _single_alpha(args):
 
 
 def cmd_solve(args) -> int:
-    spec = _load_spec(args, args.seed)
+    spec = _load_spec(args)
     alpha = _single_alpha(args)
     if alpha is not None:
         spec = spec.with_alphas(alpha)
@@ -99,7 +99,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    spec = _load_spec(args, args.seed)
+    spec = _load_spec(args)
     alpha = _single_alpha(args)
     if alpha is not None:
         spec = spec.with_alphas(alpha)
@@ -148,7 +148,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = _load_spec(args, args.seed)
+    spec = _load_spec(args)
     alphas = args.alpha or (1.0, 2.0, 3.0)
     rows = []
     print("scheme comparison (per-provider degree-one utilities)")
@@ -184,7 +184,7 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     template = load_scenario(args.config) if args.config else benchmark_preset()
-    load = LoadModel(seed=args.seed if args.seed is not None else 0)
+    load = LoadModel(seed=args.seed or 0)
     specs = generate_instances(template, load, 10 if args.instances is None else args.instances)
     out = args.out or "scenarios"
     os.makedirs(out, exist_ok=True)
@@ -244,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # default the seed where the command needs one
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

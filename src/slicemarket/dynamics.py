@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market import BID_FLOOR, make_report, settle_bids, verify_equilibrium
+from .market import BID_FLOOR, equilibrium_report, settle_bids, verify_equilibrium
 from .model import DemandKernel, MarketIndex, NormalizedScenario
 
 #: Relative price changes are measured against at least this price level, so
@@ -141,14 +141,18 @@ def run_dynamics(
     initial_bids: np.ndarray | None = None,
 ):
     """Iterate simultaneous bid updates from uniform (or given) initial bids
-    until the maximum relative price change drops below ``tol``, for at most
-    ``max_iterations`` rounds.
+    until the settled bids pass the equilibrium check, for at most
+    ``max_iterations`` rounds.  Given initial bids are dense ``[n_triples,
+    n_goods]`` and must lie on the consumed goods
+    (:meth:`~slicemarket.model.DemandKernel.gather`).
 
-    Given initial bids are dense ``[n_triples, n_goods]`` and must lie on the
-    consumed goods (:meth:`~slicemarket.model.DemandKernel.gather`).  Returns
-    a :class:`~slicemarket.market.SolveReport` with the potential and price
-    traces; ``converged`` is False when the iteration budget runs out, never
-    a silent success.
+    The check is :func:`~slicemarket.market.verify_equilibrium`, which
+    :func:`~slicemarket.solvers.solve_eg` ends in too.  It runs after each
+    round whose largest relative price change is below ``tol`` and after the
+    last round, so a ``tol=0`` run takes exactly ``max_iterations`` rounds.
+    Returns a :class:`~slicemarket.market.SolveReport` with the potential
+    and price traces, the check's gaps as ``residuals`` and its rule as
+    ``converged``.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -162,8 +166,6 @@ def run_dynamics(
     prices = kernel.per_good(slots)
     phis = [_potential(index, slots, prices)]
     price_rows = [prices]
-    converged = False
-    it = 0
     for it in range(1, max_iterations + 1):
         slots, new_prices = _bid_round(kernel, prices)
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
@@ -171,25 +173,9 @@ def run_dynamics(
         prices = new_prices
         phis.append(_potential(index, slots, prices))
         price_rows.append(prices)
-        if change < tol:
-            converged = True
-            break
-
-    final_prices, allocation = settle_bids(scn, slots)
-    check = verify_equilibrium(scn, allocation, final_prices)
-    return make_report(
-        scn,
-        method="dynamics",
-        prices=final_prices,
-        allocation=allocation,
-        iterations=it,
-        converged=converged and check.is_equilibrium,
-        residuals={
-            "budget_gap": check.budget_gap,
-            "clearing_gap": check.clearing_gap,
-            "br_gap": check.br_gap,
-            "br_gap_rel": check.br_gap_rel,
-        },
-        potential_trace=np.array(phis),
-        price_trace=np.array(price_rows),
-    )
+        if change < tol or it == max_iterations:
+            settled, allocation = settle_bids(scn, slots)
+            check = verify_equilibrium(scn, allocation, settled)
+            if check.is_equilibrium or it == max_iterations:
+                traces = np.array(phis), np.array(price_rows)
+                return equilibrium_report(scn, "dynamics", settled, allocation, it, check, *traces)

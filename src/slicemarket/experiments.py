@@ -107,9 +107,9 @@ def config_from_dict(doc: dict, base: ExperimentConfig | None = None) -> Experim
         "full_paper_scale": bool,
         "budget_sweep_sp": str,
     }
-    for key, cast in simple.items():
+    for key, kind in simple.items():
         if key in doc and doc[key] is not None:
-            kwargs[key] = cast(doc[key])
+            kwargs[key] = _typed(key, doc[key], kind)
     for key in ("alphas", "budget_fractions", "budget_alphas"):
         if key in doc:
             try:
@@ -122,6 +122,17 @@ def config_from_dict(doc: dict, base: ExperimentConfig | None = None) -> Experim
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     return replace(cfg, **kwargs)
+
+
+def _typed(key: str, value, kind: type):
+    """A JSON field's ``value`` as ``kind``; ``ValueError`` naming the field
+    when a bool field is not a JSON bool or an int field is a bool or not
+    integral, where a cast would take ``"false"`` as true and 2.5 as 2."""
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{key}: expected true or false, got {value!r}")
+    if kind is int and (isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return kind(value)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -1,5 +1,5 @@
 """Stateless market mechanics: SP utilities, the settlement of bids into an
-allocation, and market-equilibrium verification.
+allocation, and the one check and report of every market equilibrium.
 
 Conventions: a price vector is a ``[n_goods]`` array for the whole normalized
 resource.  Solves, their settlement and reports keep bids and allocations on
@@ -12,14 +12,18 @@ bundles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .model import MarketIndex, NormalizedScenario
 
-#: Tolerance for declaring a (price, allocation) pair an equilibrium.
+#: Largest budget and clearing gaps of an equilibrium.
 EQUILIBRIUM_TOL = 1e-6
+
+#: Largest duality gap of a certified solve: the Eisenberg-Gale gap of an
+#: equilibrium, the relative welfare or utility gap of an SO or SS solve.
+GAP_TOL = 1e-9
 
 #: Bids below this are treated as exact zeros inside logarithms (diagnostics
 #: only; the update rules never floor).
@@ -41,11 +45,16 @@ def utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
     which is what the equilibrium program and cross-scheme welfare
     comparisons require.
     """
+    return np.exp(_log_utilities(scn, rates))
+
+
+def _log_utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
+    """The logs of :func:`utilities`; ``ValueError`` on a negative rate."""
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("negative service rate")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.exp(scn.index.utility(np.log(rates)))
+        return scn.index.utility(np.log(rates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,26 +116,29 @@ def settle_bids(scn: NormalizedScenario, bid_slots: np.ndarray) -> tuple[np.ndar
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Gap diagnostics for a candidate (price, allocation) pair; it is an
-    equilibrium when the absolute gaps are within ``EQUILIBRIUM_TOL``.
+    """Gap diagnostics for a candidate (price, allocation) pair.  It is an
+    equilibrium when the budget and clearing gaps are within
+    ``EQUILIBRIUM_TOL`` and the duality gap is within ``GAP_TOL``.
 
-    ``br_gap_rel`` is each provider's best-response gap over its
-    best-response utility, maximized over providers; it is reported next to
-    the absolute gaps and takes no part in :attr:`is_equilibrium`.
+    ``br_gap`` and ``br_gap_rel`` are the best-response gaps, absolute and
+    over the best-response utility; they are reported next to the others
+    and take no part in :attr:`is_equilibrium`.
     """
 
     budget_gap: float
     clearing_gap: float
     br_gap: float
     br_gap_rel: float
+    duality_gap: float
 
     @property
     def is_equilibrium(self) -> bool:
-        return max(self.budget_gap, self.clearing_gap, self.br_gap) <= EQUILIBRIUM_TOL
+        return max(self.budget_gap, self.clearing_gap) <= EQUILIBRIUM_TOL and self.duality_gap <= GAP_TOL
 
 
 def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: np.ndarray) -> EquilibriumReport:
-    """Check the two market-equilibrium conditions plus budget balance.
+    """Check the two market-equilibrium conditions plus budget balance, and
+    certify the pair by the Eisenberg-Gale duality gap.
 
     budget_gap: ``max_s |sum p.x_s - B_s|``.
     clearing_gap: ``max_g |(usage - capacity) * p|`` (Walras complementarity).
@@ -136,6 +148,9 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
     br_gap_rel: ``max_s`` of the same gap over ``U_s(best response at p)``;
     the degree-one utility is homogeneous in rates, but the class weights
     set its scale.
+    duality_gap: the Eisenberg-Gale gap (:func:`_eg_gap`) at ``prices`` and
+    the held utilities, on the scale of the unit total budget whatever the
+    class weights; its log unit costs are those of the best responses.
     """
     index = scn.index
     prices = _checked_prices(index, prices)
@@ -144,11 +159,12 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
     budget_gap = float(np.abs(spend - index.budgets).max())
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())
 
-    u_br = index.kernel.rates(pd)[0]
-    best, held = utilities(scn, np.stack([u_br, allocation.rates]))
+    u_br, log_e = index.kernel.rates(pd)
+    log_best, log_held = _log_utilities(scn, np.stack([u_br, allocation.rates]))
+    duality_gap = _eg_gap(index, prices, np.log(index.budgets) - log_e, log_held)[0]
     # an alpha-0 provider's best responses are not unique and are not checked
     checked = index.alphas > 0.0
-    best, held = best[checked], held[checked]
+    best, held = np.exp(log_best[checked]), np.exp(log_held[checked])
     if not np.all(np.isfinite(best)):
         # demand is unbounded at these prices
         br_gap = br_gap_rel = math.inf
@@ -156,12 +172,20 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
         gap = best - held
         br_gap = float(gap.max(initial=0.0))
         br_gap_rel = float(np.divide(gap, best, out=np.zeros_like(gap), where=best > 0).max(initial=0.0))
-    return EquilibriumReport(
-        budget_gap=budget_gap,
-        clearing_gap=clearing_gap,
-        br_gap=br_gap,
-        br_gap_rel=br_gap_rel,
-    )
+    return EquilibriumReport(budget_gap, clearing_gap, br_gap, br_gap_rel, duality_gap)
+
+
+def _eg_gap(index: MarketIndex, prices: np.ndarray, log_ratios: np.ndarray, log_u: np.ndarray) -> tuple[float, np.ndarray]:
+    """The Eisenberg-Gale duality gap at prices ``p >= 0`` of every good and
+    the providers' log utilities ``log_u``: the dual ``sum p - sum_s B_s (1
+    - r_s)``, with ``log_ratios`` the ``r_s = log B_s - log e_s(D_s p)`` of
+    :meth:`~slicemarket.model.MarketIndex.log_ratios` at ``p``, minus the
+    program's value ``sum_s B_s log U_s``.  By weak duality it is at least 0
+    at every feasible allocation, and it is 0 at the equilibrium.  Returns
+    the gap and every provider's ``r_s - log U_s``, 0 at a best response."""
+    r = log_ratios - log_u
+    budgets = index.budgets
+    return float(prices.sum() - budgets.sum() + budgets @ r), r
 
 
 @dataclass
@@ -210,4 +234,24 @@ def make_report(
         residuals=residuals,
         potential_trace=potential_trace,
         price_trace=price_trace,
+    )
+
+
+def equilibrium_report(
+    scn: NormalizedScenario,
+    method: str,
+    prices: np.ndarray,
+    allocation: Allocation,
+    iterations: int,
+    check: EquilibriumReport,
+    potential_trace: np.ndarray | None = None,
+    price_trace: np.ndarray | None = None,
+) -> SolveReport:
+    """The report of a market-equilibrium solve whose ``allocation`` and
+    ``prices`` gave ``check`` (:func:`verify_equilibrium`): its residuals
+    are the check's five gaps, and it is ``converged`` when the check is an
+    equilibrium (and, as every report, its utilities are finite)."""
+    residuals = asdict(check)
+    return make_report(
+        scn, method, prices, allocation, iterations, check.is_equilibrium, residuals, potential_trace, price_trace
     )

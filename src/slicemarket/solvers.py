@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import EQUILIBRIUM_TOL, Allocation, SolveReport, _checked_prices, make_report, utilities, verify_equilibrium
+from .market import (
+    GAP_TOL, Allocation, SolveReport, _checked_prices, _eg_gap, equilibrium_report, make_report, utilities, verify_equilibrium
+)
 from .model import CellBlocks, CESAggregate, MarketIndex, NormalizedScenario
 
 
@@ -226,17 +228,14 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     ``_BARRIER_MAX_STEPS`` Newton steps), any other by projected Newton
     steps on its price dual (:func:`_price_newton`, method
     ``"tatonnement"``, at most ``_PRICE_NEWTON_MAX_STEPS``); ``iterations``
-    counts the steps.  Both report the program's duality gap
-    (:func:`_eg_gap`) at the returned prices and rates in
-    ``residuals["duality_gap"]``.  Identical scenarios give identical
-    reports.  ``converged`` means that the budget and clearing gaps of
-    :func:`~slicemarket.market.verify_equilibrium` are within
-    ``EQUILIBRIUM_TOL`` and the duality gap is at most ``SO_GAP_TOL``; the
-    best-response gaps ``residuals["br_gap"]`` (absolute) and
-    ``residuals["br_gap_rel"]`` (relative to the best-response utility) are
-    reported next to them.  The decentralized route to the same
-    equilibrium, with its price trace, is
-    :func:`~slicemarket.dynamics.run_dynamics`.
+    counts the steps.  Identical scenarios give identical reports.  The
+    returned prices and rates are checked by
+    :func:`~slicemarket.market.verify_equilibrium`, whose five gaps are the
+    ``residuals`` and whose rule is ``converged``: budget and clearing gaps
+    within ``EQUILIBRIUM_TOL`` and the program's duality gap
+    ``residuals["duality_gap"]`` within ``GAP_TOL``.  The decentralized
+    route to the same equilibrium, with its price trace and the same
+    report, is :func:`~slicemarket.dynamics.run_dynamics`.
     """
     index = scn.index
     kernel = index.kernel
@@ -247,39 +246,9 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
         demanded = index.demanded_goods()
         p, iterations = _price_newton(index, np.where(demanded, 1.0 / demanded.sum(), 0.0))
         rates = _repair_rates(index, kernel.rates(kernel.row_prices(p)[1])[0], np.ones(index.n_goods))
-    with np.errstate(divide="ignore"):
-        gap = _eg_gap(index, p, index.utility(np.log(rates)))[0]
     allocation = Allocation(rates, index)
     check = verify_equilibrium(scn, allocation, p)
-    residuals = {
-        "budget_gap": check.budget_gap,
-        "clearing_gap": check.clearing_gap,
-        "br_gap": check.br_gap,
-        "br_gap_rel": check.br_gap_rel,
-        "duality_gap": gap,
-    }
-    return make_report(
-        scn,
-        method="barrier" if barrier else "tatonnement",
-        prices=p,
-        allocation=allocation,
-        iterations=iterations,
-        converged=max(check.budget_gap, check.clearing_gap) <= EQUILIBRIUM_TOL and gap <= SO_GAP_TOL,
-        residuals=residuals,
-    )
-
-
-def _eg_gap(index: MarketIndex, prices: np.ndarray, log_u: np.ndarray) -> tuple[float, np.ndarray]:
-    """The Eisenberg-Gale duality gap at prices ``p >= 0`` of every good and
-    the providers' log utilities ``log_u``: the dual ``sum p - sum_s B_s (1
-    - r_s)``, with ``r_s = log B_s - log e_s(D_s p)``
-    (:meth:`~slicemarket.model.MarketIndex.log_ratios`), minus the program's
-    value ``sum_s B_s log U_s``.  By weak duality it is at least 0 at every
-    feasible allocation, and it is 0 at the equilibrium.  Returns the gap
-    and every provider's ``r_s - log U_s``, 0 at a best response."""
-    r = index.log_ratios(prices) - log_u
-    budgets = index.budgets
-    return float(prices.sum() - budgets.sum() + budgets @ r), r
+    return equilibrium_report(scn, "barrier" if barrier else "tatonnement", p, allocation, iterations, check)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +541,6 @@ def _log_utility_change(q, x):
 # Single-provider alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
-#: Relative duality gap up to which a static-share solve reports convergence.
-SS_GAP_TOL = 1e-9
-
-
 def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Every provider's optimal rates when it alone holds ``caps[s]`` of each
     good (``caps`` is ``[n_sps, n_goods]``).
@@ -662,11 +627,6 @@ def _block_log_bounds(blocks: CellBlocks, cap: np.ndarray, lam: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 # Social optimum
 # ---------------------------------------------------------------------------
-
-#: Relative duality gap up to which a social-optimum solve reports
-#: convergence.
-SO_GAP_TOL = 1e-9
-
 
 class _WelfareLayout:
     """The variables of the social-optimum program and its welfare, in
@@ -849,15 +809,15 @@ def _eisenberg_gale_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, i
     provider is priced out of an equilibrium) on the variables of
     :class:`_WelfareLayout` with the outer exponent 0.
 
-    The duality gap (:func:`_eg_gap`) is taken at the iterate scaled onto
-    the capacity frontier and at the duals, those below their good's slack
-    set to 0.  It is of second order in each provider's ``r_s - log U_s`` (a
-    gap of 1e-11 leaves budgets off by up to 3e-6), so the solve stops once
-    both are at most ``_BARRIER_STOP_GAP`` in size, or after
-    ``_BARRIER_MAX_STEPS`` steps.  Providers with alpha > 0 then take their
-    one best response at the prices; alpha-0 providers, whose best responses
-    are not unique, keep the solve's rates, cut to the capacity the others
-    leave.  Returns ``(rates, prices, iterations)``.
+    The duality gap (:func:`~slicemarket.market._eg_gap`) is taken at the
+    iterate scaled onto the capacity frontier and at the duals, those below
+    their good's slack set to 0.  It is of second order in each provider's
+    ``r_s - log U_s`` (a gap of 1e-11 leaves budgets off by up to 3e-6), so
+    the solve stops once both are at most ``_BARRIER_STOP_GAP`` in size, or
+    after ``_BARRIER_MAX_STEPS`` steps.  Providers with alpha > 0 then take
+    their one best response at the prices; alpha-0 providers, whose best
+    responses are not unique, keep the solve's rates, cut to the capacity
+    the others leave.  Returns ``(rates, prices, iterations)``.
     """
     lay = _WelfareLayout(index, 0.0)
     welfare, amat = lay.welfare, lay.amat
@@ -868,7 +828,8 @@ def _eisenberg_gale_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, i
 
     def certified(y, lam, log_u):
         y, lam = frontier(y[0], lam[0])
-        g, r = _eg_gap(index, lay.prices(lam), welfare.utilities(y[None])[0][0])
+        prices = lay.prices(lam)
+        g, r = _eg_gap(index, prices, index.log_ratios(prices), welfare.utilities(y[None])[0][0])
         return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP])
 
     end, iterations = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
@@ -897,7 +858,7 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     cost at the prices ``D_s lam`` of its classes.  ``prices`` are
     the certifying capacity duals, ``residuals["duality_gap"]`` is that
     bound over the returned welfare minus 1, ``converged`` means it is at
-    most ``SO_GAP_TOL``, and ``iterations`` counts the Newton steps of every
+    most ``GAP_TOL``, and ``iterations`` counts the Newton steps of every
     start.
     """
     index = scn.index
@@ -910,7 +871,7 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
         prices=prices,
         allocation=allocation,
         iterations=iterations,
-        converged=gap <= SO_GAP_TOL,
+        converged=gap <= GAP_TOL,
         residuals={
             "capacity_gap": float(np.maximum(usage - 1.0, 0.0).max()),
             "duality_gap": gap,
@@ -933,7 +894,7 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
     provider's utility is a monotone degree-one aggregate of its blocks', so
     its relative shortfall is at most the largest of its blocks' bounds over
     their utilities minus 1.  ``residuals["duality_gap"]`` is the largest
-    over all providers, ``converged`` means it is at most ``SS_GAP_TOL``, and
+    over all providers, ``converged`` means it is at most ``GAP_TOL``, and
     ``iterations`` counts Newton steps.
     """
     index = scn.index
@@ -948,7 +909,7 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
         prices=np.zeros(index.n_goods),
         allocation=allocation,
         iterations=iterations,
-        converged=gap <= SS_GAP_TOL,
+        converged=gap <= GAP_TOL,
         residuals={
             "capacity_gap": float(np.maximum(usage - 1.0, 0.0).max()),
             "duality_gap": gap,

@@ -49,6 +49,27 @@ def test_experiment_with_config_file(tmp_path):
     assert (tmp_path / "res" / "results.csv").exists()
 
 
+def small_config(tmp_path, name, **fields):
+    """Path of a config file for a one-instance, one-alpha static-share run
+    that writes under ``name``, with ``fields`` added."""
+    cfg = {"instances": 1, "alphas": [1.0], "schemes": ["ss"], "out": str(tmp_path / name), **fields}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_experiment_config_seed_is_used_and_flag_overrides_it(tmp_path):
+    def results(name, *flags, **fields):
+        assert main(["experiment", "--config", small_config(tmp_path, name, **fields), *flags]) == 0
+        return (tmp_path / name / "results.csv").read_bytes()
+
+    seed0 = results("none")
+    seed5 = results("file5", seed=5)
+    assert seed5 != seed0
+    assert results("flag5", "--seed", "5") == seed5
+    assert results("file5flag0", "--seed", "0", seed=5) == seed0
+
+
 def test_experiment_flag_overrides(tmp_path):
     rc = main(
         [
@@ -142,3 +163,14 @@ def test_bad_config_field_reports_error(tmp_path, capsys):
     rc = main(["experiment", "--config", str(path)])
     assert rc == 2
     assert "alphas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"instances": 2.5}, {"seed": 1.9}, {"jobs": True}, {"full_paper_scale": "false"}],
+    ids=["instances", "seed", "jobs", "full_paper_scale"],
+)
+def test_wrongly_typed_config_field_is_an_error(tmp_path, capsys, doc):
+    rc = main(["experiment", "--config", small_config(tmp_path, "res", **doc)])
+    assert rc == 2
+    assert next(iter(doc)) in capsys.readouterr().err

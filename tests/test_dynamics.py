@@ -384,6 +384,34 @@ class TestRunDynamics:
         assert rep.potential_trace[-1] == pytest.approx(rep.potential_trace.min(), abs=1e-9)
 
 
+def assert_certified(rep):
+    """A converged dynamics report carries the certificate that
+    ``solve_eg``'s does: budget and clearing gaps within 1e-6 and an
+    Eisenberg-Gale duality gap within 1e-9."""
+    assert rep.converged
+    assert max(rep.residuals["budget_gap"], rep.residuals["clearing_gap"]) <= 1e-6
+    assert rep.residuals["duality_gap"] <= 1e-9
+
+
+def test_coarse_tolerance_converges_only_on_the_duality_gap():
+    """At alpha 20 the preset's utilities are tiny, so the absolute
+    best-response gap is small long before the equilibrium is reached; a
+    price change below ``tol=0.1`` only triggers the check."""
+    spec = instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(20.0)
+    assert_certified(run_dynamics(normalize_scenario(spec), tol=0.1))
+
+
+@pytest.mark.parametrize("k", [22, 26, 111])
+def test_converged_runs_are_certified_by_the_duality_gap(k):
+    """Random markets whose settled bids pass the absolute best-response
+    check while their duality gap is still 3e-9 to 5e-9."""
+    rng = np.random.default_rng(5000 + k)
+    spec = random_scenario(
+        rng, n_sps=int(rng.integers(2, 5)), n_cells=int(rng.integers(1, 4)), alphas=[1.0, 1.5, 2.0, 5.0, math.inf]
+    )
+    assert_certified(run_dynamics(normalize_scenario(spec)))
+
+
 def test_custom_initial_bids_reach_the_same_prices():
     rng = np.random.default_rng(71)
     spec = random_scenario(rng, alphas=[1.5, 2.0], n_sps=2)

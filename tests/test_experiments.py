@@ -209,6 +209,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict({"alphas": [-1.0]})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("full_paper_scale", "false"),
+            ("full_paper_scale", 0),
+            ("instances", 2.5),
+            ("instances", "3"),
+            ("instances", True),
+            ("seed", 1.9),
+            ("seed", math.inf),
+            ("jobs", True),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: expected"):
+            config_from_dict({key: value})
+
+    def test_integral_numbers_accepted(self):
+        cfg = config_from_dict({"instances": 3.0, "seed": 4, "full_paper_scale": False})
+        assert (cfg.instances, cfg.seed, cfg.full_paper_scale) == (3, 4, False)
+        assert isinstance(cfg.instances, int)
+
     def test_full_paper_scale(self):
         cfg = ExperimentConfig(full_paper_scale=True)
         assert cfg.instance_count == 2000
