@@ -158,7 +158,9 @@ def cmd_compare(args) -> int:
         welfare, nash, poa = score_schemes(scn.index.budgets, reports)
         bound = math.nan
         if poa is not None:
-            bound = poa_bound(scn, so_report=reports["so"], me_report=reports["me"])[1]
+            # a static share is the standalone optimum scaled by the budgets
+            max_utils = reports["ss"].utilities / scn.index.budgets
+            bound = poa_bound(scn, max_utils, reports["so"], reports["me"])[1]
         print(f"alpha = {alpha:g}")
         for scheme, rep in reports.items():
             utils = " ".join(f"{name}={u:.5g}" for name, u in zip(scn.index.sp_names, rep.utilities))

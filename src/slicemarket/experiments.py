@@ -88,16 +88,22 @@ class ExperimentConfig:
         return 2000 if self.full_paper_scale else self.instances
 
 
+#: The fields of a config's ``load_model`` (:class:`LoadModel`) and their types.
+_LOAD_FIELDS = {"mean": float, "variance": float, "variance_is_sigma": bool, "floor": int, "seed": int}
+
+
 def config_from_dict(doc: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from a JSON document, reporting bad fields by path."""
     cfg = base or ExperimentConfig()
     kwargs = {}
     load_doc = doc.get("load_model")
     if load_doc is not None:
-        try:
-            kwargs["load"] = LoadModel(**load_doc)
-        except TypeError as exc:
-            raise ValueError(f"load_model: {exc}") from exc
+        if not isinstance(load_doc, dict):
+            raise ValueError(f"load_model: expected an object, got {load_doc!r}")
+        unknown = set(load_doc) - set(_LOAD_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown load_model fields: {sorted(unknown)}")
+        kwargs["load"] = LoadModel(**{k: _typed(f"load_model.{k}", v, _LOAD_FIELDS[k]) for k, v in load_doc.items()})
     simple = {
         "scenario": str,
         "instances": int,
@@ -126,11 +132,15 @@ def config_from_dict(doc: dict, base: ExperimentConfig | None = None) -> Experim
 
 def _typed(key: str, value, kind: type):
     """A JSON field's ``value`` as ``kind``; ``ValueError`` naming the field
-    when a bool field is not a JSON bool or an int field is a bool or not
-    integral, where a cast would take ``"false"`` as true and 2.5 as 2."""
+    when a bool field is not a JSON bool, a float field is a bool or not a
+    number, or an int field is a bool or not integral, where a cast would
+    take ``"false"`` as true and 2.5 as 2."""
     if kind is bool and not isinstance(value, bool):
         raise ValueError(f"{key}: expected true or false, got {value!r}")
-    if kind is int and (isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and not number:
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    if kind is int and not (number and value % 1 == 0):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
     return kind(value)
 

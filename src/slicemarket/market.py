@@ -144,13 +144,16 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
     clearing_gap: ``max_g |(usage - capacity) * p|`` (Walras complementarity).
     br_gap: ``max_s [U_s(best response at p) - U_s(x_s)]`` on the degree-one
     aggregate utility (the monotone transform keeps the ranking of the raw
-    alpha-fair objective and is scale-comparable across alpha).
+    alpha-fair objective and is scale-comparable across alpha).  A best
+    response's utility is ``B_s / e_s(PD)``, the budget over the unit cost
+    (:attr:`~slicemarket.model.MarketIndex.unit_cost`) at the prices ``PD``
+    of the provider's unit rates.
     br_gap_rel: ``max_s`` of the same gap over ``U_s(best response at p)``;
     the degree-one utility is homogeneous in rates, but the class weights
     set its scale.
     duality_gap: the Eisenberg-Gale gap (:func:`_eg_gap`) at ``prices`` and
     the held utilities, on the scale of the unit total budget whatever the
-    class weights; its log unit costs are those of the best responses.
+    class weights; its log ratios are the best responses' log utilities.
     """
     index = scn.index
     prices = _checked_prices(index, prices)
@@ -159,14 +162,15 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
     budget_gap = float(np.abs(spend - index.budgets).max())
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())
 
-    u_br, log_e = index.kernel.rates(pd)
-    log_best, log_held = _log_utilities(scn, np.stack([u_br, allocation.rates]))
-    duality_gap = _eg_gap(index, prices, np.log(index.budgets) - log_e, log_held)[0]
+    # a best response's utility is B / e(PD): the utility is degree-one
+    log_best = index.log_ratios(prices)
+    log_held = _log_utilities(scn, allocation.rates)
+    duality_gap = _eg_gap(index, prices, log_best, log_held)[0]
     # an alpha-0 provider's best responses are not unique and are not checked
     checked = index.alphas > 0.0
     best, held = np.exp(log_best[checked]), np.exp(log_held[checked])
     if not np.all(np.isfinite(best)):
-        # demand is unbounded at these prices
+        # some utility costs nothing at these prices
         br_gap = br_gap_rel = math.inf
     else:
         gap = best - held
@@ -218,10 +222,15 @@ def make_report(
     price_trace: np.ndarray | None = None,
 ) -> SolveReport:
     """The report of a solve.  It is ``converged`` only if the solve says
-    so and every utility is finite: a certificate in log space can hold at
-    utilities that overflow float64."""
-    prices = _checked_prices(scn.index, prices)
+    so and every utility is finite, and no provider whose every rate is
+    positive has a utility below the smallest normal float64: a certificate
+    in log space can hold at utilities that overflow or underflow float64."""
+    index = scn.index
+    prices = _checked_prices(index, prices)
     util = utilities(scn, allocation.rates)
+    # in exact arithmetic a provider with every rate positive has a positive utility
+    served = index.sp_sum(allocation.rates <= 0) == 0
+    representable = np.all(np.isfinite(util)) and np.all(util[served] >= np.finfo(float).tiny)
     return SolveReport(
         scn=scn,
         method=method,
@@ -230,7 +239,7 @@ def make_report(
         utilities=util,
         spending=allocation.totals(prices)[0],
         iterations=iterations,
-        converged=converged and bool(np.all(np.isfinite(util))),
+        converged=converged and bool(representable),
         residuals=residuals,
         potential_trace=potential_trace,
         price_trace=price_trace,

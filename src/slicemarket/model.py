@@ -558,18 +558,18 @@ class CESAggregate:
 
 class CellBlocks:
     """Every finite-alpha provider's classes grouped by cell, padded to a
-    ``[n_blocks, K, m]`` layout.
+    ``[n_blocks, K, m]`` layout on the goods of :class:`PriceCells`.
 
     A provider that maximizes its own alpha-fair utility inside a box of
     per-good capacities faces one independent problem per cell: its classes
     there (``rows``, at most ``K``, in triple order) share only that cell's
-    goods (``goods``, at most ``m``, the goods any of them consumes, in
-    increasing order).  Blocks are in the order of their first triple.
-    ``demand[b, k, j]`` is the normalized demand of class ``k`` of block
-    ``b`` on its good ``j``, scattered from the slots.  Padded classes
-    (``class_mask`` False) and padded goods (``good_mask`` False) carry zero
-    demand; padding indices point at row or good 0.  Max-min providers have
-    no blocks: their common per-user level couples all their cells.
+    goods.  Blocks are in (provider, cell) order, and ``sp[b]`` is the
+    provider of block ``b``.  ``demand[b, k, j]`` is the normalized demand of
+    class ``k`` of block ``b`` on the good at position ``j`` of its cell
+    (:attr:`PriceCells.pos`), scattered from the slots.  Padded classes
+    (``class_mask`` False, ``rows`` 0), padded positions and goods that none
+    of the block's classes consumes carry zero demand.  Max-min providers
+    have no blocks: their common per-user level couples all their cells.
     :attr:`utility` and :attr:`unit_cost` are every block's degree-one
     utility and its unit cost, as :class:`MarketIndex` keeps them per
     provider.
@@ -580,38 +580,23 @@ class CellBlocks:
         rows = np.flatnonzero(np.isfinite(index.alphas)[index.sp_of])
         slot_goods = index.slot_goods[rows]
         key = index.sp_of[rows] * cells.n_cells + cells.cell[slot_goods[:, 0]]
-        keys, first, block = np.unique(key, return_index=True, return_inverse=True)
-        # blocks in the order of their first triple
-        order = np.argsort(first)
-        keys, block = keys[order], np.argsort(order)[block]
+        keys, block = np.unique(key, return_inverse=True)
         n_blocks = keys.size
         # a row's place in its block: rows are taken in triple order
         count = np.bincount(block, minlength=n_blocks)
         by_block = np.argsort(block, kind="stable")
         place = np.empty_like(block)
         place[by_block] = np.arange(rows.size) - (np.cumsum(count) - count)[block[by_block]]
-        # the cell positions that some row of the block consumes, left-packed
-        real = index.slot_demand[rows] > 0
-        slot_block = np.broadcast_to(block[:, None], real.shape)[real]
-        slot_pos = cells.pos[slot_goods[real]]
-        used = np.zeros((n_blocks, cells.m), dtype=bool)
-        used[slot_block, slot_pos] = True
-        column = np.cumsum(used, axis=1) - 1
         n_k = int(count.max(initial=1))
-        n_m = int(used.sum(axis=1).max(initial=1))
         self.sp = (keys // cells.n_cells).astype(np.intp)
         self.rows = np.zeros((n_blocks, n_k), dtype=np.intp)
         self.class_mask = np.zeros((n_blocks, n_k), dtype=bool)
         self.rows[block, place] = rows
         self.class_mask[block, place] = True
-        self.goods = np.zeros((n_blocks, n_m), dtype=np.intp)
-        self.good_mask = np.zeros((n_blocks, n_m), dtype=bool)
-        b, j = np.nonzero(used)
-        self.goods[b, column[b, j]] = cells.good[keys[b] % cells.n_cells, j]
-        self.good_mask[b, column[b, j]] = True
-        self.demand = np.zeros((n_blocks, n_k, n_m))
-        slot_place = np.broadcast_to(place[:, None], real.shape)[real]
-        self.demand[slot_block, slot_place, column[slot_block, slot_pos]] = index.slot_demand[rows][real]
+        # a padding slot may point into another cell, so only real slots are laid out
+        i, r = np.nonzero(index.slot_demand[rows] > 0)
+        self.demand = np.zeros((n_blocks, n_k, cells.m))
+        self.demand[block[i], place[i], cells.pos[slot_goods[i, r]]] = index.slot_demand[rows[i], r]
         self.weights = np.where(self.class_mask, index.weights[self.rows], 0.0)
         self.alphas = index.alphas[self.sp].astype(float)
 

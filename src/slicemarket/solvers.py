@@ -538,21 +538,22 @@ def _log_utility_change(q, x):
 
 
 # ---------------------------------------------------------------------------
-# Single-provider alpha-fair allocation (static share, standalone utilities)
+# Standalone alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
-def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every provider's optimal rates when it alone holds ``caps[s]`` of each
-    good (``caps`` is ``[n_sps, n_goods]``).
+def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every provider's standalone optimum: the rates it would choose if it
+    alone held all of every good (unit capacity), which :func:`static_share`
+    scales by the budgets.
 
     Max-min providers have the waterfill closed form (a common per-user level
-    set by the tightest good).  For finite alpha the caps couple classes only
-    within a cell, so every (provider, cell) block of
+    set by the tightest good).  For finite alpha the capacities couple classes
+    only within a cell, so every (provider, cell) block of
     :attr:`~slicemarket.model.MarketIndex.blocks` is an independent problem:
     maximize the block's degree-one utility ``(sum c z^(1-alpha))^(1/(1-alpha))``
-    under its capacities.  Each block is scaled to O(1) (rates ``z`` in units
-    of an equal split of its box, capacities to one and the weights ``c`` to
-    sum to one), and all blocks of all providers are solved together by
+    under its cell's capacities.  Each block is scaled to O(1) (rates ``z`` in
+    units of an equal split of its box and the weights ``c`` to sum to one),
+    and all blocks of all providers are solved together by
     :func:`_interior_point` as single-provider welfare problems.  A block
     stops once its capacity duals certify its iterate, scaled up onto its
     capacity frontier, by the price-space bound of :func:`_block_log_bounds`
@@ -569,24 +570,21 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     gaps = np.zeros(index.n_sps)
     for s in np.flatnonzero(np.isinf(index.alphas)):
         rows = index.sp_rows(s)
-        n_vec = index.users[rows].astype(float)
         usage = index.kernel.per_good(index.users[:, None] * index.kernel.demand, rows)
-        active = usage > 0
-        rates[rows] = float((caps[s, active] / usage[active]).min()) * n_vec
+        rates[rows] = index.users[rows] / usage.max()
     blocks = index.blocks
     if blocks.sp.size == 0:
         return rates, gaps, 0
 
     mask, alpha = blocks.class_mask, blocks.alphas
-    cap = np.where(blocks.good_mask, caps[blocks.sp[:, None], blocks.goods], 1.0)
     with np.errstate(divide="ignore"):
-        box = np.where(blocks.demand > 0, cap[:, None, :] / blocks.demand, np.inf).min(axis=2)
+        box = 1.0 / blocks.demand.max(axis=2)
         ref = np.where(mask, box / mask.sum(axis=1)[:, None], 1.0)
         log_c = np.log(blocks.weights) + (1.0 - alpha)[:, None] * np.log(ref)
     one_sp = np.zeros(log_c.shape[1], dtype=np.intp)
     # weights summing to one: less log sum c, the aggregate of ones at q = 1
     log_c = log_c - CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))
-    a_mat = blocks.demand * (ref[:, :, None] / cap[:, None, :])
+    a_mat = blocks.demand * ref[:, :, None]
     welfare = _Welfare(
         log_c,
         np.broadcast_to((1.0 - alpha)[:, None], log_c.shape),
@@ -600,7 +598,7 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
         # log of the bound over the utility of the rates scaled onto the frontier
         frontier = ref * z / np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _block_log_bounds(blocks, cap, lam / cap) - blocks.utility(np.log(frontier))[:, 0]
+            return _block_log_bounds(blocks, lam) - blocks.utility(np.log(frontier))[:, 0]
 
     end, iterations = _interior_point(
         welfare, a_mat, mask, lambda z, lam, log_u: log_gap(z, lam) <= math.log1p(_BARRIER_STOP_GAP)
@@ -611,17 +609,17 @@ def _single_sp_allocate(index: MarketIndex, caps: np.ndarray) -> tuple[np.ndarra
     return rates, gaps, iterations
 
 
-def _block_log_bounds(blocks: CellBlocks, cap: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Log of the price-space bound ``(lam . cap_b) / e_b(D_b lam)`` on the
-    utility of every static-share block, for prices ``lam >= 0`` of its goods
-    (``[n_blocks, m]``, in the layout of ``blocks.goods``) whose capacities
-    are ``cap``.  Rates within the capacities cost at most ``lam . cap_b`` at
-    the prices ``D_b lam`` of the classes' unit rates, and a unit of the
-    block's utility costs at least ``e_b``, its unit cost
+def _block_log_bounds(blocks: CellBlocks, lam: np.ndarray) -> np.ndarray:
+    """Log of the price-space bound ``sum(lam) / e_b(D_b lam)`` on the
+    utility of every block at unit capacity, for prices ``lam >= 0`` of the
+    goods of its cell (``[n_blocks, m]``, in the layout of
+    ``blocks.demand``).  Rates within unit capacities cost at most
+    ``sum(lam)`` at the prices ``D_b lam`` of the classes' unit rates, and a
+    unit of the block's utility costs at least ``e_b``, its unit cost
     (:attr:`~slicemarket.model.CellBlocks.unit_cost`), so no feasible rates
     have more utility than the bound (weak duality)."""
     price = np.where(blocks.class_mask, np.einsum("bkj,bj->bk", blocks.demand, lam), 1.0)
-    return np.log((lam * cap).sum(axis=1)) - blocks.unit_cost(np.log(price))[:, 0]
+    return np.log(lam.sum(axis=1)) - blocks.unit_cost(np.log(price))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -881,26 +879,19 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
 
 def static_share(scn: NormalizedScenario) -> SolveReport:
     """Static proportional sharing: every provider is capped at its budget
-    share of every resource and splits that box across its classes by its own
-    alpha-fair optimum.
+    share ``B_s`` of every resource and splits that box across its classes
+    by its own alpha-fair optimum.
 
-    Max-min providers take the waterfill closed form (the common per-user
-    rate level); the (provider, cell) problems of all other providers are
-    solved together by one batched primal-dual interior-point solve (see
-    :func:`_single_sp_allocate`).  Each block is certified by the
-    price-space bound: for capacity prices ``lam >= 0`` no rates within the
-    block's box have utility above ``(lam . cap) / e_b``, ``e_b`` the unit
-    cost of the block's utility at the prices ``D lam`` of its classes.  A
-    provider's utility is a monotone degree-one aggregate of its blocks', so
-    its relative shortfall is at most the largest of its blocks' bounds over
-    their utilities minus 1.  ``residuals["duality_gap"]`` is the largest
-    over all providers, ``converged`` means it is at most ``GAP_TOL``, and
-    ``iterations`` counts Newton steps.
+    Utilities are degree-one homogeneous and the capacities linear, so the
+    rates are ``B_s`` times the provider's standalone optimum at unit
+    capacity (:func:`_standalone`), with the same certified relative gaps:
+    ``residuals["duality_gap"]`` is the largest over all providers,
+    ``converged`` means it is at most ``GAP_TOL``, and ``iterations`` counts
+    Newton steps.
     """
     index = scn.index
-    caps = np.repeat(index.budgets[:, None], index.n_goods, axis=1)
-    rates, gaps, iterations = _single_sp_allocate(index, caps)
-    allocation = Allocation(rates, index)
+    rates, gaps, iterations = _standalone(index)
+    allocation = Allocation(index.budgets[index.sp_of] * rates, index)
     usage = allocation.totals(np.zeros(index.n_goods))[1]
     gap = float(gaps.max())
     return make_report(
@@ -919,10 +910,9 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
 
 def max_utilities(scn: NormalizedScenario) -> np.ndarray:
     """Each provider's best achievable utility when it holds every resource
-    alone (the scale constants of the price-of-anarchy bound)."""
-    index = scn.index
-    rates, _, _ = _single_sp_allocate(index, np.ones((index.n_sps, index.n_goods)))
-    return utilities(scn, rates)
+    alone (:func:`_standalone`), the scale constants of the price-of-anarchy
+    bound: a static share's utilities over the budgets, up to rounding."""
+    return utilities(scn, _standalone(scn.index)[0])
 
 
 def nash_welfare(util: np.ndarray, budgets: np.ndarray) -> float:

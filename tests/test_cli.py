@@ -1,11 +1,14 @@
 """Command-line interface."""
 
+import csv
 import json
 from dataclasses import replace
 
 import pytest
 
-from slicemarket import benchmark_preset, experiments, save_scenario, instantiate, LoadModel
+from slicemarket import (
+    benchmark_preset, experiments, normalize_scenario, poa_bound, save_scenario, instantiate, LoadModel, solvers
+)
 from slicemarket.cli import main
 
 
@@ -110,6 +113,28 @@ def test_compare_smoke(tmp_path, capsys):
     assert "PoA" in capsys.readouterr().out
 
 
+def test_compare_takes_the_poa_bound_from_the_static_share(tmp_path, monkeypatch):
+    # one standalone solve per alpha, the static share's, and the bound
+    # it gives is the one from a standalone solve of its own
+    calls = []
+    standalone = solvers._standalone
+
+    def counted(index):
+        calls.append(index)
+        return standalone(index)
+
+    monkeypatch.setattr(solvers, "_standalone", counted)
+    assert main(["compare", "--seed", "2", "--alpha", "1,2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+    with open(tmp_path / "compare.csv", encoding="utf-8") as fh:
+        written = {float(row["alpha"]): float(row["poa_bound"]) for row in csv.DictReader(fh)}
+    spec = instantiate(benchmark_preset(), LoadModel(seed=2), 0)
+    for alpha, bound in written.items():
+        want = poa_bound(normalize_scenario(spec.with_alphas(alpha)))[1]
+        assert bound == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert sorted(written) == [1.0, 2.0]
+
+
 def test_gen_writes_scenarios(tmp_path):
     out = tmp_path / "gen"
     rc = main(["gen", "--out", str(out), "--instances", "3", "--seed", "4"])
@@ -165,12 +190,18 @@ def test_bad_config_field_reports_error(tmp_path, capsys):
     assert "alphas" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [{"instances": 2.5}, {"seed": 1.9}, {"jobs": True}, {"full_paper_scale": "false"}],
-    ids=["instances", "seed", "jobs", "full_paper_scale"],
-)
-def test_wrongly_typed_config_field_is_an_error(tmp_path, capsys, doc):
-    rc = main(["experiment", "--config", small_config(tmp_path, "res", **doc)])
+BAD_FIELDS = {
+    "instances": {"instances": 2.5},
+    "seed": {"seed": 1.9},
+    "jobs": {"jobs": True},
+    "full_paper_scale": {"full_paper_scale": "false"},
+    "load_model.seed": {"load_model": {"seed": 1.5}},
+    "load_model.floor": {"load_model": {"floor": True}},
+}
+
+
+@pytest.mark.parametrize("field", BAD_FIELDS)
+def test_wrongly_typed_config_field_is_an_error(tmp_path, capsys, field):
+    rc = main(["experiment", "--config", small_config(tmp_path, "res", **BAD_FIELDS[field])])
     assert rc == 2
-    assert next(iter(doc)) in capsys.readouterr().err
+    assert field in capsys.readouterr().err

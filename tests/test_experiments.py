@@ -226,6 +226,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key}: expected"):
             config_from_dict({key: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", 1.5),
+            ("seed", True),
+            ("floor", True),
+            ("floor", 0.5),
+            ("mean", "50"),
+            ("mean", True),
+            ("variance", None),
+            ("variance_is_sigma", 1),
+        ],
+    )
+    def test_wrongly_typed_load_model_field_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^load_model.{key}: expected"):
+            config_from_dict({"load_model": {key: value}})
+
+    def test_load_model_fields_typed(self):
+        doc = {"mean": 50, "variance": 9, "variance_is_sigma": True, "floor": 2.0, "seed": 3}
+        load = config_from_dict({"load_model": doc}).load
+        assert load == LoadModel(mean=50.0, variance=9.0, variance_is_sigma=True, floor=2, seed=3)
+        assert isinstance(load.floor, int) and isinstance(load.seed, int) and isinstance(load.mean, float)
+        with pytest.raises(ValueError, match="unknown load_model fields"):
+            config_from_dict({"load_model": {"sead": 3}})
+
     def test_integral_numbers_accepted(self):
         cfg = config_from_dict({"instances": 3.0, "seed": 4, "full_paper_scale": False})
         assert (cfg.instances, cfg.seed, cfg.full_paper_scale) == (3, 4, False)

@@ -407,15 +407,22 @@ def test_prices_are_checked_before_any_work(bad):
 
 @pytest.mark.parametrize("solve", [solve_eg, static_share], ids=["me", "ss"])
 def test_infinite_utilities_are_not_converged(solve):
-    """Just below alpha 1 the preset's utilities overflow float64.  The
-    certificates run in log space and still hold, but a report whose
-    utilities are inf is not converged."""
-    scn = normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(0.99))
-    with np.errstate(over="ignore"):
-        rep = solve(scn)
-    assert rep.residuals["duality_gap"] <= 1e-9
-    assert np.all(np.isinf(rep.utilities))
-    assert not rep.converged
+    """Just below alpha 1 the preset's utilities overflow float64, and just
+    above it they underflow to 0 (alpha 1.005) or to subnormals (1.01) at
+    rates of about 0.47.  The certificates run in log space and still hold,
+    but a report whose utilities are inf, or below the smallest normal float
+    at positive rates, is not converged."""
+    spec = instantiate(benchmark_preset(), LoadModel(seed=1), 0)
+    for alpha in (0.99, 1.005, 1.01):
+        with np.errstate(over="ignore"):
+            rep = solve(normalize_scenario(spec.with_alphas(alpha)))
+        assert rep.residuals["duality_gap"] <= 1e-9
+        assert np.all(rep.allocation.rates > 0.4)
+        if alpha < 1.0:
+            assert np.all(np.isinf(rep.utilities))
+        else:
+            assert np.all(rep.utilities < np.finfo(float).tiny)
+        assert not rep.converged, alpha
 
 
 def dynamics_20(scn):

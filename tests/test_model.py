@@ -243,30 +243,30 @@ def argsort_slots(demand):
 
 def scanned_blocks(index, demand):
     """The fields of ``CellBlocks``, one scan of the dense ``demand`` per
-    (finite-alpha provider, cell) group of triples."""
+    (finite-alpha provider, cell) group of triples, in (provider, cell)
+    order, on all the goods of the group's cell."""
+    cell_goods = {}
+    for g, (c, _) in enumerate(index.goods):
+        cell_goods.setdefault(c, []).append(g)
+    cell_ids = list(cell_goods)
     members = {}
     for i, s in enumerate(index.sp_of):
         if math.isfinite(index.alphas[s]):
-            members.setdefault((int(s), index.triples[i][1]), []).append(i)
-    groups = list(members.values())
-    used = [np.flatnonzero((demand[g] > 0).any(axis=0)) for g in groups]
-    n_k = max((len(g) for g in groups), default=1)
-    n_m = max((len(g) for g in used), default=1)
-    rows = np.zeros((len(groups), n_k), dtype=np.intp)
-    class_mask = np.zeros((len(groups), n_k), dtype=bool)
-    goods = np.zeros((len(groups), n_m), dtype=np.intp)
-    good_mask = np.zeros((len(groups), n_m), dtype=bool)
-    for b, (g_rows, g_goods) in enumerate(zip(groups, used)):
+            members.setdefault((int(s), cell_ids.index(index.triples[i][1])), []).append(i)
+    keys = sorted(members)
+    n_k = max((len(members[key]) for key in keys), default=1)
+    n_m = max(len(g) for g in cell_goods.values())
+    rows = np.zeros((len(keys), n_k), dtype=np.intp)
+    class_mask = np.zeros((len(keys), n_k), dtype=bool)
+    block_demand = np.zeros((len(keys), n_k, n_m))
+    for b, (s, c) in enumerate(keys):
+        g_rows, goods = members[(s, c)], cell_goods[cell_ids[c]]
         rows[b, : len(g_rows)] = g_rows
         class_mask[b, : len(g_rows)] = True
-        goods[b, : len(g_goods)] = g_goods
-        good_mask[b, : len(g_goods)] = True
-    sp = np.array([s for s, _ in members], dtype=np.intp)
-    block_demand = np.where(
-        class_mask[:, :, None] & good_mask[:, None, :], demand[rows[:, :, None], goods[:, None, :]], 0.0
-    )
+        block_demand[b, : len(g_rows), : len(goods)] = demand[np.ix_(g_rows, goods)]
+    sp = np.array([s for s, _ in keys], dtype=np.intp)
     return {
-        "sp": sp, "rows": rows, "class_mask": class_mask, "goods": goods, "good_mask": good_mask,
+        "sp": sp, "rows": rows, "class_mask": class_mask,
         "demand": block_demand, "weights": np.where(class_mask, index.weights[rows], 0.0),
         "alphas": index.alphas[sp].astype(float),
     }
