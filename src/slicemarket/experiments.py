@@ -118,10 +118,7 @@ def config_from_dict(doc: dict, base: ExperimentConfig | None = None) -> Experim
             kwargs[key] = _typed(key, doc[key], kind)
     for key in ("alphas", "budget_fractions", "budget_alphas"):
         if key in doc:
-            try:
-                kwargs[key] = tuple(float(v) for v in doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: expected a list of numbers") from exc
+            kwargs[key] = _numbers(key, doc[key], infinite=key != "budget_fractions")
     if "schemes" in doc:
         kwargs["schemes"] = tuple(str(s).lower() for s in doc["schemes"])
     unknown = set(doc) - set(simple) - {"load_model", "alphas", "budget_fractions", "budget_alphas", "schemes"}
@@ -143,6 +140,23 @@ def _typed(key: str, value, kind: type):
     if kind is int and not (number and value % 1 == 0):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
     return kind(value)
+
+
+def _numbers(key: str, value, infinite: bool) -> tuple[float, ...]:
+    """A JSON list of numbers as floats; ``ValueError`` naming the field
+    when ``value`` is not a list or an element is a bool, NaN or no number.
+    Where ``infinite``, the strings ``"inf"`` and ``"infinity"`` (any case)
+    are read as inf, as a scenario's alpha is."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected a list of numbers, got {value!r}")
+    out = []
+    for v in value:
+        if infinite and isinstance(v, str) and v.lower() in ("inf", "infinity"):
+            v = math.inf
+        elif not isinstance(v, (int, float)) or isinstance(v, bool) or math.isnan(v):
+            raise ValueError(f"{key}: expected a list of numbers, got the element {v!r}")
+        out.append(float(v))
+    return tuple(out)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -269,6 +283,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Solve every instance x alpha x scheme, write the result files under
     ``config.out``, and return the in-memory result set."""
     template = _template(config)
+    # checked before any solve, so that a bad sweep fails at once
+    sweep = None if config.budget_sweep_sp is None else _budget_sweep(config, template)
     # the experiment seed drives the load draws unless the load model pins its own
     load = replace(config.load, seed=config.seed) if config.load.seed == 0 else config.load
     n = config.instance_count
@@ -283,9 +299,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         per_instance = [_instance_task(t) for t in tasks]
     rows = [row for chunk in per_instance for row in chunk]
 
-    sensitivity_rows = []
-    if config.budget_sweep_sp is not None:
-        sensitivity_rows = _sensitivity_study(config, template, load)
+    sensitivity_rows = [] if sweep is None else _sensitivity_study(config, sweep, load)
 
     result = ExperimentResult(
         config=config,
@@ -298,15 +312,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _sensitivity_study(config: ExperimentConfig, template: ScenarioSpec, load: LoadModel):
-    """Mean per-user rate of the swept provider vs its budget fraction."""
-    spec0 = instantiate(template, load, 0)
+def _budget_sweep(config: ExperimentConfig, template: ScenarioSpec) -> list[ScenarioSpec]:
+    """The template at each of the config's budget fractions of
+    ``budget_sweep_sp`` (:func:`~slicemarket.scenarios.budget_sweep`);
+    ``ValueError`` naming the field for a provider the template lacks or a
+    fraction outside (0, 1)."""
+    try:
+        return budget_sweep(template, config.budget_sweep_sp, config.budget_fractions)
+    except KeyError:
+        names = [sp.name for sp in template.sps]
+        raise ValueError(f"budget_sweep_sp: no provider {config.budget_sweep_sp!r} (the scenario has {names})") from None
+    except ValueError as exc:
+        raise ValueError(f"budget_fractions: {exc}") from None
+
+
+def _sensitivity_study(config: ExperimentConfig, sweep: list[ScenarioSpec], load: LoadModel):
+    """Mean per-user rate of the swept provider vs its budget fraction, on
+    load instance 0 of every scenario of the budget sweep."""
+    swept_specs = [instantiate(spec, load, 0) for spec in sweep]
     rows = []
     for alpha in config.budget_alphas:
-        for frac, swept in zip(
-            config.budget_fractions,
-            budget_sweep(spec0, config.budget_sweep_sp, config.budget_fractions),
-        ):
+        for frac, swept in zip(config.budget_fractions, swept_specs):
             scn = normalize_scenario(swept.with_alphas(alpha))
             index = scn.index
             for scheme in config.schemes:

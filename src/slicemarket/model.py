@@ -17,11 +17,12 @@ the providers' utilities of their rates (:attr:`MarketIndex.utility`) and
 their unit costs at the prices of those rates (:attr:`MarketIndex.unit_cost`).
 The providers' closed-form demand, which the equilibrium solvers evaluate on
 every iteration, is the unit cost's shares (:class:`DemandKernel`, on the
-slots), and the Eisenberg-Gale certificates of the market equilibrium and the
-social optimum are built from its ratios to the budgets
-(:meth:`MarketIndex.log_ratios`).  The static share's (provider, cell) blocks
-(:class:`CellBlocks`) keep the same two aggregates per block, built by the same
-constructor (:meth:`CESAggregate.unit_cost`), for its price-space certificate.
+slots), and the Eisenberg-Gale certificate of the market equilibrium is built
+from its ratios to the budgets (:meth:`MarketIndex.log_ratios`).  The static
+share's (provider, cell) blocks (:class:`CellBlocks`) are a pure layout: the
+static share and the social optimum are certified on the unit cost that their
+interior-point welfare builds by the same constructor
+(:meth:`CESAggregate.unit_cost`) on its own variables.
 """
 
 from __future__ import annotations
@@ -570,9 +571,8 @@ class CellBlocks:
     (``class_mask`` False, ``rows`` 0), padded positions and goods that none
     of the block's classes consumes carry zero demand.  Max-min providers
     have no blocks: their common per-user level couples all their cells.
-    :attr:`utility` and :attr:`unit_cost` are every block's degree-one
-    utility and its unit cost, as :class:`MarketIndex` keeps them per
-    provider.
+    The blocks are a layout only: the static share certifies them on the
+    unit cost of the welfare it solves them as.
     """
 
     def __init__(self, index: MarketIndex):
@@ -599,22 +599,6 @@ class CellBlocks:
         self.demand[block[i], place[i], cells.pos[slot_goods[i, r]]] = index.slot_demand[rows[i], r]
         self.weights = np.where(self.class_mask, index.weights[self.rows], 0.0)
         self.alphas = index.alphas[self.sp].astype(float)
-
-    @cached_property
-    def utility(self) -> CESAggregate:
-        """Every block's degree-one utility of its classes' rates, a batch
-        of one segment per block, built on first use."""
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
-        return CESAggregate(log_w, 1.0 - self.alphas[:, None], np.zeros(log_w.shape[1], dtype=np.intp))
-
-    @cached_property
-    def unit_cost(self) -> CESAggregate:
-        """Every block's unit cost (:meth:`CESAggregate.unit_cost`) at the
-        prices of its classes' unit rates, built on first use."""
-        return CESAggregate.unit_cost(
-            self.weights, self.alphas[:, None], np.zeros(self.weights.shape[1], dtype=np.intp)
-        )
 
 
 class PriceCells:

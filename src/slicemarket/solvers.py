@@ -18,6 +18,7 @@ provide the fairness/efficiency diagnostics.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .market import (
     GAP_TOL, Allocation, SolveReport, _checked_prices, _eg_gap, equilibrium_report, make_report, utilities, verify_equilibrium
 )
-from .model import CellBlocks, CESAggregate, MarketIndex, NormalizedScenario
+from .model import CESAggregate, MarketIndex, NormalizedScenario
 
 
 def __getattr__(name: str):
@@ -293,7 +294,9 @@ class _Welfare:
     degree-one utility ``(sum w u^q)^(1/q)`` of its provider's rates,
     ``prod u^(w / sum w)`` at ``q = 0``.  Arrays are ``[batch, n]`` per
     variable and ``[batch, n_sp]`` per provider; a variable of weight 0
-    (``log_w = -inf``) is padding and takes no share of its utility.
+    (``log_w = -inf``) is padding and takes no share of its utility.  At
+    ``q0 = 1`` the welfare is certified by its own unit costs (:attr:`cost`,
+    :meth:`log_bound`), which the static share and the social optimum use.
     """
 
     def __init__(self, log_w, q, seg, log_b, log_ref, q0):
@@ -323,6 +326,38 @@ class _Welfare:
         ``exp(log_ratio)``, summed from per-term differences."""
         x = self.utility.seg_sum(pi * _power_change(self.q, log_ratio))
         return _power_change(self.q0, _log_utility_change(self.q_sp, x))
+
+    @cached_property
+    def cost(self) -> CESAggregate:
+        """Every provider's unit cost (:meth:`CESAggregate.unit_cost`): the
+        least cost of one unit of its utility when one unit rate of each
+        variable has a price, built on first use."""
+        return CESAggregate.unit_cost(np.exp(self.log_w), 1.0 - self.q, self.seg)
+
+    def log_ratios(self, amat, lam):
+        """``log B_s - log e_s`` of every provider at capacity duals ``lam``
+        (``[batch, m]``, on the goods of ``amat``, ``[batch, n, m]``): its
+        budget over the cost of one unit of its utility (:attr:`cost`) when
+        one unit rate of variable ``v`` costs ``(amat[v] . lam) / ref_v``.
+        Padding variables are priced 1, which they do not enter."""
+        price = np.where(np.isfinite(self.log_w), (amat @ lam[..., None])[..., 0], 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.log_b - self.cost(np.log(price) - self.log_ref)
+
+    def log_bound(self, amat, lam):
+        """Log of the price-space bound ``(lam . 1) max_s B_s / e_s`` on the
+        welfare at any point with ``amat^T y <= 1``, for capacity duals ``lam
+        >= 0`` (:meth:`log_ratios`), per problem of the batch.  Such a point
+        costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its welfare
+        ``sum_s B_s U_s`` is at most the bound (weak duality).  The bound is
+        rounded up by 8 ulps of its terms: where weak duality is tight (a
+        linear provider on a face of optima) the rounding of the logarithms,
+        here and in the utilities, would otherwise put it a few ulps below
+        the welfare.
+        """
+        log_sum = np.log(lam.sum(axis=-1))
+        best = self.log_ratios(amat, lam).max(axis=-1)
+        return log_sum + best + 8.0 * np.finfo(float).eps * (1.0 + np.abs(log_sum) + np.abs(best))
 
 
 class _Iterate(NamedTuple):
@@ -556,8 +591,10 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     and all blocks of all providers are solved together by
     :func:`_interior_point` as single-provider welfare problems.  A block
     stops once its capacity duals certify its iterate, scaled up onto its
-    capacity frontier, by the price-space bound of :func:`_block_log_bounds`
-    to within ``_BARRIER_STOP_GAP``; every block is then scaled up so.
+    capacity frontier, by the price-space bound of its welfare
+    (:meth:`_Welfare.log_bound`) to within ``_BARRIER_STOP_GAP``; every block
+    is then scaled up so.  The utility is degree-one, so scaling the iterate
+    down by its largest usage ``top`` divides the engine's utility by ``top``.
 
     Returns ``(rates, gaps, iterations)``.  ``gaps[s]`` is a certified bound
     on the relative shortfall of provider ``s``'s degree-one utility: the
@@ -594,32 +631,17 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
         1.0,
     )
 
-    def log_gap(z, lam):
-        # log of the bound over the utility of the rates scaled onto the frontier
-        frontier = ref * z / np.einsum("bkj,bk->bj", a_mat, z).max(axis=1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _block_log_bounds(blocks, lam) - blocks.utility(np.log(frontier))[:, 0]
+    def log_gap(z, lam, log_u):
+        # the bound over U(z) / top, the utility of the rates scaled onto the frontier
+        return welfare.log_bound(a_mat, lam) - log_u[:, 0] + np.log(np.einsum("bkj,bk->bj", a_mat, z).max(axis=1))
 
     end, iterations = _interior_point(
-        welfare, a_mat, mask, lambda z, lam, log_u: log_gap(z, lam) <= math.log1p(_BARRIER_STOP_GAP)
+        welfare, a_mat, mask, lambda z, lam, log_u: log_gap(z, lam, log_u) <= math.log1p(_BARRIER_STOP_GAP)
     )
+    np.maximum.at(gaps, blocks.sp, np.expm1(log_gap(end.y, end.lam, welfare.utilities(end.y)[0])))
     z = end.y / np.einsum("bkj,bk->bj", a_mat, end.y).max(axis=1)[:, None]
-    np.maximum.at(gaps, blocks.sp, np.expm1(log_gap(z, end.lam)))
     rates[blocks.rows[mask]] = (ref * z)[mask]
     return rates, gaps, iterations
-
-
-def _block_log_bounds(blocks: CellBlocks, lam: np.ndarray) -> np.ndarray:
-    """Log of the price-space bound ``sum(lam) / e_b(D_b lam)`` on the
-    utility of every block at unit capacity, for prices ``lam >= 0`` of the
-    goods of its cell (``[n_blocks, m]``, in the layout of
-    ``blocks.demand``).  Rates within unit capacities cost at most
-    ``sum(lam)`` at the prices ``D_b lam`` of the classes' unit rates, and a
-    unit of the block's utility costs at least ``e_b``, its unit cost
-    (:attr:`~slicemarket.model.CellBlocks.unit_cost`), so no feasible rates
-    have more utility than the bound (weak duality)."""
-    price = np.where(blocks.class_mask, np.einsum("bkj,bj->bk", blocks.demand, lam), 1.0)
-    return np.log(lam.sum(axis=1)) - blocks.unit_cost(np.log(price))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +669,6 @@ class _WelfareLayout:
     """
 
     def __init__(self, index: MarketIndex, q0: float = 1.0):
-        self.index = index
         max_min = np.isinf(index.alphas)[index.sp_of]
         # a new variable at every finite-alpha row and at a provider's first row
         new = ~max_min | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
@@ -682,21 +703,6 @@ class _WelfareLayout:
         prices[self.goods] = lam
         return prices
 
-    def log_bound(self, lam):
-        """Log of the price-space bound ``(lam . 1) max_s B_s / e_s(D_s
-        lam)`` on the welfare of every feasible allocation, for capacity
-        duals ``lam > 0`` on the consumed goods
-        (:meth:`~slicemarket.model.MarketIndex.log_ratios`).  Any allocation
-        costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its welfare
-        ``sum_s B_s U_s`` is at most the bound.  The bound is rounded up by 8
-        ulps of its terms: where weak duality is tight (a linear provider on
-        a face of optima) the rounding of the logarithms, here and in the
-        utilities, would otherwise put it a few ulps below the welfare.
-        """
-        log_sum = math.log(float(lam.sum()))
-        best = float(self.index.log_ratios(self.prices(lam)).max())
-        return log_sum + best + 8.0 * np.finfo(float).eps * (1.0 + abs(log_sum) + abs(best))
-
     def restrict(self, active):
         """The welfare, usage rows and variable mask of the program on the
         providers marked ``active`` alone, in the same scaled variables."""
@@ -713,7 +719,7 @@ class _WelfareLayout:
 
 #: A provider leaves a social-optimum solve when its share of the welfare is
 #: below ``_DROP_SHARE``, its price-space log-ratio
-#: (:meth:`~slicemarket.model.MarketIndex.log_ratios`) is more than
+#: (:meth:`_Welfare.log_ratios`) is more than
 #: ``_DROP_RATIO`` below the best one of the providers still in the solve,
 #: and that distance is at least ``_DROP_HOLD`` times the one of the step
 #: before.  A provider that
@@ -740,10 +746,11 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
 
     The solve stops once its capacity duals certify the point scaled onto
     the capacity frontier to within ``_BARRIER_STOP_GAP`` on the whole
-    market (:meth:`_WelfareLayout.log_bound`, whose maximum runs over the
-    dropped providers too).  If the point certifies without the dropped
-    providers but one of them has a ratio above the best of the rest, that
-    provider is put back for good and the solve starts again.
+    market (:meth:`_Welfare.log_bound` of the whole layout's welfare, whose
+    maximum runs over the dropped providers too).  If the point certifies
+    without the dropped providers but one of them has a ratio above the best
+    of the rest, that provider is put back for good and the solve starts
+    again.
 
     Returns ``(rates, prices, gap, iterations)``: ``prices`` are the duals,
     the optimum is at most ``1 + gap`` times the welfare at ``rates``, and
@@ -762,7 +769,7 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
         def certified(y, lam, log_u):
             lam, log_u, usage = lam[0], log_u[0], amat.T @ y[0]
             log_w = welfare.log_welfare(log_u[None])[0]
-            ratios = index.log_ratios(lay.prices(lam))
+            ratios = lay.welfare.log_ratios(lay.amat[None], lam[None])[0]
             best = ratios[active].max()
             below = np.where(active, best - ratios, np.inf)
             small = np.zeros(index.n_sps, dtype=bool)
@@ -797,7 +804,7 @@ def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, 
     y[keep] = end.y[0] / (amat.T @ end.y[0]).max()
     lam = end.lam[0] * end.scale[0]
     log_w = welfare.log_welfare(welfare.utilities(y[keep][None])[0])[0]
-    gap = math.expm1(lay.log_bound(lam) - log_w)
+    gap = math.expm1(lay.welfare.log_bound(lay.amat[None], lam[None])[0] - log_w)
     return lay.rates(y), lay.prices(lam), gap, iterations
 
 
@@ -859,22 +866,8 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     most ``GAP_TOL``, and ``iterations`` counts the Newton steps of every
     start.
     """
-    index = scn.index
-    rates, prices, gap, iterations = _concave_welfare_solve(index)
-    allocation = Allocation(rates, index)
-    usage = allocation.totals(prices)[1]
-    return make_report(
-        scn,
-        method="barrier",
-        prices=prices,
-        allocation=allocation,
-        iterations=iterations,
-        converged=gap <= GAP_TOL,
-        residuals={
-            "capacity_gap": float(np.maximum(usage - 1.0, 0.0).max()),
-            "duality_gap": gap,
-        },
-    )
+    rates, prices, gap, iterations = _concave_welfare_solve(scn.index)
+    return _welfare_report(scn, prices, Allocation(rates, scn.index), iterations, gap)
 
 
 def static_share(scn: NormalizedScenario) -> SolveReport:
@@ -892,12 +885,18 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
     index = scn.index
     rates, gaps, iterations = _standalone(index)
     allocation = Allocation(index.budgets[index.sp_of] * rates, index)
-    usage = allocation.totals(np.zeros(index.n_goods))[1]
-    gap = float(gaps.max())
+    return _welfare_report(scn, np.zeros(index.n_goods), allocation, iterations, float(gaps.max()))
+
+
+def _welfare_report(scn, prices, allocation, iterations, gap) -> SolveReport:
+    """The report of a certified welfare solve (SO or SS): its capacity gap,
+    its duality gap ``gap``, and ``converged`` when that is at most
+    ``GAP_TOL``."""
+    usage = allocation.totals(prices)[1]
     return make_report(
         scn,
         method="barrier",
-        prices=np.zeros(index.n_goods),
+        prices=prices,
         allocation=allocation,
         iterations=iterations,
         converged=gap <= GAP_TOL,

@@ -197,6 +197,10 @@ BAD_FIELDS = {
     "full_paper_scale": {"full_paper_scale": "false"},
     "load_model.seed": {"load_model": {"seed": 1.5}},
     "load_model.floor": {"load_model": {"floor": True}},
+    # a string is not iterated, a bool is not 1, and NaN is no number
+    "alphas": {"alphas": "12"},
+    "budget_alphas": {"budget_alphas": [True, 2]},
+    "budget_fractions": {"budget_fractions": [0.5, float("nan")]},
 }
 
 
@@ -205,3 +209,9 @@ def test_wrongly_typed_config_field_is_an_error(tmp_path, capsys, field):
     rc = main(["experiment", "--config", small_config(tmp_path, "res", **BAD_FIELDS[field])])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+def test_config_alphas_read_infinity_as_a_scenario_does():
+    cfg = experiments.config_from_dict({"alphas": [0, "inf", "Infinity", 2.5], "budget_alphas": ["INF"]})
+    assert cfg.alphas == (0.0, float("inf"), float("inf"), 2.5)
+    assert cfg.budget_alphas == (float("inf"),)

@@ -21,6 +21,7 @@ from slicemarket import (
     run_dynamics,
     save_scenario,
 )
+from slicemarket import experiments
 from slicemarket.cli import main
 from slicemarket.experiments import (
     CONVERGENCE_ROUNDS,
@@ -300,3 +301,25 @@ class TestCompareSchemes:
             assert np.all(column(me, "utility") - column(ss, "utility") >= -1e-8)
             assert np.all(column(me, "poa") <= column(me, "poa_bound") + 1e-9)
             assert column(so, "welfare")[0] >= column(me, "welfare")[0] - 1e-9
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"budget_sweep_sp": "SP9"}, "budget_sweep_sp"),
+        ({"budget_sweep_sp": "SP1", "budget_fractions": (0.5, 1.5)}, "budget_fractions"),
+    ],
+    ids=["unknown-provider", "fraction-above-one"],
+)
+def test_bad_budget_sweep_fails_before_any_solve(tmp_path, monkeypatch, fields, field):
+    # the sweep is checked before the instance sweep, not after it
+    calls = []
+    for name, solve in experiments.SCHEME_SOLVERS.items():
+        monkeypatch.setitem(experiments.SCHEME_SOLVERS, name, lambda scn, solve=solve: calls.append(scn) or solve(scn))
+    cfg = tiny_config(tmp_path, instances=1, alphas=(1.0,), **fields)
+    with pytest.raises(ValueError, match=field) as err:
+        run_experiment(cfg)
+    assert calls == []
+    if field == "budget_sweep_sp":
+        assert all(sp in str(err.value) for sp in ("SP1", "SP2", "SP3"))
+    assert not (tmp_path / "out").exists()

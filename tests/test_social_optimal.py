@@ -191,7 +191,7 @@ def test_mixed_alpha_markets_match_slsqp():
         # the reported prices are the certificate: their bound is above the
         # welfare by the reported gap
         lay = _WelfareLayout(scn.index)
-        ratio = math.exp(lay.log_bound(rep.prices[lay.goods])) / got
+        ratio = math.exp(lay.welfare.log_bound(lay.amat[None], rep.prices[lay.goods][None])[0]) / got
         assert 1.0 <= ratio <= 1.0 + 1e-9
         assert ratio - 1.0 == pytest.approx(rep.residuals["duality_gap"], abs=1e-13)
 
@@ -205,7 +205,7 @@ def test_price_space_bound_is_weak_duality():
         values = [welfare(scn, solver(scn)) for solver in (solve_social_optimal, solve_eg, static_share)]
         for _ in range(20):
             lam = rng.exponential(1.0, int(lay.goods.sum())) * rng.choice([1e-3, 1.0, 1e3])
-            bound = math.exp(lay.log_bound(lam))
+            bound = math.exp(lay.welfare.log_bound(lay.amat[None], lam[None])[0])
             assert bound >= max(values) * (1 - 1e-12)
 
 

@@ -22,7 +22,7 @@ from slicemarket import (
     static_share,
 )
 from slicemarket.market import utilities
-from slicemarket.solvers import _block_log_bounds
+from slicemarket.solvers import _WelfareLayout
 from tests.reference import dense_demand
 
 
@@ -88,17 +88,19 @@ def test_matches_frontier_scan(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 5.0])
 def test_certifying_bound_is_weak_dual(alpha):
-    # any prices of the goods, some of them 0, bound the block's utility
-    # from above: no rates within the capacities beat the bound
+    # any prices of the goods, some of them 0, bound the cell's utility
+    # from above: no rates within the capacities beat the bound.  The one
+    # provider's social optimum is its standalone optimum, so the bound of
+    # the welfare of its social-optimum layout is the static share's.
     scn = two_class_cell(alpha)
-    blocks = scn.index.blocks
+    lay = _WelfareLayout(scn.index)
     _, best = frontier_optimum(scn)
-    shape = blocks.demand.shape[::2]
+    shape = (1, lay.amat.shape[1])
     rng = np.random.default_rng(int(2000 + 10 * alpha))
     for _ in range(50):
         lam = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.6)
         lam[0, rng.integers(shape[1])] += 0.1
-        bound = math.exp(_block_log_bounds(blocks, lam)[0])
+        bound = math.exp(lay.welfare.log_bound(lay.amat[None], lam)[0])
         assert bound >= best * (1 - 1e-12)
 
 
@@ -150,9 +152,31 @@ def reference_rates(index, s, cap):
     return rates
 
 
+def into_box(index, rates, cap):
+    """``rates`` scaled down into the box of ``cap`` of every good where
+    they overrun it.  The reference solvers meet the capacities only to
+    their own tolerance (SLSQP overruns one by 8.6e-11 at alpha 1), and a
+    certificate bounds only the rates within them."""
+    usage = (rates @ dense_demand(index)).max()
+    return rates / max(usage / cap, 1.0)
+
+
+def emptied_class(spec):
+    """``spec`` with the first provider's first class at its first cell
+    given 0 users, or None where that cell has no other class of the
+    provider.  Its (provider, cell) block then has one class fewer than the
+    others, so the block layout carries a padded class."""
+    sp = spec.sps[0]
+    first = sp.support[0]
+    if sum(e.cell == first.cell for e in sp.support) < 2:
+        return None
+    return spec.with_users({(sp.name, first.cell, first.klass): 0})
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
 def test_matches_scipy_on_random_markets(alpha):
     rng = np.random.default_rng(int(1000 + 10 * alpha))
+    padded = 0
     for _ in range(8):
         spec = random_scenario(
             rng,
@@ -162,13 +186,22 @@ def test_matches_scipy_on_random_markets(alpha):
             classes_per_sp=int(rng.integers(1, 4)),
             alphas=[alpha],
         )
-        scn = normalize_scenario(spec)
-        index = scn.index
-        rep = static_share(scn)
-        hat = max_utilities(scn)
-        assert rep.converged
-        for s in range(index.n_sps):
-            for got, cap in ((rep.utilities[s], index.budgets[s]), (hat[s], 1.0)):
-                ref = utilities(scn, reference_rates(index, s, cap))[s]
-                assert got == pytest.approx(ref, rel=1e-8)
-                assert got >= ref * (1 - 1e-9)
+        for market in (spec, emptied_class(spec)):
+            if market is None:
+                continue
+            scn = normalize_scenario(market)
+            index = scn.index
+            padded += bool((~index.blocks.class_mask).any())
+            rep = static_share(scn)
+            hat = max_utilities(scn)
+            assert rep.converged
+            for s in range(index.n_sps):
+                for got, cap in ((rep.utilities[s], index.budgets[s]), (hat[s], 1.0)):
+                    rates = reference_rates(index, s, cap)
+                    ref = utilities(scn, rates)[s]
+                    assert got == pytest.approx(ref, rel=1e-8)
+                    assert got >= ref * (1 - 1e-9)
+                    # the certificate: no rates within the box beat the gap
+                    inside = utilities(scn, into_box(index, rates, cap))[s]
+                    assert got * (1 + rep.residuals["duality_gap"]) >= inside * (1 - 1e-12)
+    assert padded > 0
