@@ -76,8 +76,11 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEME_SOLVERS:
                 raise ValueError(f"unknown scheme {s!r} (expected me|so|ss)")
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("alpha values must be >= 0")
+        for key in ("alphas", "budget_alphas"):
+            # `not a >= 0` also catches NaN, which `a < 0` lets through
+            bad = [a for a in getattr(self, key) if not a >= 0]
+            if bad:
+                raise ValueError(f"{key}: alpha values must be >= 0, got {bad[0]!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
         if self.jobs < 1:

@@ -93,6 +93,10 @@ _ARMIJO = 1e-4
 #: Largest price that can count as zero for a good in excess supply.
 _ACTIVE_PRICE = 1e-9
 
+#: Eight units in the last place of 1: the rounding margin of a sum, in units
+#: of the sum of its terms' magnitudes.
+_ULPS = 8.0 * np.finfo(float).eps
+
 
 def _price_newton(index: MarketIndex, p):
     """Minimize the Eisenberg-Gale price dual ``f(p) = sum_g p_g - sum_s B_s
@@ -171,7 +175,7 @@ def _price_newton(index: MarketIndex, p):
         pred = float(grad @ d)
         if not pred > 0.0:
             return None
-        noise = 8.0 * np.finfo(float).eps * scale
+        noise = _ULPS * scale
         step = 1.0
         while True:
             trial = np.maximum(p - step * d, 0.0)
@@ -303,9 +307,14 @@ class _Welfare:
         self.log_w, self.q, self.seg, self.log_b, self.log_ref, self.q0 = log_w, q, seg, log_b, log_ref, q0
         self.utility = CESAggregate(log_w, q, seg)
         self.q_sp = q[:, self.utility.starts]
-        self.alpha_sp = 1.0 - self.q_sp
-        # -hess(B U^q0 / q0) = B U^q0 [a diag(pi / y^2) - (a - 1 + q0) g g^T]
-        self.rank_sp = self.alpha_sp - (1.0 - q0)
+        # the q = 0 terms of rel_change and the divisors of the others
+        self.q_zero, self.q_sp_zero = q == 0.0, self.q_sp == 0.0
+        self.q_div, self.q_sp_div = np.where(self.q_zero, 1.0, q), np.where(self.q_sp_zero, 1.0, self.q_sp)
+        alpha_sp = 1.0 - self.q_sp
+        # -hess(B U^q0 / q0) = B U^q0 [a diag(pi / y^2) - (a - 1 + q0) g g^T],
+        # per variable
+        self.alpha = alpha_sp[:, seg]
+        self.rank = (alpha_sp - (1.0 - q0))[:, seg]
         self.same_sp = seg[:, None] == seg[None, :]
         # sum_s B_s U_s at q0 = 1, prod_s U_s^(B_s / sum B) at q0 = 0
         self.total = CESAggregate(log_b, np.full_like(log_b, q0), np.zeros(log_b.shape[-1], dtype=np.intp))
@@ -323,9 +332,19 @@ class _Welfare:
     def rel_change(self, pi, log_ratio):
         """Change of every provider's ``U^q0 / q0`` in units of ``U^q0``
         (``log U`` at ``q0 = 0``) when each variable is multiplied by
-        ``exp(log_ratio)``, summed from per-term differences."""
-        x = self.utility.seg_sum(pi * _power_change(self.q, log_ratio))
-        return _power_change(self.q0, _log_utility_change(self.q_sp, x))
+        ``exp(log_ratio)``, summed from per-term differences.
+
+        A term's change is ``(e^(q x) - 1) / q``, ``x`` at ``q = 0``: the
+        change of ``v^q / q`` (of ``log v``) from ``v`` to ``v e^x`` in units
+        of ``v^q``, without cancellation for small ``x``.  A utility ``S^(1/q)``
+        whose sum ``S / q`` changes by ``x`` in units of ``S`` moves by the
+        log-ratio ``log(1 + q x) / q``, ``x`` at ``q = 0``.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = np.where(self.q_zero, log_ratio, np.expm1(self.q * log_ratio) / self.q_div)
+            x = self.utility.seg_sum(pi * terms)
+            x = np.where(self.q_sp_zero, x, np.log1p(self.q_sp * x) / self.q_sp_div)
+            return x if self.q0 == 0.0 else np.expm1(self.q0 * x) / self.q0
 
     @cached_property
     def cost(self) -> CESAggregate:
@@ -357,7 +376,7 @@ class _Welfare:
         """
         log_sum = np.log(lam.sum(axis=-1))
         best = self.log_ratios(amat, lam).max(axis=-1)
-        return log_sum + best + 8.0 * np.finfo(float).eps * (1.0 + np.abs(log_sum) + np.abs(best))
+        return log_sum + best + _ULPS * (1.0 + np.abs(log_sum) + np.abs(best))
 
 
 class _Iterate(NamedTuple):
@@ -383,14 +402,20 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     Prog. 2006; Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997).
     The objective is ``f = -W / W_0``, ``W`` the welfare of
     :class:`_Welfare` and ``W_0`` its aggregate ``total`` at the start ``y =
-    0.9``, with slacks ``s = 1 - amat^T y`` carried along the steps
-    (which keeps their relative precision near 0), capacity duals ``lam``
-    and bound duals ``mu``.  A step is the Newton step of the barrier
-    problem ``phi_nu = f - nu sum log s - nu sum log y``: one dense ``[batch,
-    n, n]`` system ``(hess f + amat diag(lam / s) amat^T + diag(mu / y)) dy
-    = -grad phi_nu`` (:func:`_newton_direction`), where provider ``s`` adds
-    ``(B_s U_s^q0 / W_0) [a diag(pi / y^2) - (a - 1 + q0) g g^T]`` with ``g =
-    pi / y`` to ``hess f``.
+    0.9``.  Both kinds of constraint rows are carried as one ``[batch, m +
+    n]`` array of slacks ``[s, y]``, the capacity slacks ``s = 1 - amat^T y``
+    (updated along the steps, which keeps their relative precision near 0)
+    and then the variables, and one of duals ``[lam, mu]``, the capacity and
+    the bound duals; a mask marks the rows that constrain (goods that some
+    variable uses, real variables).  So the central duals ``nu / slack``, the
+    complementarity residuals, both cuts to the boundary, the updates, the
+    resets and the spread below are one expression each over both kinds.  A
+    step is the Newton step of the barrier problem ``phi_nu = f - nu sum log
+    s - nu sum log y``: one dense ``[batch, n, n]`` system ``(hess f + amat
+    diag(lam / s) amat^T + diag(mu / y)) dy = -grad phi_nu``
+    (:func:`_newton_direction`), where provider ``s`` adds ``(B_s U_s^q0 /
+    W_0) [a diag(pi / y^2) - (a - 1 + q0) g g^T]`` with ``g = pi / y`` to
+    ``hess f``.
 
     - ``nu`` starts at 0.1 and falls tenfold, as often as it takes, while
       the KKT error of the barrier problem is at most ``10 nu``.  That error
@@ -405,7 +430,9 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     - The primal step is halved until ``phi_nu`` falls by the Armijo
       fraction of its predicted decrease; the change of ``phi_nu`` is summed
       from per-term differences (:meth:`_Welfare.rel_change`) so that no
-      large values cancel.
+      large values cancel.  Its barrier sums, and those of the rounding
+      level below which the prediction is trusted, are taken per kind of
+      row: the bounds' first, then the capacities'.
     - After a primal step below 0.1 the duals are reset to their central
       values ``nu / s`` and ``nu / y``; they are always kept within a factor
       ``_IP_DUAL_SPREAD`` of them.
@@ -425,108 +452,94 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
     rows of ``y`` and ``mu`` the caller leaves out.  A fresh solve whose
     ``W_0`` overflows float64 raises ``ValueError`` before its first step.
     """
-    nb, n, _ = amat.shape
+    nb, n, m = amat.shape
     amat_t = amat.transpose(0, 2, 1)
     free = var_mask.astype(float)
-    cons = (amat > 0).any(axis=1).astype(float)
-    steep = var_mask & (welfare.alpha_sp[:, welfare.seg] > 1.0)
+    pad = 1.0 - free
+    # the slacks [s, y], the duals [lam, mu] and the mask of real rows
+    mask = np.concatenate([(amat > 0).any(axis=1), var_mask], axis=1).astype(float)
+    steep = np.concatenate([np.zeros((nb, m), dtype=bool), var_mask & (welfare.alpha > 1.0)], axis=1)
     diag = np.arange(n)
 
-    def spread(lam, mu):
+    def spread(duals):
         """The duals moved to within a factor ``_IP_DUAL_SPREAD`` of their
         central values."""
-        return (
-            np.minimum(np.maximum(lam, cons * nu / (_IP_DUAL_SPREAD * s)), cons * _IP_DUAL_SPREAD * nu / s),
-            np.minimum(np.maximum(mu, free * nu / (_IP_DUAL_SPREAD * y)), free * _IP_DUAL_SPREAD * nu / y),
-        )
+        return np.minimum(np.maximum(duals, mask * nu / (_IP_DUAL_SPREAD * z)), mask * _IP_DUAL_SPREAD * nu / z)
 
     y, lam, mu, nu, scale = start or (np.where(var_mask, 0.9, 1.0), None, None, np.full((nb, 1), 0.1), None)
-    s = 1.0 - (amat_t @ y[:, :, None])[:, :, 0]
+    z = np.concatenate([1.0 - (amat_t @ y[:, :, None])[:, :, 0], y], axis=1)
+    y = z[:, m:]
     log_u, pi = welfare.utilities(y)
     if start is None:
         log_scale = welfare.log_welfare(log_u)[:, None]
         if not np.all(log_scale < math.log(np.finfo(float).max)):
             raise ValueError(f"the start's welfare exp({log_scale.max():.6g}) overflows float64")
         scale = np.exp(log_scale)  # W_0
-        lam, mu = cons * nu / s, free * nu / y
-    lam, mu = spread(lam, mu)
+        duals = mask * nu / z
+    else:
+        duals = np.concatenate([lam, mu], axis=1)
+    duals = spread(duals)
     done = np.zeros((nb, 1), dtype=bool)
     for it in range(1, _BARRIER_MAX_STEPS + 1):
+        s, lam, mu = z[:, :m], duals[:, :m], duals[:, m:]
         coef = np.exp(welfare.log_b + welfare.q0 * log_u) / scale  # B_s U_s^q0 / W_0
         c_var = coef[:, welfare.seg]
         grad = -c_var * pi / y
         stat = (y * np.abs(grad + (amat @ lam[:, :, None])[:, :, 0] - mu)).max(axis=1, keepdims=True)
-        lam_s, mu_y = lam * s, mu * y
+        comp = duals * z
         while True:
-            err = np.maximum.reduce([
-                stat,
-                np.abs(lam_s - cons * nu).max(axis=1, keepdims=True),
-                np.abs(mu_y - free * nu).max(axis=1, keepdims=True),
-            ])
+            err = np.maximum(stat, np.abs(comp - mask * nu).max(axis=1, keepdims=True))
             small = ~done & (err <= 10.0 * nu)
             if not small.any():
                 break
             nu = np.where(small, 0.1 * nu, nu)
-        cg = (coef * welfare.alpha_sp)[:, welfare.seg] * pi / y
-        rank = (coef * welfare.rank_sp)[:, welfare.seg] * pi / y
+        central = mask * nu / z
         hess = (amat * (lam / s)[:, None, :]) @ amat_t
-        hess -= rank[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
-        hess[:, diag, diag] += (cg + mu) / y + (1.0 - free)
-        rhs = free * (nu / y - grad) - (amat @ (cons * nu / s)[:, :, None])[:, :, 0]
+        hess -= (c_var * welfare.rank * pi / y)[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
+        hess[:, diag, diag] += (c_var * welfare.alpha * pi / y + mu) / y + pad
+        rhs = free * (nu / y - grad) - (amat @ central[:, :m, None])[:, :, 0]
         dy = _newton_direction(hess, rhs)
-        ds = -(amat_t @ dy[:, :, None])[:, :, 0]
-        ry, rs = dy / y, ds / s
-        dlam = cons * nu / s - lam - lam * rs
-        dmu = free * nu / y - mu - mu * ry
+        dz = np.concatenate([-(amat_t @ dy[:, :, None])[:, :, 0], dy], axis=1)
+        rel = dz / z
+        d_duals = central - duals - duals * rel
         tau = np.maximum(0.99, 1.0 - nu)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.minimum(
-                np.minimum(
-                    np.where(ry < 0, -np.where(steep, 0.5, tau) / ry, np.inf).min(axis=1, keepdims=True),
-                    np.where(rs < 0, -tau / rs, np.inf).min(axis=1, keepdims=True),
-                ),
-                1.0,
-            )
-            dual_step = np.minimum(
-                np.minimum(
-                    np.where(dlam < 0, -tau * lam / dlam, np.inf).min(axis=1, keepdims=True),
-                    np.where(dmu < 0, -tau * mu / dmu, np.inf).min(axis=1, keepdims=True),
-                ),
-                1.0,
-            )
+            step = np.where(rel < 0, -np.where(steep, 0.5, tau) / rel, np.inf).min(axis=1, keepdims=True)
+            dual_step = np.where(d_duals < 0, -tau * duals / d_duals, np.inf).min(axis=1, keepdims=True)
+            step, dual_step = np.minimum(step, 1.0), np.minimum(dual_step, 1.0)
         step[done] = 0.0
         dual_step[done] = 0.0
         pred = (rhs * dy).sum(axis=1, keepdims=True)
+        ry, size = rel[:, m:], np.abs(rel)
         # below this the change of phi_nu is lost in the rounding of its terms
-        noise = 8.0 * np.finfo(float).eps * (
+        noise = _ULPS * (
             np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
-            + nu * (np.abs(ry).sum(axis=1, keepdims=True) + np.abs(rs).sum(axis=1, keepdims=True))
+            + nu * (size[:, m:].sum(axis=1, keepdims=True) + size[:, :m].sum(axis=1, keepdims=True))
         )
         trust = pred <= noise
         for _ in range(60):
-            ly = np.log1p(step * ry)
+            log_step = np.log1p(step * rel)
+            ly = log_step[:, m:]
             change = (
                 -(coef * welfare.rel_change(pi, ly)).sum(axis=1, keepdims=True)
-                - nu * (ly.sum(axis=1, keepdims=True) + np.log1p(step * rs).sum(axis=1, keepdims=True))
+                - nu * (ly.sum(axis=1, keepdims=True) + log_step[:, :m].sum(axis=1, keepdims=True))
             )
             short = (step > 0.0) & ~trust & ~(change <= -_IP_ARMIJO * step * pred)
             if not short.any():
                 break
             step = np.where(short, 0.5 * step, step)
-        y = y + step * dy
-        s = s + step * ds
-        lam = lam + dual_step * dlam
-        mu = mu + dual_step * dmu
+        z = z + step * dz
+        duals = duals + dual_step * d_duals
         reset = ~done & (step < 0.1)
         if reset.any():
-            lam = np.where(reset, cons * nu / s, lam)
-            mu = np.where(reset, free * nu / y, mu)
-        lam, mu = spread(lam, mu)
+            duals = np.where(reset, mask * nu / z, duals)
+        duals = spread(duals)
+        y = z[:, m:]
         log_u, pi = welfare.utilities(y)
-        done |= certified(y, lam * scale, log_u)[:, None]
+        done |= certified(y, duals[:, :m] * scale, log_u)[:, None]
         if done.all():
             break
-    return _Iterate(y, lam, mu, nu, scale), it
+    return _Iterate(y, duals[:, :m], duals[:, m:], nu, scale), it
 
 
 def _newton_direction(hess, rhs):
@@ -554,22 +567,6 @@ def _newton_direction(hess, rhs):
         coord = np.einsum("bij,bi->bj", vec, d * r)
         x[bad] = d * np.einsum("bij,bj->bi", vec, np.where(keep, coord / np.where(keep, curv, 1.0), 0.0))
     return x
-
-
-def _power_change(q, x):
-    """``(e^(q x) - 1) / q``, and ``x`` where ``q = 0``: the change of
-    ``v^q / q`` (of ``log v`` at ``q = 0``) from ``v`` to ``v e^x``, in
-    units of ``v^q``, without cancellation for small ``x``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(q == 0.0, x, np.expm1(q * x) / np.where(q == 0.0, 1.0, q))
-
-
-def _log_utility_change(q, x):
-    """Log-ratio of a degree-one utility ``S^(1/q)`` (``exp S`` at ``q =
-    0``) whose sum ``S / q`` changes by ``x`` in units of ``S``: ``log(1 + q
-    x) / q``, and ``x`` at ``q = 0``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(q == 0.0, x, np.log1p(q * x) / q)
 
 
 # ---------------------------------------------------------------------------

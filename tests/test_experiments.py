@@ -210,6 +210,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict({"alphas": [-1.0]})
 
+    @pytest.mark.parametrize("key", ["alphas", "budget_alphas"])
+    @pytest.mark.parametrize("alpha", [-1.0, -math.inf, math.nan])
+    def test_bad_alpha_rejected_before_any_solve(self, tmp_path, monkeypatch, key, alpha):
+        # a budget sweep's alphas are checked with the config, not after the
+        # instance sweep has been solved
+        calls = []
+        monkeypatch.setitem(experiments.SCHEME_SOLVERS, "me", lambda scn: calls.append(scn))
+        with pytest.raises(ValueError, match=f"^{key}: alpha values must be >= 0"):
+            run_experiment(tiny_config(tmp_path, budget_sweep_sp="SP1", **{key: (1.0, alpha)}))
+        assert calls == []
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            config_from_dict({key: [1.0, -1.0]})
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -4,6 +4,7 @@ along the capacity frontier of a two-class cell, and per-cell scipy solves
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from scipy import optimize
 from slicemarket import (
     CellDef,
     ClassDef,
+    LoadModel,
     ProviderDef,
     ResourceDef,
     ScenarioSpec,
     SupportEntry,
+    benchmark_preset,
+    instantiate,
     max_utilities,
     normalize_scenario,
     random_scenario,
@@ -102,6 +106,20 @@ def test_certifying_bound_is_weak_dual(alpha):
         lam[0, rng.integers(shape[1])] += 0.1
         bound = math.exp(lay.welfare.log_bound(lay.amat[None], lam)[0])
         assert bound >= best * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_does_not_change_a_member(seed):
+    # every provider's blocks are solved in one engine batch, and a member's
+    # result may not depend on the others: a provider's standalone utility
+    # is, to the bit, the one of the market that holds it alone
+    spec = instantiate(benchmark_preset(), LoadModel(seed=seed), 0)
+    for alpha in (0.0, 0.5, 1.0, 2.0, 5.0, 100.0, math.inf):
+        market = spec.with_alphas(alpha)
+        hat = max_utilities(normalize_scenario(market))
+        for s, sp in enumerate(market.sps):
+            alone = replace(market, sps=(replace(sp, budget=1.0),))
+            assert max_utilities(normalize_scenario(alone))[0] == hat[s], (alpha, sp.name)
 
 
 def reference_rates(index, s, cap):
