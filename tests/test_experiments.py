@@ -212,14 +212,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["alphas", "budget_alphas"])
     @pytest.mark.parametrize("alpha", [-1.0, -math.inf, math.nan])
-    def test_bad_alpha_rejected_before_any_solve(self, tmp_path, monkeypatch, key, alpha):
-        # a budget sweep's alphas are checked with the config, not after the
-        # instance sweep has been solved
-        calls = []
-        monkeypatch.setitem(experiments.SCHEME_SOLVERS, "me", lambda scn: calls.append(scn))
+    def test_bad_alpha_rejected(self, key, alpha):
         with pytest.raises(ValueError, match=f"^{key}: alpha values must be >= 0"):
-            run_experiment(tiny_config(tmp_path, budget_sweep_sp="SP1", **{key: (1.0, alpha)}))
-        assert calls == []
+            ExperimentConfig(**{key: (1.0, alpha)})
         with pytest.raises(ValueError, match=f"^{key}: "):
             config_from_dict({key: [1.0, -1.0]})
 
@@ -321,17 +316,18 @@ class TestCompareSchemes:
     [
         ({"budget_sweep_sp": "SP9"}, "budget_sweep_sp"),
         ({"budget_sweep_sp": "SP1", "budget_fractions": (0.5, 1.5)}, "budget_fractions"),
+        ({"budget_sweep_sp": "SP1", "budget_alphas": (2.0, -1.0)}, "budget_alphas"),
+        ({"budget_sweep_sp": "SP1", "budget_alphas": (math.nan,)}, "budget_alphas"),
     ],
-    ids=["unknown-provider", "fraction-above-one"],
+    ids=["unknown-provider", "fraction-above-one", "negative-alpha", "nan-alpha"],
 )
 def test_bad_budget_sweep_fails_before_any_solve(tmp_path, monkeypatch, fields, field):
     # the sweep is checked before the instance sweep, not after it
     calls = []
     for name, solve in experiments.SCHEME_SOLVERS.items():
         monkeypatch.setitem(experiments.SCHEME_SOLVERS, name, lambda scn, solve=solve: calls.append(scn) or solve(scn))
-    cfg = tiny_config(tmp_path, instances=1, alphas=(1.0,), **fields)
     with pytest.raises(ValueError, match=field) as err:
-        run_experiment(cfg)
+        run_experiment(tiny_config(tmp_path, instances=1, alphas=(1.0,), **fields))
     assert calls == []
     if field == "budget_sweep_sp":
         assert all(sp in str(err.value) for sp in ("SP1", "SP2", "SP3"))
