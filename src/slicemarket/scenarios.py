@@ -3,6 +3,7 @@ randomized user-load instance families, and budget sweeps."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,10 @@ class LoadModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mean", "variance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # a NaN draw casts to a meaningless user count
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.mean > 0:
             raise ValueError("mean must be positive")
         if self.variance < 0:

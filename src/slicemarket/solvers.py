@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -267,7 +266,7 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
 #: welfare; and the Eisenberg-Gale gap of an alpha-0 market equilibrium.
 _BARRIER_STOP_GAP = 1e-11
 
-#: Newton-step cap of an interior-point solve.  On the 7-cell preset a
+#: Newton-step cap of an interior-point run, across its pins.  On the 7-cell preset a
 #: static share takes 8-16 steps at alpha 0-20 and up to 24 at alpha 100; a
 #: social optimum, with its priced-out providers dropped, takes 10-13 steps
 #: at alpha 0, 0.5, 1 and inf, 13-18 at alpha 1.5-5, 15-32 at alpha 10-20
@@ -378,21 +377,17 @@ class _Welfare:
         best = self.log_ratios(amat, lam).max(axis=-1)
         return log_sum + best + _ULPS * (1.0 + np.abs(log_sum) + np.abs(best))
 
-
-class _Iterate(NamedTuple):
-    """State of an interior-point solve of :func:`_interior_point`, per
-    problem of its batch: variables ``y``, and capacity duals ``lam``, bound
-    duals ``mu`` and barrier parameter ``nu`` in units of ``scale`` (the
-    welfare ``W_0`` that the objective is divided by)."""
-
-    y: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
-    scale: np.ndarray
+    def take(self, keep):
+        """The welfare of the variables marked ``keep`` alone, which hold
+        every variable of their providers, in the same scaled variables;
+        itself when ``keep`` marks them all."""
+        if keep.all():
+            return self
+        sp, seg = np.unique(self.seg[keep], return_inverse=True)
+        return _Welfare(self.log_w[:, keep], self.q[:, keep], seg, self.log_b[:, sp], self.log_ref[:, keep], self.q0)
 
 
-def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
+def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
     for every problem ``b`` of a batch at once.
 
@@ -438,108 +433,121 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified, start=None):
       ``_IP_DUAL_SPREAD`` of them.
 
     ``var_mask`` marks real variables (padding is pinned at 1), and goods
-    that no variable uses carry no constraint.  After every step
-    ``certified(y, lam, log_u)`` says which problems are solved, given the
-    capacity duals in units of the welfare and the providers' log utilities;
-    a solved problem takes no further step, and none takes more than
-    ``_BARRIER_MAX_STEPS``.
+    that no variable uses carry no constraint.  After every step the stop
+    test ``certified(welfare, amat, y, lam, log_u)`` is given the problem as
+    it stands (the welfare and the usage rows of the variables still in the
+    solve), the variables, the capacity duals in units of the welfare and
+    the providers' log utilities.  It returns ``(done, pin)``: ``done``
+    marks the solved problems, which take no further step, and ``pin`` is
+    None or marks columns, whole providers across the batch, that leave the
+    solve at 0.  Their columns leave the welfare (:meth:`_Welfare.take`),
+    ``amat``, ``y`` and the bound duals; the capacity slacks are recomputed
+    from the remaining ``y`` and the duals moved to within
+    ``_IP_DUAL_SPREAD`` of their new central values, while ``nu`` and
+    ``W_0`` stay.  ``_BARRIER_MAX_STEPS`` caps the steps of the whole run.
 
-    Returns ``(end, iterations)``, ``end`` the final :class:`_Iterate`.  A
-    solve given such a state as ``start`` goes on from it: with the same
-    ``nu`` and ``W_0``, and with its duals moved to within
-    ``_IP_DUAL_SPREAD`` of their central values.  The start may come from a
-    problem with more variables (the social optimum drops providers), whose
-    rows of ``y`` and ``mu`` the caller leaves out.  A fresh solve whose
-    ``W_0`` overflows float64 raises ``ValueError`` before its first step.
+    Returns ``(y, lam, iterations)``: ``y`` on the columns of the given
+    ``amat``, 0 where pinned, and ``lam`` the capacity duals in units of
+    the welfare.  A solve whose ``W_0`` overflows float64 raises
+    ``ValueError`` before its first step.
     """
     nb, n, m = amat.shape
-    amat_t = amat.transpose(0, 2, 1)
-    free = var_mask.astype(float)
-    pad = 1.0 - free
-    # the slacks [s, y], the duals [lam, mu] and the mask of real rows
-    mask = np.concatenate([(amat > 0).any(axis=1), var_mask], axis=1).astype(float)
-    steep = np.concatenate([np.zeros((nb, m), dtype=bool), var_mask & (welfare.alpha > 1.0)], axis=1)
-    diag = np.arange(n)
+    cols = np.arange(n)  # the given column of every variable still in the solve
+    y, nu, duals = np.where(var_mask, 0.9, 1.0), np.full((nb, 1), 0.1), None
+    done = np.zeros((nb, 1), dtype=bool)
+    it = 0
 
     def spread(duals):
         """The duals moved to within a factor ``_IP_DUAL_SPREAD`` of their
         central values."""
         return np.minimum(np.maximum(duals, mask * nu / (_IP_DUAL_SPREAD * z)), mask * _IP_DUAL_SPREAD * nu / z)
 
-    y, lam, mu, nu, scale = start or (np.where(var_mask, 0.9, 1.0), None, None, np.full((nb, 1), 0.1), None)
-    z = np.concatenate([1.0 - (amat_t @ y[:, :, None])[:, :, 0], y], axis=1)
-    y = z[:, m:]
-    log_u, pi = welfare.utilities(y)
-    if start is None:
-        log_scale = welfare.log_welfare(log_u)[:, None]
-        if not np.all(log_scale < math.log(np.finfo(float).max)):
-            raise ValueError(f"the start's welfare exp({log_scale.max():.6g}) overflows float64")
-        scale = np.exp(log_scale)  # W_0
-        duals = mask * nu / z
-    else:
-        duals = np.concatenate([lam, mu], axis=1)
-    duals = spread(duals)
-    done = np.zeros((nb, 1), dtype=bool)
-    for it in range(1, _BARRIER_MAX_STEPS + 1):
-        s, lam, mu = z[:, :m], duals[:, :m], duals[:, m:]
-        coef = np.exp(welfare.log_b + welfare.q0 * log_u) / scale  # B_s U_s^q0 / W_0
-        c_var = coef[:, welfare.seg]
-        grad = -c_var * pi / y
-        stat = (y * np.abs(grad + (amat @ lam[:, :, None])[:, :, 0] - mu)).max(axis=1, keepdims=True)
-        comp = duals * z
-        while True:
-            err = np.maximum(stat, np.abs(comp - mask * nu).max(axis=1, keepdims=True))
-            small = ~done & (err <= 10.0 * nu)
-            if not small.any():
-                break
-            nu = np.where(small, 0.1 * nu, nu)
-        central = mask * nu / z
-        hess = (amat * (lam / s)[:, None, :]) @ amat_t
-        hess -= (c_var * welfare.rank * pi / y)[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
-        hess[:, diag, diag] += (c_var * welfare.alpha * pi / y + mu) / y + pad
-        rhs = free * (nu / y - grad) - (amat @ central[:, :m, None])[:, :, 0]
-        dy = _newton_direction(hess, rhs)
-        dz = np.concatenate([-(amat_t @ dy[:, :, None])[:, :, 0], dy], axis=1)
-        rel = dz / z
-        d_duals = central - duals - duals * rel
-        tau = np.maximum(0.99, 1.0 - nu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(rel < 0, -np.where(steep, 0.5, tau) / rel, np.inf).min(axis=1, keepdims=True)
-            dual_step = np.where(d_duals < 0, -tau * duals / d_duals, np.inf).min(axis=1, keepdims=True)
-            step, dual_step = np.minimum(step, 1.0), np.minimum(dual_step, 1.0)
-        step[done] = 0.0
-        dual_step[done] = 0.0
-        pred = (rhs * dy).sum(axis=1, keepdims=True)
-        ry, size = rel[:, m:], np.abs(rel)
-        # below this the change of phi_nu is lost in the rounding of its terms
-        noise = _ULPS * (
-            np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
-            + nu * (size[:, m:].sum(axis=1, keepdims=True) + size[:, :m].sum(axis=1, keepdims=True))
-        )
-        trust = pred <= noise
-        for _ in range(60):
-            log_step = np.log1p(step * rel)
-            ly = log_step[:, m:]
-            change = (
-                -(coef * welfare.rel_change(pi, ly)).sum(axis=1, keepdims=True)
-                - nu * (ly.sum(axis=1, keepdims=True) + log_step[:, :m].sum(axis=1, keepdims=True))
-            )
-            short = (step > 0.0) & ~trust & ~(change <= -_IP_ARMIJO * step * pred)
-            if not short.any():
-                break
-            step = np.where(short, 0.5 * step, step)
-        z = z + step * dz
-        duals = duals + dual_step * d_duals
-        reset = ~done & (step < 0.1)
-        if reset.any():
-            duals = np.where(reset, mask * nu / z, duals)
-        duals = spread(duals)
+    while True:
+        amat_t = amat.transpose(0, 2, 1)
+        free = var_mask.astype(float)
+        pad = 1.0 - free
+        # the slacks [s, y], the duals [lam, mu] and the mask of real rows
+        mask = np.concatenate([(amat > 0).any(axis=1), var_mask], axis=1).astype(float)
+        steep = np.concatenate([np.zeros((nb, m), dtype=bool), var_mask & (welfare.alpha > 1.0)], axis=1)
+        diag = np.arange(y.shape[1])
+        z = np.concatenate([1.0 - (amat_t @ y[:, :, None])[:, :, 0], y], axis=1)
         y = z[:, m:]
         log_u, pi = welfare.utilities(y)
-        done |= certified(y, duals[:, :m] * scale, log_u)[:, None]
-        if done.all():
+        if duals is None:
+            log_scale = welfare.log_welfare(log_u)[:, None]
+            if not np.all(log_scale < math.log(np.finfo(float).max)):
+                raise ValueError(f"the start's welfare exp({log_scale.max():.6g}) overflows float64")
+            scale = np.exp(log_scale)  # W_0
+            duals = mask * nu / z
+        duals = spread(duals)
+        pin = None
+        while pin is None and it < _BARRIER_MAX_STEPS and not done.all():
+            it += 1
+            s, lam, mu = z[:, :m], duals[:, :m], duals[:, m:]
+            coef = np.exp(welfare.log_b + welfare.q0 * log_u) / scale  # B_s U_s^q0 / W_0
+            c_var = coef[:, welfare.seg]
+            grad = -c_var * pi / y
+            stat = (y * np.abs(grad + (amat @ lam[:, :, None])[:, :, 0] - mu)).max(axis=1, keepdims=True)
+            comp = duals * z
+            while True:
+                err = np.maximum(stat, np.abs(comp - mask * nu).max(axis=1, keepdims=True))
+                small = ~done & (err <= 10.0 * nu)
+                if not small.any():
+                    break
+                nu = np.where(small, 0.1 * nu, nu)
+            central = mask * nu / z
+            hess = (amat * (lam / s)[:, None, :]) @ amat_t
+            hess -= (c_var * welfare.rank * pi / y)[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
+            hess[:, diag, diag] += (c_var * welfare.alpha * pi / y + mu) / y + pad
+            rhs = free * (nu / y - grad) - (amat @ central[:, :m, None])[:, :, 0]
+            dy = _newton_direction(hess, rhs)
+            dz = np.concatenate([-(amat_t @ dy[:, :, None])[:, :, 0], dy], axis=1)
+            rel = dz / z
+            d_duals = central - duals - duals * rel
+            tau = np.maximum(0.99, 1.0 - nu)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(rel < 0, -np.where(steep, 0.5, tau) / rel, np.inf).min(axis=1, keepdims=True)
+                dual_step = np.where(d_duals < 0, -tau * duals / d_duals, np.inf).min(axis=1, keepdims=True)
+                step, dual_step = np.minimum(step, 1.0), np.minimum(dual_step, 1.0)
+            step[done] = 0.0
+            dual_step[done] = 0.0
+            pred = (rhs * dy).sum(axis=1, keepdims=True)
+            ry, size = rel[:, m:], np.abs(rel)
+            # below this the change of phi_nu is lost in the rounding of its terms
+            noise = _ULPS * (
+                np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
+                + nu * (size[:, m:].sum(axis=1, keepdims=True) + size[:, :m].sum(axis=1, keepdims=True))
+            )
+            trust = pred <= noise
+            for _ in range(60):
+                log_step = np.log1p(step * rel)
+                ly = log_step[:, m:]
+                change = (
+                    -(coef * welfare.rel_change(pi, ly)).sum(axis=1, keepdims=True)
+                    - nu * (ly.sum(axis=1, keepdims=True) + log_step[:, :m].sum(axis=1, keepdims=True))
+                )
+                short = (step > 0.0) & ~trust & ~(change <= -_IP_ARMIJO * step * pred)
+                if not short.any():
+                    break
+                step = np.where(short, 0.5 * step, step)
+            z = z + step * dz
+            duals = duals + dual_step * d_duals
+            reset = ~done & (step < 0.1)
+            if reset.any():
+                duals = np.where(reset, mask * nu / z, duals)
+            duals = spread(duals)
+            y = z[:, m:]
+            log_u, pi = welfare.utilities(y)
+            finished, pin = certified(welfare, amat, y, duals[:, :m] * scale, log_u)
+            done |= finished[:, None]
+        if pin is None:
             break
-    return _Iterate(y, duals[:, :m], duals[:, m:], nu, scale), it
+        keep = ~pin
+        welfare, amat, var_mask, cols = welfare.take(keep), amat[:, keep], var_mask[:, keep], cols[keep]
+        y, duals = y[:, keep], np.concatenate([duals[:, :m], duals[:, m:][:, keep]], axis=1)
+    full = np.zeros((nb, n))
+    full[:, cols] = y
+    return full, duals[:, :m] * scale, it
 
 
 def _newton_direction(hess, rhs):
@@ -632,11 +640,12 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
         # the bound over U(z) / top, the utility of the rates scaled onto the frontier
         return welfare.log_bound(a_mat, lam) - log_u[:, 0] + np.log(np.einsum("bkj,bk->bj", a_mat, z).max(axis=1))
 
-    end, iterations = _interior_point(
-        welfare, a_mat, mask, lambda z, lam, log_u: log_gap(z, lam, log_u) <= math.log1p(_BARRIER_STOP_GAP)
-    )
-    np.maximum.at(gaps, blocks.sp, np.expm1(log_gap(end.y, end.lam, welfare.utilities(end.y)[0])))
-    z = end.y / np.einsum("bkj,bk->bj", a_mat, end.y).max(axis=1)[:, None]
+    def certified(_welfare, _amat, z, lam, log_u):
+        return log_gap(z, lam, log_u) <= math.log1p(_BARRIER_STOP_GAP), None
+
+    y, lam, iterations = _interior_point(welfare, a_mat, mask, certified)
+    np.maximum.at(gaps, blocks.sp, np.expm1(log_gap(y, lam, welfare.utilities(y)[0])))
+    z = y / np.einsum("bkj,bk->bj", a_mat, y).max(axis=1)[:, None]
     rates[blocks.rows[mask]] = (ref * z)[mask]
     return rates, gaps, iterations
 
@@ -700,15 +709,6 @@ class _WelfareLayout:
         prices[self.goods] = lam
         return prices
 
-    def restrict(self, active):
-        """The welfare, usage rows and variable mask of the program on the
-        providers marked ``active`` alone, in the same scaled variables."""
-        keep = active[self.welfare.seg]
-        w = self.welfare
-        seg = np.cumsum(active)[w.seg[keep]] - 1
-        sub = _Welfare(w.log_w[:, keep], w.q[:, keep], seg, w.log_b[:, active], w.log_ref[:, keep], w.q0)
-        return sub, self.amat[keep], keep
-
     def rates(self, y):
         """Per-triple rates of scaled variables ``y``."""
         return self.ref[self.owner] * y[self.owner] * self.mult
@@ -725,84 +725,6 @@ class _WelfareLayout:
 _DROP_SHARE = 1e-2
 _DROP_RATIO = 1e-3
 _DROP_HOLD = 0.9
-
-
-def _concave_welfare_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Maximize the welfare ``W = sum_s B_s U_s(u)`` under unit capacities.
-
-    The interior-point engine (:func:`_interior_point`, a batch of one) on
-    the variables of :class:`_WelfareLayout`, whose Newton system is one
-    dense ``V x V`` solve per step, run as an active set over providers.
-    At the optimum only the providers whose price-space ratio ``B_s / e_s``
-    attains its maximum get anything, and at alpha > 1 the engine lets the
-    rates of any other provider fall by at most half per step.  So a
-    provider whose share is small and whose ratio stays clearly below the
-    best (``_DROP_SHARE``, ``_DROP_RATIO``, ``_DROP_HOLD``) is dropped: it
-    gets rate 0, and the solve goes on from the current iterate without its
-    variables.
-
-    The solve stops once its capacity duals certify the point scaled onto
-    the capacity frontier to within ``_BARRIER_STOP_GAP`` on the whole
-    market (:meth:`_Welfare.log_bound` of the whole layout's welfare, whose
-    maximum runs over the dropped providers too).  If the point certifies
-    without the dropped providers but one of them has a ratio above the best
-    of the rest, that provider is put back for good and the solve starts
-    again.
-
-    Returns ``(rates, prices, gap, iterations)``: ``prices`` are the duals,
-    the optimum is at most ``1 + gap`` times the welfare at ``rates``, and
-    ``iterations`` counts the Newton steps of every start.
-    """
-    lay = _WelfareLayout(index)
-    active = np.ones(index.n_sps, dtype=bool)
-    pinned = np.zeros(index.n_sps, dtype=bool)
-    below_before = np.full(index.n_sps, np.inf)
-    start, iterations = None, 0
-    while True:
-        welfare, amat, keep = lay.restrict(active)
-        drop = np.zeros(index.n_sps, dtype=bool)
-        add = np.zeros(index.n_sps, dtype=bool)
-
-        def certified(y, lam, log_u):
-            lam, log_u, usage = lam[0], log_u[0], amat.T @ y[0]
-            log_w = welfare.log_welfare(log_u[None])[0]
-            ratios = lay.welfare.log_ratios(lay.amat[None], lam[None])[0]
-            best = ratios[active].max()
-            below = np.where(active, best - ratios, np.inf)
-            small = np.zeros(index.n_sps, dtype=bool)
-            small[active] = np.exp(welfare.log_b[0] + log_u - log_w) < _DROP_SHARE
-            drop[:] = small & ~pinned & (below > _DROP_RATIO) & (below >= _DROP_HOLD * below_before)
-            below_before[:] = below
-            if drop.any():
-                return np.array([True])
-            top = usage.max()
-            # the bound is at least 1 / (1 - lam.s / lam.1) times the welfare at
-            # y (weak duality), so the scaled point cannot certify before this
-            if top > (1.0 + _BARRIER_STOP_GAP) * (1.0 - lam @ (1.0 - usage) / lam.sum()):
-                return np.array([False])
-            if math.expm1(math.log(float(lam.sum())) + best - log_w + math.log(top)) > _BARRIER_STOP_GAP:
-                return np.array([False])
-            add[:] = ~active & (ratios > best)
-            return np.array([True])
-
-        end, it = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified, start)
-        iterations += it
-        if drop.any():
-            stay = ~drop[lay.welfare.seg[keep]]
-            active &= ~drop
-            start = _Iterate(end.y[:, stay], end.lam, end.mu[:, stay], end.nu, end.scale)
-        elif add.any():
-            active |= add
-            pinned |= add
-            start = None
-        else:
-            break
-    y = np.zeros(keep.size)
-    y[keep] = end.y[0] / (amat.T @ end.y[0]).max()
-    lam = end.lam[0] * end.scale[0]
-    log_w = welfare.log_welfare(welfare.utilities(y[keep][None])[0])[0]
-    gap = math.expm1(lay.welfare.log_bound(lay.amat[None], lam[None])[0] - log_w)
-    return lay.rates(y), lay.prices(lam), gap, iterations
 
 
 def _eisenberg_gale_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
@@ -828,14 +750,14 @@ def _eisenberg_gale_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, i
         usage = amat.T @ y
         return y / usage.max(), np.where(lam < 1.0 - usage / usage.max(), 0.0, lam)
 
-    def certified(y, lam, log_u):
+    def certified(_welfare, _amat, y, lam, log_u):
         y, lam = frontier(y[0], lam[0])
         prices = lay.prices(lam)
         g, r = _eg_gap(index, prices, index.log_ratios(prices), welfare.utilities(y[None])[0][0])
-        return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP])
+        return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP]), None
 
-    end, iterations = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
-    y, lam = frontier(end.y[0], end.lam[0] * end.scale[0])
+    y, lam, iterations = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
+    y, lam = frontier(y[0], lam[0])
     prices = lay.prices(lam)
     kernel = index.kernel
     linear = index.alphas[index.sp_of] == 0.0
@@ -851,20 +773,87 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     are comparable across alpha and against the market schemes.
 
     Max-min providers enter exactly through their common per-user rate level
-    (``u = t n``, lossless at the optimum).  A provider priced out of the
-    optimum gets rate and utility exactly 0.  The primal-dual interior-point
-    solve, an active set over providers (see :func:`_concave_welfare_solve`),
-    certifies itself through the Eisenberg-Gale price-space bound: for
-    capacity prices ``lam >= 0``, no feasible allocation has welfare above
-    ``(lam . 1) max_s B_s / e_s``, where ``e_s`` is provider ``s``'s unit
-    cost at the prices ``D_s lam`` of its classes.  ``prices`` are
-    the certifying capacity duals, ``residuals["duality_gap"]`` is that
-    bound over the returned welfare minus 1, ``converged`` means it is at
-    most ``GAP_TOL``, and ``iterations`` counts the Newton steps of every
-    start.
+    (``u = t n``, lossless at the optimum).  The program is solved by the
+    interior-point engine (:func:`_interior_point`, a batch of one) on the
+    variables of :class:`_WelfareLayout`, whose Newton system is one dense
+    ``V x V`` solve per step, as an active set over providers.  At the
+    optimum only the providers whose price-space ratio ``B_s / e_s`` attains
+    its maximum get anything, and at alpha > 1 the engine lets the rates of
+    any other provider fall by at most half per step.  So a provider whose
+    share is small and whose ratio stays clearly below the best
+    (``_DROP_SHARE``, ``_DROP_RATIO``, ``_DROP_HOLD``) is pinned: its
+    variables leave the run, which goes on without them, and it gets rate
+    and utility exactly 0.
+
+    The run stops once its capacity duals certify the point scaled onto the
+    capacity frontier to within ``_BARRIER_STOP_GAP`` by the Eisenberg-Gale
+    price-space bound of the whole market (:meth:`_Welfare.log_bound` of the
+    whole layout's welfare, whose maximum runs over the dropped providers
+    too): for capacity prices ``lam >= 0``, no feasible allocation has
+    welfare above ``(lam . 1) max_s B_s / e_s``, where ``e_s`` is provider
+    ``s``'s unit cost at the prices ``D_s lam`` of its classes.  If the
+    point certifies without the dropped providers but one of them has a
+    ratio above the best of the rest, that provider is put back for good and
+    a new run starts, with the other dropped providers still out.
+    ``prices`` are the certifying capacity duals,
+    ``residuals["duality_gap"]`` is that bound over the returned welfare
+    minus 1, ``converged`` means it is at most ``GAP_TOL``, and
+    ``iterations`` counts the Newton steps of every run.
     """
-    rates, prices, gap, iterations = _concave_welfare_solve(scn.index)
-    return _welfare_report(scn, prices, Allocation(rates, scn.index), iterations, gap)
+    index = scn.index
+    lay = _WelfareLayout(index)
+    active = np.ones(index.n_sps, dtype=bool)
+    put_back = np.zeros(index.n_sps, dtype=bool)
+    add = np.zeros(index.n_sps, dtype=bool)
+    below_before = np.full(index.n_sps, np.inf)
+
+    def certified(welfare, amat, y, lam, log_u):
+        lam, log_u, usage = lam[0], log_u[0], amat[0].T @ y[0]
+        log_w = welfare.log_welfare(log_u[None])[0]
+        ratios = lay.welfare.log_ratios(lay.amat[None], lam[None])[0]
+        best = ratios[active].max()
+        below = np.where(active, best - ratios, np.inf)
+        small = np.zeros(index.n_sps, dtype=bool)
+        small[active] = np.exp(welfare.log_b[0] + log_u - log_w) < _DROP_SHARE
+        drop = small & ~put_back & (below > _DROP_RATIO) & (below >= _DROP_HOLD * below_before)
+        below_before[:] = below
+        if drop.any():
+            pin = drop[active][welfare.seg]
+            active[drop] = False
+            return np.array([False]), pin
+        top = usage.max()
+        # the bound is at least 1 / (1 - lam.s / lam.1) times the welfare at
+        # y (weak duality), so the scaled point cannot certify before this
+        if top > (1.0 + _BARRIER_STOP_GAP) * (1.0 - lam @ (1.0 - usage) / lam.sum()):
+            return np.array([False]), None
+        if math.expm1(math.log(float(lam.sum())) + best - log_w + math.log(top)) > _BARRIER_STOP_GAP:
+            return np.array([False]), None
+        add[:] = ~active & (ratios > best)
+        return np.array([True]), None
+
+    iterations = 0
+    while True:
+        start = active[lay.welfare.seg]
+        # a C-order copy of the F-order lay.amat: the order that the steps'
+        # sums, and so the last bits of the report, follow
+        amat = lay.amat[start]
+        y_run, lam, it = _interior_point(
+            lay.welfare.take(start), amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified
+        )
+        iterations += it
+        if not add.any():
+            break
+        active |= add
+        put_back |= add
+        add[:] = False
+    keep = active[lay.welfare.seg]
+    welfare = lay.welfare.take(keep)
+    y = np.zeros(keep.size)
+    y[start] = y_run[0]
+    y /= (lay.amat[keep].T @ y[keep]).max()
+    log_w = welfare.log_welfare(welfare.utilities(y[keep][None])[0])[0]
+    gap = math.expm1(lay.welfare.log_bound(lay.amat[None], lam)[0] - log_w)
+    return _welfare_report(scn, lay.prices(lam[0]), Allocation(lay.rates(y), index), iterations, gap)
 
 
 def static_share(scn: NormalizedScenario) -> SolveReport:

@@ -1,6 +1,7 @@
 """Experiment orchestration, CSV/plot emission, scheme comparison."""
 
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -249,6 +250,13 @@ class TestConfig:
     def test_wrongly_typed_load_model_field_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^load_model.{key}: expected"):
             config_from_dict({"load_model": {key: value}})
+
+    @pytest.mark.parametrize("text", ['{"mean": Infinity}', '{"variance": NaN}', '{"variance": Infinity}'])
+    def test_non_finite_load_model_rejected(self, text):
+        """JSON's NaN and Infinity literals are numbers to ``json``, but no
+        load model draws finite user counts from them."""
+        with pytest.raises(ValueError, match="(mean|variance) must be finite"):
+            config_from_dict({"load_model": json.loads(text)})
 
     def test_load_model_fields_typed(self):
         doc = {"mean": 50, "variance": 9, "variance_is_sigma": True, "floor": 2.0, "seed": 3}

@@ -1,5 +1,7 @@
 """Preset construction, load model, and instance families."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ class TestLoadModel:
             LoadModel(mean=0.0)
         with pytest.raises(ValueError):
             LoadModel(variance=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("mean", math.inf), ("mean", math.nan), ("variance", math.inf), ("variance", math.nan)]
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        """A NaN draw would be cast to an int user count (-2**63) with a
+        RuntimeWarning, and the run would fail late in the scenario check."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LoadModel(**{field: value})
 
     def test_instances_are_valid_scenarios(self):
         tpl = benchmark_preset()

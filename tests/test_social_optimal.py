@@ -254,13 +254,33 @@ def preset(seed, alpha):
     return normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=seed), 0).with_alphas(alpha))
 
 
+def engine_runs(monkeypatch):
+    """A list that gets one entry per run of the interior-point engine."""
+    runs = []
+    engine = solvers._interior_point
+
+    def counted(*args):
+        runs.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(solvers, "_interior_point", counted)
+    return runs
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
 def test_priced_out_provider_gets_exactly_zero(alpha, monkeypatch):
     """A provider whose price-space ratio stays below the best is dropped
     from the solve: its rates are exactly 0, and the welfare is the one of
-    a solve that keeps every provider to the end."""
+    a solve that keeps every provider to the end.  The engine pins the
+    dropped provider's variables and goes on, so the solve is one engine
+    run, where a restart per drop made two."""
     markets = [preset(seed, alpha) for seed in range(7001, 7005)]
-    dropped = [solve_social_optimal(scn) for scn in markets]
+    runs = engine_runs(monkeypatch)
+    dropped = []
+    for scn in markets:
+        runs.clear()
+        dropped.append(solve_social_optimal(scn))
+        assert len(runs) == 1
     monkeypatch.setattr(solvers, "_DROP_SHARE", 0.0)
     for scn, rep in zip(markets, dropped):
         full = solve_social_optimal(scn)
@@ -276,8 +296,8 @@ def test_priced_out_provider_gets_exactly_zero(alpha, monkeypatch):
 def test_wrongly_dropped_provider_is_put_back(monkeypatch):
     """With the drop thresholds loosened, providers that the optimum gives
     a share leave the solve too.  The certificate runs over every provider,
-    so each such one is put back and the solve still certifies the
-    welfare of the default solve."""
+    so each such one is put back, in a new engine run, and the solve still
+    certifies the welfare of the default solve."""
     rng = np.random.default_rng(41)
     markets = [preset(7005, 0.5), preset(7008, 0.5)]
     for _ in range(10):
@@ -288,11 +308,16 @@ def test_wrongly_dropped_provider_is_put_back(monkeypatch):
     monkeypatch.setattr(solvers, "_DROP_SHARE", 1.0)
     monkeypatch.setattr(solvers, "_DROP_RATIO", 0.0)
     monkeypatch.setattr(solvers, "_DROP_HOLD", 1e-9)
+    runs = engine_runs(monkeypatch)
+    counts = []
     for scn, ref in zip(markets, reference):
+        runs.clear()
         rep = solve_social_optimal(scn)
+        counts.append(len(runs))
         assert rep.converged
         assert welfare(scn, rep) == pytest.approx(welfare(scn, ref), rel=1e-9)
         assert np.all((rep.utilities > 0.0) == (ref.utilities > 0.0))
+    assert max(counts) > 1
 
 
 def test_overflowing_welfare_fails_before_any_step(monkeypatch):
