@@ -27,6 +27,7 @@ interior-point welfare builds by the same constructor
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -39,6 +40,10 @@ SCHEMA_VERSION = 1
 
 #: Budgets must sum to one within this tolerance.
 BUDGET_SUM_TOL = 1e-12
+
+#: Largest user count: the index holds counts as ``np.intp`` (int64), and a
+#: larger one may not even convert to a float.
+_MAX_USERS = int(np.iinfo(np.intp).max)
 
 
 class ScenarioError(ValueError):
@@ -128,9 +133,10 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     """Check structural invariants; raises :class:`ScenarioError`.
 
     Enforced: positive capacities, positive demands on consumed resources,
-    budgets summing to 1, alpha >= 0, nonnegative integer user counts, some
-    users for every provider, every supported class existing at its cell
-    with all consumed resources present there.
+    budgets summing to 1, alpha >= 0, nonnegative integer user counts of at
+    most ``2**63 - 1``, positive finite explicit weights, some users for
+    every provider, every supported class existing at its cell with all
+    consumed resources present there.
     """
     if not spec.cells:
         raise ScenarioError("scenario has no cells")
@@ -183,14 +189,18 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 raise ScenarioError(f"SP {sp.name!r} supports unknown class {e.klass!r}")
             if e.cell not in resources_at:
                 raise ScenarioError(f"SP {sp.name!r} supports unknown cell {e.cell!r}")
-            if e.users < 0 or e.users != int(e.users):
+            if e.users > _MAX_USERS:
+                raise ScenarioError(
+                    f"user count for ({sp.name!r}, {e.cell!r}, {e.klass!r}) exceeds {_MAX_USERS}"
+                )
+            if not (e.users >= 0) or e.users != int(e.users):
                 raise ScenarioError(
                     f"user count for ({sp.name!r}, {e.cell!r}, {e.klass!r}) "
                     "must be a nonnegative integer"
                 )
-            if e.weight is not None and not (e.weight > 0):
+            if e.weight is not None and not (0 < e.weight < math.inf):
                 raise ScenarioError(
-                    f"weight for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be positive"
+                    f"weight for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be positive and finite"
                 )
             if (e.cell, e.klass) in served:
                 continue
@@ -477,6 +487,21 @@ class CESAggregate:
             # the shares at x = 1, w / sum w
             _, e, tot = self.terms(np.zeros(np.shape(log_w)))
             self.w_hat = e / self.spread(tot)
+
+    def rows(self, keep: np.ndarray) -> "CESAggregate":
+        """The aggregate of the members ``keep`` (indices) of a batch
+        ``[batch, n]`` alone: its per-member arrays sliced, never rebuilt, so
+        every kept member's values are bit for bit the batch's.  The
+        segments are shared."""
+        out = copy.copy(self)
+        out.log_w, out.q, out.q_div = (a.take(keep, axis=0) for a in (self.log_w, self.q, self.q_div))
+        if np.ndim(self.shift):
+            out.shift = self.shift.take(keep, axis=0)
+        forms = [(mask.take(keep, axis=0), form) for mask, form in self.forms]
+        out.forms = [(mask, form) for mask, form in forms if mask.any()]
+        if "w_hat" in vars(self):
+            out.w_hat = self.w_hat.take(keep, axis=0)
+        return out
 
     @classmethod
     def unit_cost(cls, weights: np.ndarray, alpha: np.ndarray, seg: np.ndarray) -> "CESAggregate":

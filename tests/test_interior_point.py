@@ -15,6 +15,7 @@ from slicemarket import (
     solve_social_optimal,
     static_share,
 )
+from slicemarket import solvers
 
 ALPHAS = [0.0, 0.5, 1.0, 2.0, 5.0, 100.0, math.inf]
 
@@ -75,3 +76,65 @@ def test_steep_alphas_certify(alpha):
     for scn in markets:
         assert solve_social_optimal(scn).converged
         assert static_share(scn).converged
+
+
+def market(n_cells, seed, alpha):
+    return normalize_scenario(instantiate(benchmark_preset(n_cells=n_cells), LoadModel(seed=seed), 0).with_alphas(alpha))
+
+
+def fingerprint(rep):
+    """Every number of a report, in forms that are equal only bit for bit."""
+    arrays = (rep.allocation.rates, rep.prices, rep.utilities, rep.spending)
+    residuals = {key: float(value).hex() for key, value in rep.residuals.items()}
+    return rep.method, [a.tobytes() for a in arrays], rep.iterations, rep.converged, residuals
+
+
+@pytest.mark.parametrize("shed", [1, math.inf])
+def test_shedding_does_not_change_a_static_share(shed, monkeypatch):
+    """Certified blocks leave the engine's batch once ``_SHED_ROWS`` of them
+    wait.  A report may not depend on when that happens: shedding at every
+    finish, or never, gives the default's reports to the bit, on the preset
+    (21 blocks, which the default never sheds) and on 28 cells (84 blocks,
+    which it does)."""
+    keys = [(7, seed, alpha) for seed in range(3) for alpha in (0.0, 2.0, 5.0, 100.0, math.inf)]
+    markets = [market(*key) for key in keys + [(28, 3, 2.0), (28, 3, 100.0)]]
+    default = [fingerprint(static_share(scn)) for scn in markets]
+    monkeypatch.setattr(solvers, "_SHED_ROWS", shed)
+    assert [fingerprint(static_share(scn)) for scn in markets] == default
+
+
+def test_static_share_batch_shrinks(monkeypatch):
+    """On 28 cells the stop test is handed fewer blocks once enough have
+    certified, and each time a welfare, iterate and duals of just those
+    blocks."""
+    handed = []
+    engine = solvers._interior_point
+
+    def spied(welfare, amat, var_mask, certified):
+        def stop_test(welfare, amat, y, lam, log_u):
+            handed.append(amat.shape[0])
+            assert welfare.log_b.shape[0] == y.shape[0] == lam.shape[0] == log_u.shape[0] == amat.shape[0]
+            return certified(welfare, amat, y, lam, log_u)
+
+        return engine(welfare, amat, var_mask, stop_test)
+
+    monkeypatch.setattr(solvers, "_interior_point", spied)
+    rep = static_share(market(28, 3, 2.0))
+    assert rep.converged
+    assert len(handed) == rep.iterations
+    assert handed[0] == 84 and handed[-1] < handed[0] - solvers._SHED_ROWS
+
+
+def test_singular_member_leaves_the_others_on_lu():
+    """A Newton matrix that LU cannot factor sends only its own member to
+    the eigen-decomposition; the others keep their LU solutions."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4))
+    spd = a @ a.T + 4.0 * np.eye(4)
+    hess = np.stack([spd, np.ones((4, 4)), spd])
+    rhs = rng.normal(size=(3, 4))
+    rhs[1] = 1.0
+    x = solvers._newton_direction(hess, rhs)
+    for b in (0, 2):
+        assert x[b].tobytes() == np.linalg.solve(spd, rhs[b][:, None])[:, 0].tobytes()
+    assert rhs[1] @ x[1] > 0.0

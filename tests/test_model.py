@@ -1,5 +1,6 @@
 """Scenario model, validation and normalization."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -136,6 +137,37 @@ def test_overflowing_default_weight_rejected():
     with pytest.raises(ScenarioError, match=r"default weight 100\*\*200.0 overflows"):
         effective_weight(100, 200.0, None)
     assert effective_weight(100, 200.0, 2.0) == 2.0
+
+
+def test_infinite_weight_rejected():
+    """An explicit weight of inf used to pass validation: ME then solved to
+    NaN utilities, SS and SO failed with messages about NaN."""
+    spec = two_sp_spec(alpha1=2.0)
+    sp0 = replace(spec.sps[0], support=(SupportEntry("c0", "a", 1, weight=math.inf),))
+    spec = replace(spec, sps=(sp0, spec.sps[1]))
+    message = r"weight for \('sp0', 'c0', 'a'\) must be positive and finite"
+    with pytest.raises(ScenarioError, match=message):
+        normalize_scenario(spec)
+    # a scenario file's JSON Infinity reads as the same weight
+    doc = json.loads(json.dumps(scenario_to_dict(spec)))
+    assert doc["sps"][0]["support"][0]["weight"] == math.inf
+    with pytest.raises(ScenarioError, match=message):
+        normalize_scenario(scenario_from_dict(doc))
+
+
+@pytest.mark.parametrize("alpha", [2.0, math.inf])
+@pytest.mark.parametrize("users", [10**400, 10**20, math.inf])
+def test_user_count_beyond_int64_rejected(users, alpha):
+    """A count that no float holds used to end in an uncaught
+    ``OverflowError`` at alpha inf and in a misleading default-weight error
+    at alpha 2; one above ``2**63 - 1`` failed when the index stored it,
+    and an infinite one when the check converted it to an integer."""
+    spec = two_sp_spec(alpha1=alpha, users=(users, 1))
+    with pytest.raises(ScenarioError, match=r"user count for \('sp0', 'c0', 'a'\) exceeds 9223372036854775807"):
+        normalize_scenario(spec)
+    with pytest.raises(ScenarioError, match="must be a nonnegative integer"):
+        normalize_scenario(two_sp_spec(alpha1=alpha, users=(math.nan, 1)))
+    normalize_scenario(two_sp_spec(alpha1=alpha, users=(2**63 - 1, 1)))
 
 
 def test_zero_user_triples_dropped():

@@ -293,6 +293,37 @@ def test_priced_out_provider_gets_exactly_zero(alpha, monkeypatch):
         assert rep.iterations < full.iterations
 
 
+def test_report_takes_the_engine_s_last_welfare(monkeypatch):
+    """The report's welfare is the one the engine's last stop test saw: a
+    solve builds one welfare for its layout and one per pinned provider set,
+    and none again after the run."""
+    built, pins = [], []
+    init = solvers._Welfare.__init__
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    engine = solvers._interior_point
+
+    def spied(welfare, amat, var_mask, certified):
+        def stop_test(*args):
+            done, pin = certified(*args)
+            pins.append(pin is not None)
+            return done, pin
+
+        return engine(welfare, amat, var_mask, stop_test)
+
+    monkeypatch.setattr(solvers._Welfare, "__init__", counted_init)
+    monkeypatch.setattr(solvers, "_interior_point", spied)
+    for seed in range(7001, 7005):
+        built.clear()
+        pins.clear()
+        assert solve_social_optimal(preset(seed, 2.0)).converged
+        assert sum(pins) >= 1
+        assert len(built) == 1 + sum(pins)
+
+
 def test_wrongly_dropped_provider_is_put_back(monkeypatch):
     """With the drop thresholds loosened, providers that the optimum gives
     a share leave the solve too.  The certificate runs over every provider,
