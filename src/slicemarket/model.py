@@ -27,7 +27,6 @@ interior-point welfare builds by the same constructor
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import warnings
@@ -487,21 +486,6 @@ class CESAggregate:
             # the shares at x = 1, w / sum w
             _, e, tot = self.terms(np.zeros(np.shape(log_w)))
             self.w_hat = e / self.spread(tot)
-
-    def rows(self, keep: np.ndarray) -> "CESAggregate":
-        """The aggregate of the members ``keep`` (indices) of a batch
-        ``[batch, n]`` alone: its per-member arrays sliced, never rebuilt, so
-        every kept member's values are bit for bit the batch's.  The
-        segments are shared."""
-        out = copy.copy(self)
-        out.log_w, out.q, out.q_div = (a.take(keep, axis=0) for a in (self.log_w, self.q, self.q_div))
-        if np.ndim(self.shift):
-            out.shift = self.shift.take(keep, axis=0)
-        forms = [(mask.take(keep, axis=0), form) for mask, form in self.forms]
-        out.forms = [(mask, form) for mask, form in forms if mask.any()]
-        if "w_hat" in vars(self):
-            out.w_hat = self.w_hat.take(keep, axis=0)
-        return out
 
     @classmethod
     def unit_cost(cls, weights: np.ndarray, alpha: np.ndarray, seg: np.ndarray) -> "CESAggregate":

@@ -9,15 +9,16 @@ primal-dual interior-point engine (:func:`_interior_point`).  The
 decentralized bid dynamics (:mod:`~slicemarket.dynamics`), the paper's
 learning algorithm, reach the same equilibrium without a central solver.
 ``solve_social_optimal`` and ``static_share`` are the efficiency and
-isolation baselines, solved by the same engine and certified by weak
-duality; the social optimum runs the engine as an active set that drops the
-providers priced out of the optimum.  ``poa_bound`` / ``nash_welfare``
+isolation baselines, certified by weak duality; the social optimum runs the
+engine as an active set that drops the providers priced out of the optimum,
+and the static share solves its blocks in closed form where it can and on
+the same engine elsewhere.  ``poa_bound`` / ``nash_welfare``
 provide the fairness/efficiency diagnostics.
 """
 
 from __future__ import annotations
 
-import copy
+import itertools
 import math
 from functools import cached_property
 
@@ -267,12 +268,14 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
 #: welfare; and the Eisenberg-Gale gap of an alpha-0 market equilibrium.
 _BARRIER_STOP_GAP = 1e-11
 
-#: Newton-step cap of an interior-point run, across its pins.  On the 7-cell preset a
-#: static share takes 8-16 steps at alpha 0-20 and up to 24 at alpha 100; a
-#: social optimum, with its priced-out providers dropped, takes 10-13 steps
-#: at alpha 0, 0.5, 1 and inf, 13-18 at alpha 1.5-5, 15-32 at alpha 10-20
-#: and 37-74 at alpha 100.  The counts barely grow with size: 10 to 72
-#: steps at 28 and 112 cells.
+#: Newton-step cap of an interior-point run, across its pins.  On the 7-cell
+#: preset a social optimum, with its priced-out providers dropped, takes
+#: 10-13 steps at alpha 0, 0.5, 1 and inf, 13-18 at alpha 1.5-5, 15-32 at
+#: alpha 10-20 and 37-74 at alpha 100.  The counts barely grow with size: 10
+#: to 72 steps at 28 and 112 cells.  A static share of the preset takes 0:
+#: its blocks certify in closed form (:func:`_block_candidates`).  The
+#: blocks left to the engine (three classes on three goods, say) took 8-24
+#: steps when every block ran on it.
 _BARRIER_MAX_STEPS = 1000
 
 #: Step cap of a projected-Newton solve of the market equilibrium's price
@@ -285,16 +288,6 @@ _IP_ARMIJO = 1e-4
 #: Bound on how far the duals may stray from their central values ``nu /
 #: slack`` (``kappa_Sigma`` of Wachter & Biegler).
 _IP_DUAL_SPREAD = 1e10
-
-#: Finished members of an interior-point batch that wait before they leave
-#: it (:func:`_interior_point`).  A shed slices every per-member array, at
-#: about the fixed cost of one step, so it pays only when many blocks leave
-#: together.  Against 64, shedding at every finish made the 7-cell static
-#: share (21 blocks, alpha 2) 13% slower and shedding at 11 (half the batch)
-#: 4% slower; at 112 cells (336 blocks) 32 and 64 read alike and 128 read 5%
-#: slower.  At 64 the 112-cell static share takes about 14% less time than
-#: without shedding.
-_SHED_ROWS = 64
 
 
 class _Welfare:
@@ -397,19 +390,6 @@ class _Welfare:
         sp, seg = np.unique(self.seg[keep], return_inverse=True)
         return _Welfare(self.log_w[:, keep], self.q[:, keep], seg, self.log_b[:, sp], self.log_ref[:, keep], self.q0)
 
-    def rows(self, keep):
-        """The welfare of the batch members ``keep`` (indices) alone: the
-        per-member fields and the aggregates :attr:`utility`, :attr:`total`
-        and, once built, :attr:`cost` sliced (:meth:`CESAggregate.rows`),
-        never rebuilt."""
-        out = copy.copy(self)
-        for name in ("log_w", "q", "log_b", "log_ref", "q_sp", "q_zero", "q_sp_zero", "q_div", "q_sp_div", "alpha", "rank"):
-            setattr(out, name, getattr(self, name).take(keep, axis=0))
-        out.utility, out.total = self.utility.rows(keep), self.total.rows(keep)
-        if "cost" in vars(self):
-            out.cost = self.cost.rows(keep)
-        return out
-
 
 def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
@@ -459,9 +439,9 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     ``var_mask`` marks real variables (padding is pinned at 1), and goods
     that no variable uses carry no constraint.  After every step the stop
     test ``certified(welfare, amat, y, lam, log_u)`` is given the problem as
-    it stands: the welfare and the usage rows of the problems still in the
-    batch and of the variables still in the solve, their variables, capacity
-    duals in units of the welfare and providers' log utilities.  So it must
+    it stands: the welfare and the usage rows of the variables still in the
+    solve, their variables, capacity duals in units of the welfare and
+    providers' log utilities.  So it must
     read the problem from its arguments, never from the batch it passed in.
     It returns ``(done, pin)``: ``done`` marks the solved problems, which
     take no further step, and ``pin`` is None or marks columns, whole
@@ -471,14 +451,10 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     the duals moved to within ``_IP_DUAL_SPREAD`` of their new central
     values, while ``nu`` and ``W_0`` stay.
 
-    Solved problems are shed: once ``_SHED_ROWS`` of them wait in the batch
-    beside an open one, their ``y`` and ``lam``, as the stop test saw them,
-    go to the output, and every per-member array, the welfare
-    (:meth:`_Welfare.rows`) and ``amat`` keep only the open problems' rows.
-    A solved problem's iterate is frozen and no problem's step reads
-    another's rows, so the results do not depend on when problems are shed;
-    the rule depends only on the batch's own counts.  ``_BARRIER_MAX_STEPS``
-    caps the steps of the whole run, and ``iterations`` counts them all.
+    A solved problem's iterate and duals stay frozen, as the stop test saw
+    them, until the whole batch is solved, and no problem's step reads
+    another's rows.  ``_BARRIER_MAX_STEPS`` caps the steps of the whole run,
+    and ``iterations`` counts them all.
 
     Returns ``(y, lam, iterations)``: ``y`` on the problems and columns of
     the given ``amat``, 0 where pinned, and ``lam`` the capacity duals in
@@ -486,9 +462,7 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
     ``ValueError`` before its first step.
     """
     nb, n, m = amat.shape
-    rows = np.arange(nb)  # the given member of every row still in the solve
     cols = np.arange(n)  # the given column of every variable still in the solve
-    y_out, lam_out = np.zeros((nb, n)), np.zeros((nb, m))
     y, nu, duals = np.where(var_mask, 0.9, 1.0), np.full((nb, 1), 0.1), None
     done = np.zeros((nb, 1), dtype=bool)
     it = 0
@@ -498,19 +472,13 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
         central values."""
         return np.minimum(np.maximum(duals, mask * nu / (_IP_DUAL_SPREAD * z)), mask * _IP_DUAL_SPREAD * nu / z)
 
-    def emit(sel):
-        """Write the variables and capacity duals of the rows ``sel`` to
-        the output."""
-        y_out[rows[sel, None], cols] = y[sel]
-        lam_out[rows[sel]] = (duals[:, :m] * scale)[sel]
-
     while True:
         amat_t = amat.transpose(0, 2, 1)
         free = var_mask.astype(float)
         pad = 1.0 - free
         # the slacks [s, y], the duals [lam, mu] and the mask of real rows
         mask = np.concatenate([(amat > 0).any(axis=1), var_mask], axis=1).astype(float)
-        steep = np.concatenate([np.zeros((rows.size, m), dtype=bool), var_mask & (welfare.alpha > 1.0)], axis=1)
+        steep = np.concatenate([np.zeros((nb, m), dtype=bool), var_mask & (welfare.alpha > 1.0)], axis=1)
         diag = np.arange(y.shape[1])
         z = np.concatenate([1.0 - (amat_t @ y[:, :, None])[:, :, 0], y], axis=1)
         y = z[:, m:]
@@ -582,23 +550,14 @@ def _interior_point(welfare: _Welfare, amat, var_mask, certified):
             log_u, pi = welfare.utilities(y)
             finished, pin = certified(welfare, amat, y, duals[:, :m] * scale, log_u)
             done |= finished[:, None]
-            # a batch of at most _SHED_ROWS members never sheds: skip the count
-            if done.size > _SHED_ROWS and _SHED_ROWS <= done.sum() < done.size:
-                emit(np.flatnonzero(done))
-                live = np.flatnonzero(~done)
-                welfare = welfare.rows(live)
-                rows, amat, var_mask, z, duals, nu, scale, done, log_u, pi, free, pad, mask, steep = (
-                    a.take(live, axis=0)
-                    for a in (rows, amat, var_mask, z, duals, nu, scale, done, log_u, pi, free, pad, mask, steep)
-                )
-                amat_t, y = amat.transpose(0, 2, 1), z[:, m:]
         if pin is None:
             break
         keep = ~pin
         welfare, amat, var_mask, cols = welfare.take(keep), amat[:, keep], var_mask[:, keep], cols[keep]
         y, duals = y[:, keep], np.concatenate([duals[:, :m], duals[:, m:][:, keep]], axis=1)
-    emit(slice(None))
-    return y_out, lam_out, it
+    y_out = np.zeros((nb, n))
+    y_out[:, cols] = y
+    return y_out, duals[:, :m] * scale, it
 
 
 def _newton_direction(hess, rhs):
@@ -639,6 +598,72 @@ def _newton_direction(hess, rhs):
 # Standalone alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
+def _block_candidates(welfare: _Welfare, amat, mask, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form candidates for the optimum of every block of a batch of
+    one-provider welfare problems ``max U(z)`` subject to ``amat[b]^T z <=
+    1`` and ``z >= 0``, with the capacity duals that certify each where it
+    is the optimum.
+
+    - One good ``j`` binds: the optimum under good ``j`` alone, ``z_k``
+      proportional to ``(c_k / a_kj)^(1/alpha)`` and scaled so that ``a_j .
+      z = 1`` (at alpha 0, all of it on the class of the largest ``c_k /
+      a_kj``), with duals ``e_j``.  It does not apply where a real class
+      does not use ``j``.
+    - ``k`` goods bind, ``k`` the block's number of real classes (at least
+      two): for every ``k``-subset ``S`` of the cell's positions, the vertex
+      ``A_S z = 1``, with duals solving ``A_S^T lam_S = pi / z``, the
+      gradient of ``log U``, clipped at 0.  It does not apply where ``A_S``
+      is singular or some ``z_k <= 0``.
+
+    Real classes lead every block (:class:`~slicemarket.model.CellBlocks`),
+    so a block of ``k`` real classes is solved on its first ``k``.  Returns
+    ``(z, lam)``, ``[n_cand, batch, K]`` and ``[n_cand, batch, m]``: nan
+    where a candidate or its duals do not apply, and padded classes at 1.
+    Any duals ``lam >= 0`` certify by weak duality, so which candidate is
+    best is left to the certificate.
+    """
+    nb, n_k, m = amat.shape
+    real = mask[:, :, None]
+    a = alpha[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(c_k / a_kj); -inf on padding, inf where a real class skips j
+        score = np.where(real, welfare.log_w[:, :, None] - np.log(amat), -np.inf)
+        lead = np.where(
+            a > 0.0,
+            np.exp((score - score.max(axis=1, keepdims=True)) / np.where(a > 0.0, a, 1.0)),
+            np.arange(n_k)[:, None] == score.argmax(axis=1)[:, None, :],
+        )
+        one = lead / (amat * lead).sum(axis=1, keepdims=True)
+    one = np.where((~real | (amat > 0.0)).all(axis=1)[:, None, :], one, np.nan)
+    zs = [np.where(mask, one.transpose(2, 0, 1), 1.0)]
+    lams = [np.broadcast_to(np.eye(m)[:, None, :], (m, nb, m))]
+    count = mask.sum(axis=1)
+    for k in range(2, min(n_k, m) + 1):
+        sel = np.flatnonzero(count == k)
+        if not sel.size:
+            continue
+        subsets = np.array(list(itertools.combinations(range(m), k)))
+        # [subset, block, class, good of the subset]
+        a_s = amat[sel][:, :k][:, :, subsets].transpose(2, 0, 1, 3)
+        solvable = np.linalg.det(a_s) != 0.0
+        a_s = np.where(solvable[..., None, None], a_s, np.eye(k))
+        z_s = np.linalg.solve(a_s.swapaxes(-1, -2), np.ones(a_s.shape[:-1] + (1,)))[..., 0]
+        z_s = np.where(solvable[..., None] & (z_s > 0.0).all(axis=-1, keepdims=True), z_s, np.nan)
+        z = np.full((len(subsets), nb, n_k), np.nan)
+        z[:, sel] = 1.0
+        z[:, sel, :k] = z_s
+        pi = welfare.utilities(z)[1]
+        lam_s = np.maximum(np.linalg.solve(a_s, (pi[:, sel, :k] / z_s)[..., None])[..., 0], 0.0)
+        lam = np.full((len(subsets), nb, m), np.nan)
+        lam[:, sel] = 0.0
+        for c, goods in enumerate(subsets):
+            lam[c, sel[:, None], goods] = lam_s[c]
+        lam[lam.sum(axis=-1) <= 0.0] = np.nan
+        zs.append(z)
+        lams.append(lam)
+    return np.concatenate(zs), np.concatenate(lams)
+
+
 def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     """Every provider's standalone optimum: the rates it would choose if it
     alone held all of every good (unit capacity), which :func:`static_share`
@@ -650,23 +675,26 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     :attr:`~slicemarket.model.MarketIndex.blocks` is an independent problem:
     maximize the block's degree-one utility ``(sum c z^(1-alpha))^(1/(1-alpha))``
     under its cell's capacities.  Each block is scaled to O(1) (rates ``z`` in
-    units of an equal split of its box and the weights ``c`` to sum to one),
-    and all blocks of all providers are solved together by
-    :func:`_interior_point` as single-provider welfare problems.  A block
-    stops once its capacity duals certify its iterate, scaled up onto its
-    capacity frontier, by the price-space bound of its welfare
-    (:meth:`_Welfare.log_bound`) to within ``_BARRIER_STOP_GAP``; every block
-    is then scaled up so.  The utility is degree-one, so scaling the iterate
-    down by its largest usage ``top`` divides the engine's utility by ``top``.
-    Certified blocks leave the batch (``_SHED_ROWS``), so the stop test reads
-    the blocks still in it from the welfare and usage rows it is handed.
+    units of an equal split of its box and the weights ``c`` to sum to one)
+    and taken as a single-provider welfare problem.  A block is solved once
+    capacity duals certify its rates, scaled up onto its capacity frontier,
+    by the price-space bound of its welfare (:meth:`_Welfare.log_bound`) to
+    within ``_BARRIER_STOP_GAP``.  The utility is degree-one, so scaling the
+    rates down by their largest usage ``top`` divides the utility by ``top``.
+
+    Every block is first tried in closed form (:func:`_block_candidates`,
+    where one good or a vertex binds): its gap is the smallest bound of its
+    candidates' duals over the largest utility of its candidates scaled onto
+    the frontier, and the best candidate is kept where that certifies.  The
+    blocks left, if any, are solved together by :func:`_interior_point`
+    until each certifies its own iterate so.
 
     Returns ``(rates, gaps, iterations)``.  ``gaps[s]`` is a certified bound
     on the relative shortfall of provider ``s``'s degree-one utility: the
     largest of its blocks' gaps, since its utility is a monotone degree-one
     aggregate of theirs (0 for max-min providers).  Its optimum is at most
-    ``1 + gaps[s]`` times the returned one.  ``iterations`` counts Newton
-    steps.
+    ``1 + gaps[s]`` times the returned one.  ``iterations`` counts the Newton
+    steps of the engine, 0 where no block is left to it.
     """
     rates = np.zeros(index.n_triples)
     gaps = np.zeros(index.n_sps)
@@ -687,25 +715,49 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     # weights summing to one: less log sum c, the aggregate of ones at q = 1
     log_c = log_c - CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))
     a_mat = blocks.demand * ref[:, :, None]
-    welfare = _Welfare(
-        log_c,
-        np.broadcast_to((1.0 - alpha)[:, None], log_c.shape),
-        one_sp,
-        np.zeros((log_c.shape[0], 1)),
-        np.zeros(log_c.shape),
-        1.0,
-    )
+
+    def block_welfare(log_c, alpha):
+        return _Welfare(
+            log_c,
+            np.broadcast_to((1.0 - alpha)[:, None], log_c.shape),
+            one_sp,
+            np.zeros((log_c.shape[0], 1)),
+            np.zeros(log_c.shape),
+            1.0,
+        )
+
+    def top(amat, z):
+        # the largest usage: z / top is on the frontier, with utility U(z) / top
+        return np.einsum("...kj,...k->...j", amat, z).max(axis=-1)
+
+    def log_value(amat, z, log_u):
+        return log_u[..., 0] - np.log(top(amat, z))
 
     def log_gap(welfare, amat, z, lam, log_u):
-        # the bound over U(z) / top, the utility of the rates scaled onto the frontier
-        return welfare.log_bound(amat, lam) - log_u[:, 0] + np.log(np.einsum("bkj,bk->bj", amat, z).max(axis=1))
+        return welfare.log_bound(amat, lam) - log_value(amat, z, log_u)
 
     def certified(welfare, amat, z, lam, log_u):
         return log_gap(welfare, amat, z, lam, log_u) <= math.log1p(_BARRIER_STOP_GAP), None
 
-    y, lam, iterations = _interior_point(welfare, a_mat, mask, certified)
-    np.maximum.at(gaps, blocks.sp, np.expm1(log_gap(welfare, a_mat, y, lam, welfare.utilities(y)[0])))
-    z = y / np.einsum("bkj,bk->bj", a_mat, y).max(axis=1)[:, None]
+    welfare = block_welfare(log_c, alpha)
+    cand_z, cand_lam = _block_candidates(welfare, a_mat, mask, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = log_value(a_mat, cand_z, welfare.utilities(cand_z)[0])
+        bound = welfare.log_bound(a_mat, cand_lam)
+    value = np.where(np.isnan(value), -np.inf, value)
+    best = value.argmax(axis=0)
+    at = np.arange(value.shape[1])
+    gap = np.where(np.isnan(bound), np.inf, bound).min(axis=0) - value[best, at]
+    z = cand_z[best, at]
+    z = z / top(a_mat, z)[:, None]  # every block's rates on its frontier
+    left = np.flatnonzero(~(gap <= math.log1p(_BARRIER_STOP_GAP)))
+    iterations = 0
+    if left.size:
+        welfare, amat = block_welfare(log_c[left], alpha[left]), a_mat[left]
+        y, lam, iterations = _interior_point(welfare, amat, mask[left], certified)
+        gap[left] = log_gap(welfare, amat, y, lam, welfare.utilities(y)[0])
+        z[left] = y / top(amat, y)[:, None]
+    np.maximum.at(gaps, blocks.sp, np.expm1(gap))
     rates[blocks.rows[mask]] = (ref * z)[mask]
     return rates, gaps, iterations
 
@@ -931,7 +983,8 @@ def static_share(scn: NormalizedScenario) -> SolveReport:
     capacity (:func:`_standalone`), with the same certified relative gaps:
     ``residuals["duality_gap"]`` is the largest over all providers,
     ``converged`` means it is at most ``GAP_TOL``, and ``iterations`` counts
-    Newton steps.
+    the Newton steps of the blocks that no closed form certifies (0 on the
+    preset, whose blocks all certify so).
     """
     index = scn.index
     rates, gaps, iterations = _standalone(index)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from slicemarket import (
+    CellDef,
+    ClassDef,
     LoadModel,
+    ProviderDef,
+    ResourceDef,
+    ScenarioSpec,
+    SupportEntry,
     benchmark_preset,
     instantiate,
     normalize_scenario,
@@ -78,51 +84,91 @@ def test_steep_alphas_certify(alpha):
         assert static_share(scn).converged
 
 
-def market(n_cells, seed, alpha):
-    return normalize_scenario(instantiate(benchmark_preset(n_cells=n_cells), LoadModel(seed=seed), 0).with_alphas(alpha))
+def no_candidates(welfare, amat, mask, alpha):
+    """A candidate builder whose one candidate applies nowhere: every block
+    runs on the engine."""
+    return np.full((1,) + mask.shape, np.nan), np.full((1, amat.shape[0], amat.shape[2]), np.nan)
 
 
-def fingerprint(rep):
-    """Every number of a report, in forms that are equal only bit for bit."""
-    arrays = (rep.allocation.rates, rep.prices, rep.utilities, rep.spending)
-    residuals = {key: float(value).hex() for key, value in rep.residuals.items()}
-    return rep.method, [a.tobytes() for a in arrays], rep.iterations, rep.converged, residuals
+def three_class(seed, alpha, n_cells=2):
+    spec = random_scenario(np.random.default_rng(seed), n_cells=n_cells, classes_per_sp=3, alphas=[alpha])
+    return normalize_scenario(spec)
 
 
-@pytest.mark.parametrize("shed", [1, math.inf])
-def test_shedding_does_not_change_a_static_share(shed, monkeypatch):
-    """Certified blocks leave the engine's batch once ``_SHED_ROWS`` of them
-    wait.  A report may not depend on when that happens: shedding at every
-    finish, or never, gives the default's reports to the bit, on the preset
-    (21 blocks, which the default never sheds) and on 28 cells (84 blocks,
-    which it does)."""
-    keys = [(7, seed, alpha) for seed in range(3) for alpha in (0.0, 2.0, 5.0, 100.0, math.inf)]
-    markets = [market(*key) for key in keys + [(28, 3, 2.0), (28, 3, 100.0)]]
-    default = [fingerprint(static_share(scn)) for scn in markets]
-    monkeypatch.setattr(solvers, "_SHED_ROWS", shed)
-    assert [fingerprint(static_share(scn)) for scn in markets] == default
-
-
-def test_static_share_batch_shrinks(monkeypatch):
-    """On 28 cells the stop test is handed fewer blocks once enough have
-    certified, and each time a welfare, iterate and duals of just those
-    blocks."""
+def engine_spy(monkeypatch):
+    """The usage arrays of the batches handed to the engine, in call order."""
     handed = []
     engine = solvers._interior_point
 
     def spied(welfare, amat, var_mask, certified):
-        def stop_test(welfare, amat, y, lam, log_u):
-            handed.append(amat.shape[0])
-            assert welfare.log_b.shape[0] == y.shape[0] == lam.shape[0] == log_u.shape[0] == amat.shape[0]
-            return certified(welfare, amat, y, lam, log_u)
-
-        return engine(welfare, amat, var_mask, stop_test)
+        handed.append(amat)
+        return engine(welfare, amat, var_mask, certified)
 
     monkeypatch.setattr(solvers, "_interior_point", spied)
-    rep = static_share(market(28, 3, 2.0))
-    assert rep.converged
-    assert len(handed) == rep.iterations
-    assert handed[0] == 84 and handed[-1] < handed[0] - solvers._SHED_ROWS
+    return handed
+
+
+def test_closed_form_matches_the_engine(monkeypatch):
+    """Blocks certified in closed form give the engine's static share: the
+    same flags and utilities within 1e-11, on the preset (two classes on
+    three goods) and on three-class markets, where some blocks still reach
+    the engine."""
+    markets = [preset(seed, alpha) for seed in range(3) for alpha in ALPHAS]
+    markets += [three_class(seed, alpha) for seed in range(8) for alpha in (0.0, 0.5, 1.0, 2.0, 5.0)]
+    closed = [static_share(scn) for scn in markets]
+    monkeypatch.setattr(solvers, "_block_candidates", no_candidates)
+    for scn, got in zip(markets, closed):
+        want = static_share(scn)
+        assert got.converged == want.converged
+        np.testing.assert_allclose(got.utilities, want.utilities, rtol=1e-11, atol=0.0)
+
+
+def test_preset_static_share_skips_the_engine(monkeypatch):
+    handed = engine_spy(monkeypatch)
+    for seed in range(3):
+        for alpha in ALPHAS:
+            rep = static_share(preset(seed, alpha))
+            assert rep.converged and rep.iterations == 0
+    assert handed == []
+
+
+def test_engine_gets_only_uncertified_blocks(monkeypatch):
+    """At alpha 2 every class gets a positive rate, so a block of three
+    classes certifies in closed form where one good binds or all three do
+    (a vertex).  The engine is handed exactly the blocks where two goods
+    bind, in block order."""
+    scn = three_class(0, 2.0, n_cells=4)
+    blocks = scn.index.blocks
+    monkeypatch.setattr(solvers, "_block_candidates", no_candidates)
+    rates = solvers._standalone(scn.index)[0]
+    monkeypatch.undo()
+    usage = np.einsum("bkj,bk->bj", blocks.demand, rates[blocks.rows])
+    binding = (usage > 1.0 - 1e-6).sum(axis=1)
+    assert blocks.class_mask.all() and set(binding.tolist()) == {1, 2, 3}
+    handed = engine_spy(monkeypatch)
+    assert static_share(scn).converged
+    assert len(handed) == 1
+    # the engine's usage rows are the demands scaled per class
+    got = handed[0] / handed[0].max(axis=2, keepdims=True)
+    want = blocks.demand / blocks.demand.max(axis=2, keepdims=True)
+    np.testing.assert_allclose(got, want[binding == 2], rtol=1e-12)
+
+
+def test_alpha0_face_certifies(monkeypatch):
+    """At alpha 0 two classes with the same weight per unit of every good
+    are equally good: the block's optima form a face, and its vertex
+    system is singular.  One binding good certifies it all the same."""
+    cells = (CellDef("c0", (ResourceDef("cpu", 10.0), ResourceDef("bw", 20.0))),)
+    classes = (ClassDef("small", {"cpu": 1.0, "bw": 3.0}), ClassDef("large", {"cpu": 2.0, "bw": 6.0}))
+    sp = ProviderDef(
+        "sp0", 1.0, 0.0, (SupportEntry("c0", "small", 1, weight=1.0), SupportEntry("c0", "large", 1, weight=2.0))
+    )
+    handed = engine_spy(monkeypatch)
+    rep = static_share(normalize_scenario(ScenarioSpec(cells, classes, (sp,))))
+    assert handed == [] and rep.iterations == 0
+    assert rep.converged and rep.residuals["duality_gap"] <= 1e-11
+    # bandwidth binds: 20 / 3 units of the small class's rate, worth 1 each
+    assert rep.utilities[0] == pytest.approx(20.0 / 3.0, rel=1e-12)
 
 
 def test_singular_member_leaves_the_others_on_lu():
