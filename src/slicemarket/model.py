@@ -18,11 +18,10 @@ their unit costs at the prices of those rates (:attr:`MarketIndex.unit_cost`).
 The providers' closed-form demand, which the equilibrium solvers evaluate on
 every iteration, is the unit cost's shares (:class:`DemandKernel`, on the
 slots), and the Eisenberg-Gale certificate of the market equilibrium is built
-from its ratios to the budgets (:meth:`MarketIndex.log_ratios`).  The static
-share's (provider, cell) blocks (:class:`CellBlocks`) are a pure layout: the
-static share and the social optimum are certified on the unit cost that their
-interior-point welfare builds by the same constructor
-(:meth:`CESAggregate.unit_cost`) on its own variables.
+from its ratios to the budgets (:meth:`MarketIndex.log_ratios`).  The social
+optimum is solved and certified on the same unit cost, and the static share's
+(provider, cell) blocks (:class:`CellBlocks`) are a pure layout, certified on
+the unit cost of each block's own utility (:meth:`CESAggregate.unit_cost`).
 """
 
 from __future__ import annotations
@@ -581,7 +580,7 @@ class CellBlocks:
     of the block's classes consumes carry zero demand.  Max-min providers
     have no blocks: their common per-user level couples all their cells.
     The blocks are a layout only: the static share certifies them on the
-    unit cost of the welfare it solves them as.
+    unit cost of each block's own utility.
     """
 
     def __init__(self, index: MarketIndex):

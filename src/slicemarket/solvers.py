@@ -4,23 +4,22 @@
 budget-weighted log-utility program whose capacity duals are the prices) at
 every alpha: by projected Newton steps on the program's price dual, whose
 gradient is the excess supply of the closed-form demands, or, where an
-alpha-0 provider has no closed-form demand, on the program itself by the
-primal-dual interior-point engine (:func:`_interior_point`).  The
-decentralized bid dynamics (:mod:`~slicemarket.dynamics`), the paper's
-learning algorithm, reach the same equilibrium without a central solver.
-``solve_social_optimal`` and ``static_share`` are the efficiency and
-isolation baselines, certified by weak duality; the social optimum runs the
-engine as an active set that drops the providers priced out of the optimum,
-and the static share solves its blocks in closed form where it can and on
-the same engine elsewhere.  ``poa_bound`` / ``nash_welfare``
-provide the fairness/efficiency diagnostics.
+alpha-0 provider has no closed-form demand, by the price-space barrier
+(:func:`_price_barrier`) on the same dual with the alpha-0 providers' rows
+kept apart.  The decentralized bid dynamics (:mod:`~slicemarket.dynamics`),
+the paper's learning algorithm, reach the same equilibrium without a
+central solver.  ``solve_social_optimal`` and ``static_share`` are the
+efficiency and isolation baselines, certified by weak duality: the social
+optimum is the same barrier's program with the budgets fixed, and the
+static share solves its (provider, cell) blocks in closed form where it can
+and as one-provider social optima elsewhere.  ``poa_bound`` /
+``nash_welfare`` provide the fairness/efficiency diagnostics.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -229,8 +228,8 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     Eisenberg-Gale program ``max sum_s B_s log U_s`` under the capacities,
     whose capacity duals are the prices.
 
-    A market with an alpha-0 provider is solved on the program itself
-    (:func:`_eisenberg_gale_solve`, method ``"barrier"``, at most
+    A market with an alpha-0 provider is solved by the price-space barrier
+    (:func:`_eisenberg_gale_barrier`, method ``"barrier"``, at most
     ``_BARRIER_MAX_STEPS`` Newton steps), any other by projected Newton
     steps on its price dual (:func:`_price_newton`, method
     ``"tatonnement"``, at most ``_PRICE_NEWTON_MAX_STEPS``); ``iterations``
@@ -247,7 +246,7 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     kernel = index.kernel
     barrier = bool(np.any(index.alphas == 0.0))
     if barrier:
-        rates, p, iterations = _eisenberg_gale_solve(index)
+        rates, p, iterations = _eisenberg_gale_barrier(index)
     else:
         demanded = index.demanded_goods()
         p, iterations = _price_newton(index, np.where(demanded, 1.0 / demanded.sum(), 0.0))
@@ -257,352 +256,307 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     return equilibrium_report(scn, "barrier" if barrier else "tatonnement", p, allocation, iterations, check)
 
 
+def _eisenberg_gale_barrier(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
+    """The market equilibrium of a market with an alpha-0 provider: the
+    price dual of the Eisenberg-Gale program (:func:`_price_barrier` with
+    free ``b``).
+
+    The duality gap (:func:`~slicemarket.market._eg_gap`) is taken at the
+    rates scaled onto the capacity frontier and at the prices, those below
+    their good's slack set to 0.  It is of second order in each provider's
+    ``r_s - log U_s`` (a gap of 1e-11 leaves budgets off by up to 3e-6), so
+    the solve stops once both are at most ``_BARRIER_STOP_GAP`` in size, or
+    after ``_BARRIER_MAX_STEPS`` steps.  Providers with alpha > 0 then take
+    their one best response at the prices; alpha-0 providers, whose best
+    responses are not unique, keep the solve's rates, cut to the capacity
+    the others leave.  Returns ``(rates, prices, iterations)``.
+    """
+    kernel = index.kernel
+
+    def check(p, scale, rates, ratio):
+        usage = kernel.per_good(rates[:, None] * kernel.demand)
+        top = usage.max()
+        prices = math.exp(scale) * p
+        prices = np.where(prices < 1.0 - usage / top, 0.0, prices)
+        gap, r = _eg_gap(index, prices, index.log_ratios(prices), index.utility(np.log(rates / top)))
+        return max(gap, float(np.abs(r).max())), (prices, rates / top)
+
+    (prices, solved), iterations = _price_barrier(index, check, free=True)
+    linear = index.alphas[index.sp_of] == 0.0
+    demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1])[0])
+    left = np.maximum(1.0 - kernel.per_good(demand[:, None] * kernel.demand), 0.0)
+    rates = np.where(linear, _repair_rates(index, np.where(linear, solved, 0.0), left), demand)
+    return rates, prices, iterations
+
+
 # ---------------------------------------------------------------------------
-# Welfare maximization under capacities: the interior-point engine shared by
-# the static share, the social optimum and the alpha-0 market equilibrium
+# The price-space barrier: one program for the social optimum, the alpha-0
+# market equilibrium and the static share's leftover blocks
 # ---------------------------------------------------------------------------
 
-#: Gap at which an interior-point solve stops: the price-space bound over
-#: the value at the iterate scaled onto the capacity frontier, minus 1, of a
-#: static-share (provider, cell) block's utility or of a social optimum's
-#: welfare; and the Eisenberg-Gale gap of an alpha-0 market equilibrium.
+#: Gap at which a price-space barrier solve stops: the price-space bound over
+#: the welfare at the iterate scaled onto the capacity frontier, minus 1, of a
+#: social optimum or of a static-share (provider, cell) block; and the
+#: Eisenberg-Gale gap of an alpha-0 market equilibrium.
 _BARRIER_STOP_GAP = 1e-11
 
-#: Newton-step cap of an interior-point run, across its pins.  On the 7-cell
-#: preset a social optimum, with its priced-out providers dropped, takes
-#: 10-13 steps at alpha 0, 0.5, 1 and inf, 13-18 at alpha 1.5-5, 15-32 at
-#: alpha 10-20 and 37-74 at alpha 100.  The counts barely grow with size: 10
-#: to 72 steps at 28 and 112 cells.  A static share of the preset takes 0:
-#: its blocks certify in closed form (:func:`_block_candidates`).  The
-#: blocks left to the engine (three classes on three goods, say) took 8-24
-#: steps when every block ran on it.
+#: Newton-step cap of a price-space barrier solve.  On the 7-cell preset a
+#: social optimum takes 9-12 steps at alpha 0, 0.5, 1 and inf, 11-18 at
+#: alpha 1.5-20 and 15-20 at alpha 100, and the alpha-0 equilibrium 13; at
+#: 112 cells 9-23 and 16.
 _BARRIER_MAX_STEPS = 1000
 
 #: Step cap of a projected-Newton solve of the market equilibrium's price
 #: dual (:func:`_price_newton`).
 _PRICE_NEWTON_MAX_STEPS = 50000
 
-#: Armijo fraction of the predicted decrease of the barrier function.
+#: Fraction of the predicted decrease, or of the row infeasibility, that a
+#: barrier step must gain.
 _IP_ARMIJO = 1e-4
 
-#: Bound on how far the duals may stray from their central values ``nu /
+#: Bound on how far the duals may stray from their central values ``mu /
 #: slack`` (``kappa_Sigma`` of Wachter & Biegler).
 _IP_DUAL_SPREAD = 1e10
 
 
-class _Welfare:
-    """Budget-weighted welfare ``sum_s B_s U_s(y)^q0 / q0`` of a batch of
-    problems that share one layout of variables: ``sum_s B_s U_s`` at ``q0 =
-    1`` (the social optimum) and ``sum_s B_s log U_s`` at ``q0 = 0`` (the
-    Eisenberg-Gale program).
+def _price_barrier(index: MarketIndex, check, free: bool):
+    """Minimize ``sum_g p_g - [sum_s B_s b_s]`` over prices ``p >= 0`` of the
+    demanded goods subject to one cost row per provider with alpha > 0,
+    ``log e_s(D_s p) >= b_s`` (:attr:`~slicemarket.model.MarketIndex.unit_cost`,
+    linear at alpha = inf), and one per triple ``k`` of an alpha-0 provider,
+    ``log(d_k . p / w_k) >= b_s``.  With ``free`` the ``b_s`` are unknowns
+    and the program is the price dual of the Eisenberg-Gale program (Cole
+    et al., *Convex Program Duality, Fisher Markets, and Nash Social
+    Welfare*, EC 2017, with ``beta_s = e^(b_s)``); otherwise ``b_s = log
+    B_s``, and the program's value is the social optimum's welfare.
 
-    Variable ``v`` belongs to provider ``seg[v]`` (providers are contiguous
-    segments) and stands for the rate ``u = exp(log_ref) y``.  ``U_s`` is the
-    degree-one utility ``(sum w u^q)^(1/q)`` of its provider's rates,
-    ``prod u^(w / sum w)`` at ``q = 0``.  Arrays are ``[batch, n]`` per
-    variable and ``[batch, n_sp]`` per provider; a variable of weight 0
-    (``log_w = -inf``) is padding and takes no share of its utility.  At
-    ``q0 = 1`` the welfare is certified by its own unit costs (:attr:`cost`,
-    :meth:`log_bound`), which the static share and the social optimum use.
-    """
-
-    def __init__(self, log_w, q, seg, log_b, log_ref, q0):
-        self.log_w, self.q, self.seg, self.log_b, self.log_ref, self.q0 = log_w, q, seg, log_b, log_ref, q0
-        self.utility = CESAggregate(log_w, q, seg)
-        self.q_sp = q[:, self.utility.starts]
-        # the q = 0 terms of rel_change and the divisors of the others
-        self.q_zero, self.q_sp_zero = q == 0.0, self.q_sp == 0.0
-        self.q_div, self.q_sp_div = np.where(self.q_zero, 1.0, q), np.where(self.q_sp_zero, 1.0, self.q_sp)
-        alpha_sp = 1.0 - self.q_sp
-        # -hess(B U^q0 / q0) = B U^q0 [a diag(pi / y^2) - (a - 1 + q0) g g^T],
-        # per variable
-        self.alpha = alpha_sp[:, seg]
-        self.rank = (alpha_sp - (1.0 - q0))[:, seg]
-        self.same_sp = seg[:, None] == seg[None, :]
-        # sum_s B_s U_s at q0 = 1, prod_s U_s^(B_s / sum B) at q0 = 0
-        self.total = CESAggregate(log_b, np.full_like(log_b, q0), np.zeros(log_b.shape[-1], dtype=np.intp))
-
-    def utilities(self, y):
-        """Log of every provider's utility at ``y`` and the shares ``pi_v =
-        w u^q / sum w u^q`` (``w / sum w`` at ``q = 0``) of its terms."""
-        return self.utility.shares(self.log_ref + np.log(y))
-
-    def log_welfare(self, log_u_sp):
-        """Log of the aggregate :attr:`total` of every problem's utilities
-        from its providers' log utilities."""
-        return self.total(log_u_sp)[..., 0]
-
-    def rel_change(self, pi, log_ratio):
-        """Change of every provider's ``U^q0 / q0`` in units of ``U^q0``
-        (``log U`` at ``q0 = 0``) when each variable is multiplied by
-        ``exp(log_ratio)``, summed from per-term differences.
-
-        A term's change is ``(e^(q x) - 1) / q``, ``x`` at ``q = 0``: the
-        change of ``v^q / q`` (of ``log v``) from ``v`` to ``v e^x`` in units
-        of ``v^q``, without cancellation for small ``x``.  A utility ``S^(1/q)``
-        whose sum ``S / q`` changes by ``x`` in units of ``S`` moves by the
-        log-ratio ``log(1 + q x) / q``, ``x`` at ``q = 0``.
-        """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = np.where(self.q_zero, log_ratio, np.expm1(self.q * log_ratio) / self.q_div)
-            x = self.utility.seg_sum(pi * terms)
-            x = np.where(self.q_sp_zero, x, np.log1p(self.q_sp * x) / self.q_sp_div)
-            return x if self.q0 == 0.0 else np.expm1(self.q0 * x) / self.q0
-
-    @cached_property
-    def cost(self) -> CESAggregate:
-        """Every provider's unit cost (:meth:`CESAggregate.unit_cost`): the
-        least cost of one unit of its utility when one unit rate of each
-        variable has a price, built on first use."""
-        return CESAggregate.unit_cost(np.exp(self.log_w), 1.0 - self.q, self.seg)
-
-    def log_ratios(self, amat, lam):
-        """``log B_s - log e_s`` of every provider at capacity duals ``lam``
-        (``[batch, m]``, on the goods of ``amat``, ``[batch, n, m]``): its
-        budget over the cost of one unit of its utility (:attr:`cost`) when
-        one unit rate of variable ``v`` costs ``(amat[v] . lam) / ref_v``.
-        Padding variables are priced 1, which they do not enter."""
-        price = np.where(np.isfinite(self.log_w), (amat @ lam[..., None])[..., 0], 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.log_b - self.cost(np.log(price) - self.log_ref)
-
-    def log_bound(self, amat, lam):
-        """Log of the price-space bound ``(lam . 1) max_s B_s / e_s`` on the
-        welfare at any point with ``amat^T y <= 1``, for capacity duals ``lam
-        >= 0`` (:meth:`log_ratios`), per problem of the batch.  Such a point
-        costs ``sum_s e_s U_s <= lam . 1`` at these prices, so its welfare
-        ``sum_s B_s U_s`` is at most the bound (weak duality).  The bound is
-        rounded up by 8 ulps of its terms: where weak duality is tight (a
-        linear provider on a face of optima) the rounding of the logarithms,
-        here and in the utilities, would otherwise put it a few ulps below
-        the welfare.
-        """
-        log_sum = np.log(lam.sum(axis=-1))
-        best = self.log_ratios(amat, lam).max(axis=-1)
-        return log_sum + best + _ULPS * (1.0 + np.abs(log_sum) + np.abs(best))
-
-    def take(self, keep):
-        """The welfare of the variables marked ``keep`` alone, which hold
-        every variable of their providers, in the same scaled variables;
-        itself when ``keep`` marks them all."""
-        if keep.all():
-            return self
-        sp, seg = np.unique(self.seg[keep], return_inverse=True)
-        return _Welfare(self.log_w[:, keep], self.q[:, keep], seg, self.log_b[:, sp], self.log_ref[:, keep], self.q0)
-
-
-def _interior_point(welfare: _Welfare, amat, var_mask, certified):
-    """Maximize ``welfare`` subject to ``amat[b]^T y <= 1`` and ``y >= 0``
-    for every problem ``b`` of a batch at once.
+    Every row is a segment of one CES unit cost over the triples (an
+    alpha-0 triple is a segment of its own, at alpha inf with weight ``1 /
+    w``), and every row is degree one in ``p``, so the solve runs in prices
+    scaled by ``exp(scale)``: with fixed ``b`` the scale puts the start ``p
+    = 1`` inside every row, with free ``b`` it makes the start's prices sum
+    to the budgets.  A row is taken in units of its value at the start,
+    ``r_j = e_j(D p) / e_j(1) >= t_j = exp(b_j) / e_j(1)``: the same
+    constraint, linear at alpha 0 and inf, and with no more curvature than
+    the unit cost's own elsewhere (the linearization of ``log e`` is poor
+    where a step moves prices by large factors).  The multiplier ``y_j`` of
+    row ``j`` gives its triples the rates ``y_j r_j pi_i / L_i`` (``pi`` the
+    unit cost's shares, ``L = D p``), whose usage is ``1 - z``, ``z`` the
+    bound duals of ``p``.
 
     Primal-dual interior-point method in the monotone mode of IPOPT
     (Wachter & Biegler, *On the implementation of an interior-point filter
     line-search algorithm for large-scale nonlinear programming*, Math.
-    Prog. 2006; Wright, *Primal-Dual Interior-Point Methods*, SIAM 1997).
-    The objective is ``f = -W / W_0``, ``W`` the welfare of
-    :class:`_Welfare` and ``W_0`` its aggregate ``total`` at the start ``y =
-    0.9``.  Both kinds of constraint rows are carried as one ``[batch, m +
-    n]`` array of slacks ``[s, y]``, the capacity slacks ``s = 1 - amat^T y``
-    (updated along the steps, which keeps their relative precision near 0)
-    and then the variables, and one of duals ``[lam, mu]``, the capacity and
-    the bound duals; a mask marks the rows that constrain (goods that some
-    variable uses, real variables).  So the central duals ``nu / slack``, the
-    complementarity residuals, both cuts to the boundary, the updates, the
-    resets and the spread below are one expression each over both kinds.  A
-    step is the Newton step of the barrier problem ``phi_nu = f - nu sum log
-    s - nu sum log y``: one dense ``[batch, n, n]`` system ``(hess f + amat
-    diag(lam / s) amat^T + diag(mu / y)) dy = -grad phi_nu``
-    (:func:`_newton_direction`), where provider ``s`` adds ``(B_s U_s^q0 /
-    W_0) [a diag(pi / y^2) - (a - 1 + q0) g g^T]`` with ``g = pi / y`` to
-    ``hess f``.
+    Prog. 2006): every row ``r - t = sigma`` carries a slack ``sigma >= 0``,
+    so the iterates need not stay inside the rows.
 
-    - ``nu`` starts at 0.1 and falls tenfold, as often as it takes, while
-      the KKT error of the barrier problem is at most ``10 nu``.  That error
-      is the largest of the complementarity residuals ``|lam s - nu|`` and
-      ``|mu y - nu|`` and of the stationarity residual per relative change
-      of each variable, ``y |grad f + amat lam - mu|``.
-    - The primal and the dual steps are cut separately to the fraction
-      ``max(0.99, 1 - nu)`` of the distance to the boundary.  The primal step
-      is cut further so that no variable of a provider with alpha > 1 falls
-      below half its value: there the objective is too steep for the Newton
-      model, and a variable that overshoots creeps back only slowly.
-    - The primal step is halved until ``phi_nu`` falls by the Armijo
-      fraction of its predicted decrease; the change of ``phi_nu`` is summed
-      from per-term differences (:meth:`_Welfare.rel_change`) so that no
-      large values cancel.  Its barrier sums, and those of the rounding
-      level below which the prediction is trusted, are taken per kind of
-      row: the bounds' first, then the capacities'.
-    - After a primal step below 0.1 the duals are reset to their central
-      values ``nu / s`` and ``nu / y``; they are always kept within a factor
-      ``_IP_DUAL_SPREAD`` of them.
+    - ``mu`` starts at 0.1 and falls tenfold, as often as it takes but not
+      below a tenth of ``_BARRIER_STOP_GAP``, while the KKT error of the
+      barrier problem is at most ``10 mu``: the largest of the dual
+      infeasibilities ``p |1 - usage - z|`` (and ``|B - sum y t|``), the row
+      infeasibility ``|r - t - sigma|`` and the complementarity residuals
+      ``|z p - mu|`` and ``|y sigma - mu|``.
+    - The Newton matrix in ``p`` (bordered by ``b`` when free) is ``diag(z /
+      p) + sum_j y_j (-hess r_j) + J^T diag(y / sigma) J``, where ``-hess
+      r_j = r_j [D^T diag(pi / (a L^2)) D - (1 / a) v v^T]`` with ``v = D^T
+      (pi / L)``: pair products of the slots, plus one rank-one term per
+      row, which a one-triple row adds to its pair products.  It is solved
+      dense (:func:`_newton_step`).
+    - The steps of ``p`` and ``sigma`` and of the duals ``y`` and ``z`` are
+      cut separately to the fraction ``max(0.99, 1 - mu)`` of the distance
+      to 0.  The primal step is halved until it is acceptable to a filter
+      on (barrier value, row infeasibility), reset at every ``mu``: where it
+      promises more decrease than the infeasibility, by the Armijo fraction
+      ``_IP_ARMIJO`` of that promise (or the promise is below the rounding
+      of the barrier's terms), elsewhere by that fraction of the
+      infeasibility in either.  The duals are kept within a factor
+      ``_IP_DUAL_SPREAD`` of their central values ``mu / p`` and ``mu /
+      sigma``.
 
-    ``var_mask`` marks real variables (padding is pinned at 1), and goods
-    that no variable uses carry no constraint.  After every step the stop
-    test ``certified(welfare, amat, y, lam, log_u)`` is given the problem as
-    it stands: the welfare and the usage rows of the variables still in the
-    solve, their variables, capacity duals in units of the welfare and
-    providers' log utilities.  So it must
-    read the problem from its arguments, never from the batch it passed in.
-    It returns ``(done, pin)``: ``done`` marks the solved problems, which
-    take no further step, and ``pin`` is None or marks columns, whole
-    providers across the batch, that leave the solve at 0.  Their columns
-    leave the welfare (:meth:`_Welfare.take`), ``amat``, ``y`` and the bound
-    duals; the capacity slacks are recomputed from the remaining ``y`` and
-    the duals moved to within ``_IP_DUAL_SPREAD`` of their new central
-    values, while ``nu`` and ``W_0`` stay.
-
-    A solved problem's iterate and duals stay frozen, as the stop test saw
-    them, until the whole batch is solved, and no problem's step reads
-    another's rows.  ``_BARRIER_MAX_STEPS`` caps the steps of the whole run,
-    and ``iterations`` counts them all.
-
-    Returns ``(y, lam, iterations)``: ``y`` on the problems and columns of
-    the given ``amat``, 0 where pinned, and ``lam`` the capacity duals in
-    units of the welfare.  A solve whose ``W_0`` overflows float64 raises
-    ``ValueError`` before its first step.
+    ``check(p, scale, rates, ratio)`` is called at the start and after every
+    step with the scaled prices of all goods (0 on goods no triple demands),
+    the rates and every triple's row ratio ``b_j - log e_j`` at the prices
+    ``exp(scale) p`` (``log B_s - log e_s`` when ``b`` is fixed), and returns
+    ``(gap, result)``.  The solve stops once the gap is at most
+    ``_BARRIER_STOP_GAP``, after ``_BARRIER_MAX_STEPS`` steps, or where 60
+    halvings find no acceptable step, and returns the last result and the
+    number of steps.  Raises ``ValueError`` where the price scale overflows
+    float64.
     """
-    nb, n, m = amat.shape
-    cols = np.arange(n)  # the given column of every variable still in the solve
-    y, nu, duals = np.where(var_mask, 0.9, 1.0), np.full((nb, 1), 0.1), None
-    done = np.zeros((nb, 1), dtype=bool)
-    it = 0
+    kernel, n_sp = index.kernel, index.n_sps
+    demanded = index.demanded_goods()
+    n_goods = int(demanded.sum())
+    goods = np.where(kernel.real, (np.cumsum(demanded) - 1)[kernel.goods], 0)
+    dm = kernel.demand
+    alpha = index.alphas[index.sp_of]
+    linear = alpha == 0.0
+    new = linear | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
+    row = np.cumsum(new) - 1
+    row_sp = index.sp_of[new]
+    n_rows = row_sp.size
+    weights = np.where(linear, 1.0 / index.weights, index.weights)
+    cost = CESAggregate.unit_cost(weights, np.where(linear, np.inf, alpha), row)
+    curv = 1.0 - cost.q  # 1 / a, 0 at a = inf
+    curv_row = curv[cost.starts]
+    size = np.bincount(row, minlength=n_rows)
+    single, multi = (size == 1)[row], size > 1
+    pair = (goods[:, :, None] * n_goods + goods[:, None, :]).ravel()
+    pair_demand = dm[:, :, None] * dm[:, None, :]
+    slot_row = (row[:, None] * n_goods + goods).ravel()
+    slot_sp = (goods * n_sp + index.sp_of[:, None]).ravel()
+    diag = np.arange(n_goods)
 
-    def spread(duals):
-        """The duals moved to within a factor ``_IP_DUAL_SPREAD`` of their
-        central values."""
-        return np.minimum(np.maximum(duals, mask * nu / (_IP_DUAL_SPREAD * z)), mask * _IP_DUAL_SPREAD * nu / z)
+    def per_good(values):
+        return np.bincount(goods.ravel(), weights=values.ravel(), minlength=n_goods)
 
-    while True:
-        amat_t = amat.transpose(0, 2, 1)
-        free = var_mask.astype(float)
-        pad = 1.0 - free
-        # the slacks [s, y], the duals [lam, mu] and the mask of real rows
-        mask = np.concatenate([(amat > 0).any(axis=1), var_mask], axis=1).astype(float)
-        steep = np.concatenate([np.zeros((nb, m), dtype=bool), var_mask & (welfare.alpha > 1.0)], axis=1)
-        diag = np.arange(y.shape[1])
-        z = np.concatenate([1.0 - (amat_t @ y[:, :, None])[:, :, 0], y], axis=1)
-        y = z[:, m:]
-        log_u, pi = welfare.utilities(y)
-        if duals is None:
-            log_scale = welfare.log_welfare(log_u)[:, None]
-            if not np.all(log_scale < math.log(np.finfo(float).max)):
-                raise ValueError(f"the start's welfare exp({log_scale.max():.6g}) overflows float64")
-            scale = np.exp(log_scale)  # W_0
-            duals = mask * nu / z
-        duals = spread(duals)
-        pin = None
-        while pin is None and it < _BARRIER_MAX_STEPS and not done.all():
-            it += 1
-            s, lam, mu = z[:, :m], duals[:, :m], duals[:, m:]
-            coef = np.exp(welfare.log_b + welfare.q0 * log_u) / scale  # B_s U_s^q0 / W_0
-            c_var = coef[:, welfare.seg]
-            grad = -c_var * pi / y
-            stat = (y * np.abs(grad + (amat @ lam[:, :, None])[:, :, 0] - mu)).max(axis=1, keepdims=True)
-            comp = duals * z
-            while True:
-                err = np.maximum(stat, np.abs(comp - mask * nu).max(axis=1, keepdims=True))
-                small = ~done & (err <= 10.0 * nu)
-                if not small.any():
-                    break
-                nu = np.where(small, 0.1 * nu, nu)
-            central = mask * nu / z
-            hess = (amat * (lam / s)[:, None, :]) @ amat_t
-            hess -= (c_var * welfare.rank * pi / y)[:, :, None] * (pi / y)[:, None, :] * welfare.same_sp
-            hess[:, diag, diag] += (c_var * welfare.alpha * pi / y + mu) / y + pad
-            rhs = free * (nu / y - grad) - (amat @ central[:, :m, None])[:, :, 0]
-            dy = _newton_direction(hess, rhs)
-            dz = np.concatenate([-(amat_t @ dy[:, :, None])[:, :, 0], dy], axis=1)
-            rel = dz / z
-            d_duals = central - duals - duals * rel
-            tau = np.maximum(0.99, 1.0 - nu)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(rel < 0, -np.where(steep, 0.5, tau) / rel, np.inf).min(axis=1, keepdims=True)
-                dual_step = np.where(d_duals < 0, -tau * duals / d_duals, np.inf).min(axis=1, keepdims=True)
-                step, dual_step = np.minimum(step, 1.0), np.minimum(dual_step, 1.0)
-            step[done] = 0.0
-            dual_step[done] = 0.0
-            pred = (rhs * dy).sum(axis=1, keepdims=True)
-            ry, size = rel[:, m:], np.abs(rel)
-            # below this the change of phi_nu is lost in the rounding of its terms
-            noise = _ULPS * (
-                np.abs(c_var * pi * ry).sum(axis=1, keepdims=True)
-                + nu * (size[:, m:].sum(axis=1, keepdims=True) + size[:, :m].sum(axis=1, keepdims=True))
-            )
-            trust = pred <= noise
-            for _ in range(60):
-                log_step = np.log1p(step * rel)
-                ly = log_step[:, m:]
-                change = (
-                    -(coef * welfare.rel_change(pi, ly)).sum(axis=1, keepdims=True)
-                    - nu * (ly.sum(axis=1, keepdims=True) + log_step[:, :m].sum(axis=1, keepdims=True))
-                )
-                short = (step > 0.0) & ~trust & ~(change <= -_IP_ARMIJO * step * pred)
-                if not short.any():
-                    break
-                step = np.where(short, 0.5 * step, step)
-            z = z + step * dz
-            duals = duals + dual_step * d_duals
-            reset = ~done & (step < 0.1)
-            if reset.any():
-                duals = np.where(reset, mask * nu / z, duals)
-            duals = spread(duals)
-            y = z[:, m:]
-            log_u, pi = welfare.utilities(y)
-            finished, pin = certified(welfare, amat, y, duals[:, :m] * scale, log_u)
-            done |= finished[:, None]
-        if pin is None:
+    def evaluate(p):
+        """Every triple's price ``L``, every row's log unit cost and the
+        unit costs' shares at ``p``."""
+        pd = (p[goods] * dm).sum(axis=1)
+        return (pd,) + cost.shares(np.log(pd))
+
+    p = np.ones(n_goods)
+    pd, log_e, pi = evaluate(p)
+    if free:
+        scale = math.log(float(index.budgets.sum()) / n_goods)
+        beta = index.budgets * (n_goods / float(index.budgets.sum()))  # B / exp(scale)
+        first = np.flatnonzero(np.concatenate(([True], row_sp[1:] != row_sp[:-1])))
+        b = (np.minimum.reduceat(log_e, first) - 1.0)[row_sp]
+    else:
+        log_b = np.log(index.budgets)[row_sp]
+        scale = float((log_b - log_e).max()) + 1.0
+        if not scale < math.log(np.finfo(float).max):
+            raise ValueError(f"the price scale of the welfare exp({scale:.6g}) overflows float64")
+        b = log_b - scale
+    start = log_e
+    r, t = np.ones(n_rows), np.exp(b - start)
+    sigma = r - t
+    mu, mu_min = 0.1, 0.1 * _BARRIER_STOP_GAP
+    y, z = mu / sigma, mu / p
+    db = np.zeros(n_sp)
+    steps = 0
+
+    def report():
+        prices = np.zeros(index.n_goods)
+        prices[demanded] = p
+        return check(prices, scale, (y * r)[row] * pi / pd, (b + scale - log_e)[row])
+
+    gap, result = report()
+    filt, phi = [], 0.0  # the filter's (infeasibility, barrier) pairs, the barrier since mu
+    while gap > _BARRIER_STOP_GAP and steps < _BARRIER_MAX_STEPS:
+        g = pi / pd
+        yr = y * r
+        usage = per_good((yr[row] * g)[:, None] * dm)
+        h = r - t - sigma
+        theta = float(np.abs(h).max())
+        dual_err = np.abs(p * (1.0 - usage - z)).max()
+        if free:
+            dual_err = max(dual_err, np.abs(beta - np.bincount(row_sp, weights=y * t, minlength=n_sp)).max())
+        while mu > mu_min and max(
+            dual_err, theta, np.abs(z * p - mu).max(), np.abs(y * sigma - mu).max()
+        ) <= 10.0 * mu:
+            mu = max(0.1 * mu, mu_min)
+            filt, phi = [], 0.0
+        # the Newton matrix in p: pair products and one rank-one term per row
+        d_row = y / sigma
+        k = yr * (r / sigma - curv_row)
+        coef = yr[row] * pi * curv / pd**2 + np.where(single, k[row] * g**2, 0.0)
+        mat = np.bincount(pair, weights=(coef[:, None, None] * pair_demand).ravel(), minlength=n_goods * n_goods)
+        mat = mat.reshape(n_goods, n_goods)
+        if multi.any():
+            v = np.bincount(slot_row, weights=(g[:, None] * dm).ravel(), minlength=n_rows * n_goods)
+            v = v.reshape(n_rows, n_goods)[multi]
+            mat += v.T @ (k[multi, None] * v)
+        mat[diag, diag] += z / p
+        r2 = mu / y - sigma - h
+        rhs = usage - 1.0 + mu / p + per_good(((d_row * r2 * r)[row] * g)[:, None] * dm)
+        if free:
+            # bordered by b: every provider's usage column and its diagonal
+            c = (((d_row * r * t)[row] * g)[:, None] * dm).ravel()
+            c = np.bincount(slot_sp, weights=c, minlength=n_goods * n_sp).reshape(n_goods, n_sp)
+            f = np.bincount(row_sp, weights=y * t + d_row * t * t, minlength=n_sp)
+            rhs_b = beta - np.bincount(row_sp, weights=(y + d_row * r2) * t, minlength=n_sp)
+            step = _newton_step(np.block([[mat, -c], [-c.T, np.diag(f)]]), np.concatenate([rhs, rhs_b]))
+            dp, db = step[:n_goods], step[n_goods:]
+        else:
+            dp = _newton_step(mat, rhs)
+        dy = d_row * (r2 - r * cost.seg_sum(g * (dp[goods] * dm).sum(axis=1)) + t * db[row_sp])
+        ds = mu / y - sigma - sigma / y * dy
+        dz = mu / p - z - z * dp / p
+        tau = max(0.99, 1.0 - mu)
+        a = min(1.0, _boundary(p, dp, tau), _boundary(sigma, ds, tau))
+        a_dual = min(1.0, _boundary(y, dy, tau), _boundary(z, dz, tau))
+        obj = float(dp.sum()) - (float(beta @ db) if free else 0.0)
+        pred = obj - mu * float((dp / p).sum() + (ds / sigma).sum())
+        for _ in range(60):
+            p_t, sigma_t, b_t = p + a * dp, sigma + a * ds, b + a * db[row_sp]
+            trial = evaluate(p_t)
+            r_t, t_t = np.exp(trial[1] - start), np.exp(b_t - start)
+            theta_t = float(np.abs(r_t - t_t - sigma_t).max())
+            # the change of the barrier value, summed from per-term differences
+            rel_p, rel_s = a * dp / p, a * ds / sigma
+            change = a * obj - mu * float(np.log1p(rel_p).sum() + np.log1p(rel_s).sum())
+            noise = _ULPS * (a * float(np.abs(dp).sum() + (np.abs(beta * db).sum() if free else 0.0)))
+            noise += _ULPS * mu * float(np.abs(rel_p).sum() + np.abs(rel_s).sum())
+            armijo = pred < 0.0 and -a * pred > theta
+            if armijo:
+                ok = change <= _IP_ARMIJO * a * pred or -a * pred <= noise
+            else:
+                ok = theta_t <= (1.0 - _IP_ARMIJO) * theta or change <= -_IP_ARMIJO * theta
+            if ok and all(theta_t < t_f or phi + change < phi_f for t_f, phi_f in filt):
+                break
+            a *= 0.5
+        else:
             break
-        keep = ~pin
-        welfare, amat, var_mask, cols = welfare.take(keep), amat[:, keep], var_mask[:, keep], cols[keep]
-        y, duals = y[:, keep], np.concatenate([duals[:, :m], duals[:, m:][:, keep]], axis=1)
-    y_out = np.zeros((nb, n))
-    y_out[:, cols] = y
-    return y_out, duals[:, :m] * scale, it
+        if not armijo:
+            filt.append(((1.0 - _IP_ARMIJO) * theta, phi - _IP_ARMIJO * theta))
+        phi += change
+        p, sigma, b, r, t = p_t, sigma_t, b_t, r_t, t_t
+        pd, log_e, pi = trial
+        y = np.clip(y + a_dual * dy, mu / (_IP_DUAL_SPREAD * sigma), _IP_DUAL_SPREAD * mu / sigma)
+        z = np.clip(z + a_dual * dz, mu / (_IP_DUAL_SPREAD * p), _IP_DUAL_SPREAD * mu / p)
+        steps += 1
+        gap, result = report()
+    return result, steps
 
 
-def _newton_direction(hess, rhs):
-    """Solutions of ``hess[b] x = rhs[b]`` for a batch of positive definite
-    Newton matrices.
+def _newton_step(mat, rhs):
+    """The solution of the positive definite Newton system ``mat x = rhs``.
 
-    On a face of optima (identical providers, say) the barrier's curvature
-    across the binding constraints outgrows the curvature along the face by
-    more than the floating-point range, so the matrix is singular in
-    floating point and LU breaks down or returns an ascent direction.  Then
-    the direction comes from the eigen-decomposition of the diagonally
-    scaled matrix, with the directions whose curvature is lost in rounding
-    left out.  No member's solution depends on the other members.
+    On a face of optimal prices (goods that any split of a price serves
+    alike) the barrier's curvature along the face is lost in the rounding
+    of the rows' curvature across it, and LU breaks down or returns a
+    direction that is no descent.  Then the direction is the least-squares
+    solution of the diagonally scaled system, which leaves out the
+    directions whose curvature is lost in rounding.
     """
     try:
-        x = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        x = np.linalg.solve(mat, rhs)
+        if rhs @ x > 0.0:
+            return x
     except np.linalg.LinAlgError:
-        # member by member, so that one singular matrix sends no other
-        # member of the batch down the fallback
-        x = np.full_like(rhs, np.nan)
-        for b in range(len(hess)):
-            try:
-                x[b] = np.linalg.solve(hess[b], rhs[b][:, None])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-    bad = ~((rhs * x).sum(axis=-1) > 0.0)
-    if bad.any():
-        h, r = hess[bad], rhs[bad]
-        d = 1.0 / np.sqrt(np.diagonal(h, axis1=1, axis2=2))
-        curv, vec = np.linalg.eigh(h * d[:, :, None] * d[:, None, :])
-        keep = curv > curv.max(axis=1, keepdims=True) * r.shape[1] * np.finfo(float).eps
-        coord = np.einsum("bij,bi->bj", vec, d * r)
-        x[bad] = d * np.einsum("bij,bj->bi", vec, np.where(keep, coord / np.where(keep, curv, 1.0), 0.0))
-    return x
+        pass
+    d = 1.0 / np.sqrt(np.diagonal(mat))
+    return d * np.linalg.lstsq(mat * d[:, None] * d[None, :], d * rhs, rcond=None)[0]
+
+
+def _boundary(x, dx, tau):
+    """The longest step along ``dx`` that keeps ``x > 0`` at the fraction
+    ``tau`` of its distance to 0 (fraction to the boundary)."""
+    falling = dx < 0.0
+    return float((-tau * x[falling] / dx[falling]).min(initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
 # Standalone alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
-def _block_candidates(welfare: _Welfare, amat, mask, alpha) -> tuple[np.ndarray, np.ndarray]:
+def _block_candidates(log_w, amat, mask, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form candidates for the optimum of every block of a batch of
     one-provider welfare problems ``max U(z)`` subject to ``amat[b]^T z <=
-    1`` and ``z >= 0``, with the capacity duals that certify each where it
-    is the optimum.
+    1`` and ``z >= 0``, ``U`` the degree-one utility of the log weights
+    ``log_w`` at ``alpha`` (one per block), with the capacity duals that
+    certify each where it is the optimum.
 
     - One good ``j`` binds: the optimum under good ``j`` alone, ``z_k``
       proportional to ``(c_k / a_kj)^(1/alpha)`` and scaled so that ``a_j .
@@ -625,9 +579,10 @@ def _block_candidates(welfare: _Welfare, amat, mask, alpha) -> tuple[np.ndarray,
     nb, n_k, m = amat.shape
     real = mask[:, :, None]
     a = alpha[:, None, None]
+    utility = CESAggregate(log_w, np.broadcast_to((1.0 - alpha)[:, None], log_w.shape), np.zeros(n_k, dtype=np.intp))
     with np.errstate(divide="ignore", invalid="ignore"):
         # log(c_k / a_kj); -inf on padding, inf where a real class skips j
-        score = np.where(real, welfare.log_w[:, :, None] - np.log(amat), -np.inf)
+        score = np.where(real, log_w[:, :, None] - np.log(amat), -np.inf)
         lead = np.where(
             a > 0.0,
             np.exp((score - score.max(axis=1, keepdims=True)) / np.where(a > 0.0, a, 1.0)),
@@ -652,7 +607,7 @@ def _block_candidates(welfare: _Welfare, amat, mask, alpha) -> tuple[np.ndarray,
         z = np.full((len(subsets), nb, n_k), np.nan)
         z[:, sel] = 1.0
         z[:, sel, :k] = z_s
-        pi = welfare.utilities(z)[1]
+        pi = utility.shares(np.log(z))[1]
         lam_s = np.maximum(np.linalg.solve(a_s, (pi[:, sel, :k] / z_s)[..., None])[..., 0], 0.0)
         lam = np.full((len(subsets), nb, m), np.nan)
         lam[:, sel] = 0.0
@@ -662,6 +617,28 @@ def _block_candidates(welfare: _Welfare, amat, mask, alpha) -> tuple[np.ndarray,
         zs.append(z)
         lams.append(lam)
     return np.concatenate(zs), np.concatenate(lams)
+
+
+def _block_market(amat, log_w, alpha) -> MarketIndex:
+    """A static-share block as a one-provider market of budget 1 on its own
+    copy of the goods its classes use: ``amat`` ``[K, m]`` on those goods,
+    in the slot layout of :class:`~slicemarket.model.MarketIndex` (each
+    class's consumed goods first, in increasing order)."""
+    n_k, m = amat.shape
+    order = np.argsort(amat <= 0.0, axis=1, kind="stable")
+    return MarketIndex(
+        goods=tuple(("block", str(j)) for j in range(m)),
+        capacity=np.ones(m),
+        sp_names=("block",),
+        budgets=np.ones(1),
+        alphas=np.array([alpha]),
+        triples=tuple(("block", "block", str(k)) for k in range(n_k)),
+        sp_of=np.zeros(n_k, dtype=np.intp),
+        users=np.ones(n_k, dtype=np.intp),
+        weights=np.exp(log_w),
+        slot_goods=order,
+        slot_demand=np.take_along_axis(amat, order, axis=1),
+    )
 
 
 def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
@@ -675,26 +652,27 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     :attr:`~slicemarket.model.MarketIndex.blocks` is an independent problem:
     maximize the block's degree-one utility ``(sum c z^(1-alpha))^(1/(1-alpha))``
     under its cell's capacities.  Each block is scaled to O(1) (rates ``z`` in
-    units of an equal split of its box and the weights ``c`` to sum to one)
-    and taken as a single-provider welfare problem.  A block is solved once
-    capacity duals certify its rates, scaled up onto its capacity frontier,
-    by the price-space bound of its welfare (:meth:`_Welfare.log_bound`) to
+    units of an equal split of its box and the weights ``c`` to sum to one).
+    A block is solved once capacity duals ``lam`` certify its rates, scaled
+    up onto its capacity frontier, by the price-space bound ``(lam . 1) /
+    e(A lam)`` (``e`` its unit cost, :meth:`CESAggregate.unit_cost`) to
     within ``_BARRIER_STOP_GAP``.  The utility is degree-one, so scaling the
     rates down by their largest usage ``top`` divides the utility by ``top``.
 
     Every block is first tried in closed form (:func:`_block_candidates`,
     where one good or a vertex binds): its gap is the smallest bound of its
     candidates' duals over the largest utility of its candidates scaled onto
-    the frontier, and the best candidate is kept where that certifies.  The
-    blocks left, if any, are solved together by :func:`_interior_point`
-    until each certifies its own iterate so.
+    the frontier, and the best candidate is kept where that certifies.  Each
+    block left, if any, is solved as a one-provider social optimum of its
+    own (:func:`_block_market`, :func:`_welfare_optimum`), certified by the
+    same bound.
 
     Returns ``(rates, gaps, iterations)``.  ``gaps[s]`` is a certified bound
     on the relative shortfall of provider ``s``'s degree-one utility: the
     largest of its blocks' gaps, since its utility is a monotone degree-one
     aggregate of theirs (0 for max-min providers).  Its optimum is at most
     ``1 + gaps[s]`` times the returned one.  ``iterations`` counts the Newton
-    steps of the engine, 0 where no block is left to it.
+    steps of the blocks left, 0 where there are none.
     """
     rates = np.zeros(index.n_triples)
     gaps = np.zeros(index.n_sps)
@@ -715,49 +693,34 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     # weights summing to one: less log sum c, the aggregate of ones at q = 1
     log_c = log_c - CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))
     a_mat = blocks.demand * ref[:, :, None]
-
-    def block_welfare(log_c, alpha):
-        return _Welfare(
-            log_c,
-            np.broadcast_to((1.0 - alpha)[:, None], log_c.shape),
-            one_sp,
-            np.zeros((log_c.shape[0], 1)),
-            np.zeros(log_c.shape),
-            1.0,
-        )
+    q = np.broadcast_to((1.0 - alpha)[:, None], log_c.shape)
+    cost = CESAggregate.unit_cost(np.exp(log_c), 1.0 - q, one_sp)
 
     def top(amat, z):
         # the largest usage: z / top is on the frontier, with utility U(z) / top
         return np.einsum("...kj,...k->...j", amat, z).max(axis=-1)
 
-    def log_value(amat, z, log_u):
-        return log_u[..., 0] - np.log(top(amat, z))
-
-    def log_gap(welfare, amat, z, lam, log_u):
-        return welfare.log_bound(amat, lam) - log_value(amat, z, log_u)
-
-    def certified(welfare, amat, z, lam, log_u):
-        return log_gap(welfare, amat, z, lam, log_u) <= math.log1p(_BARRIER_STOP_GAP), None
-
-    welfare = block_welfare(log_c, alpha)
-    cand_z, cand_lam = _block_candidates(welfare, a_mat, mask, alpha)
+    cand_z, cand_lam = _block_candidates(log_c, a_mat, mask, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = log_value(a_mat, cand_z, welfare.utilities(cand_z)[0])
-        bound = welfare.log_bound(a_mat, cand_lam)
+        value = CESAggregate(log_c, q, one_sp)(np.log(cand_z))[..., 0] - np.log(top(a_mat, cand_z))
+        # the price-space bound; a padded class is priced 1, which it does not enter
+        price = np.where(np.isfinite(log_c), (a_mat @ cand_lam[..., None])[..., 0], 1.0)
+        log_sum, best = np.log(cand_lam.sum(axis=-1)), -cost(np.log(price))[..., 0]
+        bound = log_sum + best + _ULPS * (1.0 + np.abs(log_sum) + np.abs(best))
     value = np.where(np.isnan(value), -np.inf, value)
     best = value.argmax(axis=0)
     at = np.arange(value.shape[1])
-    gap = np.where(np.isnan(bound), np.inf, bound).min(axis=0) - value[best, at]
+    gap = np.expm1(np.where(np.isnan(bound), np.inf, bound).min(axis=0) - value[best, at])
     z = cand_z[best, at]
     z = z / top(a_mat, z)[:, None]  # every block's rates on its frontier
-    left = np.flatnonzero(~(gap <= math.log1p(_BARRIER_STOP_GAP)))
     iterations = 0
-    if left.size:
-        welfare, amat = block_welfare(log_c[left], alpha[left]), a_mat[left]
-        y, lam, iterations = _interior_point(welfare, amat, mask[left], certified)
-        gap[left] = log_gap(welfare, amat, y, lam, welfare.utilities(y)[0])
-        z[left] = y / top(amat, y)[:, None]
-    np.maximum.at(gaps, blocks.sp, np.expm1(gap))
+    for b in np.flatnonzero(~(gap <= _BARRIER_STOP_GAP)):
+        real = mask[b]
+        amat = a_mat[b, real]
+        used = (amat > 0.0).any(axis=0)
+        _, z[b, real], gap[b], steps = _welfare_optimum(_block_market(amat[:, used], log_c[b, real], alpha[b]))
+        iterations += steps
+    np.maximum.at(gaps, blocks.sp, gap)
     rates[blocks.rows[mask]] = (ref * z)[mask]
     return rates, gaps, iterations
 
@@ -766,117 +729,64 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
 # Social optimum
 # ---------------------------------------------------------------------------
 
-class _WelfareLayout:
-    """The variables of the social-optimum program and its welfare, in
-    provider order.
+def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Maximize the welfare ``sum_s B_s U_s`` of ``index`` under unit
+    capacities by the price-space barrier (:func:`_price_barrier`, ``b_s =
+    log B_s``).
 
-    A finite-alpha provider contributes one rate per triple; a max-min
-    provider contributes its common per-user level ``tau`` (``u = tau n``),
-    which enters like a linear provider with one unit-weight variable, since
-    its utility is ``tau`` itself.  ``amat[v]`` is the usage of one unit of
-    variable ``v`` on every consumed good, and variables are scaled to an
-    equal split of each good (``ref``) so the Newton systems stay O(1).
-    ``welfare`` is the objective as a batch of one, at the outer exponent
-    ``q0`` of :class:`_Welfare` (1 for the social optimum).  The capacity
-    duals live on the consumed goods (``goods``).
+    For prices ``p >= 0``, no feasible allocation has welfare above the
+    price-space bound ``(p . 1) max_s B_s / e_s(D_s p)`` (weak duality:
+    such an allocation costs ``sum_s e_s U_s <= p . 1``).  The rates are
+    scaled onto the capacity frontier, and the solve stops once the bound
+    is within ``_BARRIER_STOP_GAP`` of their welfare.  The bound is rounded
+    up by 8 ulps of its terms: where weak duality is tight (a linear
+    provider on a face of optima) the rounding of the logarithms would
+    otherwise put it a few ulps below the welfare.
 
-    Triple ``i`` has the rate ``mult[i]`` times variable ``owner[i]``
-    (``mult`` is the user count on a max-min provider's rows and 1
-    elsewhere), so ``amat`` is the sum of ``mult * slot_demand`` over the
-    slots of each variable's triples.
+    At the optimum only the providers whose ratio ``B_s / e_s`` is the best
+    get anything; the others' row multipliers only tend to 0.  So once the
+    bound holds, the providers below the best ratio with the least welfare
+    get rate exactly 0, as many as keep the gap within ``GAP_TOL`` (their
+    welfare is taken off the rest's, at the frontier scale of all).
+
+    Returns ``(prices, rates, gap, steps)``: the certifying prices of every
+    good, in units of the welfare, the rates, the bound over their welfare
+    minus 1, and the Newton steps.
     """
+    kernel, utility = index.kernel, index.utility
+    log_b = np.log(index.budgets)
+    starts = utility.starts
 
-    def __init__(self, index: MarketIndex, q0: float = 1.0):
-        max_min = np.isinf(index.alphas)[index.sp_of]
-        # a new variable at every finite-alpha row and at a provider's first row
-        new = ~max_min | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
-        self.owner = np.cumsum(new) - 1
-        self.mult = np.where(max_min, index.users, 1.0)
-        n_var, n_goods = int(new.sum()), index.n_goods
-        amat = np.bincount(
-            (self.owner[:, None] * n_goods + index.slot_goods).ravel(),
-            weights=(self.mult[:, None] * index.slot_demand).ravel(),
-            minlength=n_var * n_goods,
-        ).reshape(n_var, n_goods)
-        used = amat > 0
-        count = used.sum(axis=0)
-        self.goods = count > 0
-        with np.errstate(divide="ignore"):
-            self.ref = np.where(used, 1.0 / (amat * count), np.inf).min(axis=1)
-        self.amat = amat[:, self.goods] * self.ref[:, None]
-        self.log_ref = np.log(self.ref)
-        self.log_b = np.log(index.budgets)
-        seg = index.sp_of[new]
-        # a max-min provider's utility is its level: one unit-weight linear term
-        log_w = np.where(max_min, 0.0, np.log(index.weights))[new]
-        alpha = np.where(np.isinf(index.alphas), 0.0, index.alphas)[seg]
-        self.welfare = _Welfare(
-            log_w[None], (1.0 - alpha)[None], seg, self.log_b[None], self.log_ref[None], q0
-        )
+    def welfare(rates):
+        """Every provider's log welfare ``log B_s U_s``, the log of their
+        sum, and the rates' largest usage."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = log_b + utility(np.log(rates))
+        most = terms.max()
+        top = kernel.per_good(rates[:, None] * kernel.demand).max()
+        return terms, most + math.log(float(np.exp(terms - most).sum())), math.log(top)
 
-    def prices(self, lam):
-        """Capacity duals ``lam`` on the consumed goods as prices of every
-        good, 0 on the others."""
-        prices = np.zeros(self.goods.size)
-        prices[self.goods] = lam
-        return prices
+    def check(p, scale, rates, ratio):
+        ratio = np.maximum.reduceat(ratio, starts)
+        best = float(ratio.max())
+        log_sum = math.log(float(p.sum()))
+        log_bound = log_sum + best + _ULPS * (1.0 + abs(log_sum) + abs(best))
+        terms, log_w, log_top = welfare(rates)
+        if log_bound - log_w + log_top <= math.log1p(_BARRIER_STOP_GAP):
+            # the share of the welfare that zeroing may cost within the
+            # report's gap tolerance
+            room = -math.expm1(log_bound + log_top - log_w - math.log1p(GAP_TOL))
+            below = np.flatnonzero(ratio < best)
+            below = below[np.argsort(terms[below], kind="stable")]
+            out = below[np.cumsum(np.exp(terms[below] - log_w)) <= room]
+            if out.size:
+                rates = np.where(np.isin(index.sp_of, out), 0.0, rates)
+                terms, log_w, log_top = welfare(rates)
+        gap = math.expm1(log_bound - log_w + log_top)
+        return gap, (math.exp(scale) * p, rates / math.exp(log_top), gap)
 
-    def rates(self, y):
-        """Per-triple rates of scaled variables ``y``."""
-        return self.ref[self.owner] * y[self.owner] * self.mult
-
-
-#: A provider leaves a social-optimum solve when its share of the welfare is
-#: below ``_DROP_SHARE``, its price-space log-ratio
-#: (:meth:`_Welfare.log_ratios`) is more than
-#: ``_DROP_RATIO`` below the best one of the providers still in the solve,
-#: and that distance is at least ``_DROP_HOLD`` times the one of the step
-#: before.  A provider that
-#: the optimum gives a small share closes the distance by about half per
-#: step.
-_DROP_SHARE = 1e-2
-_DROP_RATIO = 1e-3
-_DROP_HOLD = 0.9
-
-
-def _eisenberg_gale_solve(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
-    """Maximize ``sum_s B_s log U_s(u)`` under unit capacities by the
-    interior-point engine (:func:`_interior_point`, a batch of one; no
-    provider is priced out of an equilibrium) on the variables of
-    :class:`_WelfareLayout` with the outer exponent 0.
-
-    The duality gap (:func:`~slicemarket.market._eg_gap`) is taken at the
-    iterate scaled onto the capacity frontier and at the duals, those below
-    their good's slack set to 0.  It is of second order in each provider's
-    ``r_s - log U_s`` (a gap of 1e-11 leaves budgets off by up to 3e-6), so
-    the solve stops once both are at most ``_BARRIER_STOP_GAP`` in size, or
-    after ``_BARRIER_MAX_STEPS`` steps.  Providers with alpha > 0 then take
-    their one best response at the prices; alpha-0 providers, whose best
-    responses are not unique, keep the solve's rates, cut to the capacity
-    the others leave.  Returns ``(rates, prices, iterations)``.
-    """
-    lay = _WelfareLayout(index, 0.0)
-    welfare, amat = lay.welfare, lay.amat
-
-    def frontier(y, lam):
-        usage = amat.T @ y
-        return y / usage.max(), np.where(lam < 1.0 - usage / usage.max(), 0.0, lam)
-
-    def certified(_welfare, _amat, y, lam, log_u):
-        y, lam = frontier(y[0], lam[0])
-        prices = lay.prices(lam)
-        g, r = _eg_gap(index, prices, index.log_ratios(prices), welfare.utilities(y[None])[0][0])
-        return np.array([max(g, np.abs(r).max()) <= _BARRIER_STOP_GAP]), None
-
-    y, lam, iterations = _interior_point(welfare, amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified)
-    y, lam = frontier(y[0], lam[0])
-    prices = lay.prices(lam)
-    kernel = index.kernel
-    linear = index.alphas[index.sp_of] == 0.0
-    demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1])[0])
-    left = np.maximum(1.0 - kernel.per_good(demand[:, None] * kernel.demand), 0.0)
-    rates = np.where(linear, _repair_rates(index, np.where(linear, lay.rates(y), 0.0), left), demand)
-    return rates, prices, iterations
+    (prices, rates, gap), steps = _price_barrier(index, check, free=False)
+    return prices, rates, gap, steps
 
 
 def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
@@ -884,93 +794,20 @@ def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:
     capacity constraints, with the degree-one aggregate utilities so values
     are comparable across alpha and against the market schemes.
 
-    Max-min providers enter exactly through their common per-user rate level
-    (``u = t n``, lossless at the optimum).  The program is solved by the
-    interior-point engine (:func:`_interior_point`, a batch of one) on the
-    variables of :class:`_WelfareLayout`, whose Newton system is one dense
-    ``V x V`` solve per step, as an active set over providers.  At the
-    optimum only the providers whose price-space ratio ``B_s / e_s`` attains
-    its maximum get anything, and at alpha > 1 the engine lets the rates of
-    any other provider fall by at most half per step.  So a provider whose
-    share is small and whose ratio stays clearly below the best
-    (``_DROP_SHARE``, ``_DROP_RATIO``, ``_DROP_HOLD``) is pinned: its
-    variables leave the run, which goes on without them, and it gets rate
-    and utility exactly 0.
-
-    The run stops once its capacity duals certify the point scaled onto the
-    capacity frontier to within ``_BARRIER_STOP_GAP`` by the Eisenberg-Gale
-    price-space bound of the whole market (:meth:`_Welfare.log_bound` of the
-    whole layout's welfare, whose maximum runs over the dropped providers
-    too): for capacity prices ``lam >= 0``, no feasible allocation has
-    welfare above ``(lam . 1) max_s B_s / e_s``, where ``e_s`` is provider
-    ``s``'s unit cost at the prices ``D_s lam`` of its classes.  If the
-    point certifies without the dropped providers but one of them has a
-    ratio above the best of the rest, that provider is put back for good and
-    a new run starts, with the other dropped providers still out.
-    ``prices`` are the certifying capacity duals,
-    ``residuals["duality_gap"]`` is that bound over the returned welfare
+    Solved in price space (:func:`_welfare_optimum`): the program ``min p .
+    1`` subject to ``log e_s(D_s p) >= log B_s`` for every provider (one
+    row per triple ``log(d_k . p / w_k) >= log B_s`` at alpha 0), whose
+    value is the welfare and whose row multipliers give the rates.  A
+    provider whose ratio ``B_s / e_s`` is below the best gets rate and
+    utility exactly 0.  ``prices`` are the certifying prices,
+    ``residuals["duality_gap"]`` is their bound over the returned welfare
     minus 1, ``converged`` means it is at most ``GAP_TOL``, and
-    ``iterations`` counts the Newton steps of every run.
+    ``iterations`` counts the Newton steps.  Raises ``ValueError`` where
+    the welfare's scale overflows float64.
     """
     index = scn.index
-    lay = _WelfareLayout(index)
-    active = np.ones(index.n_sps, dtype=bool)
-    put_back = np.zeros(index.n_sps, dtype=bool)
-    add = np.zeros(index.n_sps, dtype=bool)
-    below_before = np.full(index.n_sps, np.inf)
-    final = None  # the welfare of the last stop test, on the active providers
-
-    def certified(welfare, amat, y, lam, log_u):
-        nonlocal final
-        final = welfare
-        lam, log_u, usage = lam[0], log_u[0], amat[0].T @ y[0]
-        log_w = welfare.log_welfare(log_u[None])[0]
-        ratios = lay.welfare.log_ratios(lay.amat[None], lam[None])[0]
-        best = ratios[active].max()
-        below = np.where(active, best - ratios, np.inf)
-        small = np.zeros(index.n_sps, dtype=bool)
-        small[active] = np.exp(welfare.log_b[0] + log_u - log_w) < _DROP_SHARE
-        drop = small & ~put_back & (below > _DROP_RATIO) & (below >= _DROP_HOLD * below_before)
-        below_before[:] = below
-        if drop.any():
-            pin = drop[active][welfare.seg]
-            active[drop] = False
-            final = None  # it holds the providers just dropped
-            return np.array([False]), pin
-        top = usage.max()
-        # the bound is at least 1 / (1 - lam.s / lam.1) times the welfare at
-        # y (weak duality), so the scaled point cannot certify before this
-        if top > (1.0 + _BARRIER_STOP_GAP) * (1.0 - lam @ (1.0 - usage) / lam.sum()):
-            return np.array([False]), None
-        if math.expm1(math.log(float(lam.sum())) + best - log_w + math.log(top)) > _BARRIER_STOP_GAP:
-            return np.array([False]), None
-        add[:] = ~active & (ratios > best)
-        return np.array([True]), None
-
-    iterations = 0
-    while True:
-        start = active[lay.welfare.seg]
-        # a C-order copy of the F-order lay.amat: the order that the steps'
-        # sums, and so the last bits of the report, follow
-        amat = lay.amat[start]
-        y_run, lam, it = _interior_point(
-            lay.welfare.take(start), amat[None], np.ones((1, amat.shape[0]), dtype=bool), certified
-        )
-        iterations += it
-        if not add.any():
-            break
-        active |= add
-        put_back |= add
-        add[:] = False
-    keep = active[lay.welfare.seg]
-    # a run ends on a stop test unless a pin spent its last step
-    welfare = final if final is not None else lay.welfare.take(keep)
-    y = np.zeros(keep.size)
-    y[start] = y_run[0]
-    y /= (lay.amat[keep].T @ y[keep]).max()
-    log_w = welfare.log_welfare(welfare.utilities(y[keep][None])[0])[0]
-    gap = math.expm1(lay.welfare.log_bound(lay.amat[None], lam)[0] - log_w)
-    return _welfare_report(scn, lay.prices(lam[0]), Allocation(lay.rates(y), index), iterations, gap)
+    prices, rates, gap, iterations = _welfare_optimum(index)
+    return _welfare_report(scn, prices, Allocation(rates, index), iterations, gap)
 
 
 def static_share(scn: NormalizedScenario) -> SolveReport:

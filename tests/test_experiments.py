@@ -184,6 +184,20 @@ class TestPriceTrace:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: ExperimentConfig(instances=0), "instances must be >= 1"),
+            (lambda: ExperimentConfig(jobs=0), "jobs must be >= 1"),
+            (lambda: config_from_dict({"load_model": 5}), "load_model: expected an object, got 5"),
+            (lambda: config_from_dict({"load_model": [1.0]}), r"load_model: expected an object, got \[1.0\]"),
+        ],
+        ids=["zero-instances", "zero-jobs", "load-model-number", "load-model-list"],
+    )
+    def test_rejects(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_from_dict_roundtrip(self):
         cfg = config_from_dict(
             {

@@ -1,7 +1,9 @@
-"""Step counts and certificates of the interior-point engine shared by the
-social optimum and the static share."""
+"""Step counts and certificates of the price-space barrier shared by the
+social optimum, the alpha-0 market equilibrium and the static share's
+leftover blocks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ from slicemarket import (
     instantiate,
     normalize_scenario,
     random_scenario,
+    solve_eg,
     solve_social_optimal,
     static_share,
+    verify_equilibrium,
 )
 from slicemarket import solvers
+from tests.reference import dense_demand
 
 ALPHAS = [0.0, 0.5, 1.0, 2.0, 5.0, 100.0, math.inf]
 
@@ -84,7 +89,31 @@ def test_steep_alphas_certify(alpha):
         assert static_share(scn).converged
 
 
-def no_candidates(welfare, amat, mask, alpha):
+def test_large_alpha0_market_equilibrium_certifies():
+    """The 112-cell alpha-0 market equilibrium certifies through
+    verify_equilibrium.  The primal engine did so in 14 steps only with one
+    summation order of its usage matrix; the price program has no such
+    matrix."""
+    spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=3), 0).with_alphas(0.0)
+    scn = normalize_scenario(spec)
+    rep = solve_eg(scn)
+    assert rep.method == "barrier" and rep.converged
+    assert rep.iterations <= 30
+    assert verify_equilibrium(scn, rep.allocation, rep.prices).is_equilibrium
+
+
+@pytest.mark.parametrize("other", [1.05, 1.1])
+def test_linear_provider_beside_near_one_alphas_certifies(other):
+    """The preset with its first provider linear and the others just above
+    alpha 1: the primal engine ran these equilibria to its step cap."""
+    for seed in range(3):
+        spec = instantiate(benchmark_preset(), LoadModel(seed=seed), 0)
+        sps = tuple(replace(sp, alpha=0.0 if i == 0 else other) for i, sp in enumerate(spec.sps))
+        rep = solve_eg(normalize_scenario(replace(spec, sps=sps)))
+        assert rep.converged and rep.iterations <= 30
+
+
+def no_candidates(log_w, amat, mask, alpha):
     """A candidate builder whose one candidate applies nowhere: every block
     runs on the engine."""
     return np.full((1,) + mask.shape, np.nan), np.full((1, amat.shape[0], amat.shape[2]), np.nan)
@@ -96,15 +125,16 @@ def three_class(seed, alpha, n_cells=2):
 
 
 def engine_spy(monkeypatch):
-    """The usage arrays of the batches handed to the engine, in call order."""
+    """The dense usage of the block markets handed to the barrier, one
+    ``[K, m]`` array per block in call order."""
     handed = []
-    engine = solvers._interior_point
+    engine = solvers._welfare_optimum
 
-    def spied(welfare, amat, var_mask, certified):
-        handed.append(amat)
-        return engine(welfare, amat, var_mask, certified)
+    def spied(index):
+        handed.append(dense_demand(index))
+        return engine(index)
 
-    monkeypatch.setattr(solvers, "_interior_point", spied)
+    monkeypatch.setattr(solvers, "_welfare_optimum", spied)
     return handed
 
 
@@ -147,11 +177,12 @@ def test_engine_gets_only_uncertified_blocks(monkeypatch):
     assert blocks.class_mask.all() and set(binding.tolist()) == {1, 2, 3}
     handed = engine_spy(monkeypatch)
     assert static_share(scn).converged
-    assert len(handed) == 1
-    # the engine's usage rows are the demands scaled per class
-    got = handed[0] / handed[0].max(axis=2, keepdims=True)
     want = blocks.demand / blocks.demand.max(axis=2, keepdims=True)
-    np.testing.assert_allclose(got, want[binding == 2], rtol=1e-12)
+    assert len(handed) == int((binding == 2).sum())
+    for got, block in zip(handed, want[binding == 2]):
+        # a block's usage rows are its demands scaled per class, on the
+        # goods its classes use
+        np.testing.assert_allclose(got / got.max(axis=1, keepdims=True), block[:, (block > 0).any(axis=0)], rtol=1e-12)
 
 
 def test_alpha0_face_certifies(monkeypatch):
@@ -169,18 +200,3 @@ def test_alpha0_face_certifies(monkeypatch):
     assert rep.converged and rep.residuals["duality_gap"] <= 1e-11
     # bandwidth binds: 20 / 3 units of the small class's rate, worth 1 each
     assert rep.utilities[0] == pytest.approx(20.0 / 3.0, rel=1e-12)
-
-
-def test_singular_member_leaves_the_others_on_lu():
-    """A Newton matrix that LU cannot factor sends only its own member to
-    the eigen-decomposition; the others keep their LU solutions."""
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4))
-    spd = a @ a.T + 4.0 * np.eye(4)
-    hess = np.stack([spd, np.ones((4, 4)), spd])
-    rhs = rng.normal(size=(3, 4))
-    rhs[1] = 1.0
-    x = solvers._newton_direction(hess, rhs)
-    for b in (0, 2):
-        assert x[b].tobytes() == np.linalg.solve(spd, rhs[b][:, None])[:, 0].tobytes()
-    assert rhs[1] @ x[1] > 0.0

@@ -102,6 +102,95 @@ def test_validation_rejects(breaker):
         normalize_scenario(breaker(two_sp_spec()))
 
 
+def _replace_doc(**changes):
+    """The document of ``two_sp_spec`` with top-level or first-provider fields
+    changed."""
+    doc = scenario_to_dict(two_sp_spec())
+    for key, value in changes.items():
+        if key == "alpha":
+            doc["sps"][0]["alpha"] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+def _spec_with(**parts):
+    return replace(two_sp_spec(), **parts)
+
+
+_S = two_sp_spec()
+
+
+@pytest.mark.parametrize(
+    "action, error, match",
+    [
+        (lambda: normalize_scenario(_spec_with(cells=())), ScenarioError, "no cells"),
+        (lambda: normalize_scenario(_spec_with(sps=())), ScenarioError, "no service providers"),
+        (lambda: normalize_scenario(_spec_with(cells=_S.cells * 2)), ScenarioError, "duplicate cell id 'c0'"),
+        (
+            lambda: normalize_scenario(
+                _spec_with(cells=(CellDef("c0", _S.cells[0].resources + _S.cells[0].resources[:1]),))
+            ),
+            ScenarioError,
+            "duplicate resource 'r0' at cell 'c0'",
+        ),
+        (
+            lambda: normalize_scenario(_spec_with(classes=_S.classes + _S.classes[:1])),
+            ScenarioError,
+            "duplicate class 'a'",
+        ),
+        (
+            lambda: normalize_scenario(_spec_with(sps=(_S.sps[0], replace(_S.sps[1], name="sp0")))),
+            ScenarioError,
+            "duplicate SP 'sp0'",
+        ),
+        (
+            lambda: normalize_scenario(_spec_with(classes=(ClassDef("a", {}), _S.classes[1]))),
+            ScenarioError,
+            "class 'a' consumes no resources",
+        ),
+        (
+            lambda: normalize_scenario(
+                _spec_with(sps=(replace(_S.sps[0], budget=0.0), replace(_S.sps[1], budget=1.0)))
+            ),
+            ScenarioError,
+            "SP 'sp0' budget must be positive",
+        ),
+        (
+            lambda: normalize_scenario(
+                _spec_with(sps=(replace(_S.sps[0], support=(SupportEntry("c9", "a", 1),)), _S.sps[1]))
+            ),
+            ScenarioError,
+            "SP 'sp0' supports unknown cell 'c9'",
+        ),
+        (lambda: scenario_from_dict(_replace_doc(alpha="huge")), ScenarioError, "unrecognized alpha value 'huge'"),
+        (lambda: scenario_from_dict(_replace_doc(cells=[{"id": "c0"}])), ScenarioError, "malformed scenario document"),
+        (
+            lambda: normalize_scenario(_S).index.kernel.gather(np.zeros((2, 3))),
+            ValueError,
+            r"dense values have shape \(2, 3\), expected \(2, 2\)",
+        ),
+    ],
+    ids=[
+        "no-cells",
+        "no-sps",
+        "duplicate-cell",
+        "duplicate-resource",
+        "duplicate-class",
+        "duplicate-sp",
+        "class-without-demand",
+        "zero-budget",
+        "unknown-cell",
+        "unrecognized-alpha",
+        "malformed-document",
+        "gather-shape",
+    ],
+)
+def test_model_error_paths(action, error, match):
+    with pytest.raises(error, match=match):
+        action()
+
+
 def test_unknown_class_and_duplicate_support_rejected():
     spec = two_sp_spec()
     bad = ProviderDef("sp1", 0.5, 1.0, (SupportEntry("c0", "nope", 1),))

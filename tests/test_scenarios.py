@@ -45,6 +45,18 @@ class TestPreset:
 
 
 class TestLoadModel:
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"variance": -1.0}, "variance must be nonnegative"),
+            ({"floor": -1}, "floor must be nonnegative"),
+        ],
+        ids=["negative-variance", "negative-floor"],
+    )
+    def test_rejects(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            LoadModel(**fields)
+
     def test_zero_variance_gives_the_mean(self):
         load = LoadModel(mean=100.0, variance=0.0, seed=5)
         assert np.all(load.draw(0, 42) == 100)

@@ -20,16 +20,20 @@ from slicemarket import (
     static_share,
 )
 from slicemarket import solvers
-from slicemarket.solvers import _WelfareLayout
 from tests.reference import dense_demand
 from tests.test_market import make_scn
-from tests.test_model import irregular_scenario
 
 MIXED_ALPHAS = [0.0, 0.5, 1.0, 2.0, 5.0, math.inf]
 
 
 def welfare(scn, rep):
     return float(np.dot(scn.index.budgets, rep.utilities))
+
+
+def price_bound(index, prices):
+    """The price-space bound ``(p . 1) max_s B_s / e_s(D_s p)`` on the
+    welfare of every feasible allocation, from the index's log ratios."""
+    return float(prices.sum()) * math.exp(index.log_ratios(prices).max())
 
 
 def variables(index):
@@ -44,46 +48,6 @@ def variables(index):
         else:
             out.extend((s, rows[k : k + 1], demand[i]) for k, i in enumerate(rows))
     return out
-
-
-def test_layout_matches_dense_columns():
-    """The interior-point layout, built from the slots, against the columns
-    of :func:`variables`: bit-equal for finite-alpha providers, and within
-    1e-15 relative on a max-min provider's level, whose usage sums the same
-    products in another order."""
-    rng = np.random.default_rng(47)
-    specs = [irregular_scenario(rng) for _ in range(40)]
-    specs += [instantiate(benchmark_preset(n_cells=n), LoadModel(seed=3), 0).with_alphas(math.inf) for n in (7, 112)]
-    levels = zero_users = 0
-    for spec in specs:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            index = normalize_scenario(spec).index
-        lay = _WelfareLayout(index)
-        cols = variables(index)
-        amat = np.array([col for _, _, col in cols])
-        used = amat > 0
-        count = used.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            ref = np.where(used, 1.0 / (amat * count), np.inf).min(axis=1)
-        want = amat[:, count > 0] * ref[:, None]
-        owner = np.zeros(index.n_triples, dtype=np.intp)
-        mult = np.ones(index.n_triples)
-        level = np.zeros(len(cols), dtype=bool)
-        for v, (s, rows, _) in enumerate(cols):
-            owner[rows] = v
-            if math.isinf(index.alphas[s]):
-                mult[rows] = index.users[rows]
-                level[v] = True
-        assert np.array_equal(lay.owner, owner) and np.array_equal(lay.mult, mult)
-        assert np.array_equal(lay.goods, count > 0)
-        assert np.array_equal(lay.ref[~level], ref[~level])
-        assert np.array_equal(lay.amat[~level], want[~level])
-        assert np.all(np.abs(lay.ref[level] - ref[level]) <= 1e-15 * ref[level])
-        assert np.all(np.abs(lay.amat[level] - want[level]) <= 1e-15 * want[level])
-        levels += int(level.sum())
-        zero_users += sum(e.users == 0 for sp in spec.sps for e in sp.support)
-    assert levels > 0 and zero_users > 0
 
 
 def lp_welfare(index):
@@ -190,8 +154,7 @@ def test_mixed_alpha_markets_match_slsqp():
         assert got >= slsqp_welfare(scn.index) * (1 - 1e-9)
         # the reported prices are the certificate: their bound is above the
         # welfare by the reported gap
-        lay = _WelfareLayout(scn.index)
-        ratio = math.exp(lay.welfare.log_bound(lay.amat[None], rep.prices[lay.goods][None])[0]) / got
+        ratio = price_bound(scn.index, rep.prices) / got
         assert 1.0 <= ratio <= 1.0 + 1e-9
         assert ratio - 1.0 == pytest.approx(rep.residuals["duality_gap"], abs=1e-13)
 
@@ -201,12 +164,12 @@ def test_price_space_bound_is_weak_duality():
     for _ in range(8):
         spec = random_scenario(rng, n_sps=int(rng.integers(1, 4)), alphas=MIXED_ALPHAS)
         scn = normalize_scenario(spec)
-        lay = _WelfareLayout(scn.index)
+        demanded = scn.index.demanded_goods()
         values = [welfare(scn, solver(scn)) for solver in (solve_social_optimal, solve_eg, static_share)]
         for _ in range(20):
-            lam = rng.exponential(1.0, int(lay.goods.sum())) * rng.choice([1e-3, 1.0, 1e3])
-            bound = math.exp(lay.welfare.log_bound(lay.amat[None], lam[None])[0])
-            assert bound >= max(values) * (1 - 1e-12)
+            prices = np.zeros(scn.index.n_goods)
+            prices[demanded] = rng.exponential(1.0, int(demanded.sum())) * rng.choice([1e-3, 1.0, 1e3])
+            assert price_bound(scn.index, prices) >= max(values) * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, math.inf])
@@ -255,108 +218,71 @@ def preset(seed, alpha):
 
 
 def engine_runs(monkeypatch):
-    """A list that gets one entry per run of the interior-point engine."""
+    """A list that gets one entry per run of the price-space barrier."""
     runs = []
-    engine = solvers._interior_point
+    engine = solvers._price_barrier
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         runs.append(1)
-        return engine(*args)
+        return engine(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_interior_point", counted)
+    monkeypatch.setattr(solvers, "_price_barrier", counted)
     return runs
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
 def test_priced_out_provider_gets_exactly_zero(alpha, monkeypatch):
-    """A provider whose price-space ratio stays below the best is dropped
-    from the solve: its rates are exactly 0, and the welfare is the one of
-    a solve that keeps every provider to the end.  The engine pins the
-    dropped provider's variables and goes on, so the solve is one engine
-    run, where a restart per drop made two."""
+    """A provider whose price-space ratio is below the best gets rates
+    exactly 0, in one barrier run with no active set, and the welfare is
+    the one of a solve that zeroes no provider (no gap room to zero in),
+    where those providers get almost nothing."""
     markets = [preset(seed, alpha) for seed in range(7001, 7005)]
     runs = engine_runs(monkeypatch)
-    dropped = []
+    zeroed = []
     for scn in markets:
         runs.clear()
-        dropped.append(solve_social_optimal(scn))
+        zeroed.append(solve_social_optimal(scn))
         assert len(runs) == 1
-    monkeypatch.setattr(solvers, "_DROP_SHARE", 0.0)
-    for scn, rep in zip(markets, dropped):
+    monkeypatch.setattr(solvers, "GAP_TOL", 0.0)
+    for scn, rep in zip(markets, zeroed):
         full = solve_social_optimal(scn)
         out = np.flatnonzero(rep.utilities == 0.0)
         assert out.size >= 1
         assert np.all(rep.allocation.rates[np.isin(scn.index.sp_of, out)] == 0.0)
+        assert np.all(full.utilities[out] > 0.0)
         assert np.all(full.utilities[out] < 1e-6 * full.utilities.max())
-        assert rep.converged and full.converged
-        assert welfare(scn, rep) == pytest.approx(welfare(scn, full), rel=1e-10)
-        assert rep.iterations < full.iterations
-
-
-def test_report_takes_the_engine_s_last_welfare(monkeypatch):
-    """The report's welfare is the one the engine's last stop test saw: a
-    solve builds one welfare for its layout and one per pinned provider set,
-    and none again after the run."""
-    built, pins = [], []
-    init = solvers._Welfare.__init__
-
-    def counted_init(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    engine = solvers._interior_point
-
-    def spied(welfare, amat, var_mask, certified):
-        def stop_test(*args):
-            done, pin = certified(*args)
-            pins.append(pin is not None)
-            return done, pin
-
-        return engine(welfare, amat, var_mask, stop_test)
-
-    monkeypatch.setattr(solvers._Welfare, "__init__", counted_init)
-    monkeypatch.setattr(solvers, "_interior_point", spied)
-    for seed in range(7001, 7005):
-        built.clear()
-        pins.clear()
-        assert solve_social_optimal(preset(seed, 2.0)).converged
-        assert sum(pins) >= 1
-        assert len(built) == 1 + sum(pins)
-
-
-def test_wrongly_dropped_provider_is_put_back(monkeypatch):
-    """With the drop thresholds loosened, providers that the optimum gives
-    a share leave the solve too.  The certificate runs over every provider,
-    so each such one is put back, in a new engine run, and the solve still
-    certifies the welfare of the default solve."""
-    rng = np.random.default_rng(41)
-    markets = [preset(7005, 0.5), preset(7008, 0.5)]
-    for _ in range(10):
-        spec = random_scenario(rng, n_sps=int(rng.integers(2, 5)), classes_per_sp=int(rng.integers(1, 4)), alphas=MIXED_ALPHAS)
-        markets.append(normalize_scenario(spec))
-    reference = [solve_social_optimal(scn) for scn in markets]
-    assert reference[0].utilities.min() > 0.0 and reference[1].utilities.min() > 0.0
-    monkeypatch.setattr(solvers, "_DROP_SHARE", 1.0)
-    monkeypatch.setattr(solvers, "_DROP_RATIO", 0.0)
-    monkeypatch.setattr(solvers, "_DROP_HOLD", 1e-9)
-    runs = engine_runs(monkeypatch)
-    counts = []
-    for scn, ref in zip(markets, reference):
-        runs.clear()
-        rep = solve_social_optimal(scn)
-        counts.append(len(runs))
         assert rep.converged
-        assert welfare(scn, rep) == pytest.approx(welfare(scn, ref), rel=1e-9)
-        assert np.all((rep.utilities > 0.0) == (ref.utilities > 0.0))
-    assert max(counts) > 1
+        ratios = scn.index.log_ratios(rep.prices)
+        assert np.all(ratios[out] < ratios.max())
+        assert welfare(scn, rep) == pytest.approx(welfare(scn, full), rel=1e-10)
 
 
 def test_overflowing_welfare_fails_before_any_step(monkeypatch):
-    """At alpha 0.99 the preset's welfare at the interior-point start is
-    about exp(719): the solve says so instead of stepping on NaN duals."""
-    steps = []
-    monkeypatch.setattr(solvers, "_newton_direction", lambda *a: steps.append(1))
+    """At alpha 0.99 the preset's welfare, and with it the price scale of
+    the start, is about exp(720): the solve says so instead of returning
+    infinite prices."""
+    checks = []
+    engine = solvers._price_barrier
+
+    def spied(index, check, free):
+        def counted(*args):
+            checks.append(1)
+            return check(*args)
+
+        return engine(index, counted, free)
+
+    monkeypatch.setattr(solvers, "_price_barrier", spied)
     scn = normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=1), 0).with_alphas(0.99))
     with pytest.raises(ValueError, match="welfare .* overflows float64"):
         solve_social_optimal(scn)
-    assert not steps
+    assert not checks
+
+
+def test_preset_alpha_100_steps():
+    """The primal engine took 37-74 Newton steps on these markets, its
+    Armijo search halving a dozen times near a capacity boundary; the
+    price-space barrier takes at most 30."""
+    for seed in range(3):
+        rep = solve_social_optimal(preset(seed, 100.0))
+        assert rep.converged
+        assert rep.iterations <= 30

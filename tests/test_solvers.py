@@ -334,9 +334,6 @@ def test_large_market_certifies():
 
     spec = instantiate(benchmark_preset(n_cells=112), LoadModel(seed=3), 0)
     for solver, alpha in (
-        # the barrier route certifies here in 14 steps only with the present
-        # summation order of the usage matrix's products; reordered, it misses
-        # the stop and ends on NaN iterates (ROADMAP item 1)
         (solve_eg, 0.0),
         (solve_eg, 0.5),
         (solve_eg, 2.0),

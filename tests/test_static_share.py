@@ -26,7 +26,6 @@ from slicemarket import (
     static_share,
 )
 from slicemarket.market import utilities
-from slicemarket.solvers import _WelfareLayout
 from tests.reference import dense_demand
 
 
@@ -94,17 +93,16 @@ def test_matches_frontier_scan(alpha):
 def test_certifying_bound_is_weak_dual(alpha):
     # any prices of the goods, some of them 0, bound the cell's utility
     # from above: no rates within the capacities beat the bound.  The one
-    # provider's social optimum is its standalone optimum, so the bound of
-    # the welfare of its social-optimum layout is the static share's.
+    # provider, of budget 1, has the bound (lam . 1) / e(D lam) of its
+    # unit cost, from the index's log ratios.
     scn = two_class_cell(alpha)
-    lay = _WelfareLayout(scn.index)
     _, best = frontier_optimum(scn)
-    shape = (1, lay.amat.shape[1])
+    n_goods = scn.index.n_goods
     rng = np.random.default_rng(int(2000 + 10 * alpha))
     for _ in range(50):
-        lam = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.6)
-        lam[0, rng.integers(shape[1])] += 0.1
-        bound = math.exp(lay.welfare.log_bound(lay.amat[None], lam)[0])
+        lam = rng.uniform(0.0, 1.0, n_goods) * (rng.random(n_goods) < 0.6)
+        lam[rng.integers(n_goods)] += 0.1
+        bound = lam.sum() * math.exp(scn.index.log_ratios(lam)[0])
         assert bound >= best * (1 - 1e-12)
 
 
