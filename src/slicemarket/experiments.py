@@ -261,25 +261,23 @@ class ExperimentResult:
     @cached_property
     def aggregates(self) -> list[tuple]:
         """Mean/variance of rate and utility across instances, per
-        (alpha, scheme, sp, class), computed once."""
+        (alpha, scheme, sp, class), computed once.  The groups of each size
+        are reduced together, one contiguous row per group and value, which
+        numpy sums in the order of the group's own 1-D array."""
         groups: dict[tuple, list[tuple[float, float]]] = {}
         for row in self.rows:
-            key = (row[1], row[2], row[3], row[5])
-            groups.setdefault(key, []).append((row[6], row[7]))
-        out = []
-        for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3])):
-            vals = np.array(groups[key])
-            out.append(
-                key
-                + (
-                    float(vals[:, 0].mean()),
-                    float(vals[:, 0].var()),
-                    float(vals[:, 1].mean()),
-                    float(vals[:, 1].var()),
-                    len(vals),
-                )
-            )
-        return out
+            groups.setdefault((row[1], row[2], row[3], row[5]), []).append((row[6], row[7]))
+        keys = sorted(groups)
+        by_size: dict[int, list[tuple]] = {}
+        for key in keys:
+            by_size.setdefault(len(groups[key]), []).append(key)
+        stats = {}
+        for n, same in by_size.items():
+            vals = np.ascontiguousarray(np.array([groups[key] for key in same]).transpose(2, 0, 1))
+            means, variances = vals.mean(axis=2).tolist(), vals.var(axis=2).tolist()
+            for j, key in enumerate(same):
+                stats[key] = (means[0][j], variances[0][j], means[1][j], variances[1][j], n)
+        return [key + stats[key] for key in keys]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -616,13 +616,15 @@ class PriceCells:
     ``cell[g]`` is the cell of good ``g`` (cells without goods are not
     counted) and ``pos[g]`` its position there; ``good[c, j]`` is the good at
     position ``j`` of cell ``c`` (``mask`` False on padding, which points at
-    good 0).  Every triple consumes only goods of its own cell, so ``D^T
+    good 0) and ``flat[g]`` the flat ``[n_cells, m]`` position of good
+    ``g``.  Every triple consumes only goods of its own cell, so ``D^T
     diag(c) D`` is block-diagonal by cell for any per-triple ``c``.
     ``pair[i, r, r']`` is the flat ``[n_cells, m, m]`` position of slot pair
-    ``(r, r')`` of triple ``i`` and ``slot[i, r]`` the flat ``[n_cells, m,
-    n_seg]`` position of slot ``r`` in the column of the triple's provider.
-    A padding slot sits in the triple's cell at the position its good has
-    in its own cell; it carries zero demand, so it adds nothing there.
+    ``(r, r')`` of triple ``i`` and ``slot[i, r]`` the flat ``[n_cells, m, 1
+    + n_seg]`` position of slot ``r`` in the column of the triple's
+    provider, column 0 being left for one more per-good value.  A padding
+    slot sits in the triple's cell at the position its good has in its own
+    cell; it carries zero demand, so it adds nothing there.
     """
 
     def __init__(self, index: MarketIndex):
@@ -635,12 +637,13 @@ class PriceCells:
         self.mask = np.zeros((self.n_cells, self.m), dtype=bool)
         self.good[self.cell, self.pos] = np.arange(index.n_goods)
         self.mask[self.cell, self.pos] = True
+        self.flat = self.cell * self.m + self.pos
         self.n_seg = index.n_sps
         goods = index.slot_goods
         # slot 0 of every row is a consumed good, so in the triple's cell
         at = self.cell[goods[:, :1]] * self.m + self.pos[goods]
         self.pair = at[:, :, None] * self.m + self.pos[goods][:, None, :]
-        self.slot = at * self.n_seg + index.sp_of[:, None]
+        self.slot = at * (1 + self.n_seg) + 1 + index.sp_of[:, None]
 
 
 @dataclass(frozen=True)

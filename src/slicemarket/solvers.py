@@ -107,7 +107,8 @@ def _price_newton(index: MarketIndex, p):
     (:attr:`~slicemarket.model.MarketIndex.unit_cost`) and the gradient ``1 -
     usage(p)`` is the excess supply, so the minimizer is the equilibrium
     price vector.  The demanded rates and ``f`` come from one pass of the
-    unit cost (:meth:`~slicemarket.model.DemandKernel.rates`).
+    unit cost (:meth:`~slicemarket.model.DemandKernel.rates`), which the
+    gradient, the line search and the returned rates share.
 
     The Hessian is ``sum_s [(1/a) D^T diag(u/L) D + ((a-1)/(a B)) v v^T]``
     with ``v = D_s^T u_s``: ``1/a`` is ``1 - q`` and ``(a-1)/a`` is ``q``, the
@@ -115,19 +116,22 @@ def _price_newton(index: MarketIndex, p):
     second coefficient is ``1/B``).  The first term is block-diagonal by cell
     (:attr:`~slicemarket.model.MarketIndex.price_cells`) and the second is
     one rank-one term per provider, so a step is one batched per-cell solve
-    plus a Woodbury correction with an ``n_sp x n_sp`` capacitance matrix.  Goods priced at most ``eps =
-    min(residual, _ACTIVE_PRICE)`` with positive gradient are pinned and
-    driven to 0 along the projection arc; a Levenberg term equal to the
-    residual on the diagonal keeps rank-deficient cells (one class on three
-    goods, say) from stalling the step.
+    with the gradient and the ``v`` as its right-hand sides, plus a Woodbury
+    correction with an ``n_sp x n_sp`` capacitance matrix.  Goods priced at
+    most ``eps = min(residual, _ACTIVE_PRICE)`` with positive gradient are
+    pinned (their rows and columns of the cell blocks cleared) and driven to
+    0 along the projection arc; a Levenberg term equal to the residual on
+    the diagonal keeps rank-deficient cells (one class on three goods, say)
+    from stalling the step.
 
     The Armijo search evaluates ``f`` itself.  Once the predicted decrease
-    is below the rounding of ``f``, the full step is taken; the solve stops
-    when such a step fails to halve the projected gradient (which is then
-    at rounding level), when the step is not a descent direction or no
-    step along it decreases ``f``, or after ``_PRICE_NEWTON_MAX_STEPS``
-    steps.  Returns ``(p, steps)``, ``p`` the iterate of smallest projected
-    gradient.
+    is below the rounding of ``f``, the full step is taken.  The solve stops
+    once the projected gradient is within ``_ULPS`` (the rounding of the
+    usage sums, so no step from there can reduce it), when a full step
+    fails to halve it, when the step is not a descent direction or no step
+    along it decreases ``f``, or after ``_PRICE_NEWTON_MAX_STEPS`` steps.
+    Returns ``(p, rates, steps)``, ``p`` the iterate of smallest projected
+    gradient and ``rates`` the rates demanded there.
     """
     kernel = index.kernel
     cells = index.price_cells
@@ -136,16 +140,26 @@ def _price_newton(index: MarketIndex, p):
     # the rank-one coefficient (a - 1) / (a B), 1 / B at a = inf
     coupling = cost.q[cost.starts] / budgets
     curv_row = 1.0 - cost.q  # 1 / a, 0 at a = inf
+    curved = curv_row > 0.0
     demanded = index.demanded_goods()
-    n_goods, n_seg, m = index.n_goods, cells.n_seg, cells.m
+    n_cells, n_seg, m = cells.n_cells, cells.n_seg, cells.m
     dm = kernel.demand
-    diag = np.arange(m)
-    pair_demand = dm[:, :, None] * dm[:, None, :]
+    pair, slot = cells.pair.ravel(), cells.slot.ravel()
+    pair_demand = (dm[:, :, None] * dm[:, None, :]).reshape(dm.shape[0], -1)
+    # the Levenberg diagonal: the residual on the demanded goods, 1 on the
+    # others and on padding, whose rows are empty
+    levenberg = demanded[cells.good] & cells.mask
+    grad_at = cells.flat * (1 + n_seg)
+    eye = np.eye(n_seg)
+    # the slots slot-major: ``L`` is a sum of contiguous rows, equal to
+    # :meth:`~slicemarket.model.DemandKernel.row_prices`'s for rows of up
+    # to seven slots, which numpy adds in the same order
+    goods_t, demand_t = np.ascontiguousarray(kernel.goods.T), np.ascontiguousarray(dm.T)
 
     def evaluate(p):
         """``f(p)``, the scale of its rounding, the rates demanded at ``p``
         and their prices ``L``; ``f`` is inf where some demand is unbounded."""
-        pd = kernel.row_prices(p)[1]
+        pd = (p[goods_t] * demand_t).sum(axis=0)
         u, log_e = kernel.rates(pd)
         terms = budgets * log_e
         total = float(p.sum())
@@ -154,21 +168,29 @@ def _price_newton(index: MarketIndex, p):
             value = math.inf
         return value, total + float(np.abs(terms).sum()), u, pd
 
-    def structured(k_blocks, v_blocks, grad, free, mu):
-        fb = free[cells.good] & cells.mask
-        k = k_blocks * (fb[:, :, None] & fb[:, None, :])
-        k[:, diag, diag] += np.where(fb, mu, 1.0)
-        v = v_blocks * fb[:, :, None]
-        rhs = np.concatenate([np.where(fb, grad[cells.good], 0.0)[:, :, None], v], axis=2)
+    def direction(u, pd, flow, grad, pinned, mu):
+        """The Newton direction at the free goods, or None where a solve
+        breaks down."""
+        coef = np.divide(curv_row * u, pd, out=np.zeros_like(u), where=curved)
+        k = np.bincount(pair, weights=(coef[:, None] * pair_demand).ravel(), minlength=n_cells * m * m)
+        k = k.reshape(n_cells, m, m)
+        k.reshape(n_cells, m * m)[:, :: m + 1] += np.where(levenberg, mu, 1.0)
+        rhs = np.bincount(slot, weights=flow.ravel(), minlength=n_cells * m * (1 + n_seg))
+        rhs[grad_at] = grad
+        rhs = rhs.reshape(n_cells, m, 1 + n_seg)
+        if pinned is not None:
+            c, j = cells.cell[pinned], cells.pos[pinned]
+            k[c, j, :] = 0.0
+            k[c, :, j] = 0.0
+            k[c, j, j] = 1.0
+            rhs[c, j, :] = 0.0
         try:
-            x = np.linalg.solve(k, rhs)
-            w = np.einsum("cjs,cjt->st", v, x)
-            y = np.linalg.solve(np.eye(n_seg) + coupling[:, None] * w[:, 1:], coupling * w[:, 0])
+            x = np.linalg.solve(k, rhs).reshape(-1, 1 + n_seg)
+            w = rhs.reshape(-1, 1 + n_seg)[:, 1:].T @ x
+            y = np.linalg.solve(eye + coupling[:, None] * w[:, 1:], coupling * w[:, 0])
         except np.linalg.LinAlgError:
             return None
-        d = np.zeros(n_goods)
-        d[cells.good[fb]] = (x[:, :, 0] - x[:, :, 1:] @ y)[fb]
-        return d
+        return (x[:, 0] - x[:, 1:] @ y)[cells.flat]
 
     def search(p, d, grad, value, scale):
         """The accepted point along the projection arc of ``d``, or None."""
@@ -189,38 +211,33 @@ def _price_newton(index: MarketIndex, p):
                 return None
 
     value, scale, u, pd = evaluate(p)
-    best_resid, best_p = math.inf, p
+    best_resid, best = math.inf, (p, u)
     prev_resid = math.inf
     quiet = False
     steps = 0
     while True:
-        grad = np.where(demanded, 1.0 - kernel.per_good(u[:, None] * dm), 0.0)
+        flow = u[:, None] * dm
+        grad = np.where(demanded, 1.0 - kernel.per_good(flow), 0.0)
         resid = float(np.abs(p - np.maximum(p - grad, 0.0)).max())
         if resid < best_resid:
-            best_resid, best_p = resid, p
-        if resid == 0.0 or steps >= _PRICE_NEWTON_MAX_STEPS or (quiet and resid > 0.5 * prev_resid):
+            best_resid, best = resid, (p, u)
+        if resid <= _ULPS or steps >= _PRICE_NEWTON_MAX_STEPS or (quiet and resid > 0.5 * prev_resid):
             break
         prev_resid = resid
         pinned = demanded & (p <= min(resid, _ACTIVE_PRICE)) & (grad > 0.0)
-        free = demanded & ~pinned
-        # a max-min row may be free (L = 0); its first term is 0 anyway
-        coef = np.divide(curv_row * u, pd, out=np.zeros_like(u), where=curv_row > 0)
-        k_blocks = np.bincount(
-            cells.pair.ravel(), weights=(coef[:, None, None] * pair_demand).ravel(), minlength=cells.n_cells * m * m
-        ).reshape(cells.n_cells, m, m)
-        v_blocks = np.bincount(
-            cells.slot.ravel(), weights=(u[:, None] * dm).ravel(), minlength=cells.n_cells * m * n_seg
-        ).reshape(cells.n_cells, m, n_seg)
-        d = structured(k_blocks, v_blocks, grad, free, resid)
+        if not pinned.any():
+            pinned = None
+        d = direction(u, pd, flow, grad, pinned, resid)
         if d is None or not np.all(np.isfinite(d)):
             break
-        d[pinned] = p[pinned]
+        if pinned is not None:
+            d[pinned] = p[pinned]
         found = search(p, d, grad, value, scale)
         if found is None:
             break
         p, (value, scale, u, pd), quiet = found
         steps += 1
-    return best_p, steps
+    return best + (steps,)
 
 
 def solve_eg(scn: NormalizedScenario) -> SolveReport:
@@ -249,8 +266,8 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
         rates, p, iterations = _eisenberg_gale_barrier(index)
     else:
         demanded = index.demanded_goods()
-        p, iterations = _price_newton(index, np.where(demanded, 1.0 / demanded.sum(), 0.0))
-        rates = _repair_rates(index, kernel.rates(kernel.row_prices(p)[1])[0], np.ones(index.n_goods))
+        p, rates, iterations = _price_newton(index, np.where(demanded, 1.0 / demanded.sum(), 0.0))
+        rates = _repair_rates(index, rates, np.ones(index.n_goods))
     allocation = Allocation(rates, index)
     check = verify_equilibrium(scn, allocation, p)
     return equilibrium_report(scn, "barrier" if barrier else "tatonnement", p, allocation, iterations, check)
@@ -747,7 +764,9 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
     get anything; the others' row multipliers only tend to 0.  So once the
     bound holds, the providers below the best ratio with the least welfare
     get rate exactly 0, as many as keep the gap within ``GAP_TOL`` (their
-    welfare is taken off the rest's, at the frontier scale of all).
+    welfare is taken off the rest's, at the frontier scale of all).  The
+    solve stops on the gap before that zeroing, and the gap after it is
+    reported: further steps barely shrink what the zeroing spends.
 
     Returns ``(prices, rates, gap, steps)``: the certifying prices of every
     good, in units of the welfare, the rates, the bound over their welfare
@@ -772,7 +791,8 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
         log_sum = math.log(float(p.sum()))
         log_bound = log_sum + best + _ULPS * (1.0 + abs(log_sum) + abs(best))
         terms, log_w, log_top = welfare(rates)
-        if log_bound - log_w + log_top <= math.log1p(_BARRIER_STOP_GAP):
+        stop = gap = math.expm1(log_bound - log_w + log_top)
+        if stop <= _BARRIER_STOP_GAP:
             # the share of the welfare that zeroing may cost within the
             # report's gap tolerance
             room = -math.expm1(log_bound + log_top - log_w - math.log1p(GAP_TOL))
@@ -782,8 +802,8 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
             if out.size:
                 rates = np.where(np.isin(index.sp_of, out), 0.0, rates)
                 terms, log_w, log_top = welfare(rates)
-        gap = math.expm1(log_bound - log_w + log_top)
-        return gap, (math.exp(scale) * p, rates / math.exp(log_top), gap)
+                gap = math.expm1(log_bound - log_w + log_top)
+        return stop, (math.exp(scale) * p, rates / math.exp(log_top), gap)
 
     (prices, rates, gap), steps = _price_barrier(index, check, free=False)
     return prices, rates, gap, steps

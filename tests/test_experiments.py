@@ -107,6 +107,27 @@ class TestRunExperiment:
             assert float(rec[4]) == pytest.approx(np.mean(groups[key]), abs=1e-9)
             assert float(rec[5]) == pytest.approx(np.var(groups[key]), abs=1e-9)
 
+    def test_aggregates_match_per_group_reductions_exactly(self):
+        """The groups are reduced together by size; every mean and variance
+        is bit-identical to numpy's on the group's own array, for groups of
+        1 to 300 rows (numpy sums 8 or more terms pairwise) in one result."""
+        rng = np.random.default_rng(29)
+        rows = []
+        for g, n in enumerate([*range(1, 40), 127, 128, 129, 300]):
+            for k in range(n):
+                rate = float(rng.exponential() * 10.0 ** rng.integers(-6, 3))
+                rows.append((k, float(g % 5), "me", f"SP{g}", "c", "k", rate, float(rng.normal() * 1e3)))
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        groups = {}
+        for row in rows:
+            groups.setdefault((row[1], row[2], row[3], row[5]), []).append((row[6], row[7]))
+        want = []
+        for key in sorted(groups):
+            vals = np.array(groups[key])
+            stats = (vals[:, 0].mean(), vals[:, 0].var(), vals[:, 1].mean(), vals[:, 1].var())
+            want.append(key + tuple(float(v) for v in stats) + (len(vals),))
+        assert ExperimentResult(ExperimentConfig(), rows, []).aggregates == want
+
     def test_sensitivity_and_convergence_studies(self, tmp_path):
         cfg = tiny_config(
             tmp_path,

@@ -410,9 +410,9 @@ def scanned_price_cells(index, slot_goods):
     at = cell[slot_goods[:, :1]] * m + pos[slot_goods]
     return {
         "cell": cell, "pos": pos, "n_cells": n_cells, "m": m, "good": good, "mask": mask,
-        "n_seg": index.n_sps,
+        "flat": cell * m + pos, "n_seg": index.n_sps,
         "pair": at[:, :, None] * m + pos[slot_goods][:, None, :],
-        "slot": at * index.n_sps + index.sp_of[:, None],
+        "slot": at * (1 + index.n_sps) + 1 + index.sp_of[:, None],
     }
 
 

@@ -47,6 +47,22 @@ def test_preset_certifies(seed, alpha):
     assert rep.residuals["br_gap_rel"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n_cells, alpha, cap", [(7, 0.5, 6), (7, 2.0, 7), (7, 5.0, 7), (112, 0.5, 6), (112, 2.0, 8), (112, 5.0, 7)]
+)
+def test_no_step_from_a_rounding_level_iterate(n_cells, alpha, cap):
+    """The solve stops once the projected gradient is within the rounding
+    of the usage sums: a step from there could only fail to halve it, and
+    each of these solves took one step more when that failure was the stop
+    signal."""
+    spec = instantiate(benchmark_preset(n_cells=n_cells), LoadModel(seed=3), 0).with_alphas(alpha)
+    rep = solve_eg(normalize_scenario(spec))
+    assert rep.method == "tatonnement"
+    assert rep.converged
+    assert rep.iterations <= cap
+    assert rep.residuals["br_gap_rel"] <= 1e-12
+
+
 def log_unit_cost(index, prices, s):
     """``log e_s(D_s p)``: the log of the least cost of one unit of provider
     ``s``'s degree-one utility at the prices ``L = D p`` of its classes'

@@ -286,3 +286,17 @@ def test_preset_alpha_100_steps():
         rep = solve_social_optimal(preset(seed, 100.0))
         assert rep.converged
         assert rep.iterations <= 30
+
+
+def test_stops_once_the_bound_holds_before_zeroing():
+    """Seed 303 at alpha 3.5: zeroing two priced-out providers leaves a gap
+    of 5.9e-11, above the stop gap but within ``GAP_TOL``.  The solve stops
+    on the gap before zeroing (the last of 1000 steps gave the same
+    welfare) and reports the gap after it."""
+    scn = preset(303, 3.5)
+    rep = solve_social_optimal(scn)
+    assert rep.converged
+    assert rep.iterations <= 30
+    assert solvers._BARRIER_STOP_GAP < rep.residuals["duality_gap"] <= 1e-10
+    assert np.count_nonzero(rep.utilities == 0.0) == 2
+    assert welfare(scn, rep) == pytest.approx(0.0005180600272432764, rel=1e-11)
