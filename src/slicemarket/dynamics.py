@@ -25,7 +25,7 @@ term.
 Bids live on the slot layout of :class:`~slicemarket.model.MarketIndex`:
 :func:`run_dynamics` updates, traces and settles them there, and gathers
 dense ``[n_triples, n_goods]`` initial bids onto it once
-(:meth:`~slicemarket.model.DemandKernel.gather`).
+(:meth:`~slicemarket.model.MarketIndex.gather`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .market import BID_FLOOR, equilibrium_report, settle_bids, verify_equilibrium
-from .model import DemandKernel, MarketIndex, NormalizedScenario
+from .model import MarketIndex, NormalizedScenario
 
 #: Relative price changes are measured against at least this price level, so
 #: goods whose equilibrium price is zero (geometric collapse) still converge.
@@ -60,9 +60,8 @@ def _potential(index: MarketIndex, b: np.ndarray, prices: np.ndarray) -> float:
     Zero bids contribute zero; bids below ``BID_FLOOR`` are treated as zero
     so traces of collapsing prices stay finite.
     """
-    kernel = index.kernel
     mask = b > BID_FLOOR
-    ratio = np.divide(b, prices[kernel.goods] * kernel.demand, out=np.ones_like(b), where=mask)
+    ratio = np.divide(b, prices[index.slot_goods] * index.slot_demand, out=np.ones_like(b), where=mask)
     entropy = np.where(mask, b * np.log(ratio), 0.0).sum(axis=1)
 
     a = index.alphas[index.sp_of]
@@ -81,7 +80,7 @@ def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarra
     """Mirror-descent bid update of provider ``s`` given posted prices.
 
     The update is every provider's closed-form best response
-    (:class:`~slicemarket.model.DemandKernel`); this returns provider
+    (:meth:`~slicemarket.model.MarketIndex.bids`); this returns provider
     ``s``'s rows of it as a full-shape bid array, zero elsewhere.  The
     provider's rows sum to its budget exactly.
     """
@@ -91,29 +90,28 @@ def bid_update(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.ndarra
         raise UnsupportedRegimeError(
             f"bid update defined for alpha in [1, inf]; SP {index.sp_names[s]!r} has {alpha}"
         )
-    kernel = index.kernel
-    slots, _ = kernel.bids(np.asarray(prices, dtype=float))
-    return kernel.dense(slots, index.sp_rows(s))
+    slots, _ = index.bids(np.asarray(prices, dtype=float))
+    return index.dense(slots, index.sp_rows(s))
 
 
 def uniform_bids(index: MarketIndex) -> np.ndarray:
     """Budget split uniformly over each provider's consumed (triple, good)
     pairs; strictly positive on the whole support."""
-    return index.kernel.dense(_uniform_slots(index))
+    return index.dense(_uniform_slots(index))
 
 
 def _uniform_slots(index: MarketIndex) -> np.ndarray:
     """:func:`uniform_bids` per slot, zero on padding."""
-    real = index.kernel.real
+    real = index.slot_real
     counts = index.sp_sum(real.sum(axis=1).astype(float))
     return real * (index.budgets / counts)[index.sp_of, None]
 
 
-def _bid_round(kernel: DemandKernel, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bid_round(index: MarketIndex, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One simultaneous round: every provider's bid update against
     ``prices`` (per-slot spending) and the prices those bids induce."""
-    slots, _ = kernel.bids(prices)
-    return slots, kernel.per_good(slots)
+    slots, _ = index.bids(prices)
+    return slots, index.per_good(slots)
 
 
 def price_path(scn: NormalizedScenario, rounds: int) -> np.ndarray:
@@ -125,11 +123,10 @@ def price_path(scn: NormalizedScenario, rounds: int) -> np.ndarray:
     equilibrium check."""
     index = scn.index
     _require_at_least_one(index)
-    kernel = index.kernel
     path = np.empty((rounds + 1, index.n_goods))
-    prices = path[0] = kernel.per_good(_uniform_slots(index))
+    prices = path[0] = index.per_good(_uniform_slots(index))
     for it in range(1, rounds + 1):
-        prices = path[it] = _bid_round(kernel, prices)[1]
+        prices = path[it] = _bid_round(index, prices)[1]
     return path
 
 
@@ -144,7 +141,7 @@ def run_dynamics(
     until the settled bids pass the equilibrium check, for at most
     ``max_iterations`` rounds.  Given initial bids are dense ``[n_triples,
     n_goods]`` and must lie on the consumed goods
-    (:meth:`~slicemarket.model.DemandKernel.gather`).
+    (:meth:`~slicemarket.model.MarketIndex.gather`).
 
     The check is :func:`~slicemarket.market.verify_equilibrium`, which
     :func:`~slicemarket.solvers.solve_eg` ends in too.  It runs after each
@@ -160,14 +157,13 @@ def run_dynamics(
         raise ValueError("tol must be nonnegative")
     index = scn.index
     _require_at_least_one(index)
-    kernel = index.kernel
-    slots = _uniform_slots(index) if initial_bids is None else kernel.gather(initial_bids)
+    slots = _uniform_slots(index) if initial_bids is None else index.gather(initial_bids)
 
-    prices = kernel.per_good(slots)
+    prices = index.per_good(slots)
     phis = [_potential(index, slots, prices)]
     price_rows = [prices]
     for it in range(1, max_iterations + 1):
-        slots, new_prices = _bid_round(kernel, prices)
+        slots, new_prices = _bid_round(index, prices)
         scale = np.maximum(np.maximum(prices, new_prices), PRICE_FLOOR)
         change = float((np.abs(new_prices - prices) / scale).max())
         prices = new_prices

@@ -61,23 +61,22 @@ def _log_utilities(scn: NormalizedScenario, rates: np.ndarray) -> np.ndarray:
 class Allocation:
     """Per-triple service rates ``rates`` of a Leontief-tight allocation on
     the market ``index``.  Its fractional allocation ``x = u d`` [n_triples,
-    n_goods] is scattered from the kernel's slots on each read, never kept."""
+    n_goods] is scattered from the index's slots on each read, never kept."""
 
     rates: np.ndarray
     index: MarketIndex
 
     @property
     def x(self) -> np.ndarray:
-        kernel = self.index.kernel
-        return kernel.dense(self.rates[:, None] * kernel.demand)
+        return self.index.dense(self.rates[:, None] * self.index.slot_demand)
 
     def totals(self, prices: np.ndarray, pd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Every provider's spend ``sum p.x_s`` at ``prices`` and every good's
         usage; a triple spends ``u PD``, ``PD`` its price from
-        :meth:`~slicemarket.model.DemandKernel.row_prices`."""
-        index, kernel = self.index, self.index.kernel
-        pd = kernel.row_prices(prices)[1] if pd is None else pd
-        return index.sp_sum(self.rates * pd), kernel.per_good(self.rates[:, None] * kernel.demand)
+        :meth:`~slicemarket.model.MarketIndex.row_prices`."""
+        index = self.index
+        pd = index.row_prices(prices)[1] if pd is None else pd
+        return index.sp_sum(self.rates * pd), index.per_good(self.rates[:, None] * index.slot_demand)
 
 
 def _checked_prices(index: MarketIndex, prices: np.ndarray) -> np.ndarray:
@@ -101,14 +100,13 @@ def settle_bids(scn: NormalizedScenario, bid_slots: np.ndarray) -> tuple[np.ndar
     good's price underflows to zero.
     """
     index = scn.index
-    kernel = index.kernel
     b = np.asarray(bid_slots, dtype=float)
-    prices = kernel.per_good(b)
-    slot_prices = prices[kernel.goods]
-    priced = kernel.real & (slot_prices > SURPLUS_PRICE * prices.sum())
+    prices = index.per_good(b)
+    slot_prices = prices[index.slot_goods]
+    priced = index.slot_real & (slot_prices > SURPLUS_PRICE * prices.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(priced, (b / slot_prices) / kernel.demand, np.inf)
-        cap_rate = np.where(kernel.real, 1.0 / kernel.demand, np.inf).min(axis=1)
+        ratio = np.where(priced, (b / slot_prices) / index.slot_demand, np.inf)
+        cap_rate = np.where(index.slot_real, 1.0 / index.slot_demand, np.inf).min(axis=1)
     rates = ratio.min(axis=1)
     rates = np.minimum(np.where(np.isfinite(rates), rates, cap_rate), cap_rate)
     return prices, Allocation(rates, index)
@@ -157,7 +155,7 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
     """
     index = scn.index
     prices = _checked_prices(index, prices)
-    pd = index.kernel.row_prices(prices)[1]
+    pd = index.row_prices(prices)[1]
     spend, usage = allocation.totals(prices, pd)
     budget_gap = float(np.abs(spend - index.budgets).max())
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())

@@ -8,17 +8,19 @@ capacity is rescaled to 1 and demands become fractions of the whole
 resource per unit service rate; all file I/O stays in physical units.
 
 :class:`MarketIndex` is compiled on a slot layout, one slot per good a
-(provider, cell, class) triple consumes.  The solvers and their reports work on
-the slots; a report's one dense ``[n_triples, n_goods]`` view, its allocation,
-is scattered from them when read.
+(provider, cell, class) triple consumes, and every sum over the slots is one
+of its methods.  The solvers and their reports work on the slots; a report's
+one dense ``[n_triples, n_goods]`` view, its allocation, is scattered from
+them when read.
 Every degree-one utility, and the unit cost of one, is a CES aggregate over a
 provider's variables, evaluated by :class:`CESAggregate`.  The index keeps two:
 the providers' utilities of their rates (:attr:`MarketIndex.utility`) and
 their unit costs at the prices of those rates (:attr:`MarketIndex.unit_cost`).
 The providers' closed-form demand, which the equilibrium solvers evaluate on
-every iteration, is the unit cost's shares (:class:`DemandKernel`, on the
-slots), and the Eisenberg-Gale certificate of the market equilibrium is built
-from its ratios to the budgets (:meth:`MarketIndex.log_ratios`).  The social
+every iteration, is the unit cost's shares (:meth:`MarketIndex.rates` and
+:meth:`MarketIndex.bids`, on the slots), and the Eisenberg-Gale certificate of
+the market equilibrium is built from its ratios to the budgets
+(:meth:`MarketIndex.log_ratios`).  The social
 optimum is solved and certified on the same unit cost, and the static share's
 (provider, cell) blocks (:class:`CellBlocks`) are a pure layout, certified on
 the unit cost of each block's own utility (:meth:`CESAggregate.unit_cost`).
@@ -231,23 +233,39 @@ def effective_weight(users: int, alpha: float, weight: float | None) -> float:
 @dataclass(frozen=True)
 class MarketIndex:
     """Compiled array view of a scenario over its supported (sp, cell, class)
-    triples and (cell, resource) goods.
+    triples and (cell, resource) goods, and every provider's closed-form
+    demand at posted prices.
 
     The compiled form is the slot layout: ``slot_goods[i, r]`` is the
     ``r``-th good that triple ``i`` consumes, in increasing good order, and
     ``slot_demand[i, r]`` its normalized demand.  Rows have as many slots as
     the widest triple consumes; a shorter row is padded last with zero
     demand on the lowest-numbered goods the triple does not consume, so the
-    slots of a row are distinct goods.  Every triple consumes only goods of
-    its own cell, and the goods of a cell are contiguous.
+    slots of a row are distinct goods and padding carries zero spending
+    (:attr:`slot_real` is False on it).  Every triple consumes only goods of
+    its own cell, and the goods of a cell are contiguous.  Triples are
+    grouped by provider (``sp_of`` is sorted), so per-provider reductions
+    run over contiguous row segments.
+
+    With ``PD_i = sum_r p_g d_ir`` the price of one unit rate of triple
+    ``i`` (:meth:`row_prices`), a provider with budget ``B`` demands the
+    rates ``B pi_i / PD_i`` (:meth:`rates`), ``pi`` the shares of its unit
+    cost ``e_s`` (:attr:`unit_cost`) at ``L = PD``, the derivatives of ``log
+    e_s`` by ``log L``: it spends ``B pi_i`` on triple ``i`` (:meth:`bids`),
+    split over the triple's goods in proportion to ``p_g d_ig``, so the
+    induced rate is uniform across the goods of a class.  ``a = 0`` has no
+    closed form (a linear utility's best responses are every bundle of its
+    best value per unit price): its rows get the finite placeholder ``B pi
+    / PD`` with the shares of ``w L``, and every caller rejects or skips
+    alpha-0 providers.
 
     The index holds no dense ``[n_triples, n_goods]`` array: the only
     ones, a report's ``allocation.x`` and ``bids``, are scattered from the
-    slots when read (:meth:`DemandKernel.dense`), and no solve reads them.
-    Capacities are normalized to 1; ``capacity[g]`` keeps the physical
-    scale.  Triples are grouped by provider (``sp_of`` is sorted).
-    :attr:`kernel`, :attr:`blocks`, :attr:`price_cells` and the aggregates
-    :attr:`utility` and :attr:`unit_cost` are built on first use.
+    slots when read (:meth:`dense`), and no solve reads them.  Capacities
+    are normalized to 1; ``capacity[g]`` keeps the physical scale.
+    :attr:`blocks`, :attr:`price_cells`, the aggregates :attr:`utility` and
+    :attr:`unit_cost` and the per-slot and per-row arrays derived from the
+    fields are built on first use.
     """
 
     goods: tuple[tuple[str, str], ...]
@@ -284,13 +302,24 @@ class MarketIndex:
     def demanded_goods(self) -> np.ndarray:
         """Boolean mask of goods consumed by at least one triple."""
         out = np.zeros(self.n_goods, dtype=bool)
-        out[self.slot_goods[self.slot_demand > 0]] = True
+        out[self.slot_goods[self.slot_real]] = True
         return out
 
     @cached_property
-    def kernel(self) -> "DemandKernel":
-        """The providers' closed-form demand, built once per index."""
-        return DemandKernel(self)
+    def slot_real(self) -> np.ndarray:
+        """Mask of the slots on consumed goods, False on padding."""
+        return self.slot_demand > 0
+
+    @cached_property
+    def row_budgets(self) -> np.ndarray:
+        """The budget of every triple's provider."""
+        return self.budgets[self.sp_of]
+
+    @cached_property
+    def _slot_major(self) -> tuple[np.ndarray, np.ndarray]:
+        # ``[s, n_triples]`` copies: a sum of whole rows, several times
+        # faster than one along the short axis of ``[n_triples, s]``
+        return np.ascontiguousarray(self.slot_goods.T), np.ascontiguousarray(self.slot_demand.T)
 
     @cached_property
     def utility(self) -> "CESAggregate":
@@ -313,7 +342,7 @@ class MarketIndex:
         provider whose utility costs nothing (a free row at ``a <= 1``, or
         every row free at ``a = inf``) has the ratio inf."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(self.budgets) - self.unit_cost(np.log(self.kernel.row_prices(prices)[1]))
+            return np.log(self.budgets) - self.unit_cost(np.log(self.row_prices(prices)[1]))
 
     @cached_property
     def blocks(self) -> "CellBlocks":
@@ -327,71 +356,54 @@ class MarketIndex:
         once per index."""
         return PriceCells(self)
 
-
-class DemandKernel:
-    """Every provider's closed-form demand at posted prices, on the slot
-    layout of :class:`MarketIndex`.
-
-    ``goods`` and ``demand`` are the index's ``slot_goods`` and
-    ``slot_demand``: slot ``(i, r)`` is the ``r``-th good consumed by triple
-    ``i``, and padding slots (zero demand, last in a row) point at the
-    lowest-numbered goods the triple does not consume, so they carry zero
-    spending; the mask ``real`` is False on them.  Per-provider reductions
-    run over the contiguous row segments of ``sp_of``.
-
-    With ``PD_i = sum_r p_g d_ir`` the price of one unit rate of triple
-    ``i``, a provider with budget ``B`` demands the rates ``B pi_i / PD_i``,
-    ``pi`` the shares of its unit cost ``e_s`` (:attr:`MarketIndex.unit_cost`)
-    at ``L = PD``, the derivatives of ``log e_s`` by ``log L``: it spends ``B
-    pi_i`` on triple ``i``, split over the triple's goods in proportion to
-    ``p_g d_ig``, so the induced rate is uniform across the goods of a
-    class.  ``a = 0`` has no closed form (a linear utility's best responses
-    are every bundle of its best value per unit price): its rows get the
-    finite placeholder ``B pi / PD`` with the shares of ``w L``, and every
-    caller rejects or skips alpha-0 providers.
-    """
-
-    def __init__(self, index: MarketIndex):
-        self.goods, self.demand = index.slot_goods, index.slot_demand
-        self.real = self.demand > 0
-        self.n_goods, self.n_triples = index.n_goods, index.n_triples
-        self.row_ids = np.arange(index.n_triples)[:, None]
-        self.triples = index.triples
-        self.cost = index.unit_cost
-        self.seg = index.sp_of
-        self.budgets = index.budgets
-        self.row_budgets = index.budgets[index.sp_of]
-        alpha = index.alphas[index.sp_of]
-        # providers whose demand is unbounded once one of their rows is free
-        self.bounded = (alpha > 0) & np.isfinite(alpha)
-        self.max_min = np.isinf(alpha)
-        self.max_min_coef = self.row_budgets * index.weights
-
     def row_prices(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slot ``p_g d_ig`` and per-row price ``PD_i`` of one unit rate."""
-        pd_slots = prices[self.goods] * self.demand
-        return pd_slots, pd_slots.sum(axis=1)
+        """Per-slot ``p_g d_ig`` and per-row price ``PD_i`` of one unit rate.
+        The per-slot prices are a ``[n_triples, s]`` view of a slot-major
+        array; a row's slots are added in slot order."""
+        goods_t, demand_t = self._slot_major
+        pd_slots = prices[goods_t] * demand_t
+        return pd_slots.T, pd_slots.sum(axis=0)
+
+    def unbounded(self, pd: np.ndarray) -> np.ndarray:
+        """Per provider, whether its demand at the per-row prices ``pd`` of
+        :meth:`row_prices` is unbounded: some row is free (``PD = 0``) at
+        finite ``a > 0``, or every row is free at ``a = inf``.  A free row
+        of an alpha-0 provider has no closed form and is not counted."""
+        free = ~(pd > 0)
+        bounded = (self.alphas > 0) & np.isfinite(self.alphas)
+        return np.where(bounded, self.sp_sum(free) > 0, np.isinf(self.alphas) & (self.sp_sum(~free) == 0))
 
     def bids(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-slot spending of every provider's best response to
         ``prices``, each provider's slots summing to its budget exactly, and
-        the per-row ``PD``.  Raises ``ValueError`` when some triple sees only
-        zero prices (its demand is unbounded)."""
+        the per-row ``PD``.  A free row of a max-min provider spends
+        nothing.  Raises ``ValueError`` where some provider's demand is
+        unbounded (:meth:`unbounded`)."""
         pd_slots, pd = self.row_prices(prices)
-        if not np.all(pd > 0):
-            bad = [self.triples[i] for i in np.flatnonzero(~(pd > 0))]
+        if np.all(pd > 0):
+            return self.spend(pd_slots, pd), pd
+        free = ~(pd > 0)
+        unbounded = self.unbounded(pd)[self.sp_of] & free
+        if unbounded.any():
+            bad = [self.triples[i] for i in np.flatnonzero(unbounded)]
             raise ValueError(f"all-zero price row for triples {bad}")
-        return self.spend(pd_slots, pd), pd
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.spend(pd_slots, pd, free), pd
 
-    def spend(self, pd_slots: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    def spend(self, pd_slots: np.ndarray, pd: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
         """:meth:`bids` from the output of :meth:`row_prices`, unchecked: the
         rates of :meth:`rates` times the slot prices, scaled so that each
         provider's slots sum to its budget.  Each provider's rows are
         computed apart from the others', so a triple with ``PD <= 0`` spoils
-        its own provider's rows only."""
+        its own provider's rows only.  The rows ``free``, if given, spend
+        nothing, which is a max-min provider's best response on a free
+        row."""
         # the unit cost's terms are the shares pi up to a factor per provider
-        bids = (self.cost.terms(np.log(pd))[1] / pd)[:, None] * pd_slots
-        bids *= (self.budgets / self.cost.seg_sum(bids.sum(axis=1)))[self.seg, None]
+        share = self.unit_cost.terms(np.log(pd))[1] / pd
+        if free is not None:
+            share[free] = 0.0
+        bids = share[:, None] * pd_slots
+        bids *= (self.budgets / self.unit_cost.seg_sum(bids.sum(axis=1)))[self.sp_of, None]
         return bids
 
     def rates(self, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,27 +413,29 @@ class DemandKernel:
         rate is ``B pi / PD``, which is ``B w / e_s`` at ``a = inf``.  On a
         row with ``PD = 0``, where ``pi / PD`` is ``0 / 0``, a max-min
         provider's rate is ``B w / e_s`` and an alpha-0 row takes 0, and a
-        provider with unbounded demand (such a row at finite ``a > 0``, or
-        all rows at ``a = inf``) gets inf on all its rows."""
+        provider with unbounded demand (:meth:`unbounded`) gets inf on all
+        its rows."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_e, pi = self.cost.shares(np.log(pd))
+            log_e, pi = self.unit_cost.shares(np.log(pd))
             rate = self.row_budgets * pi / pd
             zero = ~(pd > 0)
             if zero.any():
-                rate[zero] = np.where(self.max_min, self.max_min_coef * np.exp(-log_e)[self.seg], 0.0)[zero]
-                rate[(self.cost.seg_sum(zero & self.bounded) > 0)[self.seg]] = np.inf
+                max_min = np.isinf(self.alphas)[self.sp_of]
+                rate[zero] = np.where(max_min, self.row_budgets * self.weights * np.exp(-log_e)[self.sp_of], 0.0)[zero]
+                rate[self.unbounded(pd)[self.sp_of]] = np.inf
         return rate, log_e
 
     def per_good(self, slot_values: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Total of the per-slot values of ``rows`` on each good (prices from
-        bids, usage from per-slot consumption)."""
-        return np.bincount(self.goods[rows].ravel(), weights=slot_values[rows].ravel(), minlength=self.n_goods)
+        bids, usage from per-slot consumption), added in row-major slot
+        order."""
+        return np.bincount(self.slot_goods[rows].ravel(), weights=slot_values[rows].ravel(), minlength=self.n_goods)
 
     def dense(self, slot_values: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Per-slot values of ``rows`` scattered to the public ``[n_triples,
         n_goods]`` layout, zero elsewhere."""
         out = np.zeros((self.n_triples, self.n_goods))
-        out[self.row_ids[rows], self.goods[rows]] = slot_values[rows]
+        out[np.arange(self.n_triples)[rows, None], self.slot_goods[rows]] = slot_values[rows]
         return out
 
     def gather(self, dense: np.ndarray) -> np.ndarray:
@@ -432,7 +446,7 @@ class DemandKernel:
         dense = np.asarray(dense, dtype=float)
         if dense.shape != (self.n_triples, self.n_goods):
             raise ValueError(f"dense values have shape {dense.shape}, expected ({self.n_triples}, {self.n_goods})")
-        held = np.where(self.real, dense[self.row_ids, self.goods], 0.0)
+        held = np.where(self.slot_real, dense[np.arange(self.n_triples)[:, None], self.slot_goods], 0.0)
         stray = np.count_nonzero(dense, axis=1) > np.count_nonzero(held, axis=1)
         if stray.any():
             raise ValueError(f"values off the consumed goods of triples {[self.triples[i] for i in np.flatnonzero(stray)]}")

@@ -52,9 +52,12 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
 
     At alpha = inf the provider equalizes per-user rates, spending
     ``b = t * w * p d`` with ``t = B / sum w PD``.  These are provider
-    ``s``'s rows of the joint update evaluated by
-    :class:`~slicemarket.model.DemandKernel`.  Returns a full-shape array,
-    zero outside the provider's rows, summing to the budget exactly.
+    ``s``'s rows of the joint update
+    (:meth:`~slicemarket.model.MarketIndex.bids`), and a free class of a
+    max-min provider gets no spending.  Returns a full-shape array, zero
+    outside the provider's rows, summing to the budget exactly.  Raises
+    ``ValueError`` where the provider's demand is unbounded
+    (:meth:`~slicemarket.model.MarketIndex.unbounded`).
     """
     index = scn.index
     alpha = float(index.alphas[s])
@@ -64,31 +67,39 @@ def best_response(scn: NormalizedScenario, prices: np.ndarray, s: int) -> np.nda
             "solve_eg solves alpha=0 markets on the Eisenberg-Gale program itself"
         )
     prices = _checked_prices(index, prices)
-    kernel = index.kernel
-    pd_slots, pd = kernel.row_prices(prices)
-    rows = index.sp_rows(s)
-    if np.any(pd[rows] <= 0):
-        # a class whose every consumed resource is free has unbounded demand
-        raise ValueError("best response needs a positive price on some consumed resource per class")
+    pd_slots, pd = index.row_prices(prices)
+    free = ~(pd > 0)
+    if free.any() and index.unbounded(pd)[s]:
+        raise ValueError(
+            "best response is unbounded: a class of a finite-alpha provider, or every class of a "
+            "max-min provider, sees only zero prices"
+        )
     with np.errstate(all="ignore"):
         # other providers' classes may see only zero prices; their rows are
         # computed apart from these and dropped
-        slots = kernel.spend(pd_slots, pd)
-    return kernel.dense(slots, rows)
+        slots = index.spend(pd_slots, pd, free)
+    return index.dense(slots, index.sp_rows(s))
 
 
 def _repair_rates(index: MarketIndex, rates: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Scale each triple's rate by the worst overuse factor of its consumed
     goods so that no capacity is exceeded."""
-    kernel = index.kernel
-    usage = kernel.per_good(rates[:, None] * kernel.demand)
+    usage = index.per_good(rates[:, None] * index.slot_demand)
     factor = np.where(usage > caps, caps / np.maximum(usage, 1e-300), 1.0)
-    per_triple = np.where(kernel.real, factor[kernel.goods], np.inf).min(axis=1)
+    per_triple = np.where(index.slot_real, factor[index.slot_goods], np.inf).min(axis=1)
     return rates * np.minimum(per_triple, 1.0)
 
 
-#: Armijo fraction of the predicted decrease of the price dual.
+#: Fraction of the predicted decrease that a Newton step must gain: of the
+#: price dual in :func:`_price_newton`, and of the barrier value, or of the
+#: row infeasibility, in :func:`_price_barrier`.
 _ARMIJO = 1e-4
+
+#: Newton-step cap of a solve.  On the 7-cell preset a social optimum takes
+#: 9-12 barrier steps at alpha 0, 0.5, 1 and inf, 11-18 at alpha 1.5-20 and
+#: 15-20 at alpha 100, and the alpha-0 equilibrium 13; at 112 cells 9-23 and
+#: 16.  Price Newton takes at most 75 steps on the certification census.
+_MAX_STEPS = 1000
 
 #: Largest price that can count as zero for a good in excess supply.
 _ACTIVE_PRICE = 1e-9
@@ -107,7 +118,7 @@ def _price_newton(index: MarketIndex, p):
     (:attr:`~slicemarket.model.MarketIndex.unit_cost`) and the gradient ``1 -
     usage(p)`` is the excess supply, so the minimizer is the equilibrium
     price vector.  The demanded rates and ``f`` come from one pass of the
-    unit cost (:meth:`~slicemarket.model.DemandKernel.rates`), which the
+    unit cost (:meth:`~slicemarket.model.MarketIndex.rates`), which the
     gradient, the line search and the returned rates share.
 
     The Hessian is ``sum_s [(1/a) D^T diag(u/L) D + ((a-1)/(a B)) v v^T]``
@@ -129,11 +140,10 @@ def _price_newton(index: MarketIndex, p):
     once the projected gradient is within ``_ULPS`` (the rounding of the
     usage sums, so no step from there can reduce it), when a full step
     fails to halve it, when the step is not a descent direction or no step
-    along it decreases ``f``, or after ``_PRICE_NEWTON_MAX_STEPS`` steps.
+    along it decreases ``f``, or after ``_MAX_STEPS`` steps.
     Returns ``(p, rates, steps)``, ``p`` the iterate of smallest projected
     gradient and ``rates`` the rates demanded there.
     """
-    kernel = index.kernel
     cells = index.price_cells
     cost = index.unit_cost
     budgets = index.budgets
@@ -143,7 +153,7 @@ def _price_newton(index: MarketIndex, p):
     curved = curv_row > 0.0
     demanded = index.demanded_goods()
     n_cells, n_seg, m = cells.n_cells, cells.n_seg, cells.m
-    dm = kernel.demand
+    dm = index.slot_demand
     pair, slot = cells.pair.ravel(), cells.slot.ravel()
     pair_demand = (dm[:, :, None] * dm[:, None, :]).reshape(dm.shape[0], -1)
     # the Levenberg diagonal: the residual on the demanded goods, 1 on the
@@ -151,16 +161,12 @@ def _price_newton(index: MarketIndex, p):
     levenberg = demanded[cells.good] & cells.mask
     grad_at = cells.flat * (1 + n_seg)
     eye = np.eye(n_seg)
-    # the slots slot-major: ``L`` is a sum of contiguous rows, equal to
-    # :meth:`~slicemarket.model.DemandKernel.row_prices`'s for rows of up
-    # to seven slots, which numpy adds in the same order
-    goods_t, demand_t = np.ascontiguousarray(kernel.goods.T), np.ascontiguousarray(dm.T)
 
     def evaluate(p):
         """``f(p)``, the scale of its rounding, the rates demanded at ``p``
         and their prices ``L``; ``f`` is inf where some demand is unbounded."""
-        pd = (p[goods_t] * demand_t).sum(axis=0)
-        u, log_e = kernel.rates(pd)
+        pd = index.row_prices(p)[1]
+        u, log_e = index.rates(pd)
         terms = budgets * log_e
         total = float(p.sum())
         value = total - float(terms.sum())
@@ -217,11 +223,11 @@ def _price_newton(index: MarketIndex, p):
     steps = 0
     while True:
         flow = u[:, None] * dm
-        grad = np.where(demanded, 1.0 - kernel.per_good(flow), 0.0)
+        grad = np.where(demanded, 1.0 - index.per_good(flow), 0.0)
         resid = float(np.abs(p - np.maximum(p - grad, 0.0)).max())
         if resid < best_resid:
             best_resid, best = resid, (p, u)
-        if resid <= _ULPS or steps >= _PRICE_NEWTON_MAX_STEPS or (quiet and resid > 0.5 * prev_resid):
+        if resid <= _ULPS or steps >= _MAX_STEPS or (quiet and resid > 0.5 * prev_resid):
             break
         prev_resid = resid
         pinned = demanded & (p <= min(resid, _ACTIVE_PRICE)) & (grad > 0.0)
@@ -246,12 +252,11 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     whose capacity duals are the prices.
 
     A market with an alpha-0 provider is solved by the price-space barrier
-    (:func:`_eisenberg_gale_barrier`, method ``"barrier"``, at most
-    ``_BARRIER_MAX_STEPS`` Newton steps), any other by projected Newton
-    steps on its price dual (:func:`_price_newton`, method
-    ``"tatonnement"``, at most ``_PRICE_NEWTON_MAX_STEPS``); ``iterations``
-    counts the steps.  Identical scenarios give identical reports.  The
-    returned prices and rates are checked by
+    (:func:`_eisenberg_gale_barrier`, method ``"barrier"``), any other by
+    projected Newton steps on its price dual (:func:`_price_newton`, method
+    ``"tatonnement"``), each at most ``_MAX_STEPS`` Newton steps;
+    ``iterations`` counts the steps.  Identical scenarios give identical
+    reports.  The returned prices and rates are checked by
     :func:`~slicemarket.market.verify_equilibrium`, whose five gaps are the
     ``residuals`` and whose rule is ``converged``: budget and clearing gaps
     within ``EQUILIBRIUM_TOL`` and the program's duality gap
@@ -260,7 +265,6 @@ def solve_eg(scn: NormalizedScenario) -> SolveReport:
     report, is :func:`~slicemarket.dynamics.run_dynamics`.
     """
     index = scn.index
-    kernel = index.kernel
     barrier = bool(np.any(index.alphas == 0.0))
     if barrier:
         rates, p, iterations = _eisenberg_gale_barrier(index)
@@ -283,15 +287,13 @@ def _eisenberg_gale_barrier(index: MarketIndex) -> tuple[np.ndarray, np.ndarray,
     their good's slack set to 0.  It is of second order in each provider's
     ``r_s - log U_s`` (a gap of 1e-11 leaves budgets off by up to 3e-6), so
     the solve stops once both are at most ``_BARRIER_STOP_GAP`` in size, or
-    after ``_BARRIER_MAX_STEPS`` steps.  Providers with alpha > 0 then take
+    after ``_MAX_STEPS`` steps.  Providers with alpha > 0 then take
     their one best response at the prices; alpha-0 providers, whose best
     responses are not unique, keep the solve's rates, cut to the capacity
     the others leave.  Returns ``(rates, prices, iterations)``.
     """
-    kernel = index.kernel
-
     def check(p, scale, rates, ratio):
-        usage = kernel.per_good(rates[:, None] * kernel.demand)
+        usage = index.per_good(rates[:, None] * index.slot_demand)
         top = usage.max()
         prices = math.exp(scale) * p
         prices = np.where(prices < 1.0 - usage / top, 0.0, prices)
@@ -300,8 +302,8 @@ def _eisenberg_gale_barrier(index: MarketIndex) -> tuple[np.ndarray, np.ndarray,
 
     (prices, solved), iterations = _price_barrier(index, check, free=True)
     linear = index.alphas[index.sp_of] == 0.0
-    demand = np.where(linear, 0.0, kernel.rates(kernel.row_prices(prices)[1])[0])
-    left = np.maximum(1.0 - kernel.per_good(demand[:, None] * kernel.demand), 0.0)
+    demand = np.where(linear, 0.0, index.rates(index.row_prices(prices)[1])[0])
+    left = np.maximum(1.0 - index.per_good(demand[:, None] * index.slot_demand), 0.0)
     rates = np.where(linear, _repair_rates(index, np.where(linear, solved, 0.0), left), demand)
     return rates, prices, iterations
 
@@ -316,20 +318,6 @@ def _eisenberg_gale_barrier(index: MarketIndex) -> tuple[np.ndarray, np.ndarray,
 #: social optimum or of a static-share (provider, cell) block; and the
 #: Eisenberg-Gale gap of an alpha-0 market equilibrium.
 _BARRIER_STOP_GAP = 1e-11
-
-#: Newton-step cap of a price-space barrier solve.  On the 7-cell preset a
-#: social optimum takes 9-12 steps at alpha 0, 0.5, 1 and inf, 11-18 at
-#: alpha 1.5-20 and 15-20 at alpha 100, and the alpha-0 equilibrium 13; at
-#: 112 cells 9-23 and 16.
-_BARRIER_MAX_STEPS = 1000
-
-#: Step cap of a projected-Newton solve of the market equilibrium's price
-#: dual (:func:`_price_newton`).
-_PRICE_NEWTON_MAX_STEPS = 50000
-
-#: Fraction of the predicted decrease, or of the row infeasibility, that a
-#: barrier step must gain.
-_IP_ARMIJO = 1e-4
 
 #: Bound on how far the duals may stray from their central values ``mu /
 #: slack`` (``kappa_Sigma`` of Wachter & Biegler).
@@ -384,7 +372,7 @@ def _price_barrier(index: MarketIndex, check, free: bool):
       to 0.  The primal step is halved until it is acceptable to a filter
       on (barrier value, row infeasibility), reset at every ``mu``: where it
       promises more decrease than the infeasibility, by the Armijo fraction
-      ``_IP_ARMIJO`` of that promise (or the promise is below the rounding
+      ``_ARMIJO`` of that promise (or the promise is below the rounding
       of the barrier's terms), elsewhere by that fraction of the
       infeasibility in either.  The duals are kept within a factor
       ``_IP_DUAL_SPREAD`` of their central values ``mu / p`` and ``mu /
@@ -395,16 +383,16 @@ def _price_barrier(index: MarketIndex, check, free: bool):
     the rates and every triple's row ratio ``b_j - log e_j`` at the prices
     ``exp(scale) p`` (``log B_s - log e_s`` when ``b`` is fixed), and returns
     ``(gap, result)``.  The solve stops once the gap is at most
-    ``_BARRIER_STOP_GAP``, after ``_BARRIER_MAX_STEPS`` steps, or where 60
+    ``_BARRIER_STOP_GAP``, after ``_MAX_STEPS`` steps, or where 60
     halvings find no acceptable step, and returns the last result and the
     number of steps.  Raises ``ValueError`` where the price scale overflows
     float64.
     """
-    kernel, n_sp = index.kernel, index.n_sps
+    n_sp = index.n_sps
     demanded = index.demanded_goods()
     n_goods = int(demanded.sum())
-    goods = np.where(kernel.real, (np.cumsum(demanded) - 1)[kernel.goods], 0)
-    dm = kernel.demand
+    goods = np.where(index.slot_real, (np.cumsum(demanded) - 1)[index.slot_goods], 0)
+    dm = index.slot_demand
     alpha = index.alphas[index.sp_of]
     linear = alpha == 0.0
     new = linear | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
@@ -460,7 +448,7 @@ def _price_barrier(index: MarketIndex, check, free: bool):
 
     gap, result = report()
     filt, phi = [], 0.0  # the filter's (infeasibility, barrier) pairs, the barrier since mu
-    while gap > _BARRIER_STOP_GAP and steps < _BARRIER_MAX_STEPS:
+    while gap > _BARRIER_STOP_GAP and steps < _MAX_STEPS:
         g = pi / pd
         yr = y * r
         usage = per_good((yr[row] * g)[:, None] * dm)
@@ -517,16 +505,16 @@ def _price_barrier(index: MarketIndex, check, free: bool):
             noise += _ULPS * mu * float(np.abs(rel_p).sum() + np.abs(rel_s).sum())
             armijo = pred < 0.0 and -a * pred > theta
             if armijo:
-                ok = change <= _IP_ARMIJO * a * pred or -a * pred <= noise
+                ok = change <= _ARMIJO * a * pred or -a * pred <= noise
             else:
-                ok = theta_t <= (1.0 - _IP_ARMIJO) * theta or change <= -_IP_ARMIJO * theta
+                ok = theta_t <= (1.0 - _ARMIJO) * theta or change <= -_ARMIJO * theta
             if ok and all(theta_t < t_f or phi + change < phi_f for t_f, phi_f in filt):
                 break
             a *= 0.5
         else:
             break
         if not armijo:
-            filt.append(((1.0 - _IP_ARMIJO) * theta, phi - _IP_ARMIJO * theta))
+            filt.append(((1.0 - _ARMIJO) * theta, phi - _ARMIJO * theta))
         phi += change
         p, sigma, b, r, t = p_t, sigma_t, b_t, r_t, t_t
         pd, log_e, pi = trial
@@ -695,7 +683,7 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     gaps = np.zeros(index.n_sps)
     for s in np.flatnonzero(np.isinf(index.alphas)):
         rows = index.sp_rows(s)
-        usage = index.kernel.per_good(index.users[:, None] * index.kernel.demand, rows)
+        usage = index.per_good(index.users[:, None] * index.slot_demand, rows)
         rates[rows] = index.users[rows] / usage.max()
     blocks = index.blocks
     if blocks.sp.size == 0:
@@ -772,7 +760,7 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
     good, in units of the welfare, the rates, the bound over their welfare
     minus 1, and the Newton steps.
     """
-    kernel, utility = index.kernel, index.utility
+    utility = index.utility
     log_b = np.log(index.budgets)
     starts = utility.starts
 
@@ -782,7 +770,7 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = log_b + utility(np.log(rates))
         most = terms.max()
-        top = kernel.per_good(rates[:, None] * kernel.demand).max()
+        top = index.per_good(rates[:, None] * index.slot_demand).max()
         return terms, most + math.log(float(np.exp(terms - most).sum())), math.log(top)
 
     def check(p, scale, rates, ratio):

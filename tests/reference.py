@@ -24,7 +24,7 @@ def report_bids(rep):
     any other solve's spending ``u d p``."""
     index = rep.scn.index
     if rep.method == "dynamics":
-        return index.kernel.dense(index.kernel.bids(rep.price_trace[-2])[0])
+        return index.dense(index.bids(rep.price_trace[-2])[0])
     return (rep.allocation.rates[:, None] * dense_demand(index)) * rep.prices
 
 

@@ -1,5 +1,6 @@
 """A one-second slice of the certification census (``tests/census.py``):
-its records, and its rule that every failure is a listed one."""
+its records, and its rule that every failure is a listed one and every
+listed one a failure."""
 
 import math
 
@@ -22,3 +23,12 @@ def test_slice_has_no_unlisted_failure():
         if rec["status"] == "certified":
             assert rec["gap"] <= 1e-9 and not rec["silent"]
             assert len(rec["fingerprint"]) == 16 and math.isfinite(rec["welfare"])
+
+
+def test_a_listed_entry_that_certifies_fails_the_run(monkeypatch, capsys):
+    records = census.run({"preset/s0/a2"})
+    monkeypatch.setattr(census, "run", lambda keys=None: records)
+    assert census.main([]) == 0
+    monkeypatch.setitem(census.KNOWN, "preset/s0/a2/me", 7)
+    assert census.main([]) == 1
+    assert "listed failure now certifies: preset/s0/a2/me (item 7)" in capsys.readouterr().out

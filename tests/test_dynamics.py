@@ -23,6 +23,7 @@ from slicemarket import (
     uniform_bids,
 )
 from slicemarket.dynamics import UnsupportedRegimeError
+from tests import census
 from tests.reference import bregman_gap, dense_demand, dense_divergence, dense_potential, eval_dual, report_bids
 from tests.reference import kl, potential_gradient, random_feasible_bids
 
@@ -410,6 +411,20 @@ def test_converged_runs_are_certified_by_the_duality_gap(k):
         rng, n_sps=int(rng.integers(2, 5)), n_cells=int(rng.integers(1, 4)), alphas=[1.0, 1.5, 2.0, 5.0, math.inf]
     )
     assert_certified(run_dynamics(normalize_scenario(spec)))
+
+
+def test_max_min_market_with_a_free_class_certifies():
+    """One max-min provider whose bids leave a class's goods at price 0: the
+    class spends nothing there, and the run certifies the equilibrium that
+    ``solve_eg`` finds (census market ``mix/n1/k43``)."""
+    build = next(build for key, build in census.recipes() if key == "mix/n1/k43")
+    scn = normalize_scenario(build())
+    assert np.all(np.isinf(scn.index.alphas))
+    rep = run_dynamics(scn)
+    assert_certified(rep)
+    assert rep.iterations <= 1200
+    me = solve_eg(scn)
+    np.testing.assert_allclose(rep.utilities, me.utilities, rtol=1e-9)
 
 
 def test_custom_initial_bids_reach_the_same_prices():

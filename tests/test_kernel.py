@@ -58,12 +58,11 @@ def test_kernel_matches_dense_closed_form():
     for _ in range(30):
         scn = normalize_scenario(mixed_scenario(rng))
         index = scn.index
-        kernel = index.kernel
-        padded += int(((dense_demand(index) > 0).sum(axis=1) < kernel.goods.shape[1]).sum())
+        padded += int(((dense_demand(index) > 0).sum(axis=1) < index.slot_goods.shape[1]).sum())
         for _ in range(5):
             p = rng.uniform(0.05, 2.0, index.n_goods)
-            joint = kernel.dense(kernel.bids(p)[0])
-            assert np.array_equal(kernel.per_good(kernel.bids(p)[0]), joint.sum(axis=0))
+            joint = index.dense(index.bids(p)[0])
+            assert np.array_equal(index.per_good(index.bids(p)[0]), joint.sum(axis=0))
             for s in range(index.n_sps):
                 alpha = float(index.alphas[s])
                 rows = index.sp_rows(s)
@@ -98,3 +97,22 @@ def test_best_response_ignores_other_providers_free_classes():
         best_response(scn, p, 1)
     with pytest.raises(ValueError):
         bid_update(scn, p, 0)
+
+
+def test_max_min_free_class_spends_nothing():
+    # one max-min provider: k1 consumes r1 alone, which is free
+    cells = (CellDef("c0", (ResourceDef("r0", 1.0), ResourceDef("r1", 1.0))),)
+    classes = (ClassDef("k0", {"r0": 1.0, "r1": 0.5}), ClassDef("k1", {"r1": 1.0}))
+    sp = ProviderDef("sp0", 1.0, math.inf, (SupportEntry("c0", "k0", 2), SupportEntry("c0", "k1", 3)))
+    scn = normalize_scenario(ScenarioSpec(cells, classes, (sp,)))
+    index = scn.index
+    p = np.array([0.4, 0.0])
+    for bids in (best_response(scn, p, 0), bid_update(scn, p, 0), index.dense(index.bids(p)[0])):
+        np.testing.assert_array_equal(bids, [[1.0, 0.0], [0.0, 0.0]])
+    # the free class's rate is the common per-user level of the other
+    rates = index.rates(index.row_prices(p)[1])[0]
+    np.testing.assert_allclose(rates / index.users, 1.0 / (0.4 * 2), rtol=1e-15)
+    # every class free: the demand is unbounded
+    for call in (lambda: best_response(scn, np.zeros(2), 0), lambda: index.bids(np.zeros(2))):
+        with pytest.raises(ValueError):
+            call()

@@ -223,9 +223,8 @@ def test_utility_times_unit_cost_is_budget():
     for _ in range(40):
         scn = mixed_market(rng)
         index = scn.index
-        kernel = index.kernel
-        pd = kernel.row_prices(rng.uniform(0.1, 1.0, index.n_goods))[1]
-        spent = utilities(scn, kernel.rates(pd)[0]) * np.exp(index.unit_cost(np.log(pd)))
+        pd = index.row_prices(rng.uniform(0.1, 1.0, index.n_goods))[1]
+        spent = utilities(scn, index.rates(pd)[0]) * np.exp(index.unit_cost(np.log(pd)))
         scored = index.alphas > 0
         assert spent[scored] == pytest.approx(index.budgets[scored], rel=1e-12)
 
@@ -309,9 +308,8 @@ class TestVerifyEquilibrium:
         # sp0 (alpha 0) gets nothing and sp1 (alpha 2) its best response: only
         # sp1 is checked, and it has no gap
         scn = make_scn([[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0], [0.5, 0.5])
-        kernel = scn.index.kernel
         prices = np.array([0.5, 0.5])
-        rates = kernel.rates(kernel.row_prices(prices)[1])[0] * np.array([0.0, 1.0])
+        rates = scn.index.rates(scn.index.row_prices(prices)[1])[0] * np.array([0.0, 1.0])
         alloc = Allocation(rates, scn.index)
         rep = verify_equilibrium(scn, alloc, prices)
         assert rep.br_gap == rep.br_gap_rel == 0.0
@@ -334,7 +332,7 @@ def test_settle_bids_matches_tp_at_interior_fixed_point():
     scn = make_scn([[1.0, 0.2], [0.25, 1.0]], [1.0, 1.0], [0.5, 0.5])
     me = solve_eg(scn)
     bids = report_bids(me)
-    prices, alloc = settle_bids(scn, scn.index.kernel.gather(bids))
+    prices, alloc = settle_bids(scn, scn.index.gather(bids))
     _, tp_alloc = tp_allocate(scn, bids)
     assert np.allclose(alloc.rates, tp_alloc.rates, rtol=1e-9)
 

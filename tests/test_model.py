@@ -166,7 +166,7 @@ _S = two_sp_spec()
         (lambda: scenario_from_dict(_replace_doc(alpha="huge")), ScenarioError, "unrecognized alpha value 'huge'"),
         (lambda: scenario_from_dict(_replace_doc(cells=[{"id": "c0"}])), ScenarioError, "malformed scenario document"),
         (
-            lambda: normalize_scenario(_S).index.kernel.gather(np.zeros((2, 3))),
+            lambda: normalize_scenario(_S).index.gather(np.zeros((2, 3))),
             ValueError,
             r"dense values have shape \(2, 3\), expected \(2, 2\)",
         ),
@@ -450,11 +450,11 @@ def assert_slots_match_dense(spec):
     assert index.weights.tolist() == [effective_weight(e.users, sp.alpha, e.weight) for sp, e in served]
     demand = spec_demand(spec)
     assert np.array_equal(dense_demand(index), demand)
-    assert np.array_equal(index.kernel.dense(index.slot_demand), demand)
+    assert np.array_equal(index.dense(index.slot_demand), demand)
     assert np.array_equal(index.demanded_goods(), (demand > 0).any(axis=0))
     goods, slot_demand = argsort_slots(demand)
-    assert np.array_equal(index.kernel.goods, goods)
-    assert np.array_equal(index.kernel.demand, slot_demand)
+    assert np.array_equal(index.slot_goods, goods)
+    assert np.array_equal(index.slot_demand, slot_demand)
     cells = index.price_cells
     for name, want in scanned_price_cells(index, goods).items():
         assert np.array_equal(getattr(cells, name), want), name

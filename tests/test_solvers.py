@@ -167,7 +167,7 @@ class TestSolveEG:
 
     def test_one_barrier_step_is_not_converged(self, monkeypatch):
         scn = make_scn([[1.0, 0.3], [0.4, 1.0]], [0.0, 1.0], [0.5, 0.5])
-        monkeypatch.setattr(solvers, "_BARRIER_MAX_STEPS", 1)
+        monkeypatch.setattr(solvers, "_MAX_STEPS", 1)
         rep = solve_eg(scn)
         assert rep.method == "barrier"
         assert rep.iterations == 1
@@ -187,7 +187,7 @@ class TestSolveEG:
         from slicemarket import LoadModel, instantiate, benchmark_preset
 
         spec = instantiate(benchmark_preset(), LoadModel(seed=0), 0).with_alphas(0.5)
-        monkeypatch.setattr(solvers, "_PRICE_NEWTON_MAX_STEPS", 1)
+        monkeypatch.setattr(solvers, "_MAX_STEPS", 1)
         rep = solve_eg(normalize_scenario(spec))
         assert rep.method == "tatonnement"
         assert rep.iterations == 1
