@@ -369,19 +369,18 @@ def _write_csv(path: str, header, rows) -> None:
 def _write_price_trace(path: str, iterations, goods, prices: np.ndarray) -> None:
     """``PRICE_TRACE_COLUMNS`` rows, one per (iteration, good) of a price
     trace, as :func:`_write_csv` writes them: each good's ``cell,resource``
-    is quoted once by ``csv.writer``."""
-    prefixes = []
+    is quoted once by ``csv.writer``, and a round is formatted by one ``%``
+    on its template ``it,prefix,%.17g`` per good (a ``%`` in a prefix is
+    escaped)."""
+    parts = [""]
     for good in goods:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(good)
-        prefixes.append(buf.getvalue()[:-1])
+        parts.append("," + buf.getvalue()[:-1].replace("%", "%%") + ",%.17g\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(PRICE_TRACE_COLUMNS)
-        fh.writelines(
-            f"{it},{prefix},{'%.17g' % p}\n"
-            for it, row in zip(iterations, prices.tolist())
-            for prefix, p in zip(prefixes, row)
-        )
+        # ``str(it).join(parts)`` puts the iteration before every good's part
+        fh.writelines(f"{it}".join(parts) % tuple(row) for it, row in zip(iterations, prices.tolist()))
 
 
 def emit_csv(result: ExperimentResult, outdir: str) -> list[str]:

@@ -402,9 +402,11 @@ class MarketIndex:
         share = self.unit_cost.terms(np.log(pd))[1] / pd
         if free is not None:
             share[free] = 0.0
-        bids = share[:, None] * pd_slots
-        bids *= (self.budgets / self.unit_cost.seg_sum(bids.sum(axis=1)))[self.sp_of, None]
-        return bids
+        # computed slot-major (``pd_slots`` is a view of a slot-major array)
+        # and returned row-major, the order :meth:`per_good` reads
+        bids = share * pd_slots.T
+        bids *= (self.budgets / self.unit_cost.seg_sum(bids.sum(axis=0)))[self.sp_of]
+        return np.ascontiguousarray(bids.T)
 
     def rates(self, pd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row rate of every provider's best response to the per-row

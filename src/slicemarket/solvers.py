@@ -292,12 +292,11 @@ def _eisenberg_gale_barrier(index: MarketIndex) -> tuple[np.ndarray, np.ndarray,
     responses are not unique, keep the solve's rates, cut to the capacity
     the others leave.  Returns ``(rates, prices, iterations)``.
     """
-    def check(p, scale, rates, ratio):
-        usage = index.per_good(rates[:, None] * index.slot_demand)
+    def check(p, scale, rates, ratio, usage, log_u):
         top = usage.max()
         prices = math.exp(scale) * p
         prices = np.where(prices < 1.0 - usage / top, 0.0, prices)
-        gap, r = _eg_gap(index, prices, index.log_ratios(prices), index.utility(np.log(rates / top)))
+        gap, r = _eg_gap(index, prices, index.log_ratios(prices), log_u - math.log(top))
         return max(gap, float(np.abs(r).max())), (prices, rates / top)
 
     (prices, solved), iterations = _price_barrier(index, check, free=True)
@@ -378,46 +377,59 @@ def _price_barrier(index: MarketIndex, check, free: bool):
       ``_IP_DUAL_SPREAD`` of their central values ``mu / p`` and ``mu /
       sigma``.
 
-    ``check(p, scale, rates, ratio)`` is called at the start and after every
-    step with the scaled prices of all goods (0 on goods no triple demands),
-    the rates and every triple's row ratio ``b_j - log e_j`` at the prices
-    ``exp(scale) p`` (``log B_s - log e_s`` when ``b`` is fixed), and returns
-    ``(gap, result)``.  The solve stops once the gap is at most
-    ``_BARRIER_STOP_GAP``, after ``_MAX_STEPS`` steps, or where 60
-    halvings find no acceptable step, and returns the last result and the
-    number of steps.  Raises ``ValueError`` where the price scale overflows
-    float64.
+    ``check(p, scale, rates, ratio, usage, log_u)`` is called at the start
+    and after every step with the scaled prices of all goods, the rates,
+    every provider's largest row ratio ``b_j - log e_j`` at the prices
+    ``exp(scale) p`` (``log B_s - log e_s`` when ``b`` is fixed), the rates'
+    usage of every good (prices and usage are 0 on goods no triple demands)
+    and every provider's log utility of the rates, ``log sum_j y_j r_j /
+    e_j`` over its rows (``U_s(c pi / L) = c / e_s(L)``; an alpha-0
+    provider's utility is the sum of its rows'), and returns ``(gap,
+    result)``.  The rates and their usage are computed once per step, for
+    the stop test and the step.  The solve stops once the gap is at most
+    ``_BARRIER_STOP_GAP``, after ``_MAX_STEPS`` steps, or where 60 halvings
+    find no acceptable step, and returns the last result and the number of
+    steps.  Raises ``ValueError`` where the price scale overflows float64.
     """
     n_sp = index.n_sps
     demanded = index.demanded_goods()
     n_goods = int(demanded.sum())
+    whole = n_goods == index.n_goods
     goods = np.where(index.slot_real, (np.cumsum(demanded) - 1)[index.slot_goods], 0)
     dm = index.slot_demand
+    # slot-major copies: a row's slots are summed as whole rows of these
+    goods_t, dm_t = np.ascontiguousarray(goods.T), np.ascontiguousarray(dm.T)
     alpha = index.alphas[index.sp_of]
     linear = alpha == 0.0
     new = linear | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
     row = np.cumsum(new) - 1
     row_sp = index.sp_of[new]
     n_rows = row_sp.size
-    weights = np.where(linear, 1.0 / index.weights, index.weights)
-    cost = CESAggregate.unit_cost(weights, np.where(linear, np.inf, alpha), row)
+    per_sp = n_rows == n_sp and not linear.any()
+    if per_sp:
+        # one row per provider: the rows are the providers' own unit costs
+        cost = index.unit_cost
+    else:
+        weights = np.where(linear, 1.0 / index.weights, index.weights)
+        cost = CESAggregate.unit_cost(weights, np.where(linear, np.inf, alpha), row)
     curv = 1.0 - cost.q  # 1 / a, 0 at a = inf
     curv_row = curv[cost.starts]
     size = np.bincount(row, minlength=n_rows)
-    single, multi = (size == 1)[row], size > 1
+    single, multi = (size == 1)[row], np.flatnonzero(size > 1)
+    some_single = bool(single.any())
+    first = np.flatnonzero(np.concatenate(([True], row_sp[1:] != row_sp[:-1])))
+    flat_goods = goods.ravel()
     pair = (goods[:, :, None] * n_goods + goods[:, None, :]).ravel()
-    pair_demand = dm[:, :, None] * dm[:, None, :]
+    pair_demand = (dm[:, :, None] * dm[:, None, :]).reshape(dm.shape[0], -1)
     slot_row = (row[:, None] * n_goods + goods).ravel()
-    slot_sp = (goods * n_sp + index.sp_of[:, None]).ravel()
-    diag = np.arange(n_goods)
 
     def per_good(values):
-        return np.bincount(goods.ravel(), weights=values.ravel(), minlength=n_goods)
+        return np.bincount(flat_goods, weights=values.ravel(), minlength=n_goods)
 
     def evaluate(p):
         """Every triple's price ``L``, every row's log unit cost and the
         unit costs' shares at ``p``."""
-        pd = (p[goods] * dm).sum(axis=1)
+        pd = (p[goods_t] * dm_t).sum(axis=0)
         return (pd,) + cost.shares(np.log(pd))
 
     p = np.ones(n_goods)
@@ -425,8 +437,8 @@ def _price_barrier(index: MarketIndex, check, free: bool):
     if free:
         scale = math.log(float(index.budgets.sum()) / n_goods)
         beta = index.budgets * (n_goods / float(index.budgets.sum()))  # B / exp(scale)
-        first = np.flatnonzero(np.concatenate(([True], row_sp[1:] != row_sp[:-1])))
         b = (np.minimum.reduceat(log_e, first) - 1.0)[row_sp]
+        slot_sp = (goods * n_sp + index.sp_of[:, None]).ravel()
     else:
         log_b = np.log(index.budgets)[row_sp]
         scale = float((log_b - log_e).max()) + 1.0
@@ -435,44 +447,57 @@ def _price_barrier(index: MarketIndex, check, free: bool):
         b = log_b - scale
     start = log_e
     r, t = np.ones(n_rows), np.exp(b - start)
-    sigma = r - t
     mu, mu_min = 0.1, 0.1 * _BARRIER_STOP_GAP
-    y, z = mu / sigma, mu / p
-    db = np.zeros(n_sp)
+    # the primal (p, sigma) and the duals (z, y) of its bounds, each one
+    # array, of which p, sigma, z and y are views
+    x = np.concatenate((p, r - t))
+    w = mu / x
+    p, sigma, z, y = x[:n_goods], x[n_goods:], w[:n_goods], w[n_goods:]
     steps = 0
-
-    def report():
-        prices = np.zeros(index.n_goods)
-        prices[demanded] = p
-        return check(prices, scale, (y * r)[row] * pi / pd, (b + scale - log_e)[row])
-
-    gap, result = report()
     filt, phi = [], 0.0  # the filter's (infeasibility, barrier) pairs, the barrier since mu
-    while gap > _BARRIER_STOP_GAP and steps < _MAX_STEPS:
+    while True:
+        # the rates and their usage, which the stop test and the step share
         g = pi / pd
         yr = y * r
-        usage = per_good((yr[row] * g)[:, None] * dm)
+        rates = yr[row] * g
+        usage = per_good(rates[:, None] * dm)
+        ratio = b + scale - log_e
+        log_u = np.log(yr) - log_e
+        if not per_sp:
+            # the log of every provider's sum over its rows
+            most = np.maximum.reduceat(log_u, first)
+            log_u = most + np.log(np.bincount(row_sp, weights=np.exp(log_u - most[row_sp]), minlength=n_sp))
+            ratio = np.maximum.reduceat(ratio, first)
+        if whole:
+            gap, result = check(p, scale, rates, ratio, usage, log_u)
+        else:
+            prices, full = np.zeros(index.n_goods), np.zeros(index.n_goods)
+            prices[demanded], full[demanded] = p, usage
+            gap, result = check(prices, scale, rates, ratio, full, log_u)
+        if not (gap > _BARRIER_STOP_GAP and steps < _MAX_STEPS):
+            break
         h = r - t - sigma
         theta = float(np.abs(h).max())
-        dual_err = np.abs(p * (1.0 - usage - z)).max()
+        err = max(np.abs(p * (1.0 - usage - z)).max(), theta)
         if free:
-            dual_err = max(dual_err, np.abs(beta - np.bincount(row_sp, weights=y * t, minlength=n_sp)).max())
-        while mu > mu_min and max(
-            dual_err, theta, np.abs(z * p - mu).max(), np.abs(y * sigma - mu).max()
-        ) <= 10.0 * mu:
+            err = max(err, np.abs(beta - np.bincount(row_sp, weights=y * t, minlength=n_sp)).max())
+        wx = w * x
+        while mu > mu_min and err <= 10.0 * mu and np.abs(wx - mu).max() <= 10.0 * mu:
             mu = max(0.1 * mu, mu_min)
             filt, phi = [], 0.0
         # the Newton matrix in p: pair products and one rank-one term per row
         d_row = y / sigma
         k = yr * (r / sigma - curv_row)
-        coef = yr[row] * pi * curv / pd**2 + np.where(single, k[row] * g**2, 0.0)
-        mat = np.bincount(pair, weights=(coef[:, None, None] * pair_demand).ravel(), minlength=n_goods * n_goods)
-        mat = mat.reshape(n_goods, n_goods)
-        if multi.any():
+        coef = yr[row] * pi * curv / pd**2
+        if some_single:
+            coef = coef + np.where(single, k[row] * g**2, 0.0)
+        flat = np.bincount(pair, weights=(coef[:, None] * pair_demand).ravel(), minlength=n_goods * n_goods)
+        mat = flat.reshape(n_goods, n_goods)
+        if multi.size:
             v = np.bincount(slot_row, weights=(g[:, None] * dm).ravel(), minlength=n_rows * n_goods)
             v = v.reshape(n_rows, n_goods)[multi]
             mat += v.T @ (k[multi, None] * v)
-        mat[diag, diag] += z / p
+        flat[:: n_goods + 1] += z / p
         r2 = mu / y - sigma - h
         rhs = usage - 1.0 + mu / p + per_good(((d_row * r2 * r)[row] * g)[:, None] * dm)
         if free:
@@ -483,29 +508,42 @@ def _price_barrier(index: MarketIndex, check, free: bool):
             rhs_b = beta - np.bincount(row_sp, weights=(y + d_row * r2) * t, minlength=n_sp)
             step = _newton_step(np.block([[mat, -c], [-c.T, np.diag(f)]]), np.concatenate([rhs, rhs_b]))
             dp, db = step[:n_goods], step[n_goods:]
+            db_row = db[row_sp]
+            dy = d_row * (r2 - r * cost.seg_sum(g * (dp[goods_t] * dm_t).sum(axis=0)) + t * db_row)
         else:
             dp = _newton_step(mat, rhs)
-        dy = d_row * (r2 - r * cost.seg_sum(g * (dp[goods] * dm).sum(axis=1)) + t * db[row_sp])
-        ds = mu / y - sigma - sigma / y * dy
-        dz = mu / p - z - z * dp / p
+            dy = d_row * (r2 - r * cost.seg_sum(g * (dp[goods_t] * dm_t).sum(axis=0)))
+        dx = np.concatenate((dp, mu / y - sigma - sigma / y * dy))
+        dw = np.concatenate((mu / p - z - z * dp / p, dy))
         tau = max(0.99, 1.0 - mu)
-        a = min(1.0, _boundary(p, dp, tau), _boundary(sigma, ds, tau))
-        a_dual = min(1.0, _boundary(y, dy, tau), _boundary(z, dz, tau))
+        a = min(1.0, _boundary(x, dx, tau))
+        a_dual = min(1.0, _boundary(w, dw, tau))
+        rel = dx / x
         obj = float(dp.sum()) - (float(beta @ db) if free else 0.0)
-        pred = obj - mu * float((dp / p).sum() + (ds / sigma).sum())
+        # the goods' terms, then the rows', summed apart here and below: the
+        # sums do not depend on p and sigma sharing one array
+        pred = obj - mu * float(rel[:n_goods].sum() + rel[n_goods:].sum())
+        # whether the promised decrease is below the rounding of the barrier
+        # value's change, both in proportion to the step
+        quiet = -pred <= _ULPS * (
+            float(np.abs(dp).sum() + (np.abs(beta * db).sum() if free else 0.0)) + mu * float(np.abs(rel).sum())
+        )
         for _ in range(60):
-            p_t, sigma_t, b_t = p + a * dp, sigma + a * ds, b + a * db[row_sp]
-            trial = evaluate(p_t)
-            r_t, t_t = np.exp(trial[1] - start), np.exp(b_t - start)
-            theta_t = float(np.abs(r_t - t_t - sigma_t).max())
+            x_t = x + a * dx
+            trial = evaluate(x_t[:n_goods])
+            r_t = np.exp(trial[1] - start)
+            if free:
+                b_t = b + a * db_row
+                t_t = np.exp(b_t - start)
+            else:
+                t_t = t
+            theta_t = float(np.abs(r_t - t_t - x_t[n_goods:]).max())
             # the change of the barrier value, summed from per-term differences
-            rel_p, rel_s = a * dp / p, a * ds / sigma
-            change = a * obj - mu * float(np.log1p(rel_p).sum() + np.log1p(rel_s).sum())
-            noise = _ULPS * (a * float(np.abs(dp).sum() + (np.abs(beta * db).sum() if free else 0.0)))
-            noise += _ULPS * mu * float(np.abs(rel_p).sum() + np.abs(rel_s).sum())
+            log_rel = np.log1p(a * dx / x)
+            change = a * obj - mu * float(log_rel[:n_goods].sum() + log_rel[n_goods:].sum())
             armijo = pred < 0.0 and -a * pred > theta
             if armijo:
-                ok = change <= _ARMIJO * a * pred or -a * pred <= noise
+                ok = quiet or change <= _ARMIJO * a * pred
             else:
                 ok = theta_t <= (1.0 - _ARMIJO) * theta or change <= -_ARMIJO * theta
             if ok and all(theta_t < t_f or phi + change < phi_f for t_f, phi_f in filt):
@@ -516,12 +554,13 @@ def _price_barrier(index: MarketIndex, check, free: bool):
         if not armijo:
             filt.append(((1.0 - _ARMIJO) * theta, phi - _ARMIJO * theta))
         phi += change
-        p, sigma, b, r, t = p_t, sigma_t, b_t, r_t, t_t
+        x, r = x_t, r_t
+        if free:
+            b, t = b_t, t_t
         pd, log_e, pi = trial
-        y = np.clip(y + a_dual * dy, mu / (_IP_DUAL_SPREAD * sigma), _IP_DUAL_SPREAD * mu / sigma)
-        z = np.clip(z + a_dual * dz, mu / (_IP_DUAL_SPREAD * p), _IP_DUAL_SPREAD * mu / p)
+        w = np.minimum(np.maximum(w + a_dual * dw, mu / (_IP_DUAL_SPREAD * x)), _IP_DUAL_SPREAD * mu / x)
+        p, sigma, z, y = x[:n_goods], x[n_goods:], w[:n_goods], w[n_goods:]
         steps += 1
-        gap, result = report()
     return result, steps
 
 
@@ -743,7 +782,10 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
     price-space bound ``(p . 1) max_s B_s / e_s(D_s p)`` (weak duality:
     such an allocation costs ``sum_s e_s U_s <= p . 1``).  The rates are
     scaled onto the capacity frontier, and the solve stops once the bound
-    is within ``_BARRIER_STOP_GAP`` of their welfare.  The bound is rounded
+    is within ``_BARRIER_STOP_GAP`` of their welfare, which the stop test
+    takes from the barrier's log utilities (``U_s(c pi / L) = c /
+    e_s(L)``); the reported gap is the bound over the welfare of the
+    returned rates.  The bound is rounded
     up by 8 ulps of its terms: where weak duality is tight (a linear
     provider on a face of optima) the rounding of the logarithms would
     otherwise put it a few ulps below the welfare.
@@ -762,7 +804,6 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
     """
     utility = index.utility
     log_b = np.log(index.budgets)
-    starts = utility.starts
 
     def welfare(rates):
         """Every provider's log welfare ``log B_s U_s``, the log of their
@@ -773,28 +814,34 @@ def _welfare_optimum(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, float,
         top = index.per_good(rates[:, None] * index.slot_demand).max()
         return terms, most + math.log(float(np.exp(terms - most).sum())), math.log(top)
 
-    def check(p, scale, rates, ratio):
-        ratio = np.maximum.reduceat(ratio, starts)
+    def check(p, scale, rates, ratio, usage, log_u):
         best = float(ratio.max())
         log_sum = math.log(float(p.sum()))
         log_bound = log_sum + best + _ULPS * (1.0 + abs(log_sum) + abs(best))
-        terms, log_w, log_top = welfare(rates)
-        stop = gap = math.expm1(log_bound - log_w + log_top)
-        if stop <= _BARRIER_STOP_GAP:
-            # the share of the welfare that zeroing may cost within the
-            # report's gap tolerance
-            room = -math.expm1(log_bound + log_top - log_w - math.log1p(GAP_TOL))
-            below = np.flatnonzero(ratio < best)
-            below = below[np.argsort(terms[below], kind="stable")]
-            out = below[np.cumsum(np.exp(terms[below] - log_w)) <= room]
-            if out.size:
-                rates = np.where(np.isin(index.sp_of, out), 0.0, rates)
-                terms, log_w, log_top = welfare(rates)
-                gap = math.expm1(log_bound - log_w + log_top)
-        return stop, (math.exp(scale) * p, rates / math.exp(log_top), gap)
+        # the welfare from the barrier's log utilities, U_s(c pi / L) = c / e_s(L)
+        terms = log_b + log_u
+        most = float(terms.max())
+        log_w = most + math.log(float(np.exp(terms - most).sum()))
+        stop = math.expm1(log_bound - log_w + math.log(float(usage.max())))
+        return stop, (stop, p, scale, rates, ratio, best, log_bound)
 
-    (prices, rates, gap), steps = _price_barrier(index, check, free=False)
-    return prices, rates, gap, steps
+    (stop, p, scale, rates, ratio, best, log_bound), steps = _price_barrier(index, check, free=False)
+    terms, log_w, log_top = welfare(rates)
+    gap = math.expm1(log_bound - log_w + log_top)
+    if stop <= _BARRIER_STOP_GAP:
+        # the share of the welfare that zeroing may cost within the report's
+        # gap tolerance
+        room = -math.expm1(log_bound + log_top - log_w - math.log1p(GAP_TOL))
+        below = np.flatnonzero(ratio < best)
+        below = below[np.argsort(terms[below], kind="stable")]
+        out = below[np.cumsum(np.exp(terms[below] - log_w)) <= room]
+        if out.size:
+            zeroed = np.zeros(index.n_sps, dtype=bool)
+            zeroed[out] = True
+            rates = np.where(zeroed[index.sp_of], 0.0, rates)
+            terms, log_w, log_top = welfare(rates)
+            gap = math.expm1(log_bound - log_w + log_top)
+    return math.exp(scale) * p, rates / math.exp(log_top), gap, steps
 
 
 def solve_social_optimal(scn: NormalizedScenario) -> SolveReport:

@@ -178,12 +178,13 @@ class TestPriceTrace:
 
     def test_writer_quotes_names_like_csv_writer(self, tmp_path):
         # names are not validated: a comma, a double quote and a newline
-        # each make csv.writer quote the field
+        # each make csv.writer quote the field, and a "%s" must reach the
+        # file as written
         cells = (
             CellDef('c,"0"', (ResourceDef("r0", 1.0), ResourceDef('r"1', 2.0))),
-            CellDef("c\n1", (ResourceDef("r0", 1.5), ResourceDef("r,2", 1.0))),
+            CellDef("c\n1", (ResourceDef("r0", 1.5), ResourceDef("r%s,2", 1.0))),
         )
-        classes = (ClassDef("k0", {"r0": 0.6, 'r"1': 0.2}), ClassDef("k1", {"r0": 0.3, "r,2": 0.8}))
+        classes = (ClassDef("k0", {"r0": 0.6, 'r"1': 0.2}), ClassDef("k1", {"r0": 0.3, "r%s,2": 0.8}))
         sps = (
             ProviderDef("sp0", 0.6, 2.0, (SupportEntry('c,"0"', "k0", 3), SupportEntry("c\n1", "k1", 2))),
             ProviderDef("sp1", 0.4, 1.0, (SupportEntry('c,"0"', "k0", 1), SupportEntry("c\n1", "k1", 4))),
@@ -201,6 +202,7 @@ class TestPriceTrace:
         )
         expected = (tmp_path / "rows.csv").read_bytes()
         assert b'"c,""0"""' in expected and b'"r""1"' in expected and b'"c\n1"' in expected
+        assert b'"r%s,2"' in expected
         assert (tmp_path / "array.csv").read_bytes() == expected
 
 

@@ -113,6 +113,39 @@ def test_linear_provider_beside_near_one_alphas_certifies(other):
         assert rep.converged and rep.iterations <= 30
 
 
+@pytest.mark.parametrize("solve, alpha", [(solve_eg, 0.0), (solve_social_optimal, 2.0)], ids=["me-0", "so-2"])
+def test_stop_test_gets_the_usage_of_its_rates(solve, alpha, monkeypatch):
+    """The barrier computes the rates' usage once per step, for its stop
+    test and its step: what the stop test gets is the usage of the rates it
+    gets over every good, with price and usage 0 on a good no class
+    demands."""
+    spec = instantiate(benchmark_preset(), LoadModel(seed=2), 0).with_alphas(alpha)
+    first = spec.cells[0]
+    idle_cell = replace(first, resources=first.resources + (ResourceDef("idle", 3.0),))
+    with pytest.warns(UserWarning, match="demanded by no SP"):
+        scn = normalize_scenario(replace(spec, cells=(idle_cell,) + spec.cells[1:]))
+    index = scn.index
+    idle = ~index.demanded_goods()
+    assert np.count_nonzero(idle) == 1
+    seen = []
+    engine = solvers._price_barrier
+
+    def spied(index, check, free):
+        def recorded(p, scale, rates, ratio, usage, log_u):
+            seen.append((p, rates, usage))
+            return check(p, scale, rates, ratio, usage, log_u)
+
+        return engine(index, recorded, free)
+
+    monkeypatch.setattr(solvers, "_price_barrier", spied)
+    assert solve(scn).converged
+    assert len(seen) > 5
+    for p, rates, usage in seen:
+        assert p.shape == usage.shape == (index.n_goods,)
+        assert np.array_equal(usage, index.per_good(rates[:, None] * index.slot_demand))
+        assert p[idle] == 0.0 and usage[idle] == 0.0
+
+
 def no_candidates(log_w, amat, mask, alpha):
     """A candidate builder whose one candidate applies nowhere: every block
     runs on the engine."""

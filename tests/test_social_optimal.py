@@ -24,6 +24,7 @@ from tests.reference import dense_demand
 from tests.test_market import make_scn
 
 MIXED_ALPHAS = [0.0, 0.5, 1.0, 2.0, 5.0, math.inf]
+PAPER_ALPHAS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 100.0, math.inf]
 
 
 def welfare(scn, rep):
@@ -215,6 +216,20 @@ def test_budget_perturbation_moves_welfare_by_its_size(alpha):
 
 def preset(seed, alpha):
     return normalize_scenario(instantiate(benchmark_preset(), LoadModel(seed=seed), 0).with_alphas(alpha))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_preset_gap_is_the_bound_over_the_returned_welfare(seed):
+    """The barrier's stop test takes the welfare from its own log utilities
+    (``U_s(c pi / L) = c / e_s(L)``); the reported gap is still the bound of
+    the reported prices over the welfare of the returned rates, as
+    ``test_mixed_alpha_markets_match_slsqp`` checks on mixed markets."""
+    for alpha in PAPER_ALPHAS:
+        scn = preset(seed, alpha)
+        rep = solve_social_optimal(scn)
+        assert rep.converged
+        ratio = price_bound(scn.index, rep.prices) / welfare(scn, rep)
+        assert ratio - 1.0 == pytest.approx(rep.residuals["duality_gap"], abs=1e-13)
 
 
 def engine_runs(monkeypatch):
