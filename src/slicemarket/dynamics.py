@@ -140,7 +140,7 @@ def run_dynamics(
     """Iterate simultaneous bid updates from uniform (or given) initial bids
     until the settled bids pass the equilibrium check, for at most
     ``max_iterations`` rounds.  Given initial bids are dense ``[n_triples,
-    n_goods]`` and must lie on the consumed goods
+    n_goods]``, finite and nonnegative, and must lie on the consumed goods
     (:meth:`~slicemarket.model.MarketIndex.gather`).
 
     The check is :func:`~slicemarket.market.verify_equilibrium`, which
@@ -157,7 +157,10 @@ def run_dynamics(
         raise ValueError("tol must be nonnegative")
     index = scn.index
     _require_at_least_one(index)
-    slots = _uniform_slots(index) if initial_bids is None else index.gather(initial_bids)
+    bids = None if initial_bids is None else np.asarray(initial_bids, dtype=float)
+    if bids is not None and not np.all((bids >= 0.0) & np.isfinite(bids)):
+        raise ValueError("initial bids must be finite and nonnegative")
+    slots = _uniform_slots(index) if bids is None else index.gather(bids)
 
     prices = index.per_good(slots)
     phis = [_potential(index, slots, prices)]

@@ -316,15 +316,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _budget_sweep(config: ExperimentConfig, template: ScenarioSpec) -> list[ScenarioSpec]:
     """The template at each of the config's budget fractions of
     ``budget_sweep_sp`` (:func:`~slicemarket.scenarios.budget_sweep`);
-    ``ValueError`` naming the field for a provider the template lacks or a
-    fraction outside (0, 1)."""
+    ``ValueError`` naming the field for a provider the template lacks or
+    holds alone, or a fraction outside (0, 1)."""
+    names = [sp.name for sp in template.sps]
     try:
         return budget_sweep(template, config.budget_sweep_sp, config.budget_fractions)
     except KeyError:
-        names = [sp.name for sp in template.sps]
         raise ValueError(f"budget_sweep_sp: no provider {config.budget_sweep_sp!r} (the scenario has {names})") from None
     except ValueError as exc:
-        raise ValueError(f"budget_fractions: {exc}") from None
+        # a lone provider is rejected before any fraction is read
+        raise ValueError(f"{'budget_sweep_sp' if len(names) == 1 else 'budget_fractions'}: {exc}") from None
 
 
 def _sensitivity_study(config: ExperimentConfig, sweep: list[ScenarioSpec], load: LoadModel):

@@ -316,9 +316,9 @@ class MarketIndex:
         return self.budgets[self.sp_of]
 
     @cached_property
-    def _slot_major(self) -> tuple[np.ndarray, np.ndarray]:
-        # ``[s, n_triples]`` copies: a sum of whole rows, several times
-        # faster than one along the short axis of ``[n_triples, s]``
+    def slot_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """``[s, n_triples]`` copies of the slots: a row's slots are summed
+        as whole rows of these, several times faster than along a short axis."""
         return np.ascontiguousarray(self.slot_goods.T), np.ascontiguousarray(self.slot_demand.T)
 
     @cached_property
@@ -360,7 +360,7 @@ class MarketIndex:
         """Per-slot ``p_g d_ig`` and per-row price ``PD_i`` of one unit rate.
         The per-slot prices are a ``[n_triples, s]`` view of a slot-major
         array; a row's slots are added in slot order."""
-        goods_t, demand_t = self._slot_major
+        goods_t, demand_t = self.slot_major
         pd_slots = prices[goods_t] * demand_t
         return pd_slots.T, pd_slots.sum(axis=0)
 
@@ -467,7 +467,8 @@ class CESAggregate:
     segment, ``[..., n_seg]``, over common leading batch axes.  A variable of
     weight 0 (``log_w = -inf``) is padding and takes no part.  Which of the
     three forms the segments use is settled here, and a call evaluates only
-    those.  ``shift``, per segment, scales ``A_s`` by ``exp(shift)``.
+    those.  ``shift``, per segment and 0 unless :meth:`unit_cost` sets it,
+    scales ``A_s`` by ``exp(shift)``.
 
     An alpha-fair provider's degree-one utility is the aggregate of its rates
     at ``q = 1 - a`` (:attr:`MarketIndex.utility`), and the least cost of a
@@ -475,12 +476,12 @@ class CESAggregate:
     (:attr:`MarketIndex.unit_cost`).
     """
 
-    def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray, shift=0.0):
+    def __init__(self, log_w: np.ndarray, q: np.ndarray, seg: np.ndarray):
         new = np.concatenate(([True], seg[1:] != seg[:-1]))
         self.starts = np.flatnonzero(new)
         self.seg = np.cumsum(new) - 1
         self._flat: dict[int, np.ndarray] = {}
-        self.log_w, self.shift = log_w, shift
+        self.log_w, self.shift = log_w, 0.0
         q = np.asarray(q, dtype=float)
         q_sp = q[..., self.starts]
         power = np.isfinite(q_sp) & (q_sp != 0.0)

@@ -121,11 +121,13 @@ def generate_instances(
 
 def budget_sweep(template: ScenarioSpec, sp: str, fractions) -> list[ScenarioSpec]:
     """Give ``sp`` each budget fraction in turn, splitting the remainder
-    equally among the other providers."""
+    equally among the other providers, of which there must be some."""
     names = [p.name for p in template.sps]
     if sp not in names:
         raise KeyError(sp)
     others = [n for n in names if n != sp]
+    if not others:
+        raise ValueError(f"{sp!r} is the only provider, so no one takes the rest of the budget")
     out = []
     for f in fractions:
         if not 0.0 < f < 1.0:

@@ -324,8 +324,8 @@ _IP_DUAL_SPREAD = 1e10
 
 
 def _price_barrier(index: MarketIndex, check, free: bool):
-    """Minimize ``sum_g p_g - [sum_s B_s b_s]`` over prices ``p >= 0`` of the
-    demanded goods subject to one cost row per provider with alpha > 0,
+    """Minimize ``sum_g p_g - [sum_s B_s b_s]`` over the prices ``p >= 0`` of
+    the index's goods subject to one cost row per provider with alpha > 0,
     ``log e_s(D_s p) >= b_s`` (:attr:`~slicemarket.model.MarketIndex.unit_cost`,
     linear at alpha = inf), and one per triple ``k`` of an alpha-0 provider,
     ``log(d_k . p / w_k) >= b_s``.  With ``free`` the ``b_s`` are unknowns
@@ -365,7 +365,8 @@ def _price_barrier(index: MarketIndex, check, free: bool):
       r_j = r_j [D^T diag(pi / (a L^2)) D - (1 / a) v v^T]`` with ``v = D^T
       (pi / L)``: pair products of the slots, plus one rank-one term per
       row, which a one-triple row adds to its pair products.  It is solved
-      dense (:func:`_newton_step`).
+      dense (:func:`_newton_step`).  A good that no triple demands is in
+      no row, and its price falls toward ``mu``.
     - The steps of ``p`` and ``sigma`` and of the duals ``y`` and ``z`` are
       cut separately to the fraction ``max(0.99, 1 - mu)`` of the distance
       to 0.  The primal step is halved until it is acceptable to a filter
@@ -391,14 +392,11 @@ def _price_barrier(index: MarketIndex, check, free: bool):
     find no acceptable step, and returns the last result and the number of
     steps.  Raises ``ValueError`` where the price scale overflows float64.
     """
-    n_sp = index.n_sps
-    demanded = index.demanded_goods()
-    n_goods = int(demanded.sum())
-    whole = n_goods == index.n_goods
-    goods = np.where(index.slot_real, (np.cumsum(demanded) - 1)[index.slot_goods], 0)
-    dm = index.slot_demand
-    # slot-major copies: a row's slots are summed as whole rows of these
-    goods_t, dm_t = np.ascontiguousarray(goods.T), np.ascontiguousarray(dm.T)
+    n_sp, n_goods = index.n_sps, index.n_goods
+    goods, dm = index.slot_goods, index.slot_demand
+    goods_t, dm_t = index.slot_major
+    idle = ~index.demanded_goods()  # in no row; the stop test sees it at price 0
+    idle = idle if idle.any() else None
     alpha = index.alphas[index.sp_of]
     linear = alpha == 0.0
     new = linear | np.concatenate(([True], index.sp_of[1:] != index.sp_of[:-1]))
@@ -418,13 +416,9 @@ def _price_barrier(index: MarketIndex, check, free: bool):
     single, multi = (size == 1)[row], np.flatnonzero(size > 1)
     some_single = bool(single.any())
     first = np.flatnonzero(np.concatenate(([True], row_sp[1:] != row_sp[:-1])))
-    flat_goods = goods.ravel()
     pair = (goods[:, :, None] * n_goods + goods[:, None, :]).ravel()
     pair_demand = (dm[:, :, None] * dm[:, None, :]).reshape(dm.shape[0], -1)
     slot_row = (row[:, None] * n_goods + goods).ravel()
-
-    def per_good(values):
-        return np.bincount(flat_goods, weights=values.ravel(), minlength=n_goods)
 
     def evaluate(p):
         """Every triple's price ``L``, every row's log unit cost and the
@@ -460,7 +454,7 @@ def _price_barrier(index: MarketIndex, check, free: bool):
         g = pi / pd
         yr = y * r
         rates = yr[row] * g
-        usage = per_good(rates[:, None] * dm)
+        usage = index.per_good(rates[:, None] * dm)
         ratio = b + scale - log_e
         log_u = np.log(yr) - log_e
         if not per_sp:
@@ -468,12 +462,7 @@ def _price_barrier(index: MarketIndex, check, free: bool):
             most = np.maximum.reduceat(log_u, first)
             log_u = most + np.log(np.bincount(row_sp, weights=np.exp(log_u - most[row_sp]), minlength=n_sp))
             ratio = np.maximum.reduceat(ratio, first)
-        if whole:
-            gap, result = check(p, scale, rates, ratio, usage, log_u)
-        else:
-            prices, full = np.zeros(index.n_goods), np.zeros(index.n_goods)
-            prices[demanded], full[demanded] = p, usage
-            gap, result = check(prices, scale, rates, ratio, full, log_u)
+        gap, result = check(p if idle is None else np.where(idle, 0.0, p), scale, rates, ratio, usage, log_u)
         if not (gap > _BARRIER_STOP_GAP and steps < _MAX_STEPS):
             break
         h = r - t - sigma
@@ -499,7 +488,7 @@ def _price_barrier(index: MarketIndex, check, free: bool):
             mat += v.T @ (k[multi, None] * v)
         flat[:: n_goods + 1] += z / p
         r2 = mu / y - sigma - h
-        rhs = usage - 1.0 + mu / p + per_good(((d_row * r2 * r)[row] * g)[:, None] * dm)
+        rhs = usage - 1.0 + mu / p + index.per_good(((d_row * r2 * r)[row] * g)[:, None] * dm)
         if free:
             # bordered by b: every provider's usage column and its diagonal
             c = (((d_row * r * t)[row] * g)[:, None] * dm).ravel()
@@ -595,12 +584,13 @@ def _boundary(x, dx, tau):
 # Standalone alpha-fair allocation (static share, standalone utilities)
 # ---------------------------------------------------------------------------
 
-def _block_candidates(log_w, amat, mask, alpha) -> tuple[np.ndarray, np.ndarray]:
+def _block_candidates(utility, amat, mask, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form candidates for the optimum of every block of a batch of
     one-provider welfare problems ``max U(z)`` subject to ``amat[b]^T z <=
-    1`` and ``z >= 0``, ``U`` the degree-one utility of the log weights
-    ``log_w`` at ``alpha`` (one per block), with the capacity duals that
-    certify each where it is the optimum.
+    1`` and ``z >= 0``, ``U`` the blocks' degree-one ``utility``
+    (:class:`~slicemarket.model.CESAggregate`, one segment per block, at
+    ``q = 1 - alpha``), with the capacity duals that certify each where it
+    is the optimum.
 
     - One good ``j`` binds: the optimum under good ``j`` alone, ``z_k``
       proportional to ``(c_k / a_kj)^(1/alpha)`` and scaled so that ``a_j .
@@ -623,7 +613,7 @@ def _block_candidates(log_w, amat, mask, alpha) -> tuple[np.ndarray, np.ndarray]
     nb, n_k, m = amat.shape
     real = mask[:, :, None]
     a = alpha[:, None, None]
-    utility = CESAggregate(log_w, np.broadcast_to((1.0 - alpha)[:, None], log_w.shape), np.zeros(n_k, dtype=np.intp))
+    log_w = utility.log_w
     with np.errstate(divide="ignore", invalid="ignore"):
         # log(c_k / a_kj); -inf on padding, inf where a real class skips j
         score = np.where(real, log_w[:, :, None] - np.log(amat), -np.inf)
@@ -738,15 +728,16 @@ def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:
     log_c = log_c - CESAggregate(log_c, np.ones_like(log_c), one_sp)(np.zeros_like(log_c))
     a_mat = blocks.demand * ref[:, :, None]
     q = np.broadcast_to((1.0 - alpha)[:, None], log_c.shape)
+    utility = CESAggregate(log_c, q, one_sp)
     cost = CESAggregate.unit_cost(np.exp(log_c), 1.0 - q, one_sp)
 
     def top(amat, z):
         # the largest usage: z / top is on the frontier, with utility U(z) / top
         return np.einsum("...kj,...k->...j", amat, z).max(axis=-1)
 
-    cand_z, cand_lam = _block_candidates(log_c, a_mat, mask, alpha)
+    cand_z, cand_lam = _block_candidates(utility, a_mat, mask, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = CESAggregate(log_c, q, one_sp)(np.log(cand_z))[..., 0] - np.log(top(a_mat, cand_z))
+        value = utility(np.log(cand_z))[..., 0] - np.log(top(a_mat, cand_z))
         # the price-space bound; a padded class is priced 1, which it does not enter
         price = np.where(np.isfinite(log_c), (a_mat @ cand_lam[..., None])[..., 0], 1.0)
         log_sum, best = np.log(cand_lam.sum(axis=-1)), -cost(np.log(price))[..., 0]

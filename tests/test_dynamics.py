@@ -436,6 +436,18 @@ def test_custom_initial_bids_reach_the_same_prices():
     assert np.allclose(base.prices, custom.prices, atol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [-0.1, math.nan], ids=["negative", "nan"])
+def test_bad_initial_bids_are_rejected(bad):
+    """A negative bid used to run from infeasible prices and potential, and
+    a NaN bid failed later as an all-zero price row."""
+    rng = np.random.default_rng(71)
+    scn = normalize_scenario(random_scenario(rng, alphas=[1.5, 2.0], n_sps=2))
+    bids = random_feasible_bids(scn, rng)
+    bids[np.unravel_index(np.argmax(bids), bids.shape)] = bad
+    with pytest.raises(ValueError, match="initial bids must be finite and nonnegative"):
+        run_dynamics(scn, initial_bids=bids)
+
+
 def test_update_equals_own_fixed_point_bids():
     rng = np.random.default_rng(67)
     spec = random_scenario(rng, alphas=[1.0, 2.0, math.inf], n_sps=3)

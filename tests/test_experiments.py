@@ -375,3 +375,23 @@ def test_bad_budget_sweep_fails_before_any_solve(tmp_path, monkeypatch, fields, 
     if field == "budget_sweep_sp":
         assert all(sp in str(err.value) for sp in ("SP1", "SP2", "SP3"))
     assert not (tmp_path / "out").exists()
+
+
+def test_budget_sweep_of_a_lone_provider_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    """With one provider the sweep has no one to give the rest of the budget
+    to: the run used to solve every instance and only then fail on budgets
+    that do not sum to 1."""
+    preset = benchmark_preset()
+    path = tmp_path / "lone.json"
+    save_scenario(replace(preset, sps=(replace(preset.sps[0], budget=1.0),)), path)
+    calls = []
+    for name, solve in experiments.SCHEME_SOLVERS.items():
+        monkeypatch.setitem(experiments.SCHEME_SOLVERS, name, lambda scn, solve=solve: calls.append(scn) or solve(scn))
+    with pytest.raises(ValueError, match="budget_sweep_sp: 'SP1' is the only provider"):
+        run_experiment(tiny_config(tmp_path, scenario=str(path), instances=1, alphas=(1.0,), budget_sweep_sp="SP1"))
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"scenario": str(path), "instances": 1, "budget_sweep_sp": "SP1"}))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "budget_sweep_sp" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()

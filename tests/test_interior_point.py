@@ -113,17 +113,22 @@ def test_linear_provider_beside_near_one_alphas_certifies(other):
         assert rep.converged and rep.iterations <= 30
 
 
+def with_idle_resource(spec):
+    """``spec`` normalized with one more resource in its first cell, which
+    no class demands."""
+    first = spec.cells[0]
+    idle_cell = replace(first, resources=first.resources + (ResourceDef("idle", 3.0),))
+    with pytest.warns(UserWarning, match="demanded by no SP"):
+        return normalize_scenario(replace(spec, cells=(idle_cell,) + spec.cells[1:]))
+
+
 @pytest.mark.parametrize("solve, alpha", [(solve_eg, 0.0), (solve_social_optimal, 2.0)], ids=["me-0", "so-2"])
 def test_stop_test_gets_the_usage_of_its_rates(solve, alpha, monkeypatch):
     """The barrier computes the rates' usage once per step, for its stop
     test and its step: what the stop test gets is the usage of the rates it
     gets over every good, with price and usage 0 on a good no class
     demands."""
-    spec = instantiate(benchmark_preset(), LoadModel(seed=2), 0).with_alphas(alpha)
-    first = spec.cells[0]
-    idle_cell = replace(first, resources=first.resources + (ResourceDef("idle", 3.0),))
-    with pytest.warns(UserWarning, match="demanded by no SP"):
-        scn = normalize_scenario(replace(spec, cells=(idle_cell,) + spec.cells[1:]))
+    scn = with_idle_resource(instantiate(benchmark_preset(), LoadModel(seed=2), 0).with_alphas(alpha))
     index = scn.index
     idle = ~index.demanded_goods()
     assert np.count_nonzero(idle) == 1
@@ -146,7 +151,28 @@ def test_stop_test_gets_the_usage_of_its_rates(solve, alpha, monkeypatch):
         assert p[idle] == 0.0 and usage[idle] == 0.0
 
 
-def no_candidates(log_w, amat, mask, alpha):
+@pytest.mark.parametrize(
+    "solve, alpha",
+    [(solve_social_optimal, a) for a in (0.0, 2.0, 5.0, math.inf)] + [(solve_eg, 0.0)],
+    ids=["so-0", "so-2", "so-5", "so-inf", "me-0"],
+)
+def test_idle_resource_leaves_the_solve_alone(solve, alpha):
+    """A good no class demands is a barrier variable of its own: the solve
+    still certifies, prices it at exactly 0, and the other prices and the
+    utilities are those of the market without it."""
+    spec = instantiate(benchmark_preset(), LoadModel(seed=2), 0).with_alphas(alpha)
+    scn = with_idle_resource(spec)
+    idle = ~scn.index.demanded_goods()
+    base, rep = solve(normalize_scenario(spec)), solve(scn)
+    assert base.converged and rep.converged
+    assert np.all(rep.prices[idle] == 0.0)
+    # a good with slack keeps a price of barrier size, 1e-9 of the others'
+    # or less, which no certificate fixes: prices are compared at their scale
+    np.testing.assert_allclose(rep.prices[~idle], base.prices, rtol=1e-9, atol=1e-9 * base.prices.max())
+    np.testing.assert_allclose(rep.utilities, base.utilities, rtol=1e-9, atol=0.0)
+
+
+def no_candidates(utility, amat, mask, alpha):
     """A candidate builder whose one candidate applies nowhere: every block
     runs on the engine."""
     return np.full((1,) + mask.shape, np.nan), np.full((1, amat.shape[0], amat.shape[2]), np.nan)

@@ -1,6 +1,7 @@
 """Preset construction, load model, and instance families."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ class TestBudgetSweep:
             budget_sweep(benchmark_preset(), "SP1", [1.0])
         with pytest.raises(KeyError):
             budget_sweep(benchmark_preset(), "SP9", [0.5])
+
+    def test_lone_provider(self):
+        # the rest of the budget has no one to go to
+        preset = benchmark_preset()
+        lone = replace(preset, sps=(replace(preset.sps[0], budget=1.0),))
+        with pytest.raises(ValueError, match="only provider"):
+            budget_sweep(lone, "SP1", [0.5])
 
 
 def test_random_scenario_is_valid():
