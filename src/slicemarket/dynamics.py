@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market import BID_FLOOR, equilibrium_report, settle_bids, verify_equilibrium
+from .market import BID_FLOOR, EQUILIBRIUM_TOL, equilibrium_report, settle_bids, verify_equilibrium
 from .model import MarketIndex, NormalizedScenario
 
 #: Relative price changes are measured against at least this price level, so
@@ -140,8 +140,10 @@ def run_dynamics(
     """Iterate simultaneous bid updates from uniform (or given) initial bids
     until the settled bids pass the equilibrium check, for at most
     ``max_iterations`` rounds.  Given initial bids are dense ``[n_triples,
-    n_goods]``, finite and nonnegative, and must lie on the consumed goods
-    (:meth:`~slicemarket.model.MarketIndex.gather`).
+    n_goods]``, finite and nonnegative, must lie on the consumed goods
+    (:meth:`~slicemarket.model.MarketIndex.gather`) and must spend each
+    provider's budget to within ``EQUILIBRIUM_TOL``, the budget gap the
+    equilibrium check allows.
 
     The check is :func:`~slicemarket.market.verify_equilibrium`, which
     :func:`~slicemarket.solvers.solve_eg` ends in too.  It runs after each
@@ -161,6 +163,8 @@ def run_dynamics(
     if bids is not None and not np.all((bids >= 0.0) & np.isfinite(bids)):
         raise ValueError("initial bids must be finite and nonnegative")
     slots = _uniform_slots(index) if bids is None else index.gather(bids)
+    if np.abs(index.sp_sum(slots.sum(axis=1)) - index.budgets).max() > EQUILIBRIUM_TOL:
+        raise ValueError("initial bids must spend each provider's budget")
 
     prices = index.per_good(slots)
     phis = [_potential(index, slots, prices)]

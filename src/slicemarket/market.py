@@ -70,13 +70,13 @@ class Allocation:
     def x(self) -> np.ndarray:
         return self.index.dense(self.rates[:, None] * self.index.slot_demand)
 
-    def totals(self, prices: np.ndarray, pd: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def totals(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every provider's spend ``sum p.x_s`` at ``prices`` and every good's
         usage; a triple spends ``u PD``, ``PD`` its price from
         :meth:`~slicemarket.model.MarketIndex.row_prices`."""
         index = self.index
-        pd = index.row_prices(prices)[1] if pd is None else pd
-        return index.sp_sum(self.rates * pd), index.per_good(self.rates[:, None] * index.slot_demand)
+        spend = index.sp_sum(self.rates * index.row_prices(prices)[1])
+        return spend, index.per_good(self.rates[:, None] * index.slot_demand)
 
 
 def _checked_prices(index: MarketIndex, prices: np.ndarray) -> np.ndarray:
@@ -155,8 +155,7 @@ def verify_equilibrium(scn: NormalizedScenario, allocation: Allocation, prices: 
     """
     index = scn.index
     prices = _checked_prices(index, prices)
-    pd = index.row_prices(prices)[1]
-    spend, usage = allocation.totals(prices, pd)
+    spend, usage = allocation.totals(prices)
     budget_gap = float(np.abs(spend - index.budgets).max())
     clearing_gap = float(np.abs((usage - 1.0) * prices).max())
 

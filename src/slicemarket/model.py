@@ -129,93 +129,6 @@ class ScenarioSpec:
         return replace(self, sps=tuple(sps))
 
 
-def validate_scenario(spec: ScenarioSpec) -> None:
-    """Check structural invariants; raises :class:`ScenarioError`.
-
-    Enforced: positive capacities, positive demands on consumed resources,
-    budgets summing to 1, alpha >= 0, nonnegative integer user counts of at
-    most ``2**63 - 1``, positive finite explicit weights, some users for
-    every provider, every supported class existing at its cell with all
-    consumed resources present there.
-    """
-    if not spec.cells:
-        raise ScenarioError("scenario has no cells")
-    if not spec.sps:
-        raise ScenarioError("scenario has no service providers")
-    resources_at: dict[str, set[str]] = {}
-    for cell in spec.cells:
-        if cell.id in resources_at:
-            raise ScenarioError(f"duplicate cell id {cell.id!r}")
-        names = resources_at[cell.id] = set()
-        for res in cell.resources:
-            if res.name in names:
-                raise ScenarioError(f"duplicate resource {res.name!r} at cell {cell.id!r}")
-            names.add(res.name)
-            if not (res.capacity > 0) or not math.isfinite(res.capacity):
-                raise ScenarioError(
-                    f"capacity of {res.name!r} at cell {cell.id!r} must be positive"
-                )
-    class_by_name: dict[str, ClassDef] = {}
-    for k in spec.classes:
-        if k.name in class_by_name:
-            raise ScenarioError(f"duplicate class {k.name!r}")
-        class_by_name[k.name] = k
-        if not k.demand:
-            raise ScenarioError(f"class {k.name!r} consumes no resources")
-        for r, d in k.demand.items():
-            if not (d > 0) or not math.isfinite(d):
-                raise ScenarioError(f"class {k.name!r} demand for {r!r} must be positive")
-
-    total_budget = 0.0
-    sp_names = set()
-    served: set[tuple[str, str]] = set()
-    for sp in spec.sps:
-        if sp.name in sp_names:
-            raise ScenarioError(f"duplicate SP {sp.name!r}")
-        sp_names.add(sp.name)
-        if not (sp.budget > 0):
-            raise ScenarioError(f"SP {sp.name!r} budget must be positive")
-        total_budget += sp.budget
-        if math.isnan(sp.alpha) or sp.alpha < 0:
-            raise ScenarioError(f"SP {sp.name!r} alpha must be >= 0")
-        seen = set()
-        for e in sp.support:
-            if (e.cell, e.klass) in seen:
-                raise ScenarioError(
-                    f"SP {sp.name!r} lists ({e.cell!r}, {e.klass!r}) twice"
-                )
-            seen.add((e.cell, e.klass))
-            if e.klass not in class_by_name:
-                raise ScenarioError(f"SP {sp.name!r} supports unknown class {e.klass!r}")
-            if e.cell not in resources_at:
-                raise ScenarioError(f"SP {sp.name!r} supports unknown cell {e.cell!r}")
-            if e.users > _MAX_USERS:
-                raise ScenarioError(
-                    f"user count for ({sp.name!r}, {e.cell!r}, {e.klass!r}) exceeds {_MAX_USERS}"
-                )
-            if not (e.users >= 0) or e.users != int(e.users):
-                raise ScenarioError(
-                    f"user count for ({sp.name!r}, {e.cell!r}, {e.klass!r}) "
-                    "must be a nonnegative integer"
-                )
-            if e.weight is not None and not (0 < e.weight < math.inf):
-                raise ScenarioError(
-                    f"weight for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be positive and finite"
-                )
-            if (e.cell, e.klass) in served:
-                continue
-            served.add((e.cell, e.klass))
-            missing = set(class_by_name[e.klass].demand) - resources_at[e.cell]
-            if missing:
-                raise ScenarioError(
-                    f"class {e.klass!r} needs {sorted(missing)} absent at cell {e.cell!r}"
-                )
-        if not any(e.users > 0 for e in sp.support):
-            raise ScenarioError(f"SP {sp.name!r} serves no users")
-    if abs(total_budget - 1.0) > BUDGET_SUM_TOL:
-        raise ScenarioError(f"budgets sum to {total_budget!r}, expected 1")
-
-
 def effective_weight(users: int, alpha: float, weight: float | None) -> float:
     """Class weight: ``users`` at alpha=inf (explicit weights included, as
     the max-min utility has no weights), else explicit if given, else
@@ -316,7 +229,7 @@ class MarketIndex:
         return self.budgets[self.sp_of]
 
     @cached_property
-    def slot_major(self) -> tuple[np.ndarray, np.ndarray]:
+    def _slot_major(self) -> tuple[np.ndarray, np.ndarray]:
         """``[s, n_triples]`` copies of the slots: a row's slots are summed
         as whole rows of these, several times faster than along a short axis."""
         return np.ascontiguousarray(self.slot_goods.T), np.ascontiguousarray(self.slot_demand.T)
@@ -360,7 +273,7 @@ class MarketIndex:
         """Per-slot ``p_g d_ig`` and per-row price ``PD_i`` of one unit rate.
         The per-slot prices are a ``[n_triples, s]`` view of a slot-major
         array; a row's slots are added in slot order."""
-        goods_t, demand_t = self.slot_major
+        goods_t, demand_t = self._slot_major
         pd_slots = prices[goods_t] * demand_t
         return pd_slots.T, pd_slots.sum(axis=0)
 
@@ -672,45 +585,106 @@ class NormalizedScenario:
 
 
 def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
-    """Validate and compile ``spec`` into its normalized form.
+    """Validate and compile ``spec`` into its normalized form, in one walk
+    of the spec; raises :class:`ScenarioError` at its first fault.
+
+    Enforced: positive capacities, positive demands on consumed resources,
+    budgets summing to 1, alpha >= 0, nonnegative integer user counts of at
+    most ``2**63 - 1``, positive finite explicit weights, some users for
+    every provider, every supported class existing at its cell with all
+    consumed resources present there.  Default weights are computed after
+    the walk, so their overflow is reported after every other fault.
 
     Demands become ``d' = d / C`` (fraction of the whole resource per unit
     rate) so the trading-post fractional shares and capacity constraints
     live on the same scale.  Support triples with zero users are dropped
-    from the index (they would put zero weights inside logarithms).
+    from the index (they would put zero weights inside logarithms), but
+    their entries are checked.
     """
-    validate_scenario(spec)
-
+    if not spec.cells:
+        raise ScenarioError("scenario has no cells")
+    if not spec.sps:
+        raise ScenarioError("scenario has no service providers")
     goods: list[tuple[str, str]] = []
     cap: list[float] = []
     good_at: dict[str, dict[str, int]] = {}
     for cell in spec.cells:
+        if cell.id in good_at:
+            raise ScenarioError(f"duplicate cell id {cell.id!r}")
         at = good_at[cell.id] = {}
         for res in cell.resources:
+            if res.name in at:
+                raise ScenarioError(f"duplicate resource {res.name!r} at cell {cell.id!r}")
+            if not (res.capacity > 0) or not math.isfinite(res.capacity):
+                raise ScenarioError(f"capacity of {res.name!r} at cell {cell.id!r} must be positive")
             at[res.name] = len(goods)
             goods.append((cell.id, res.name))
             cap.append(res.capacity)
+    demands: dict[str, tuple[tuple[str, float], ...]] = {}
+    for k in spec.classes:
+        if k.name in demands:
+            raise ScenarioError(f"duplicate class {k.name!r}")
+        if not k.demand:
+            raise ScenarioError(f"class {k.name!r} consumes no resources")
+        for r, d in k.demand.items():
+            if not (d > 0) or not math.isfinite(d):
+                raise ScenarioError(f"class {k.name!r} demand for {r!r} must be positive")
+        demands[k.name] = tuple(k.demand.items())
 
-    # the slots of every (cell, class) pair served, flattened in pair order
+    # the slots of every (cell, class) pair served, flattened in pair order;
+    # pairs are numbered by their first triple with users, and checked at
+    # their first entry, with users or not
     pairs: dict[tuple[str, str], int] = {}
+    checked: set[tuple[str, str]] = set()
     flat_pair: list[int] = []
     flat_goods: list[int] = []
     flat_demand: list[float] = []
     triples: list[tuple[str, str, str]] = []
     sp_of: list[int] = []
     users: list[int] = []
-    weights: list[float] = []
+    explicit: list[float | None] = []
     pair_of: list[int] = []
-    demands = {k.name: tuple(k.demand.items()) for k in spec.classes}
+    total_budget = 0.0
+    sp_names: set[str] = set()
     for s, sp in enumerate(spec.sps):
+        if sp.name in sp_names:
+            raise ScenarioError(f"duplicate SP {sp.name!r}")
+        sp_names.add(sp.name)
+        if not (sp.budget > 0):
+            raise ScenarioError(f"SP {sp.name!r} budget must be positive")
+        total_budget += sp.budget
+        if math.isnan(sp.alpha) or sp.alpha < 0:
+            raise ScenarioError(f"SP {sp.name!r} alpha must be >= 0")
+        served = len(triples)
+        seen = set()
         for e in sp.support:
+            key = (e.cell, e.klass)
+            if key in seen:
+                raise ScenarioError(f"SP {sp.name!r} lists ({e.cell!r}, {e.klass!r}) twice")
+            seen.add(key)
+            if e.klass not in demands:
+                raise ScenarioError(f"SP {sp.name!r} supports unknown class {e.klass!r}")
+            if e.cell not in good_at:
+                raise ScenarioError(f"SP {sp.name!r} supports unknown cell {e.cell!r}")
+            if e.users > _MAX_USERS:
+                raise ScenarioError(f"user count for ({sp.name!r}, {e.cell!r}, {e.klass!r}) exceeds {_MAX_USERS}")
+            if not (e.users >= 0) or e.users != int(e.users):
+                raise ScenarioError(
+                    f"user count for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be a nonnegative integer"
+                )
+            if e.weight is not None and not (0 < e.weight < math.inf):
+                raise ScenarioError(f"weight for ({sp.name!r}, {e.cell!r}, {e.klass!r}) must be positive and finite")
+            at = good_at[e.cell]
+            if key not in checked:
+                checked.add(key)
+                missing = [r for r, _ in demands[e.klass] if r not in at]
+                if missing:
+                    raise ScenarioError(f"class {e.klass!r} needs {sorted(missing)} absent at cell {e.cell!r}")
             if e.users == 0:
                 continue
-            key = (e.cell, e.klass)
             pair = pairs.get(key)
             if pair is None:
                 pair = pairs[key] = len(pairs)
-                at = good_at[e.cell]
                 for r, d in demands[e.klass]:
                     flat_pair.append(pair)
                     flat_goods.append(at[r])
@@ -718,8 +692,13 @@ def normalize_scenario(spec: ScenarioSpec) -> NormalizedScenario:
             triples.append((sp.name, *key))
             sp_of.append(s)
             users.append(e.users)
-            weights.append(effective_weight(e.users, sp.alpha, e.weight))
+            explicit.append(e.weight)
             pair_of.append(pair)
+        if len(triples) == served:
+            raise ScenarioError(f"SP {sp.name!r} serves no users")
+    if abs(total_budget - 1.0) > BUDGET_SUM_TOL:
+        raise ScenarioError(f"budgets sum to {total_budget!r}, expected 1")
+    weights = [effective_weight(n, spec.sps[s].alpha, w) for n, s, w in zip(users, sp_of, explicit)]
 
     capacity = np.array(cap)
     # each pair's goods in increasing order, in the columns of its row

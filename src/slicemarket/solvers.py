@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .market import (
     GAP_TOL, Allocation, SolveReport, _checked_prices, _eg_gap, equilibrium_report, make_report, utilities, verify_equilibrium
 )
-from .model import CESAggregate, MarketIndex, NormalizedScenario
+from .model import (
+    CellDef, CESAggregate, ClassDef, MarketIndex, NormalizedScenario, ProviderDef, ResourceDef, ScenarioSpec, SupportEntry,
+    normalize_scenario,
+)
 
 
 def __getattr__(name: str):
@@ -394,7 +398,6 @@ def _price_barrier(index: MarketIndex, check, free: bool):
     """
     n_sp, n_goods = index.n_sps, index.n_goods
     goods, dm = index.slot_goods, index.slot_demand
-    goods_t, dm_t = index.slot_major
     idle = ~index.demanded_goods()  # in no row; the stop test sees it at price 0
     idle = idle if idle.any() else None
     alpha = index.alphas[index.sp_of]
@@ -423,7 +426,7 @@ def _price_barrier(index: MarketIndex, check, free: bool):
     def evaluate(p):
         """Every triple's price ``L``, every row's log unit cost and the
         unit costs' shares at ``p``."""
-        pd = (p[goods_t] * dm_t).sum(axis=0)
+        pd = index.row_prices(p)[1]
         return (pd,) + cost.shares(np.log(pd))
 
     p = np.ones(n_goods)
@@ -498,10 +501,10 @@ def _price_barrier(index: MarketIndex, check, free: bool):
             step = _newton_step(np.block([[mat, -c], [-c.T, np.diag(f)]]), np.concatenate([rhs, rhs_b]))
             dp, db = step[:n_goods], step[n_goods:]
             db_row = db[row_sp]
-            dy = d_row * (r2 - r * cost.seg_sum(g * (dp[goods_t] * dm_t).sum(axis=0)) + t * db_row)
+            dy = d_row * (r2 - r * cost.seg_sum(g * index.row_prices(dp)[1]) + t * db_row)
         else:
             dp = _newton_step(mat, rhs)
-            dy = d_row * (r2 - r * cost.seg_sum(g * (dp[goods_t] * dm_t).sum(axis=0)))
+            dy = d_row * (r2 - r * cost.seg_sum(g * index.row_prices(dp)[1]))
         dx = np.concatenate((dp, mu / y - sigma - sigma / y * dy))
         dw = np.concatenate((mu / p - z - z * dp / p, dy))
         tau = max(0.99, 1.0 - mu)
@@ -655,24 +658,16 @@ def _block_candidates(utility, amat, mask, alpha) -> tuple[np.ndarray, np.ndarra
 
 def _block_market(amat, log_w, alpha) -> MarketIndex:
     """A static-share block as a one-provider market of budget 1 on its own
-    copy of the goods its classes use: ``amat`` ``[K, m]`` on those goods,
-    in the slot layout of :class:`~slicemarket.model.MarketIndex` (each
-    class's consumed goods first, in increasing order)."""
-    n_k, m = amat.shape
-    order = np.argsort(amat <= 0.0, axis=1, kind="stable")
-    return MarketIndex(
-        goods=tuple(("block", str(j)) for j in range(m)),
-        capacity=np.ones(m),
-        sp_names=("block",),
-        budgets=np.ones(1),
-        alphas=np.array([alpha]),
-        triples=tuple(("block", "block", str(k)) for k in range(n_k)),
-        sp_of=np.zeros(n_k, dtype=np.intp),
-        users=np.ones(n_k, dtype=np.intp),
-        weights=np.exp(log_w),
-        slot_goods=order,
-        slot_demand=np.take_along_axis(amat, order, axis=1),
-    )
+    copy of the goods its classes use, ``amat`` ``[K, m]`` on those goods,
+    compiled by :func:`~slicemarket.model.normalize_scenario` at unit
+    capacities.  The class weights are ``exp(log_w)``, set after the compile:
+    a weight that underflows to 0 is padding, which the compile rejects."""
+    names = [str(j) for j in range(amat.shape[1])]
+    cells = (CellDef("block", tuple(ResourceDef(r, 1.0) for r in names)),)
+    classes = tuple(ClassDef(str(k), {names[j]: float(row[j]) for j in np.flatnonzero(row > 0.0)}) for k, row in enumerate(amat))
+    support = tuple(SupportEntry("block", k.name, 1, 1.0) for k in classes)
+    spec = ScenarioSpec(cells, classes, (ProviderDef("block", 1.0, float(alpha), support),))
+    return replace(normalize_scenario(spec).index, weights=np.exp(log_w))
 
 
 def _standalone(index: MarketIndex) -> tuple[np.ndarray, np.ndarray, int]:

@@ -21,7 +21,8 @@ prices and every report its utilities, for comparisons within a tolerance.
 owns it.  A run writes its file, reports every unlisted failure and every
 listed one that now certifies, and exits 1 if there is either, so that
 ``KNOWN`` cannot go stale.
-``--compare`` reads two runs' files and prints what changed between them.
+``--compare`` reads two runs' files, prints what changed between them and
+exits 1 if some report lost its converged flag.
 """
 
 from __future__ import annotations
@@ -294,8 +295,9 @@ def relative(a, b) -> float:
     return float(diff.max(initial=0.0) / scale)
 
 
-def compare(old: list[dict], new: list[dict]) -> None:
-    """Print what changed between two runs of the census."""
+def compare(old: list[dict], new: list[dict]) -> list[str]:
+    """Print what changed between two runs of the census, and return the
+    reports that lost their converged flag."""
     before = {(r["key"], r["scheme"]): r for r in old}
     lost, gained, identical, changed = [], [], {}, {}
     worst: dict[str, tuple[float, str]] = {}
@@ -336,6 +338,7 @@ def compare(old: list[dict], new: list[dict]) -> None:
         print(f"largest relative move, {what}: {value:.2e} ({name})")
     for label, records in (("old", old), ("new", new)):
         print(label, json.dumps(summary(records), sort_keys=True))
+    return lost
 
 
 def main(argv=None) -> int:
@@ -345,8 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.load(open(path, encoding="utf-8"))["reports"] for path in args.compare)
-        compare(old, new)
-        return 0
+        return 1 if compare(old, new) else 0
     records = run()
     unlisted, mended = check(records)
     if args.out:

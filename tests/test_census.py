@@ -2,6 +2,7 @@
 its records, and its rule that every failure is a listed one and every
 listed one a failure."""
 
+import json
 import math
 
 from tests import census
@@ -32,3 +33,25 @@ def test_a_listed_entry_that_certifies_fails_the_run(monkeypatch, capsys):
     monkeypatch.setitem(census.KNOWN, "preset/s0/a2/me", 7)
     assert census.main([]) == 1
     assert "listed failure now certifies: preset/s0/a2/me (item 7)" in capsys.readouterr().out
+
+
+def test_compare_exits_1_when_a_converged_flag_is_lost(tmp_path, capsys):
+    def rec(key, status, fingerprint):
+        return dict(
+            key=key, scheme="me", status=status, method="newton", steps=3, gap=0.0,
+            fingerprint=fingerprint, welfare=1.0, utilities=[1.0], prices=[1.0],
+        )
+
+    paths = {}
+    for name, records in {
+        "old": [rec("a", "certified", "f0"), rec("b", "certified", "f1")],
+        "same": [rec("a", "certified", "f0"), rec("b", "certified", "f1")],
+        "lost": [rec("a", "certified", "f0"), rec("b", "uncertified", "f2")],
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"reports": records}))
+    assert census.main(["--compare", str(paths["old"]), str(paths["same"])]) == 0
+    assert "converged flags lost: 0" in capsys.readouterr().out
+    assert census.main(["--compare", str(paths["old"]), str(paths["lost"])]) == 1
+    out = capsys.readouterr().out
+    assert "converged flags lost: 1" in out and "b/me" in out

@@ -436,16 +436,32 @@ def test_custom_initial_bids_reach_the_same_prices():
     assert np.allclose(base.prices, custom.prices, atol=1e-8)
 
 
-@pytest.mark.parametrize("bad", [-0.1, math.nan], ids=["negative", "nan"])
-def test_bad_initial_bids_are_rejected(bad):
-    """A negative bid used to run from infeasible prices and potential, and
-    a NaN bid failed later as an all-zero price row."""
+def _one_bid(value):
+    def change(bids):
+        bids[np.unravel_index(np.argmax(bids), bids.shape)] = value
+        return bids
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (_one_bid(-0.1), "be finite and nonnegative"),
+        (_one_bid(math.nan), "be finite and nonnegative"),
+        (lambda bids: bids * 1e-3, "spend each provider's budget"),
+        (lambda bids: bids * 0.0, "spend each provider's budget"),
+    ],
+    ids=["negative", "nan", "scaled", "all-zero"],
+)
+def test_bad_initial_bids_are_rejected(change, match):
+    """A negative bid or bids scaled by 1e-3 used to run from infeasible
+    prices and potential, and a NaN bid or all-zero bids failed later as an
+    all-zero price row."""
     rng = np.random.default_rng(71)
     scn = normalize_scenario(random_scenario(rng, alphas=[1.5, 2.0], n_sps=2))
-    bids = random_feasible_bids(scn, rng)
-    bids[np.unravel_index(np.argmax(bids), bids.shape)] = bad
-    with pytest.raises(ValueError, match="initial bids must be finite and nonnegative"):
-        run_dynamics(scn, initial_bids=bids)
+    with pytest.raises(ValueError, match=f"initial bids must {match}"):
+        run_dynamics(scn, initial_bids=change(random_feasible_bids(scn, rng)))
 
 
 def test_update_equals_own_fixed_point_bids():

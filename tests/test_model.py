@@ -215,6 +215,36 @@ def test_missing_resource_at_cell_rejected():
         normalize_scenario(ScenarioSpec(cells, spec.classes, sps))
 
 
+def test_faults_are_reported_in_walk_order():
+    """A spec with several faults reports the first one of the walk: every
+    structural fault before the budget sum, the budget sum before a default
+    weight's overflow, and providers in order."""
+    spec = two_sp_spec()
+    sp0, sp1 = spec.sps
+
+    def fault(*sps, classes=spec.classes):
+        with pytest.raises(ScenarioError) as info:
+            normalize_scenario(ScenarioSpec(spec.cells, classes, sps))
+        return str(info.value)
+
+    unknown = SupportEntry("c0", "nope", 1)
+    assert fault(sp0, replace(sp1, budget=0.7, support=(unknown,))) == "SP 'sp1' supports unknown class 'nope'"
+    # users**alpha = 100**200 overflows, after the budgets are summed
+    overflow = replace(sp0, alpha=200.0, support=(SupportEntry("c0", "a", 100),))
+    assert fault(overflow, replace(sp1, budget=0.6)) == "budgets sum to 1.1, expected 1"
+    assert fault(overflow, sp1).startswith("default weight 100**200.0 overflows")
+    bad_weight = replace(sp0, support=(SupportEntry("c0", "a", 1, weight=math.inf),))
+    assert fault(bad_weight, replace(sp1, budget=-1.0)) == "weight for ('sp0', 'c0', 'a') must be positive and finite"
+    assert fault(replace(sp1, budget=-1.0), bad_weight) == "SP 'sp1' budget must be positive"
+    # an entry without users is checked all the same
+    assert fault(sp0, replace(sp1, support=sp1.support + (replace(unknown, users=0),))) == (
+        "SP 'sp1' supports unknown class 'nope'"
+    )
+    far = ClassDef("far", {"r9": 1.0})
+    idle = replace(sp1, support=sp1.support + (SupportEntry("c0", "far", 0),))
+    assert fault(sp0, idle, classes=spec.classes + (far,)) == "class 'far' needs ['r9'] absent at cell 'c0'"
+
+
 def test_default_weights_follow_alpha():
     spec = two_sp_spec(alpha1=2.0, alpha2=math.inf, users=(3, 4))
     scn = normalize_scenario(spec)

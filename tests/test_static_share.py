@@ -26,7 +26,9 @@ from slicemarket import (
     static_share,
 )
 from slicemarket.market import utilities
+from slicemarket.solvers import _block_market
 from tests.reference import dense_demand
+from tests.test_model import argsort_slots
 
 
 def two_class_cell(alpha):
@@ -221,3 +223,22 @@ def test_matches_scipy_on_random_markets(alpha):
                     inside = utilities(scn, into_box(index, rates, cap))[s]
                     assert got * (1 + rep.residuals["duality_gap"]) >= inside * (1 - 1e-12)
     assert padded > 0
+
+
+def test_block_market_is_compiled_on_the_slot_layout():
+    """A leftover block's market: its slots are every class's consumed goods
+    first, in increasing order, its weights are the block's own, and a
+    weight that underflows to 0 is padding."""
+    # no class uses all three goods, so the slots are two wide
+    amat = np.array([[0.0, 0.5, 0.25], [0.75, 0.0, 0.0], [0.5, 0.125, 0.0]])
+    log_w = np.array([-0.5, -800.0, 0.25])
+    index = _block_market(amat, log_w, 2.0)
+    goods, demand = argsort_slots(amat)
+    width = goods.shape[1]
+    np.testing.assert_array_equal(index.slot_goods[:, :width], goods)
+    np.testing.assert_array_equal(index.slot_demand[:, :width], demand)
+    assert not index.slot_demand[:, width:].any()
+    np.testing.assert_array_equal(index.weights, np.exp(log_w))
+    assert index.weights[1] == 0.0
+    assert np.isneginf(index.unit_cost.log_w[1])
+    assert index.budgets.tolist() == [1.0] and index.alphas.tolist() == [2.0]
